@@ -152,12 +152,6 @@ class EquilibriumRecord:
     min_gap: float
     expected_w: np.ndarray | None = None   # per-profile winning prob under noisy news
 
-    def solution_for(self, t: float) -> AttentionSolution:
-        for group_t, sol in self.attention:
-            if group_t == t:
-                return sol
-        raise KeyError(f"no attention solution stored for group {t!r}")
-
     def total_information(self, weights: dict[float, float]) -> float:
         """Weighted mutual information summed over voter groups (nats)."""
         return sum(weights[t] * sol.info for t, sol in self.attention)
@@ -252,78 +246,126 @@ def aggregate_and_rationalize(
     return np.vectorize(_share_to_w)(share)
 
 
-def rationalized_winner(
-    scenario: Scenario,
-    assignment: StrategyAssignment,
-    profile: tuple[float, float],
-    mu: float | None = None,
-) -> float:
-    """Winning probability of beta at any profile: attention-based on path,
-    perfect observation off path."""
-    levels = assignment.levels
-    a_alpha, a_beta = profile
-    if -a_alpha in levels and a_beta in levels:
-        w = aggregate_and_rationalize(scenario, assignment, mu)
-        return float(w[levels.index(-a_alpha), levels.index(a_beta)])
-    return perfect_observation_winner(scenario, a_alpha, a_beta)
-
-
 # ---------------------------------------------------------------------------
 # Candidate incentive compatibility
 # ---------------------------------------------------------------------------
 
-def deviation_gaps(own_types, own_policies, grid, opp_types, opp_probs, opp_policies,
-                   win_prob, win_value, lose_value):
-    """Per-type slack of the assigned policy over the best grid deviation.
+# Most floats any temporary of the IC kernel holds; enumerations score their
+# assignments in chunks of rows that respect it.
+IC_CHUNK_FLOATS = 2 ** 15
 
-    ``win_prob(opp_policy, own_policy)`` is the candidate's own winning
-    probability; ``win_value(a, t)`` and ``lose_value(opp_policy, opp_type, t)``
-    price the two outcomes.  A single-point grid leaves infinite slack.
+
+def _side_gaps(win_prob, win, lose, opp_probs, own, opp) -> np.ndarray:
+    """Slack of each own type's assigned policy over its best grid deviation.
+
+    ``own`` (rows x own types) and ``opp`` (rows x opponent types) hold grid
+    indices, one assignment per row.  ``win_prob[x, a]`` is the own winning
+    probability when the opponent plays index x and the own candidate a;
+    ``win[k, a]`` prices a win of own type k with a, and ``lose[j, x, k]`` its
+    loss to opponent type j playing x.  Payoffs accumulate opponent by
+    opponent as ``total += p * (w * win + (1 - w) * lose)``, never through a
+    reduction, so every gap is bitwise that of the scalar loop.  A one-point
+    grid has no deviation and leaves infinite slack.
     """
-    gaps = []
-    for t, a_star in zip(own_types, own_policies):
-        payoffs = []
-        for a in grid:
-            wv = win_value(a, t)
-            total = 0.0
-            for t2, p2, x2 in zip(opp_types, opp_probs, opp_policies):
-                w = win_prob(x2, a)
-                total += p2 * (w * wv + (1.0 - w) * lose_value(x2, t2, t))
-            payoffs.append(total)
-        i_star = grid.index(a_star)
-        others = [v for i, v in enumerate(payoffs) if i != i_star]
-        gaps.append((t, payoffs[i_star] - max(others) if others else math.inf))
-    return gaps
+    rows, n_types = own.shape
+    total = np.zeros((rows, n_types, win.shape[1]))
+    for j, p in enumerate(opp_probs):
+        w = win_prob[opp[:, j]][:, None, :]
+        total += p * (w * win + (1.0 - w) * lose[j][opp[:, j]][:, :, None])
+    r = np.arange(rows)[:, None]
+    k = np.arange(n_types)
+    assigned = total[r, k, own]
+    total[r, k, own] = -math.inf
+    return assigned - total.max(axis=2)
 
 
-def _two_sided_gaps(scenario: Scenario, assignment: StrategyAssignment, w_beta):
-    """Deviation slacks for both candidates given beta's winning-probability
-    function ``w_beta(a_alpha, a_beta)``; alpha's game is the mirror."""
+class ICKernel:
+    """Batched incentive check of pure symmetric assignments on one grid.
+
+    Built once per game from beta's winning-probability matrix ``w`` on the
+    grid (``w[i, j]`` at the profile (-grid[i], grid[j])) and the stage values
+    ``win_value(a, t)`` and ``lose_value(x, t_opp, t)``, tabulated for both
+    candidates.  Alpha's game is the mirror image: its policies are indexed by
+    their magnitude on beta's grid and its types are the negated beta types
+    in reverse.  An assignment is the row of beta's grid indices per type.
+    """
+
+    def __init__(self, grid, types, probs, w, win_value, lose_value):
+        self.grid = tuple(grid)
+        self.types = tuple(types)
+        self.alpha_types = tuple(-t for t in reversed(self.types))
+        mirror = tuple(-a for a in self.grid)
+        self.w = w = np.asarray(w, dtype=float)
+
+        def tables(own_grid, opp_grid, own_types, opp_types):
+            win = np.array([[win_value(a, t) for a in own_grid] for t in own_types])
+            lose = np.array([
+                [[lose_value(x, t2, t) for t in own_types] for x in opp_grid]
+                for t2 in opp_types
+            ])
+            return win, lose
+
+        beta = tables(self.grid, mirror, self.types, self.alpha_types)
+        alpha = tables(mirror, self.grid, self.alpha_types, self.types)
+        self._beta = (w, *beta, tuple(reversed(probs)))
+        self._alpha = ((1.0 - w).T, *alpha, tuple(probs))
+
+    def gaps(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(beta, alpha) slack per assignment row and type, in type order."""
+        mirrored = rows[:, ::-1]
+        return (
+            _side_gaps(*self._beta, rows, mirrored),
+            _side_gaps(*self._alpha, mirrored, rows),
+        )
+
+    def check(self, policies) -> tuple[bool, dict]:
+        """(ok, slack per (candidate, type)) of beta's policies per type;
+        policies off beta's grid are refused."""
+        for a in policies:
+            if a not in self.grid:
+                raise ValidationError(f"assigned policy {a!r} is off candidate beta's grid")
+        beta, alpha = self.gaps(np.array([[self.grid.index(a) for a in policies]]))
+        gaps = dict(zip((("beta", t) for t in self.types), beta[0].tolist()))
+        gaps.update(zip((("alpha", t) for t in self.alpha_types), alpha[0].tolist()))
+        return min(gaps.values()) >= -TOL, gaps
+
+    def passing(self, rows):
+        """Yield (grid indices, beta's (type, slack) pairs) of every incentive
+        compatible row of the iterable ``rows``, in its order."""
+        n_types = len(self.types)
+        size = max(1, IC_CHUNK_FLOATS // (n_types * len(self.grid)))
+        rows = iter(rows)
+        while chunk := list(itertools.islice(rows, size)):
+            beta, alpha = self.gaps(np.array(chunk, dtype=np.intp))
+            ok = np.minimum(beta.min(axis=1), alpha.min(axis=1)) >= -TOL
+            for r in np.flatnonzero(ok):
+                yield chunk[r], tuple(zip(self.types, beta[r].tolist()))
+
+
+def game_kernel(scenario: Scenario, w, types, probs) -> ICKernel:
+    """IC kernel of the baseline stage values under beta's winning matrix ``w``."""
     spec = scenario.utility
-    b_types = assignment.types
-    b_probs = assignment.type_probs
-    b_pols = assignment.policies
-    a_types = tuple(-t for t in reversed(b_types))
-    a_probs = tuple(reversed(b_probs))
-    a_pols = tuple(-a for a in reversed(b_pols))
-
-    def win_value(a, t):
-        return winner_value(spec, a, t)
-
-    def lose_value(x, _t_opp, t):
-        return loser_value(spec, x, t)
-
-    beta = deviation_gaps(
-        b_types, b_pols, list(scenario.beta_axis.values),
-        a_types, a_probs, a_pols,
-        lambda x, a: w_beta(x, a), win_value, lose_value,
+    return ICKernel(
+        scenario.beta_axis.values,
+        types,
+        probs,
+        w,
+        lambda a, t: winner_value(spec, a, t),
+        lambda x, _t_opp, t: loser_value(spec, x, t),
     )
-    alpha = deviation_gaps(
-        a_types, a_pols, list(scenario.alpha_axis.values),
-        b_types, b_probs, b_pols,
-        lambda x, a: 1.0 - w_beta(a, x), win_value, lose_value,
-    )
-    return beta, alpha
+
+
+def assignment_rows(scenario: Scenario, max_assignments: int):
+    """Every type -> policy map as grid-index rows, in lexicographic order;
+    grids with more than ``max_assignments`` maps are refused outright."""
+    n_types = len(scenario.beta_types.types)
+    count = len(scenario.beta_axis.values) ** n_types
+    if count > max_assignments:
+        raise ValidationError(
+            f"{count} assignments exceed the cap {max_assignments}; "
+            "raise max_assignments explicitly to search this grid"
+        )
+    return itertools.product(range(len(scenario.beta_axis.values)), repeat=n_types)
 
 
 def check_ic(
@@ -340,28 +382,25 @@ def check_ic(
     (candidate, type)).
     """
     require_symmetric(scenario)
-    for a in assignment.policies:
-        if a not in scenario.beta_axis.values:
-            raise ValidationError(f"assigned policy {a!r} is off candidate beta's grid")
-    spec = scenario.utility
+    grid = scenario.beta_axis.values
     if w_source == "downsian":
-        def w_beta(x, a):
-            return downsian_winner(spec, x, a)
+        w = downsian_matrix(scenario.utility, grid)
     elif w_source == "rationalized":
         levels = assignment.levels
         on_path = aggregate_and_rationalize(scenario, assignment, mu)
-
-        def w_beta(x, a):
-            if -x in levels and a in levels:
-                return float(on_path[levels.index(-x), levels.index(a)])
-            return perfect_observation_winner(scenario, x, a)
+        w = np.array([
+            [
+                float(on_path[levels.index(ai), levels.index(aj)])
+                if ai in levels and aj in levels
+                else perfect_observation_winner(scenario, -ai, aj)
+                for aj in grid
+            ]
+            for ai in grid
+        ])
     else:
         raise ValidationError(f"unknown w_source {w_source!r}")
-
-    beta, alpha = _two_sided_gaps(scenario, assignment, w_beta)
-    gaps = {("beta", t): g for t, g in beta}
-    gaps.update({("alpha", t): g for t, g in alpha})
-    return min(gaps.values()) >= -TOL, gaps
+    kernel = game_kernel(scenario, w, assignment.types, assignment.type_probs)
+    return kernel.check(assignment.policies)
 
 
 # ---------------------------------------------------------------------------
@@ -423,20 +462,17 @@ def enumerate_equilibria(
     """
     require_symmetric(scenario)
     grid = scenario.beta_axis.values
-    n_types = len(scenario.beta_types.types)
-    count = len(grid) ** n_types
-    if count > max_assignments:
-        raise ValidationError(
-            f"{count} assignments exceed the cap {max_assignments}; "
-            "raise max_assignments explicitly to search this grid"
-        )
+    rows = assignment_rows(scenario, max_assignments)
+    kernel = game_kernel(
+        scenario,
+        downsian_matrix(scenario.utility, grid),
+        scenario.beta_types.type_values,
+        scenario.beta_types.type_probs,
+    )
     records = []
-    for policies in itertools.product(grid, repeat=n_types):
+    for row, beta_gaps in kernel.passing(rows):
+        policies = tuple(grid[i] for i in row)
         assignment = assignment_for(scenario, policies)
-        ok, gaps = check_ic(scenario, assignment)
-        if not ok:
-            continue
-        beta_gaps = tuple((t, gaps[("beta", t)]) for t in assignment.types)
         record = build_record(scenario, assignment, beta_gaps, mu)
         if verify_rationalizable:
             rationalized = aggregate_and_rationalize(scenario, assignment, mu)

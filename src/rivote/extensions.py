@@ -17,7 +17,6 @@ from scipy.interpolate import PchipInterpolator
 
 from .core import (
     EXACT,
-    TOL,
     Scenario,
     TabulatedUtility,
     UtilitySpec,
@@ -28,10 +27,10 @@ from .core import (
 )
 from .election import (
     EquilibriumRecord,
+    ICKernel,
     StrategyAssignment,
     build_record,
-    deviation_gaps,
-    downsian_winner,
+    downsian_matrix,
     value_matrix,
 )
 from .solver import BeliefOverProfiles, attention_membership, entropy
@@ -72,12 +71,6 @@ def commitment_value(eta: float, v_policy: float, v_type: float) -> float:
     return eta * v_policy + (1.0 - eta) * v_type
 
 
-def commitment_assignments(scenario: Scenario):
-    """Strictly increasing type -> policy maps, in lexicographic order."""
-    n_types = len(scenario.beta_types.types)
-    return itertools.combinations(scenario.beta_axis.values, n_types)
-
-
 def commitment_belief(
     scenario: Scenario, assignment: StrategyAssignment, t: float, eta: float | None = None
 ) -> BeliefOverProfiles:
@@ -108,6 +101,24 @@ def attention_member_commitment(
     return attention_membership(commitment_belief(scenario, assignment, t, eta), mu)
 
 
+def _commitment_kernel(scenario: Scenario, types, probs, eta: float) -> ICKernel:
+    """IC kernel whose stage values blend the proposal with the proposer's
+    type, played when the winner reneges; proposals are priced by the
+    perfect-observation winner."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError("eta must lie in [0, 1]")
+    spec = scenario.utility
+
+    def win_value(a, t):
+        return eta * winner_value(spec, a, t) + (1.0 - eta) * winner_value(spec, t, t)
+
+    def lose_value(x, t_opp, t):
+        return eta * loser_value(spec, x, t) + (1.0 - eta) * loser_value(spec, t_opp, t)
+
+    grid = scenario.beta_axis.values
+    return ICKernel(grid, types, probs, downsian_matrix(spec, grid), win_value, lose_value)
+
+
 def check_ic_commitment(
     scenario: Scenario, assignment: StrategyAssignment, eta: float | None = None
 ) -> tuple[bool, dict]:
@@ -119,37 +130,8 @@ def check_ic_commitment(
     """
     require_symmetric(scenario)
     eta = scenario.eta if eta is None else eta
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError("eta must lie in [0, 1]")
-    spec = scenario.utility
-
-    def win_value(a, t):
-        return eta * winner_value(spec, a, t) + (1.0 - eta) * winner_value(spec, t, t)
-
-    def lose_value(x, t_opp, t):
-        return eta * loser_value(spec, x, t) + (1.0 - eta) * loser_value(spec, t_opp, t)
-
-    def w_beta(x, a):
-        return downsian_winner(spec, x, a)
-
-    b_types = assignment.types
-    b_probs = assignment.type_probs
-    b_pols = assignment.policies
-    a_types = tuple(-t for t in reversed(b_types))
-    a_probs = tuple(reversed(b_probs))
-    a_pols = tuple(-a for a in reversed(b_pols))
-    beta = deviation_gaps(
-        b_types, b_pols, list(scenario.beta_axis.values),
-        a_types, a_probs, a_pols, w_beta, win_value, lose_value,
-    )
-    alpha = deviation_gaps(
-        a_types, a_pols, list(scenario.alpha_axis.values),
-        b_types, b_probs, b_pols,
-        lambda x, a: 1.0 - w_beta(a, x), win_value, lose_value,
-    )
-    gaps = {("beta", t): g for t, g in beta}
-    gaps.update({("alpha", t): g for t, g in alpha})
-    return min(gaps.values()) >= -TOL, gaps
+    kernel = _commitment_kernel(scenario, assignment.types, assignment.type_probs, eta)
+    return kernel.check(assignment.policies)
 
 
 def enumerate_equilibria_commitment(
@@ -161,19 +143,18 @@ def enumerate_equilibria_commitment(
     limited commitment; at eta = 1 this reduces to the baseline game."""
     require_symmetric(scenario)
     eta = scenario.eta if eta is None else eta
+    types = scenario.beta_types
+    grid = scenario.beta_axis.values
+    kernel = _commitment_kernel(scenario, types.type_values, types.type_probs, eta)
+    rows = itertools.combinations(range(len(grid)), len(types.types))
     records = []
-    for policies in commitment_assignments(scenario):
-        assignment = StrategyAssignment(
-            scenario.beta_types.type_values, scenario.beta_types.type_probs, policies
-        )
-        ok, gaps = check_ic_commitment(scenario, assignment, eta)
-        if not ok:
-            continue
+    for row, beta_gaps in kernel.passing(rows):
+        policies = tuple(grid[i] for i in row)
+        assignment = StrategyAssignment(types.type_values, types.type_probs, policies)
         beliefs = {
             t: commitment_belief(scenario, assignment, t, eta)
             for t, _ in scenario.electorate.groups
         }
-        beta_gaps = tuple((t, gaps[("beta", t)]) for t in assignment.types)
         records.append(
             build_record(scenario, assignment, beta_gaps, mu, kind="commitment", beliefs=beliefs)
         )

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     EXACT,
-    TOL,
     Scenario,
     UtilitySpec,
     ValidationError,
@@ -24,10 +23,12 @@ from .core import (
 )
 from .election import (
     EquilibriumRecord,
+    ICKernel,
     StrategyAssignment,
-    _two_sided_gaps,
     assignment_for,
+    assignment_rows,
     build_record,
+    game_kernel,
     value_matrix,
 )
 from .solver import AttentionSolution, BeliefOverProfiles, log_mean_exp, solve_attention
@@ -256,12 +257,6 @@ def check_log_supermodularity(tech: NewsTechnology, a_values) -> LogSupermodular
 # Posteriors and attention over news profiles
 # ---------------------------------------------------------------------------
 
-def signal_marginal(tech: NewsTechnology, levels, sigma) -> np.ndarray:
-    """P(signal profile (m, n)) induced by the policy matrix (levels, sigma)."""
-    f = tech.pmf_matrix(levels)
-    return f.T @ np.asarray(sigma, dtype=float) @ f
-
-
 def posterior_value_matrix(
     tech: NewsTechnology, spec: UtilitySpec, levels, sigma, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -387,25 +382,20 @@ def expected_winning_matrix(tech: NewsTechnology, a_values) -> np.ndarray:
     return rows @ downsian_signal_matrix(tech.k) @ rows.T
 
 
+def _noisy_kernel(scenario: Scenario, types, probs) -> ICKernel:
+    w = expected_winning_matrix(scenario.news, scenario.beta_axis.values)
+    return game_kernel(scenario, w, types, probs)
+
+
 def check_ic_noisy(
     scenario: Scenario, assignment: StrategyAssignment
 ) -> tuple[bool, dict]:
     """Incentive compatibility when winners are decided by news reports."""
     require_symmetric(scenario)
-    tech = scenario.news
-    if tech is None:
+    if scenario.news is None:
         raise ValidationError("scenario has no news technology")
-    grid = scenario.beta_axis.values
-    g = expected_winning_matrix(tech, grid)
-    index = {a: i for i, a in enumerate(grid)}
-
-    def w_beta(x, a):
-        return float(g[index[-x], index[a]])
-
-    beta, alpha = _two_sided_gaps(scenario, assignment, w_beta)
-    gaps = {("beta", t): gap for t, gap in beta}
-    gaps.update({("alpha", t): gap for t, gap in alpha})
-    return min(gaps.values()) >= -TOL, gaps
+    kernel = _noisy_kernel(scenario, assignment.types, assignment.type_probs)
+    return kernel.check(assignment.policies)
 
 
 def _noisy_beliefs(scenario: Scenario, assignment: StrategyAssignment):
@@ -442,36 +432,21 @@ def enumerate_equilibria_noisy(
         if not report.ok:
             raise ValidationError("news technology rejected: " + report.describe())
 
-    n_types = len(scenario.beta_types.types)
-    count = len(grid) ** n_types
-    if count > max_assignments:
-        raise ValidationError(
-            f"{count} assignments exceed the cap {max_assignments}; "
-            "raise max_assignments explicitly to search this grid"
-        )
-    g = expected_winning_matrix(tech, grid)
-    index = {a: i for i, a in enumerate(grid)}
-
-    def w_beta(x, a):
-        return float(g[index[-x], index[a]])
-
+    rows = assignment_rows(scenario, max_assignments)
+    types = scenario.beta_types
+    kernel = _noisy_kernel(scenario, types.type_values, types.type_probs)
     records = []
-    for policies in itertools.product(grid, repeat=n_types):
-        assignment = assignment_for(scenario, policies)
-        beta, alpha = _two_sided_gaps(scenario, assignment, w_beta)
-        gaps = dict(beta)
-        if min(min(gaps.values()), min(gap for _, gap in alpha)) < -TOL:
-            continue
-        levels = assignment.levels
-        idx = [index[a] for a in levels]
+    for row, beta_gaps in kernel.passing(rows):
+        assignment = assignment_for(scenario, tuple(grid[i] for i in row))
+        idx = sorted(set(row))
         records.append(
             build_record(
                 scenario,
                 assignment,
-                tuple(beta),
+                beta_gaps,
                 mu,
                 kind="noisy",
-                expected_w=g[np.ix_(idx, idx)],
+                expected_w=kernel.w[np.ix_(idx, idx)],
                 beliefs=_noisy_beliefs(scenario, assignment),
             )
         )

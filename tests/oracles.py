@@ -1,8 +1,9 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately avoid the library's solution formulas: the attention
-oracle maximises the net objective by exhaustive grid search, and the Bayes
-oracle builds the full joint table.
+oracle maximises the net objective by exhaustive grid search, the Bayes
+oracle builds the full joint table, and the incentive oracle walks grid x
+opponent types one scalar payoff at a time.
 """
 from __future__ import annotations
 
@@ -10,6 +11,9 @@ import math
 
 import numpy as np
 from scipy.special import xlogy
+
+from rivote.core import Scenario, loser_value, winner_value
+from rivote.election import StrategyAssignment, downsian_winner
 
 
 def _h(m):
@@ -115,3 +119,92 @@ def bayes_posterior_differential(levels, level_probs, rows, u_fn, m, n, t):
             num += joint * v
             den += joint
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# Scalar incentive-compatibility oracle
+# ---------------------------------------------------------------------------
+
+def deviation_gaps(own_types, own_policies, grid, opp_types, opp_probs, opp_policies,
+                   win_prob, win_value, lose_value):
+    """Per-type slack of the assigned policy over the best grid deviation.
+
+    ``win_prob(opp_policy, own_policy)`` is the candidate's own winning
+    probability; ``win_value(a, t)`` and ``lose_value(opp_policy, opp_type, t)``
+    price the two outcomes.  A single-point grid leaves infinite slack.
+    """
+    gaps = []
+    for t, a_star in zip(own_types, own_policies):
+        payoffs = []
+        for a in grid:
+            wv = win_value(a, t)
+            total = 0.0
+            for t2, p2, x2 in zip(opp_types, opp_probs, opp_policies):
+                w = win_prob(x2, a)
+                total += p2 * (w * wv + (1.0 - w) * lose_value(x2, t2, t))
+            payoffs.append(total)
+        i_star = grid.index(a_star)
+        others = [v for i, v in enumerate(payoffs) if i != i_star]
+        gaps.append((t, payoffs[i_star] - max(others) if others else math.inf))
+    return gaps
+
+
+def _two_sided_gaps(scenario: Scenario, assignment: StrategyAssignment, w_beta):
+    """Deviation slacks for both candidates given beta's winning-probability
+    function ``w_beta(a_alpha, a_beta)``; alpha's game is the mirror."""
+    spec = scenario.utility
+    b_types = assignment.types
+    b_probs = assignment.type_probs
+    b_pols = assignment.policies
+    a_types = tuple(-t for t in reversed(b_types))
+    a_probs = tuple(reversed(b_probs))
+    a_pols = tuple(-a for a in reversed(b_pols))
+
+    def win_value(a, t):
+        return winner_value(spec, a, t)
+
+    def lose_value(x, _t_opp, t):
+        return loser_value(spec, x, t)
+
+    beta = deviation_gaps(
+        b_types, b_pols, list(scenario.beta_axis.values),
+        a_types, a_probs, a_pols,
+        lambda x, a: w_beta(x, a), win_value, lose_value,
+    )
+    alpha = deviation_gaps(
+        a_types, a_pols, list(scenario.alpha_axis.values),
+        b_types, b_probs, b_pols,
+        lambda x, a: 1.0 - w_beta(a, x), win_value, lose_value,
+    )
+    return beta, alpha
+
+
+def commitment_gaps(scenario: Scenario, assignment: StrategyAssignment, eta: float):
+    """Both candidates' slacks under limited commitment, by the scalar loop."""
+    spec = scenario.utility
+
+    def win_value(a, t):
+        return eta * winner_value(spec, a, t) + (1.0 - eta) * winner_value(spec, t, t)
+
+    def lose_value(x, t_opp, t):
+        return eta * loser_value(spec, x, t) + (1.0 - eta) * loser_value(spec, t_opp, t)
+
+    def w_beta(x, a):
+        return downsian_winner(spec, x, a)
+
+    b_types = assignment.types
+    b_probs = assignment.type_probs
+    b_pols = assignment.policies
+    a_types = tuple(-t for t in reversed(b_types))
+    a_probs = tuple(reversed(b_probs))
+    a_pols = tuple(-a for a in reversed(b_pols))
+    beta = deviation_gaps(
+        b_types, b_pols, list(scenario.beta_axis.values),
+        a_types, a_probs, a_pols, w_beta, win_value, lose_value,
+    )
+    alpha = deviation_gaps(
+        a_types, a_pols, list(scenario.alpha_axis.values),
+        b_types, b_probs, b_pols,
+        lambda x, a: 1.0 - w_beta(a, x), win_value, lose_value,
+    )
+    return beta, alpha
