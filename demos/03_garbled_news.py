@@ -11,18 +11,18 @@ import numpy as np
 from rivote import (
     MarkovKernel,
     NewsTechnology,
-    attention_member_noisy,
+    attention_membership,
     check_log_supermodularity,
     enumerate_equilibria_noisy,
-    garble,
     posterior_value,
+    signal_belief,
 )
 from rivote.presets import build, figure3_scenario
 
 print("The slant family is closed under centrist-to-extreme garbling")
 xi, xi2 = 0.6, 0.75
 lam = (xi2 - xi) / (1 - xi)
-shifted = garble(NewsTechnology.slant(xi), MarkovKernel.slant_shift(lam))
+shifted = NewsTechnology.slant(xi).garbled(MarkovKernel.slant_shift(lam))
 target = NewsTechnology.slant(xi2)
 grid = np.linspace(0.05, 0.95, 10)
 gap = np.max(np.abs(shifted.pmf_matrix(grid) - target.pmf_matrix(grid)))
@@ -43,7 +43,9 @@ for x in (0.6, 0.75, 0.9):
     scenario = build(figure3_scenario(x))
     records = enumerate_equilibria_noisy(scenario)
     members = sum(
-        attention_member_noisy(scenario.news, scenario.utility, p, sigma, -0.001, scenario.mu)
+        attention_membership(
+            signal_belief(scenario.news, scenario.utility, p, sigma, -0.001), scenario.mu
+        )
         for p in pairs
     )
     pols = [r.assignment.policies for r in records]

@@ -1,6 +1,6 @@
 """rivote: electoral competition with rationally inattentive voters.
 
-A numpy/scipy library for entropy-cost-optimal attention strategies,
+A numpy library for entropy-cost-optimal attention strategies,
 symmetric-equilibrium enumeration over finite policy grids, attention sets
 and their closed-form thresholds, and Blackwell garbling of finite news
 technologies, plus a small CLI experiment runner.
@@ -19,10 +19,8 @@ from .core import (
     UtilitySpec,
     ValidationError,
     audit_scenario,
-    candidate_stage_payoffs,
     derived_kappa,
-    differential_utility,
-    voter_utility,
+    utility,
 )
 from .election import (
     EquilibriumRecord,
@@ -44,7 +42,6 @@ from .election import (
 from .extensions import (
     Frontier,
     MultiIssueReduction,
-    commitment_value,
     dissemination_filter,
     enumerate_equilibria_commitment,
     multi_issue_reduce,
@@ -55,19 +52,17 @@ from .news import (
     MarkovKernel,
     NewsTechnology,
     attention_frontier_noisy,
-    attention_member_noisy,
     check_log_supermodularity,
     enumerate_equilibria_noisy,
-    garble,
     posterior_value,
     signal_belief,
-    solve_attention_noisy,
 )
 from .scenario_io import load_scenario, scenario_from_dict, scenario_hash
 from .solver import (
     AttentionSolution,
     BeliefOverProfiles,
     attention_membership,
+    attentive,
     attention_threshold_delta,
     entropy,
     gamma,

@@ -23,27 +23,25 @@ from .election import (
     EquilibriumRecord,
     assignment_for,
     attention_frontier,
-    attention_member,
     enumerate_equilibria,
     median_differential,
     profile_belief,
 )
 from .extensions import (
-    attention_member_commitment,
+    commitment_belief,
     dissemination_filter,
     enumerate_equilibria_commitment,
 )
 from .news import (
     MarkovKernel,
     attention_frontier_noisy,
-    attention_member_noisy,
     check_log_supermodularity,
     enumerate_equilibria_noisy,
     signal_belief,
 )
 from .presets import build, figure2_scenario, figure3_scenario, table1_scenario
 from .scenario_io import load_scenario_dict, scenario_from_dict, scenario_hash
-from .solver import solve_attention
+from .solver import attention_membership, solve_attention
 
 
 class ReproductionMismatch(RuntimeError):
@@ -112,16 +110,16 @@ def _pipeline_records(scenario: Scenario) -> list[EquilibriumRecord]:
     return enumerate_equilibria(scenario)
 
 
-def _record_membership(scenario: Scenario, record: EquilibriumRecord, t: float,
-                       mu: float | None = None) -> bool:
-    mu = scenario.mu if mu is None else mu
+def _record_membership(scenario: Scenario, record: EquilibriumRecord, t: float) -> bool:
     levels = record.triple.a_values
     sigma = record.triple.sigma
     if record.kind == "noisy":
-        return attention_member_noisy(scenario.news, scenario.utility, levels, sigma, t, mu)
-    if record.kind == "commitment":
-        return attention_member_commitment(scenario, record.assignment, t, mu)
-    return attention_member(scenario.utility, levels, sigma, t, mu)
+        belief = signal_belief(scenario.news, scenario.utility, levels, sigma, t)
+    elif record.kind == "commitment":
+        belief = commitment_belief(scenario, record.assignment, t)
+    else:
+        belief = profile_belief(scenario.utility, levels, sigma, t)
+    return attention_membership(belief, scenario.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import only for annotations
     from .news import NewsTechnology
 
@@ -100,17 +102,9 @@ class TabulatedUtility:
             len(row) != len(self.t_values) for row in self.u
         ):
             raise ValidationError("utility table shape does not match its grids")
-
-    def _index(self, grid: tuple[float, ...], x: float, what: str) -> int:
-        for i, g in enumerate(grid):
-            if abs(g - x) <= EXACT:
-                return i
-        raise KeyError(f"{what}={x!r} is not on the utility table grid")
-
-    def lookup(self, a: float, t: float) -> float:
-        return self.u[self._index(self.a_values, a, "policy")][
-            self._index(self.t_values, t, "type")
-        ]
+        # numpy copies for lookups; not fields, so equality and hashing ignore them
+        object.__setattr__(self, "_arrays", tuple(
+            np.array(x, dtype=float) for x in (self.a_values, self.t_values, self.u)))
 
 
 @dataclass(frozen=True)
@@ -143,38 +137,35 @@ class UtilitySpec:
             raise ValidationError("kappa must be positive")
 
 
-def voter_utility(spec: UtilitySpec, a: float, t: float) -> float:
-    """u(a, t) for the selected family."""
+def _grid_index(grid: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
+    """Index of the first grid point within 1e-12 of each x.
+
+    The match lies next to where ``x - 1e-12`` sorts into the grid, so only
+    that point and its two neighbours are compared."""
+    near = np.searchsorted(grid, x - EXACT)[..., None] + np.arange(-1, 2)
+    near = np.clip(near, 0, len(grid) - 1)
+    hit = np.abs(grid[near] - x[..., None]) <= EXACT
+    found = hit.any(axis=-1)
+    if not found.all():
+        miss = float(np.extract(~found, x)[0])
+        raise ValidationError(f"{what}={miss!r} is not on the utility table grid")
+    return np.take_along_axis(near, hit.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+
+
+def utility(spec: UtilitySpec, a, t):
+    """u(a, t) for the selected family, broadcasting policies against types.
+
+    A table is read at the first grid point within 1e-12 of each (a, t); a
+    point off the table is a ValidationError.
+    """
+    a = np.asarray(a, dtype=float)
+    t = np.asarray(t, dtype=float)
     if spec.family == "absolute":
-        return -abs(t - a)
+        return -np.abs(t - a)
     if spec.family == "quadratic":
-        d = t - a
-        return -d * d
-    assert spec.table is not None
-    return spec.table.lookup(a, t)
-
-
-def differential_utility(spec: UtilitySpec, profile: tuple[float, float], t: float) -> float:
-    """v(a, t): gain of the beta policy over the alpha policy for voter t."""
-    a_alpha, a_beta = profile
-    return voter_utility(spec, a_beta, t) - voter_utility(spec, a_alpha, t)
-
-
-def winner_value(spec: UtilitySpec, a: float, t: float) -> float:
-    """Utility of a type-t candidate who wins and implements policy a."""
-    return spec.office_rent + spec.win_weight * voter_utility(spec, a, t)
-
-
-def loser_value(spec: UtilitySpec, a_winner: float, t: float) -> float:
-    """Utility of a type-t candidate who loses while a_winner is implemented."""
-    return -spec.loser_sign * spec.lose_weight * voter_utility(spec, a_winner, t)
-
-
-def candidate_stage_payoffs(
-    spec: UtilitySpec, a: float, a_opponent: float, t: float
-) -> tuple[float, float]:
-    """(value if winning with policy a, value if losing to a_opponent) for type t."""
-    return winner_value(spec, a, t), loser_value(spec, a_opponent, t)
+        return -np.square(t - a)
+    a_grid, t_grid, u = spec.table._arrays
+    return u[_grid_index(a_grid, a, "policy"), _grid_index(t_grid, t, "type")]
 
 
 def derived_kappa(
@@ -191,20 +182,25 @@ def derived_kappa(
         return 2.0 * beta_values[0]
     if spec.family == "quadratic":
         return 4.0 * beta_values[0]
-    ts = [t for t in positive_types if t > 0]
-    if not ts:
+    ts = np.array([t for t in positive_types if t > 0])
+    if not ts.size:
         raise ValidationError("deriving kappa for a table needs positive voter types")
-    kappa = math.inf
-    for t in ts:
-        for x in alpha_values:
-            for y in beta_values:
-                gap = differential_utility(spec, (x, y), t) - differential_utility(
-                    spec, (x, y), 0.0
-                )
-                kappa = min(kappa, gap / t)
+    gaps = _partisan_gaps(spec, alpha_values, beta_values, ts)
+    kappa = float(np.min(gaps / ts[:, None, None], initial=math.inf))
     if not math.isfinite(kappa) or kappa <= 0:
         raise ValidationError("table utility admits no positive partisan-gap constant")
     return kappa
+
+
+def _partisan_gaps(spec: UtilitySpec, alpha_values, beta_values, types) -> np.ndarray:
+    """v(a, t) - v(a, 0) per (type, alpha policy, beta policy), where v is the
+    gain of beta's policy over alpha's."""
+    x = np.asarray(alpha_values, dtype=float)[:, None]
+    y = np.asarray(beta_values, dtype=float)[None, :]
+    t = np.asarray(types, dtype=float)[:, None, None]
+    return (utility(spec, y, t) - utility(spec, x, t)) - (
+        utility(spec, y, 0.0) - utility(spec, x, 0.0)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +382,18 @@ def audit_mirror_symmetry(
     spec: UtilitySpec, a_values: tuple[float, ...], t_values: tuple[float, ...]
 ) -> list[str]:
     """Check u(a, t) == u(-a, -t) on the grid (exact for built-in families)."""
-    problems = []
-    for a in a_values:
-        for t in t_values:
-            try:
-                lhs = voter_utility(spec, a, t)
-                rhs = voter_utility(spec, -a, -t)
-            except KeyError as exc:
-                problems.append(f"mirror symmetry untestable: {exc}")
-                continue
-            if abs(lhs - rhs) > EXACT:
-                problems.append(f"u({a},{t}) != u({-a},{-t}): {lhs} vs {rhs}")
-    return problems
+    a = np.reshape(a_values, (-1, 1))
+    t = np.asarray(t_values, dtype=float)
+    try:
+        lhs = utility(spec, a, t)
+        rhs = utility(spec, -a, -t)
+    except ValidationError as exc:
+        return [f"mirror symmetry untestable: {exc}"]
+    return [
+        f"u({a_values[i]},{t_values[j]}) != u({-a_values[i]},{-t_values[j]}): "
+        f"{lhs[i, j]} vs {rhs[i, j]}"
+        for i, j in np.argwhere(np.abs(lhs - rhs) > EXACT)
+    ]
 
 
 def audit_increasing_differences(
@@ -409,16 +405,16 @@ def audit_increasing_differences(
     pair overlaps the policy pair (the absolute-loss family is flat for
     voters more extreme than both policies).
     """
+    u = utility(spec, np.reshape(a_values, (-1, 1)), t_values)  # rows by policy
+    inc = u[1:] - u[:-1]              # u(a2, t) - u(a, t)
+    gap = inc[:, 1:] - inc[:, :-1]    # at (a, a2) x (t, t2)
     problems = []
-    for a, a2 in zip(a_values, a_values[1:]):
-        for t, t2 in zip(t_values, t_values[1:]):
-            inc_hi = voter_utility(spec, a2, t2) - voter_utility(spec, a, t2)
-            inc_lo = voter_utility(spec, a2, t) - voter_utility(spec, a, t)
-            gap = inc_hi - inc_lo
-            if gap < -EXACT:
-                problems.append(f"decreasing differences at a in ({a},{a2}), t in ({t},{t2})")
-            elif gap <= EXACT and max(t, a) < min(t2, a2):
-                problems.append(f"flat differences at a in ({a},{a2}), t in ({t},{t2})")
+    for i, j in np.argwhere(gap <= EXACT):
+        a, a2, t, t2 = a_values[i], a_values[i + 1], t_values[j], t_values[j + 1]
+        if gap[i, j] < -EXACT:
+            problems.append(f"decreasing differences at a in ({a},{a2}), t in ({t},{t2})")
+        elif max(t, a) < min(t2, a2):
+            problems.append(f"flat differences at a in ({a},{a2}), t in ({t},{t2})")
     return problems
 
 
@@ -426,14 +422,13 @@ def audit_concavity(
     spec: UtilitySpec, a_values: tuple[float, ...], t_values: tuple[float, ...]
 ) -> list[str]:
     """Discrete concavity of u(., t): chord slopes must not increase."""
-    problems = []
-    for t in t_values:
-        for a0, a1, a2 in zip(a_values, a_values[1:], a_values[2:]):
-            s01 = (voter_utility(spec, a1, t) - voter_utility(spec, a0, t)) / (a1 - a0)
-            s12 = (voter_utility(spec, a2, t) - voter_utility(spec, a1, t)) / (a2 - a1)
-            if s12 > s01 + EXACT:
-                problems.append(f"convex kink of u(., {t}) at {a1}")
-    return problems
+    u = utility(spec, np.reshape(a_values, (-1, 1)), t_values)  # rows by policy
+    slopes = (u[1:] - u[:-1]) / np.diff(np.asarray(a_values, dtype=float))[:, None]
+    kinks = slopes[1:] > slopes[:-1] + EXACT
+    return [
+        f"convex kink of u(., {t_values[j]}) at {a_values[i + 1]}"
+        for j, i in np.argwhere(kinks.T)
+    ]
 
 
 def audit_partisan_gap(
@@ -444,18 +439,13 @@ def audit_partisan_gap(
     kappa: float,
 ) -> list[str]:
     """min over profiles of v(a, t) - v(a, 0) must exceed kappa * t for t > 0."""
-    problems = []
-    for t in positive_types:
-        if t <= 0:
-            continue
-        worst = min(
-            differential_utility(spec, (x, y), t) - differential_utility(spec, (x, y), 0.0)
-            for x in alpha_values
-            for y in beta_values
-        )
-        if worst < kappa * t - EXACT:
-            problems.append(f"partisan gap {worst} below kappa*t = {kappa * t} at t={t}")
-    return problems
+    ts = [t for t in positive_types if t > 0]
+    worst = _partisan_gaps(spec, alpha_values, beta_values, ts).min(axis=(1, 2), initial=math.inf)
+    return [
+        f"partisan gap {float(w)} below kappa*t = {kappa * t} at t={t}"
+        for t, w in zip(ts, worst)
+        if w < kappa * t - EXACT
+    ]
 
 
 def audit_scenario(scenario: Scenario) -> list[str]:

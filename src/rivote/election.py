@@ -20,16 +20,14 @@ from .core import (
     Scenario,
     UtilitySpec,
     ValidationError,
-    loser_value,
     require_symmetric,
-    voter_utility,
-    winner_value,
+    utility,
 )
 from .solver import (
     AttentionSolution,
     BeliefOverProfiles,
     attention_membership,
-    log_mean_exp,
+    attentive,
     solve_attention,
 )
 
@@ -73,10 +71,6 @@ class MatrixTriple:
         if not np.all(np.isin(w, (0.0, 0.5, 1.0))):
             raise ValidationError("winning probabilities must be 0, 1/2 or 1")
 
-    @property
-    def order(self) -> int:
-        return len(self.a_values)
-
 
 @dataclass(frozen=True)
 class StrategyAssignment:
@@ -119,10 +113,6 @@ class StrategyAssignment:
             for lvl in levels
         )
 
-    @property
-    def is_degenerate(self) -> bool:
-        return len(self.levels) == 1
-
     def sigma(self) -> np.ndarray:
         p = np.array(self.level_probs)
         return np.outer(p, p)
@@ -161,19 +151,10 @@ class EquilibriumRecord:
 # Values, beliefs, winners
 # ---------------------------------------------------------------------------
 
-def _u_vec(spec: UtilitySpec, a: np.ndarray, t: float) -> np.ndarray:
-    if spec.family == "absolute":
-        return -np.abs(t - a)
-    if spec.family == "quadratic":
-        return -np.square(t - a)
-    assert spec.table is not None
-    return np.array([spec.table.lookup(float(ai), t) for ai in np.atleast_1d(a)])
-
-
 def value_matrix(spec: UtilitySpec, a_values, t: float) -> np.ndarray:
     """v[i, j] = differential utility of profile (-a_i, a_j) for voter t."""
     a = np.asarray(a_values, dtype=float)
-    return _u_vec(spec, a, t)[None, :] - _u_vec(spec, -a, t)[:, None]
+    return utility(spec, a, t)[None, :] - utility(spec, -a, t)[:, None]
 
 
 def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverProfiles:
@@ -184,20 +165,23 @@ def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverPr
     return BeliefOverProfiles(support, sigma.ravel(), value_matrix(spec, a, t).ravel())
 
 
-def downsian_winner(spec: UtilitySpec, a_alpha: float, a_beta: float) -> float:
+def _winning_prob(margin, tol: float) -> np.ndarray:
+    """1 for a positive margin, 0 for a negative one, 1/2 within ``tol`` of 0."""
+    return np.where(np.abs(margin) <= tol, 0.5, np.where(margin > 0, 1.0, 0.0))
+
+
+def downsian_winner(spec: UtilitySpec, a_alpha, a_beta) -> np.ndarray:
     """Perfect-observation winner: the policy the median voter prefers wins.
 
-    Returns beta's winning probability; a median tie within 1e-12 splits.
+    Returns beta's winning probability, broadcasting over policy arrays; a
+    median tie within 1e-12 splits.
     """
-    diff = voter_utility(spec, a_beta, 0.0) - voter_utility(spec, a_alpha, 0.0)
-    if abs(diff) <= EXACT:
-        return 0.5
-    return 1.0 if diff > 0 else 0.0
+    return _winning_prob(utility(spec, a_beta, 0.0) - utility(spec, a_alpha, 0.0), EXACT)
 
 
 def downsian_matrix(spec: UtilitySpec, a_values) -> np.ndarray:
-    a = tuple(float(x) for x in a_values)
-    return np.array([[downsian_winner(spec, -ai, aj) for aj in a] for ai in a])
+    a = np.asarray(a_values, dtype=float)
+    return downsian_winner(spec, -a[:, None], a[None, :])
 
 
 def matrix_triple(scenario: Scenario, assignment: StrategyAssignment) -> MatrixTriple:
@@ -205,25 +189,18 @@ def matrix_triple(scenario: Scenario, assignment: StrategyAssignment) -> MatrixT
     return MatrixTriple(levels, assignment.sigma(), downsian_matrix(scenario.utility, levels))
 
 
-def _share_to_w(share: float) -> float:
-    if abs(share - 0.5) <= TOL:
-        return 0.5
-    return 1.0 if share > 0.5 else 0.0
-
-
-def perfect_observation_winner(scenario: Scenario, a_alpha: float, a_beta: float) -> float:
+def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarray:
     """Winner when every voter observes the profile and best-responds.
 
     Off-path rule: each voter chooses beta iff their differential utility is
     strictly positive; shares map to {0, 1/2, 1} with the usual tolerance.
+    Broadcasts over policy arrays.
     """
-    share = sum(
-        w
-        for t, w in scenario.electorate.groups
-        if voter_utility(scenario.utility, a_beta, t) - voter_utility(scenario.utility, a_alpha, t)
-        > 0.0
-    )
-    return _share_to_w(share)
+    spec = scenario.utility
+    share = 0.0
+    for t, weight in scenario.electorate.groups:  # a running sum in group order
+        share = share + weight * (utility(spec, a_beta, t) - utility(spec, a_alpha, t) > 0.0)
+    return _winning_prob(share - 0.5, TOL)
 
 
 def aggregate_and_rationalize(
@@ -243,7 +220,7 @@ def aggregate_and_rationalize(
     for t, weight in scenario.electorate.groups:
         sol = solve_attention(profile_belief(scenario.utility, levels, sigma, t), mu)
         share += weight * sol.m.reshape(n, n)
-    return np.vectorize(_share_to_w)(share)
+    return _winning_prob(share - 0.5, TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +256,51 @@ def _side_gaps(win_prob, win, lose, opp_probs, own, opp) -> np.ndarray:
     return assigned - total.max(axis=2)
 
 
+def stage_tables(spec: UtilitySpec, own_grid, opp_grid, own_types, opp_types, eta=None):
+    """(win, lose) stage values of one candidate on the grid.
+
+    ``win[k, a] = R + win_weight * u(a, t_k)`` prices a win of own type k
+    with policy a; ``lose[j, x, k] = (-loser_sign * lose_weight) * u(x, t_k)``
+    a loss to opponent type j playing x.  Under limited commitment (``eta``
+    given) each value blends the proposal, weight eta, with the proposer's
+    own type, played when the winner reneges.
+    """
+    def win(a, t):
+        return spec.office_rent + spec.win_weight * utility(spec, a, t)
+
+    def lose(x, t):
+        return (-spec.loser_sign * spec.lose_weight) * utility(spec, x, t)
+
+    t = own_types[:, None]
+    win_v, lose_v = win(own_grid, t), lose(opp_grid[None, :, None], own_types)
+    if eta is not None:
+        win_v = eta * win_v + (1.0 - eta) * win(t, t)
+        lose_v = eta * lose_v + (1.0 - eta) * lose(opp_types[:, None, None], own_types)
+    return win_v, np.broadcast_to(lose_v, (len(opp_types), *lose_v.shape[1:]))
+
+
 class ICKernel:
     """Batched incentive check of pure symmetric assignments on one grid.
 
     Built once per game from beta's winning-probability matrix ``w`` on the
-    grid (``w[i, j]`` at the profile (-grid[i], grid[j])) and the stage values
-    ``win_value(a, t)`` and ``lose_value(x, t_opp, t)``, tabulated for both
-    candidates.  Alpha's game is the mirror image: its policies are indexed by
-    their magnitude on beta's grid and its types are the negated beta types
-    in reverse.  An assignment is the row of beta's grid indices per type.
+    grid (``w[i, j]`` at the profile (-grid[i], grid[j])) and the
+    ``stage_tables`` of both candidates under ``spec`` (and ``eta`` under
+    limited commitment).  Alpha's game is the mirror image: its policies are
+    indexed by their magnitude on beta's grid and its types are the negated
+    beta types in reverse.  An assignment is the row of beta's grid indices
+    per type.
     """
 
-    def __init__(self, grid, types, probs, w, win_value, lose_value):
+    def __init__(self, grid, types, probs, w, spec: UtilitySpec, eta=None):
         self.grid = tuple(grid)
         self.types = tuple(types)
         self.alpha_types = tuple(-t for t in reversed(self.types))
-        mirror = tuple(-a for a in self.grid)
         self.w = w = np.asarray(w, dtype=float)
-
-        def tables(own_grid, opp_grid, own_types, opp_types):
-            win = np.array([[win_value(a, t) for a in own_grid] for t in own_types])
-            lose = np.array([
-                [[lose_value(x, t2, t) for t in own_types] for x in opp_grid]
-                for t2 in opp_types
-            ])
-            return win, lose
-
-        beta = tables(self.grid, mirror, self.types, self.alpha_types)
-        alpha = tables(mirror, self.grid, self.alpha_types, self.types)
+        g = np.array(self.grid)
+        b_types = np.array(self.types)
+        a_types = np.array(self.alpha_types)
+        beta = stage_tables(spec, g, -g, b_types, a_types, eta)
+        alpha = stage_tables(spec, -g, g, a_types, b_types, eta)
         self._beta = (w, *beta, tuple(reversed(probs)))
         self._alpha = ((1.0 - w).T, *alpha, tuple(probs))
 
@@ -344,15 +338,7 @@ class ICKernel:
 
 def game_kernel(scenario: Scenario, w, types, probs) -> ICKernel:
     """IC kernel of the baseline stage values under beta's winning matrix ``w``."""
-    spec = scenario.utility
-    return ICKernel(
-        scenario.beta_axis.values,
-        types,
-        probs,
-        w,
-        lambda a, t: winner_value(spec, a, t),
-        lambda x, _t_opp, t: loser_value(spec, x, t),
-    )
+    return ICKernel(scenario.beta_axis.values, types, probs, w, scenario.utility)
 
 
 def assignment_rows(scenario: Scenario, max_assignments: int):
@@ -388,15 +374,11 @@ def check_ic(
     elif w_source == "rationalized":
         levels = assignment.levels
         on_path = aggregate_and_rationalize(scenario, assignment, mu)
-        w = np.array([
-            [
-                float(on_path[levels.index(ai), levels.index(aj)])
-                if ai in levels and aj in levels
-                else perfect_observation_winner(scenario, -ai, aj)
-                for aj in grid
-            ]
-            for ai in grid
-        ])
+        g = np.array(grid)
+        w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
+        at = np.array([levels.index(a) if a in levels else -1 for a in grid])
+        on = at >= 0
+        w[np.ix_(on, on)] = on_path[np.ix_(at[on], at[on])]
     else:
         raise ValidationError(f"unknown w_source {w_source!r}")
     kernel = game_kernel(scenario, w, assignment.types, assignment.type_probs)
@@ -511,35 +493,24 @@ def attention_frontier(
     if abs(p1 + p2 - 1.0) > EXACT or p1 <= 0 or p2 <= 0:
         raise ValidationError("level probabilities must be positive and sum to 1")
     probs = np.array([p1 * p1, p1 * p2, p2 * p1, p2 * p2])
-    out = np.full((len(a1_grid), 2), np.nan)
-    a2_grid = np.asarray(a2_grid, dtype=float)
-    for i, a1 in enumerate(np.asarray(a1_grid, dtype=float)):
-        out[i, 0] = a1
-        a2 = a2_grid[a2_grid > a1 + EXACT]
-        if a2.size == 0:
-            continue
-        # profiles (-a1,a1), (-a1,a2), (-a2,a1), (-a2,a2) per candidate a2
-        diag = voter_utility(spec, a1, t) - voter_utility(spec, -a1, t)
-        values = np.stack(
-            [
-                np.full(a2.shape, diag),
-                _u_vec(spec, a2, t) - voter_utility(spec, -a1, t),
-                voter_utility(spec, a1, t) - _u_vec(spec, -a2, t),
-                _u_vec(spec, a2, t) - _u_vec(spec, -a2, t),
-            ],
-            axis=-1,
-        )
-        member = log_mean_exp(values, probs, mu) >= -EXACT
-        hits = np.flatnonzero(member)
-        if hits.size:
-            out[i, 1] = a2[hits[0]]
-    return out
+    a1 = np.asarray(a1_grid, dtype=float)
+    a2 = np.asarray(a2_grid, dtype=float)
+    u1, u1_alpha = utility(spec, a1, t)[:, None], utility(spec, -a1, t)[:, None]
+    u2, u2_alpha = utility(spec, a2, t)[None, :], utility(spec, -a2, t)[None, :]
+    # profiles (-a1,a1), (-a1,a2), (-a2,a1), (-a2,a2) per (a1, a2) pair
+    values = np.stack(
+        np.broadcast_arrays(u1 - u1_alpha, u2 - u1_alpha, u1 - u2_alpha, u2 - u2_alpha),
+        axis=-1,
+    )
+    member = attentive(values, probs, mu) & (a2[None, :] > a1[:, None] + EXACT)
+    first = a2[member.argmax(axis=1)] if a2.size else np.nan
+    return np.column_stack([a1, np.where(member.any(axis=1), first, np.nan)])
 
 
 def median_differential(spec: UtilitySpec, a_values) -> float:
     """Median-voter utility spread u(a_1, 0) - u(a_N, 0) of a policy matrix."""
     a = tuple(a_values)
-    return voter_utility(spec, a[0], 0.0) - voter_utility(spec, a[-1], 0.0)
+    return float(utility(spec, a[0], 0.0) - utility(spec, a[-1], 0.0))
 
 
 def truncation_statistic(

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .core import (
     EXACT,
@@ -21,9 +20,7 @@ from .core import (
     TabulatedUtility,
     UtilitySpec,
     ValidationError,
-    loser_value,
     require_symmetric,
-    winner_value,
 )
 from .election import (
     EquilibriumRecord,
@@ -64,11 +61,12 @@ def dissemination_filter(
 # Limited commitment
 # ---------------------------------------------------------------------------
 
-def commitment_value(eta: float, v_policy: float, v_type: float) -> float:
-    """Blend of the proposal-based and type-based differential utilities."""
+def _commitment_level(scenario: Scenario, eta: float | None) -> float:
+    """The scenario's eta unless one is given; it must lie in [0, 1]."""
+    eta = scenario.eta if eta is None else eta
     if not 0.0 <= eta <= 1.0:
         raise ValidationError("eta must lie in [0, 1]")
-    return eta * v_policy + (1.0 - eta) * v_type
+    return eta
 
 
 def commitment_belief(
@@ -76,7 +74,7 @@ def commitment_belief(
 ) -> BeliefOverProfiles:
     """Belief over proposal profiles whose values mix the proposal and the
     proposer's own type (played when the winner reneges)."""
-    eta = scenario.eta if eta is None else eta
+    eta = _commitment_level(scenario, eta)
     if any(hi <= lo for lo, hi in zip(assignment.policies, assignment.policies[1:])):
         raise ValidationError("limited commitment requires strictly increasing policies")
     spec = scenario.utility
@@ -105,18 +103,10 @@ def _commitment_kernel(scenario: Scenario, types, probs, eta: float) -> ICKernel
     """IC kernel whose stage values blend the proposal with the proposer's
     type, played when the winner reneges; proposals are priced by the
     perfect-observation winner."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError("eta must lie in [0, 1]")
+    eta = _commitment_level(scenario, eta)
     spec = scenario.utility
-
-    def win_value(a, t):
-        return eta * winner_value(spec, a, t) + (1.0 - eta) * winner_value(spec, t, t)
-
-    def lose_value(x, t_opp, t):
-        return eta * loser_value(spec, x, t) + (1.0 - eta) * loser_value(spec, t_opp, t)
-
     grid = scenario.beta_axis.values
-    return ICKernel(grid, types, probs, downsian_matrix(spec, grid), win_value, lose_value)
+    return ICKernel(grid, types, probs, downsian_matrix(spec, grid), spec, eta)
 
 
 def check_ic_commitment(
@@ -129,7 +119,6 @@ def check_ic_commitment(
     perfect-observation winner on proposals.
     """
     require_symmetric(scenario)
-    eta = scenario.eta if eta is None else eta
     kernel = _commitment_kernel(scenario, assignment.types, assignment.type_probs, eta)
     return kernel.check(assignment.policies)
 
@@ -142,7 +131,6 @@ def enumerate_equilibria_commitment(
     """Equilibria in strictly increasing pure symmetric strategies under
     limited commitment; at eta = 1 this reduces to the baseline game."""
     require_symmetric(scenario)
-    eta = scenario.eta if eta is None else eta
     types = scenario.beta_types
     grid = scenario.beta_axis.values
     kernel = _commitment_kernel(scenario, types.type_values, types.type_probs, eta)
@@ -191,16 +179,48 @@ def quarter_circle_frontier() -> Frontier:
 
 
 def tabulated_frontier(a_points, b_points) -> Frontier:
-    """Shape-preserving (monotone cubic) interpolation of frontier samples."""
+    """Shape-preserving (monotone cubic) interpolation of frontier samples.
+
+    Fritsch-Carlson (1980) Hermite cubic with PCHIP's slopes: weighted
+    harmonic means of the secants inside, one-sided three-point estimates at
+    the ends, zeroed where they would turn upward.  Outside the samples the
+    end pieces extend.  The secants of decreasing samples are all negative,
+    so the rule's sign-change cases never arise.
+    """
     a = np.asarray(a_points, dtype=float)
     bv = np.asarray(b_points, dtype=float)
     if a.ndim != 1 or a.shape != bv.shape or a.size < 3:
         raise ValidationError("frontier table needs matching 1-d samples (>= 3)")
     if np.any(np.diff(a) <= 0) or np.any(np.diff(bv) >= 0):
         raise ValidationError("frontier samples must be increasing in a, decreasing in b")
-    interp = PchipInterpolator(a, bv)
-    deriv = interp.derivative()
-    return Frontier(lambda x: float(interp(x)), lambda x: float(deriv(x)), label="table")
+    h = np.diff(a)
+    m = np.diff(bv) / h
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    d = np.empty_like(bv)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    end, next_ = [0, -1], [1, -2]
+    d[end] = np.minimum(
+        ((2.0 * h[end] + h[next_]) * m[end] - h[end] * m[next_]) / (h[end] + h[next_]), 0.0
+    )
+    # p(s) = ((c3 s + c2) s + d[k]) s + b[k] on the piece from a[k], s = x - a[k]
+    tilt = (d[:-1] + d[1:] - 2.0 * m) / h
+    c3 = tilt / h
+    c2 = (m - d[:-1]) / h - tilt
+
+    def piece(x: float):
+        k = int(np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2))
+        return k, x - a[k]
+
+    def b(x: float) -> float:
+        k, s = piece(x)
+        return float(((c3[k] * s + c2[k]) * s + d[k]) * s + bv[k])
+
+    def b_prime(x: float) -> float:
+        k, s = piece(x)
+        return float((3.0 * c3[k] * s + 2.0 * c2[k]) * s + d[k])
+
+    return Frontier(b, b_prime, label="table")
 
 
 def audit_frontier(frontier: Frontier, n: int = 201) -> list[str]:

@@ -31,7 +31,7 @@ from .election import (
     game_kernel,
     value_matrix,
 )
-from .solver import AttentionSolution, BeliefOverProfiles, log_mean_exp, solve_attention
+from .solver import BeliefOverProfiles, attention_membership
 
 
 @dataclass(frozen=True)
@@ -160,34 +160,28 @@ class NewsTechnology:
         table = np.array(rows, dtype=float)
         if table.shape != (len(pol), len(signals)):
             raise ValidationError("technology table shape does not match its grids")
-
-        def row(a: float) -> np.ndarray:
-            for i, p in enumerate(pol):
-                if abs(p - a) <= EXACT:
-                    return table[i]
-            raise KeyError(f"policy {a!r} is not on the technology's grid")
-
-        return NewsTechnology(signals, row, label="table")
+        return NewsTechnology(signals, _policy_rows(pol, table), label="table")
 
     @staticmethod
     def revealing(policies) -> NewsTechnology:
         """Fully revealing technology: the signal grid is the policy grid and
         each policy maps to its own signal with probability one."""
         pol = tuple(float(a) for a in policies)
-        eye = np.eye(len(pol))
-
-        def row(a: float) -> np.ndarray:
-            for i, p in enumerate(pol):
-                if abs(p - a) <= EXACT:
-                    return eye[i]
-            raise KeyError(f"policy {a!r} is not on the technology's grid")
-
-        return NewsTechnology(pol, row, label="revealing")
+        return NewsTechnology(pol, _policy_rows(pol, np.eye(len(pol))), label="revealing")
 
 
-def garble(tech: NewsTechnology, kernel: MarkovKernel) -> NewsTechnology:
-    """f'(w'|a) = sum_w f(w|a) * kernel(w'|w), per candidate."""
-    return tech.garbled(kernel)
+def _policy_rows(policies: tuple[float, ...], table: np.ndarray):
+    """Row function of a tabulated technology: a policy reads the row of the
+    first table policy within 1e-12; one off the table is a ValidationError."""
+    pol = np.array(policies)
+
+    def row(a: float) -> np.ndarray:
+        hits = np.flatnonzero(np.abs(pol - a) <= EXACT)
+        if not hits.size:
+            raise ValidationError(f"policy {a!r} is not on the technology's grid")
+        return table[hits[0]]
+
+    return row
 
 
 def is_monotone_revealing(tech: NewsTechnology, a_values) -> bool:
@@ -324,21 +318,6 @@ def signal_belief(
     return BeliefOverProfiles(tuple(support), np.array(probs), np.array(values))
 
 
-def solve_attention_noisy(
-    tech: NewsTechnology, spec: UtilitySpec, levels, sigma, t: float, mu: float
-) -> AttentionSolution:
-    """Optimal attention over news profiles; same contract as the baseline
-    solver with posterior values in place of the raw differentials."""
-    return solve_attention(signal_belief(tech, spec, levels, sigma, t), mu)
-
-
-def attention_member_noisy(
-    tech: NewsTechnology, spec: UtilitySpec, levels, sigma, t: float, mu: float
-) -> bool:
-    belief = signal_belief(tech, spec, levels, sigma, t)
-    return float(log_mean_exp(belief.values, belief.probs, mu)) >= -EXACT
-
-
 def attention_frontier_noisy(
     tech: NewsTechnology,
     spec: UtilitySpec,
@@ -356,7 +335,8 @@ def attention_frontier_noisy(
         for a2 in np.asarray(a2_grid, dtype=float):
             if a2 <= a1 + EXACT:
                 continue
-            if attention_member_noisy(tech, spec, (a1, a2), np.outer(p, p), t, mu):
+            belief = signal_belief(tech, spec, (a1, a2), np.outer(p, p), t)
+            if attention_membership(belief, mu):
                 out[i, 1] = a2
                 break
     return out

@@ -98,7 +98,7 @@ def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
             bliss=float(u2spec.get("bliss", 2.0)), slope=float(u2spec.get("slope", 0.5))
         )
         def merged(dense, extra):
-            # lookup points must survive the merge verbatim; drop dense points
+            # points the table is read at must survive the merge verbatim; drop dense points
             # that would land within rounding distance of them
             extra = np.asarray(sorted(set(extra)), dtype=float)
             dense = np.asarray(dense, dtype=float)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import EXACT, NumericError, ValidationError
 
@@ -109,11 +108,30 @@ class AttentionSolution:
 
 
 def log_mean_exp(values, probs, mu: float):
-    """log E[exp(values / mu)], max-shifted; broadcasts over leading axes."""
+    """log E[exp(values / mu)] over the last axis; broadcasts over leading axes.
+
+    The mass m at the maximum is split out of the max-shifted sum s of the
+    other points, log1p(s / m) + log(m) + max, which keeps full precision
+    when one point dominates.  ``probs`` must be positive.
+    """
     x = np.asarray(values, dtype=float) / mu
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite scaled payoffs in exponential moment")
-    return logsumexp(x, axis=-1, b=np.asarray(probs, dtype=float))
+    p = np.broadcast_to(np.asarray(probs, dtype=float), x.shape)
+    top = np.max(x, axis=-1, keepdims=True)
+    at_top = x == top
+    m = np.sum(np.where(at_top, p, 0.0), axis=-1, keepdims=True)
+    s = np.sum(np.where(at_top, 0.0, p * np.exp(x - top)), axis=-1, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + top)[..., 0][()]
+
+
+def attentive(values, probs, mu: float):
+    """The one attentiveness rule: E[exp(values / mu)] >= 1, up to 1e-12.
+
+    A voter who fails it ignores politics (the ``corner_zero`` regime);
+    broadcasts over leading axes like ``log_mean_exp``.
+    """
+    return log_mean_exp(values, probs, mu) >= -EXACT
 
 
 def _choice_probs(x: np.ndarray, m_bar: float) -> np.ndarray:
@@ -147,18 +165,16 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     """
     if not mu > 0:
         raise ValidationError("mu must be positive")
-    x = belief.values / mu
-    if not np.all(np.isfinite(x)):
-        raise NumericError("values/mu are not finite; rescale the problem")
     probs = belief.probs
     n = len(belief.support)
 
-    log_e_pos = float(logsumexp(x, b=probs))
-    log_e_neg = float(logsumexp(-x, b=probs))
-    if log_e_pos < 0.0:  # E[exp(v/mu)] < 1: never choose beta
+    # attentive() refuses values/mu that are not finite
+    if not attentive(belief.values, probs, mu):  # log E[exp(v/mu)] < -1e-12: never beta
         return AttentionSolution("corner_zero", 0.0, 0.0, np.zeros(n), 0.0, 0.0)
-    if log_e_neg < 0.0:  # E[exp(-v/mu)] < 1: always choose beta
+    if log_mean_exp(-belief.values, probs, mu) < 0.0:  # E[exp(-v/mu)] < 1: always choose beta
         return AttentionSolution("corner_one", 1.0, math.inf, np.ones(n), 0.0, 0.0)
+
+    x = belief.values / mu
 
     lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
     f_lo = _foc(x, probs, lo)
@@ -194,7 +210,7 @@ def attention_membership(belief: BeliefOverProfiles, mu: float) -> bool:
     """Whether the voter pays attention: E[exp(v/mu)] >= 1, up to 1e-12."""
     if not mu > 0:
         raise ValidationError("mu must be positive")
-    return float(log_mean_exp(belief.values, belief.probs, mu)) >= -EXACT
+    return bool(attentive(belief.values, belief.probs, mu))
 
 
 def gamma(x: float) -> float:

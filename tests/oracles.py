@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's solution formulas: the attention
 oracle maximises the net objective by exhaustive grid search, the Bayes
-oracle builds the full joint table, and the incentive oracle walks grid x
-opponent types one scalar payoff at a time.
+oracle builds the full joint table, the utility oracle reads one point at a
+time, and the incentive oracle walks grid x opponent types one scalar payoff
+at a time.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 import numpy as np
 from scipy.special import xlogy
 
-from rivote.core import Scenario, loser_value, winner_value
+from rivote.core import EXACT, Scenario, UtilitySpec
 from rivote.election import StrategyAssignment, downsian_winner
 
 
@@ -119,6 +120,42 @@ def bayes_posterior_differential(levels, level_probs, rows, u_fn, m, n, t):
             num += joint * v
             den += joint
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# Scalar utility oracle
+# ---------------------------------------------------------------------------
+
+def _table_lookup(table, a: float, t: float) -> float:
+    """One table entry by linear search: the first grid point within 1e-12."""
+    def index(grid, x, what):
+        for i, g in enumerate(grid):
+            if abs(g - x) <= EXACT:
+                return i
+        raise KeyError(f"{what}={x!r} is not on the utility table grid")
+
+    return table.u[index(table.a_values, a, "policy")][index(table.t_values, t, "type")]
+
+
+def voter_utility(spec: UtilitySpec, a: float, t: float) -> float:
+    """u(a, t) for the selected family."""
+    if spec.family == "absolute":
+        return -abs(t - a)
+    if spec.family == "quadratic":
+        d = t - a
+        return -d * d
+    assert spec.table is not None
+    return _table_lookup(spec.table, a, t)
+
+
+def winner_value(spec: UtilitySpec, a: float, t: float) -> float:
+    """Utility of a type-t candidate who wins and implements policy a."""
+    return spec.office_rent + spec.win_weight * voter_utility(spec, a, t)
+
+
+def loser_value(spec: UtilitySpec, a_winner: float, t: float) -> float:
+    """Utility of a type-t candidate who loses while a_winner is implemented."""
+    return -spec.loser_sign * spec.lose_weight * voter_utility(spec, a_winner, t)
 
 
 # ---------------------------------------------------------------------------

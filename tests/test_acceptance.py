@@ -25,14 +25,15 @@ from rivote.extensions import (
     weighted_bliss_utility,
 )
 from rivote.news import (
-    attention_member_noisy,
     enumerate_equilibria_noisy,
     posterior_value_matrix,
+    signal_belief,
 )
 from rivote.presets import build, figure2_scenario, figure3_scenario
 from rivote.scenario_io import scenario_from_dict
 from rivote.solver import (
     BeliefOverProfiles,
+    attention_membership,
     attention_threshold_delta,
     gamma_inverse,
     log_mean_exp,
@@ -46,6 +47,11 @@ from tests.oracles import (
 )
 
 TOL_TABLE = 0.002
+
+
+def noisy_member(tech, spec, levels, sigma, t, mu):
+    """Whether voter t attends to news about the policy matrix."""
+    return attention_membership(signal_belief(tech, spec, levels, sigma, t), mu)
 
 
 @contextmanager
@@ -145,7 +151,7 @@ def test_criterion_05_slanted_news_suite():
                 {
                     pair
                     for pair in pairs
-                    if attention_member_noisy(
+                    if noisy_member(
                         scenario.news, scenario.utility, pair, sigma, -0.001, scenario.mu
                     )
                 }
@@ -201,8 +207,8 @@ def test_criterion_07_garbling_property_suite(abs_spec):
             for i in range(len(policies)):
                 for j in range(i + 1, len(policies)):
                     pair = (policies[i], policies[j])
-                    if attention_member_noisy(garbled, abs_spec, pair, pair_sigma, -0.05, mu):
-                        assert attention_member_noisy(
+                    if noisy_member(garbled, abs_spec, pair, pair_sigma, -0.05, mu):
+                        assert noisy_member(
                             tech, abs_spec, pair, pair_sigma, -0.05, mu
                         )
 

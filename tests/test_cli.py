@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +62,46 @@ class TestValidate:
         bad = tmp_path / "bad3.json"
         bad.write_text("not json {")
         assert main(["validate", "--scenario", str(bad)]) == 2
+
+
+@pytest.fixture()
+def off_table_path(tmp_path):
+    """Figure 2 with a tabulated utility whose policy grid omits +-0.4."""
+    doc = figure2_scenario()
+    a = sorted({x for v in (0.01, 0.2, 0.3, 0.8) for x in (v, -v)})
+    t = sorted({x for v in (0.001, 0.0, 0.3, 0.8) for x in (v, -v)})
+    doc["utility"]["family"] = "table"
+    doc["utility"]["table"] = {"a": a, "t": t,
+                               "values": [[-abs(y - x) for y in t] for x in a]}
+    path = tmp_path / "off_table.json"
+    dump_scenario(doc, path)
+    return str(path)
+
+
+class TestOffTableLookups:
+    def test_validate_exit_2(self, off_table_path, capsys):
+        assert main(["validate", "--scenario", off_table_path]) == 2
+        assert "is not on the utility table grid" in capsys.readouterr().err
+
+    def test_solve_attention_exit_2(self, off_table_path, tmp_path, capsys):
+        assert main([
+            "solve-attention", "--scenario", off_table_path,
+            "--policies", "0.01,0.4", "--out", str(tmp_path / "o"),
+        ]) == 2
+        assert "policy=0.4 is not on the utility table grid" in capsys.readouterr().err
+
+    def test_untestable_symmetry_reported_once(self, off_table_path, tmp_path, capsys):
+        assert main(["enumerate", "--scenario", off_table_path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.count("mirror symmetry untestable") == 1
+
+    def test_news_off_its_grid_exit_2(self, tmp_path, capsys):
+        doc = figure2_scenario()
+        doc["news"] = {"family": "revealing", "policies": [0.01, 0.2]}
+        path = tmp_path / "off_news.json"
+        dump_scenario(doc, path)
+        assert main(["enumerate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "policy 0.4 is not on the technology's grid" in capsys.readouterr().err
 
 
 class TestSolveAttention:
@@ -196,3 +240,14 @@ class TestReproduce:
 def test_scenario_hash_stable():
     assert scenario_hash(table1_scenario()) == scenario_hash(table1_scenario())
     assert scenario_hash(table1_scenario()) != scenario_hash(figure2_scenario())
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter shows it
+    code = ("import sys, rivote, rivote.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

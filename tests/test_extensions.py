@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
-from rivote.core import ValidationError
-from rivote.election import assignment_for, enumerate_equilibria
+from rivote.core import ValidationError, utility
+from rivote.election import assignment_for, enumerate_equilibria, value_matrix
 from rivote.extensions import (
     attention_member_commitment,
     check_ic_commitment,
     commitment_belief,
-    commitment_value,
     dissemination_filter,
     enumerate_equilibria_commitment,
     golden_max,
@@ -60,10 +62,24 @@ class TestDisseminationFilter:
 
 
 class TestCommitment:
-    def test_blend(self):
-        assert commitment_value(0.25, 2.0, -1.0) == pytest.approx(-0.25)
-        with pytest.raises(ValidationError):
-            commitment_value(1.5, 0.0, 0.0)
+    def test_blend(self, example3_factory):
+        scenario = example3_factory(0.25)
+        a = assignment_for(scenario, (0.01, 0.4))
+        belief = commitment_belief(scenario, a, -0.05)
+        blend = (0.25 * value_matrix(scenario.utility, a.policies, -0.05)
+                 + 0.75 * value_matrix(scenario.utility, a.types, -0.05))
+        np.testing.assert_array_equal(belief.values, blend.ravel())
+        with pytest.raises(ValidationError, match="eta"):
+            commitment_belief(scenario, a, -0.05, eta=1.5)
+
+    @pytest.mark.parametrize("eta", [1.5, -3.0])
+    def test_eta_out_of_range_refused(self, example3_factory, eta):
+        scenario = example3_factory(0.5)
+        a = assignment_for(scenario, (0.01, 0.4))
+        with pytest.raises(ValidationError, match=r"eta must lie in \[0, 1\]"):
+            commitment_belief(scenario, a, -0.001, eta=eta)
+        with pytest.raises(ValidationError, match=r"eta must lie in \[0, 1\]"):
+            attention_member_commitment(scenario, a, -0.001, eta=eta)
 
     def test_full_commitment_is_identity(self, figure2):
         base = enumerate_equilibria(figure2)
@@ -150,6 +166,26 @@ class TestFrontier:
         for x in np.linspace(-0.9, 0.9, 10):
             assert frontier.b(x) == pytest.approx(base.b(x), abs=5e-4)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.01, 0.5), min_size=2, max_size=12),
+        drops=st.lists(st.floats(0.001, 3.0), min_size=12, max_size=12),
+        start=st.floats(-1.0, 0.5),
+        where=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=20),
+    )
+    def test_monotone_cubic_matches_pchip(self, steps, drops, start, where):
+        a = start + np.concatenate([[0.0], np.cumsum(steps)])
+        b = -np.concatenate([[0.0], np.cumsum(drops[: len(steps)])])
+        frontier = tabulated_frontier(a, b)
+        pchip = PchipInterpolator(a, b)
+        slope = pchip.derivative()
+        # inside the samples, at the samples and extrapolated on both sides
+        span = a[-1] - a[0]
+        xs = np.concatenate([a, a[0] + span * np.asarray(where)])
+        for x in xs:
+            np.testing.assert_allclose(frontier.b(x), pchip(x), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(frontier.b_prime(x), slope(x), rtol=1e-12, atol=1e-12)
+
     def test_bad_table_rejected(self):
         with pytest.raises(ValidationError):
             tabulated_frontier([0.0, 0.5, 1.0], [0.0, 0.2, 0.4])  # increasing b
@@ -206,13 +242,11 @@ class TestMultiIssue:
             t_grid=np.linspace(-1, 1, 5),
         )
         spec = red.utility_spec()
-        from rivote.core import voter_utility
-
-        assert voter_utility(spec, red.a_grid[3], red.t_grid[1]) == red.uhat_table[1, 3]
+        assert utility(spec, red.a_grid[3], red.t_grid[1]) == red.uhat_table[1, 3]
 
     def test_issues_scenario_section(self):
         # the issues section swaps the voter family for the augmented table
-        from rivote.core import SymmetryError, voter_utility
+        from rivote.core import SymmetryError
         from rivote.election import enumerate_equilibria
         from rivote.extensions import quarter_circle_frontier, weighted_bliss_utility
 
@@ -229,7 +263,7 @@ class TestMultiIssue:
         frontier = quarter_circle_frontier()
         for a in (0.01, 0.2, 0.4, -0.4):
             for t in (-0.001, 0.0, 0.3, 0.8):
-                assert voter_utility(scenario.utility, a, t) == pytest.approx(
+                assert utility(scenario.utility, a, t) == pytest.approx(
                     u2(a, frontier.b(a), t), abs=1e-12
                 )
         # the collapsed economy is not mirror symmetric: equilibrium routines refuse

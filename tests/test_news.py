@@ -3,31 +3,40 @@ import math
 import numpy as np
 import pytest
 
-from rivote.core import ValidationError, voter_utility
+from rivote.core import ValidationError
 from rivote.election import assignment_for, enumerate_equilibria, profile_belief, value_matrix
 from rivote.news import (
     MarkovKernel,
     NewsTechnology,
-    attention_member_noisy,
     check_log_supermodularity,
     downsian_signal_matrix,
     enumerate_equilibria_noisy,
     expected_winning_matrix,
-    garble,
     is_monotone_revealing,
     posterior_value,
     posterior_value_matrix,
-    solve_attention_noisy,
+    signal_belief,
 )
 from rivote.presets import figure2_scenario
 from rivote.scenario_io import scenario_from_dict
-from rivote.solver import solve_attention
+from rivote.solver import attention_membership, solve_attention
 from tests.oracles import (
     bayes_posterior_differential,
     random_kernel,
     random_symmetric_sigma,
     random_tp2_technology,
+    voter_utility,
 )
+
+
+def solve_noisy(tech, spec, levels, sigma, t, mu):
+    """Optimal attention over the news profiles of the policy matrix."""
+    return solve_attention(signal_belief(tech, spec, levels, sigma, t), mu)
+
+
+def noisy_member(tech, spec, levels, sigma, t, mu):
+    """Whether voter t attends to news about the policy matrix."""
+    return attention_membership(signal_belief(tech, spec, levels, sigma, t), mu)
 
 
 class TestTechnology:
@@ -49,20 +58,20 @@ class TestTechnology:
 class TestGarble:
     def test_identity_kernel_is_noop(self):
         tech = NewsTechnology.slant(0.3)
-        same = garble(tech, MarkovKernel.identity(2))
+        same = tech.garbled(MarkovKernel.identity(2))
         for a in (0.1, 0.55, 0.9):
             np.testing.assert_array_equal(same.pmf(a), tech.pmf(a))
 
     def test_uniform_kernel_destroys_all_information(self):
         tech = NewsTechnology.slant(0.3)
-        flat = garble(tech, MarkovKernel.uniform(2))
+        flat = tech.garbled(MarkovKernel.uniform(2))
         for a in (0.1, 0.55, 0.9):
             np.testing.assert_allclose(flat.pmf(a), [0.5, 0.5], atol=1e-15)
 
     def test_slant_family_closed_under_shift(self):
         xi, xi2 = 0.3, 0.55
         lam = (xi2 - xi) / (1 - xi)
-        garbled = garble(NewsTechnology.slant(xi), MarkovKernel.slant_shift(lam))
+        garbled = NewsTechnology.slant(xi).garbled(MarkovKernel.slant_shift(lam))
         target = NewsTechnology.slant(xi2)
         grid = np.linspace(0.05, 0.95, 19)
         assert np.max(np.abs(garbled.pmf_matrix(grid) - target.pmf_matrix(grid))) <= 1e-14
@@ -142,7 +151,7 @@ class TestNoisyAttention:
         tech = NewsTechnology.revealing(levels)
         sigma = np.full((2, 2), 0.25)
         for t in (-0.2, -0.03, 0.0):
-            noisy = solve_attention_noisy(tech, abs_spec, levels, sigma, t, 0.09)
+            noisy = solve_noisy(tech, abs_spec, levels, sigma, t, 0.09)
             base = solve_attention(profile_belief(abs_spec, levels, sigma, t), 0.09)
             assert noisy.regime == base.regime
             assert noisy.m_bar == base.m_bar
@@ -152,15 +161,15 @@ class TestNoisyAttention:
     def test_uninformative_news_buys_nothing(self, abs_spec):
         tech = NewsTechnology.from_table((0.3, 0.7), (0.2, 0.6), [[0.5, 0.5], [0.5, 0.5]])
         sigma = np.full((2, 2), 0.25)
-        sol = solve_attention_noisy(tech, abs_spec, (0.2, 0.6), sigma, -0.1, 0.05)
+        sol = solve_noisy(tech, abs_spec, (0.2, 0.6), sigma, -0.1, 0.05)
         assert sol.info == 0.0
-        sol0 = solve_attention_noisy(tech, abs_spec, (0.2, 0.6), sigma, 0.0, 0.05)
+        sol0 = solve_noisy(tech, abs_spec, (0.2, 0.6), sigma, 0.0, 0.05)
         assert sol0.info == 0.0
 
     def test_benchmark_slant_interior(self, figure3_factory):
         scenario = figure3_factory(0.75)
         assignment = assignment_for(scenario, (0.23529411764705882, 0.7450980392156863))
-        sol = solve_attention_noisy(
+        sol = solve_noisy(
             scenario.news, scenario.utility, assignment.levels, assignment.sigma(),
             -0.001, scenario.mu,
         )
@@ -281,8 +290,8 @@ class TestGarblingProperties:
             for i in range(4):
                 for j in range(i + 1, 4):
                     pair = (policies[i], policies[j])
-                    if attention_member_noisy(garbled, abs_spec, pair, sigma, t, mu):
-                        assert attention_member_noisy(tech, abs_spec, pair, sigma, t, mu)
+                    if noisy_member(garbled, abs_spec, pair, sigma, t, mu):
+                        assert noisy_member(tech, abs_spec, pair, sigma, t, mu)
 
     def test_monotone_posterior_expectations(self, abs_spec):
         # ratio-ordered news pushes posterior expectations of increasing
@@ -324,7 +333,7 @@ class TestGarblingProperties:
         for mu in np.geomspace(0.01, 50.0, 10):
             members = {
                 p for p in pairs
-                if attention_member_noisy(tech, abs_spec, p, sigma, -0.01, mu)
+                if noisy_member(tech, abs_spec, p, sigma, -0.01, mu)
             }
             if previous is not None:
                 assert members <= previous
@@ -341,7 +350,7 @@ class TestGarblingProperties:
             sigma = random_symmetric_sigma(rng, len(policies))
             t = -float(rng.uniform(0.005, 0.05))
             mu = float(rng.uniform(0.02, 0.15))
-            if not attention_member_noisy(tech, abs_spec, policies, sigma, t, mu):
+            if not noisy_member(tech, abs_spec, policies, sigma, t, mu):
                 continue
             checked += 1
             kappa = 2.0 * policies[0]

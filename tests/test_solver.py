@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from rivote.core import NumericError, ValidationError
+from rivote.core import EXACT, NumericError, ValidationError
 from rivote.solver import (
     BeliefOverProfiles,
     attention_membership,
@@ -13,6 +14,7 @@ from rivote.solver import (
     entropy,
     gamma,
     gamma_inverse,
+    log_mean_exp,
     mutual_information,
     solve_attention,
 )
@@ -178,6 +180,61 @@ class TestMembership:
     def test_boundary_with_all_zero_values(self):
         belief = BeliefOverProfiles(("a", "b"), [0.5, 0.5], [0.0, 0.0])
         assert attention_membership(belief, 1.0)
+
+    def test_near_boundary_belief_has_one_classification(self):
+        # log E[exp(v/mu)] = -5e-14 lies within the 1e-12 tolerance: the voter
+        # is attentive, so the solver must not report the corner_zero regime
+        low = math.log(2.0 * math.exp(-5e-14) - math.exp(0.5))
+        belief = BeliefOverProfiles(("lo", "hi"), [0.5, 0.5], [low, 0.5])
+        moment = float(log_mean_exp(belief.values, belief.probs, 1.0))
+        assert -EXACT < moment < 0.0
+        assert attention_membership(belief, 1.0)
+        sol = solve_attention(belief, 1.0)
+        assert sol.regime == "interior"
+        assert sol.m_bar == pytest.approx(0.0, abs=1e-11)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestLogMeanExp:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 4),
+        n=st.integers(1, 64),
+        scale=st.sampled_from([1e-3, 1.0, 40.0]),
+        ties=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+        mu=st.floats(0.01, 3.0),
+        batched=st.booleans(),
+    )
+    def test_bitwise_equal_to_scipy_logsumexp(self, rows, n, scale, ties, seed, mu, batched):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, scale, (rows, n))
+        # copy each row's maximum onto a few other points: tied maxima
+        for r in range(rows):
+            values[r, rng.integers(0, n, ties)] = values[r].max()
+        probs = rng.dirichlet(np.ones(n) * 0.7)
+        probs = np.maximum(probs, 1e-300)
+        if not batched:
+            values = values[0]
+        got = log_mean_exp(values, probs, mu)
+        want = logsumexp(values / mu, axis=-1, b=probs)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    def test_rows_are_independent_of_the_batch(self):
+        rng = np.random.default_rng(5)
+        values = rng.normal(0.0, 2.0, (3, 5, 4))
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        batch = log_mean_exp(values, probs, 0.7)
+        for idx in np.ndindex(3, 5):
+            assert _bits(batch[idx]) == _bits(log_mean_exp(values[idx], probs, 0.7))
+
+    def test_non_finite_payoffs_refused(self):
+        with pytest.raises(NumericError):
+            log_mean_exp([1.0, np.inf], [0.5, 0.5], 1.0)
 
 
 class TestGamma:
