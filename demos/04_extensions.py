@@ -13,14 +13,14 @@ import numpy as np
 from rivote import dissemination_filter, enumerate_equilibria
 from rivote.election import assignment_for
 from rivote.extensions import (
-    attention_member_commitment,
+    commitment_belief,
     enumerate_equilibria_commitment,
     multi_issue_reduce,
     quarter_circle_frontier,
     weighted_bliss_utility,
 )
 from rivote.presets import build, example3_scenario, figure2_scenario
-from rivote.solver import gamma_inverse
+from rivote.solver import attention_membership, gamma_inverse
 
 print("Costly dissemination: equilibria must generate enough eyeballs")
 scenario = build(figure2_scenario(mu=0.09))
@@ -41,7 +41,7 @@ for pols in ((0.01, 0.2), (0.01, 0.4)):
     flips = []
     for eta in np.linspace(0, 1, 11):
         s = build(example3_scenario(float(eta)))
-        member = attention_member_commitment(s, assignment_for(s, pols), -tau, mu=mu)
+        member = attention_membership(commitment_belief(s, assignment_for(s, pols), -tau), mu)
         flips.append("#" if member else ".")
     print(f"  proposals {pols} (spread {gap:.2f}): attention over eta 0..1  {''.join(flips)}")
 print("  narrow proposals lose the voter once promises start to bind;")

@@ -29,11 +29,11 @@ from .election import (
     aggregate_and_rationalize,
     assignment_for,
     attention_frontier,
-    attention_member,
     check_ic,
     downsian_winner,
     enumerate_equilibria,
     median_differential,
+    on_path_belief,
     perfect_observation_winner,
     profile_belief,
     truncation_statistic,
@@ -42,6 +42,7 @@ from .election import (
 from .extensions import (
     Frontier,
     MultiIssueReduction,
+    commitment_belief,
     dissemination_filter,
     enumerate_equilibria_commitment,
     multi_issue_reduce,
@@ -54,6 +55,7 @@ from .news import (
     attention_frontier_noisy,
     check_log_supermodularity,
     enumerate_equilibria_noisy,
+    news_belief,
     posterior_value,
     signal_belief,
 )

@@ -20,12 +20,12 @@ import numpy as np
 from . import __version__
 from .core import NumericError, Scenario, UtilitySpec, ValidationError, audit_scenario
 from .election import (
-    EquilibriumRecord,
     assignment_for,
     attention_frontier,
     enumerate_equilibria,
-    median_differential,
+    on_path_belief,
     profile_belief,
+    truncation_statistic,
 )
 from .extensions import (
     commitment_belief,
@@ -37,11 +37,11 @@ from .news import (
     attention_frontier_noisy,
     check_log_supermodularity,
     enumerate_equilibria_noisy,
-    signal_belief,
+    news_belief,
 )
 from .presets import build, figure2_scenario, figure3_scenario, table1_scenario
 from .scenario_io import load_scenario_dict, scenario_from_dict, scenario_hash
-from .solver import attention_membership, solve_attention
+from .solver import solve_attention
 
 
 class ReproductionMismatch(RuntimeError):
@@ -102,24 +102,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _pipeline_records(scenario: Scenario) -> list[EquilibriumRecord]:
+def _pipeline(scenario: Scenario):
+    """(enumerator, belief builder) of the game the scenario describes: noisy
+    news, limited commitment or the baseline."""
     if scenario.news is not None:
-        return enumerate_equilibria_noisy(scenario)
+        return enumerate_equilibria_noisy, news_belief
     if scenario.eta < 1.0:
-        return enumerate_equilibria_commitment(scenario)
-    return enumerate_equilibria(scenario)
-
-
-def _record_membership(scenario: Scenario, record: EquilibriumRecord, t: float) -> bool:
-    levels = record.triple.a_values
-    sigma = record.triple.sigma
-    if record.kind == "noisy":
-        belief = signal_belief(scenario.news, scenario.utility, levels, sigma, t)
-    elif record.kind == "commitment":
-        belief = commitment_belief(scenario, record.assignment, t)
-    else:
-        belief = profile_belief(scenario.utility, levels, sigma, t)
-    return attention_membership(belief, scenario.mu)
+        return enumerate_equilibria_commitment, commitment_belief
+    return enumerate_equilibria, on_path_belief
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +138,8 @@ def _cmd_solve_attention(manifest: RunManifest, args) -> int:
     if len(policies) != len(scenario.beta_types.types):
         raise ValidationError("--policies must assign one policy per beta type")
     assignment = assignment_for(scenario, policies)
-    levels = assignment.levels
-    sigma = assignment.sigma()
-    if scenario.news is not None:
-        beliefs = {
-            t: signal_belief(scenario.news, scenario.utility, levels, sigma, t)
-            for t, _ in scenario.electorate.groups
-        }
-    else:
-        beliefs = {
-            t: profile_belief(scenario.utility, levels, sigma, t)
-            for t, _ in scenario.electorate.groups
-        }
+    _, belief = _pipeline(scenario)
+    beliefs = {t: belief(scenario, assignment, t) for t, _ in scenario.electorate.groups}
     support = beliefs[scenario.electorate.groups[0][0]].support
     header = ["t", "regime", "m_bar", "likelihood_ratio", "info"] + [
         f"m({a},{b})" for a, b in support
@@ -174,7 +154,8 @@ def _cmd_solve_attention(manifest: RunManifest, args) -> int:
 
 def _cmd_enumerate(manifest: RunManifest, args) -> int:
     doc, scenario = manifest.load()
-    records = _pipeline_records(scenario)
+    enumerate_fn, _ = _pipeline(scenario)
+    records = enumerate_fn(scenario)
     if scenario.dissemination_cost is not None:
         records = list(dissemination_filter(records, scenario, scenario.dissemination_cost))
     weights = dict(scenario.electorate.groups)
@@ -253,20 +234,18 @@ def _sweep_point(doc: dict, param: str, value: float, t: float | None):
     else:
         raise ValidationError(f"unknown sweep parameter {param!r}")
     scenario = scenario_from_dict(patched)
-    records = _pipeline_records(scenario)
+    enumerate_fn, _ = _pipeline(scenario)
+    records = enumerate_fn(scenario)
     if scenario.dissemination_cost is not None:
         records = list(dissemination_filter(records, scenario, scenario.dissemination_cost))
     t = scenario.electorate.groups[0][0] if t is None else t
-    members = [r for r in records if _record_membership(scenario, r, t)]
+    members, spread = truncation_statistic(scenario, records, t)
     rows = [
         (param, value, "n_equilibria", "", float(len(records))),
         (param, value, "ea_size", f"t={t}", float(len(members))),
     ]
-    if members:
-        rows.append((
-            param, value, "min_median_diff", f"t={t}",
-            min(median_differential(scenario.utility, r.triple.a_values) for r in members),
-        ))
+    if spread is not None:
+        rows.append((param, value, "min_median_diff", f"t={t}", spread))
     weights = dict(scenario.electorate.groups)
     for i, r in enumerate(records):
         rows.append((param, value, "equilibrium", f"eq{i}",

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -131,7 +133,8 @@ def assignment_for(scenario: Scenario, policies: tuple[float, ...]) -> StrategyA
 
 @dataclass(frozen=True)
 class EquilibriumRecord:
-    """One symmetric equilibrium with its matrices and attention diagnostics."""
+    """One symmetric equilibrium with its matrices and attention diagnostics;
+    ``belief(t)`` is voter t's belief in the game that produced it."""
 
     kind: str                      # "baseline" | "noisy" | "commitment"
     assignment: StrategyAssignment
@@ -140,7 +143,8 @@ class EquilibriumRecord:
     attentive: tuple[tuple[float, bool], ...]
     gaps: tuple[tuple[float, float], ...]  # (beta type, deviation slack)
     min_gap: float
-    expected_w: np.ndarray | None = None   # per-profile winning prob under noisy news
+    expected_w: np.ndarray         # beta's winning probability per on-path profile
+    belief: Callable[[float], BeliefOverProfiles] = field(repr=False, compare=False)
 
     def total_information(self, weights: dict[float, float]) -> float:
         """Weighted mutual information summed over voter groups (nats)."""
@@ -163,6 +167,14 @@ def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverPr
     sigma = np.asarray(sigma, dtype=float)
     support = tuple((-ai, aj) for ai in a for aj in a)
     return BeliefOverProfiles(support, sigma.ravel(), value_matrix(spec, a, t).ravel())
+
+
+def on_path_belief(
+    scenario: Scenario, assignment: StrategyAssignment, t: float
+) -> BeliefOverProfiles:
+    """Belief builder of the baseline game: ``profile_belief`` of the
+    assignment's played levels."""
+    return profile_belief(scenario.utility, assignment.levels, assignment.sigma(), t)
 
 
 def _winning_prob(margin, tol: float) -> np.ndarray:
@@ -389,45 +401,42 @@ def check_ic(
 # Equilibrium enumeration
 # ---------------------------------------------------------------------------
 
-def build_record(
+def equilibrium_records(
     scenario: Scenario,
-    assignment: StrategyAssignment,
-    beta_gaps,
+    kernel: ICKernel,
+    rows,
+    kind: str,
+    belief: Callable[[Scenario, StrategyAssignment, float], BeliefOverProfiles],
     mu: float | None = None,
-    kind: str = "baseline",
-    expected_w: np.ndarray | None = None,
-    beliefs=None,
-) -> EquilibriumRecord:
-    """Attach matrices and per-group attention solutions to an IC assignment.
+) -> list[EquilibriumRecord]:
+    """One record per incentive compatible row of ``rows``, in their order.
 
-    ``beliefs`` optionally maps group type -> BeliefOverProfiles; the default
-    is the belief over on-path policy profiles.
+    ``belief(scenario, assignment, t)`` builds voter t's belief in the
+    pipeline's game; each record carries it bound to its assignment and
+    attaches every group's attention solution under it.  A group is attentive
+    unless its solution is the ``corner_zero`` regime (``solver.attentive``).
     """
     mu = scenario.mu if mu is None else mu
-    levels = assignment.levels
-    sigma = assignment.sigma()
-    attention = []
-    flags = []
-    for t, _w in scenario.electorate.groups:
-        belief = (
-            beliefs[t]
-            if beliefs is not None
-            else profile_belief(scenario.utility, levels, sigma, t)
+    records = []
+    for row, beta_gaps in kernel.passing(rows):
+        assignment = assignment_for(scenario, tuple(kernel.grid[i] for i in row))
+        bound = partial(belief, scenario, assignment)
+        attention = tuple(
+            (t, solve_attention(bound(t), mu)) for t, _ in scenario.electorate.groups
         )
-        sol = solve_attention(belief, mu)
-        attention.append((t, sol))
-        flags.append((t, sol.regime == "interior"))
-    gaps = tuple(beta_gaps)
-    return EquilibriumRecord(
-        kind=kind,
-        assignment=assignment,
-        triple=matrix_triple(scenario, assignment),
-        attention=tuple(attention),
-        attentive=tuple(flags),
-        gaps=gaps,
-        min_gap=min(g for _, g in gaps),
-        expected_w=expected_w,
-    )
+        idx = sorted(set(row))
+        records.append(EquilibriumRecord(
+            kind=kind,
+            assignment=assignment,
+            triple=matrix_triple(scenario, assignment),
+            attention=attention,
+            attentive=tuple((t, sol.regime != "corner_zero") for t, sol in attention),
+            gaps=beta_gaps,
+            min_gap=min(g for _, g in beta_gaps),
+            expected_w=kernel.w[np.ix_(idx, idx)],
+            belief=bound,
+        ))
+    return records
 
 
 def enumerate_equilibria(
@@ -443,38 +452,25 @@ def enumerate_equilibria(
     assignment count exceeds ``max_assignments`` are refused outright.
     """
     require_symmetric(scenario)
-    grid = scenario.beta_axis.values
     rows = assignment_rows(scenario, max_assignments)
-    kernel = game_kernel(
-        scenario,
-        downsian_matrix(scenario.utility, grid),
-        scenario.beta_types.type_values,
-        scenario.beta_types.type_probs,
-    )
-    records = []
-    for row, beta_gaps in kernel.passing(rows):
-        policies = tuple(grid[i] for i in row)
-        assignment = assignment_for(scenario, policies)
-        record = build_record(scenario, assignment, beta_gaps, mu)
-        if verify_rationalizable:
-            rationalized = aggregate_and_rationalize(scenario, assignment, mu)
-            if not np.array_equal(rationalized, record.triple.w):
+    types = scenario.beta_types
+    w = downsian_matrix(scenario.utility, scenario.beta_axis.values)
+    kernel = game_kernel(scenario, w, types.type_values, types.type_probs)
+    records = equilibrium_records(scenario, kernel, rows, "baseline", on_path_belief, mu)
+    if verify_rationalizable:
+        for r in records:
+            rationalized = aggregate_and_rationalize(scenario, r.assignment, mu)
+            if not np.array_equal(rationalized, r.triple.w):
                 raise NumericError(
                     "aggregated attention strategies do not rationalize the "
-                    f"perfect-observation winner for policies {policies}"
+                    f"perfect-observation winner for policies {r.assignment.policies}"
                 )
-        records.append(record)
     return records
 
 
 # ---------------------------------------------------------------------------
 # Attention sets
 # ---------------------------------------------------------------------------
-
-def attention_member(spec: UtilitySpec, a_values, sigma, t: float, mu: float) -> bool:
-    """Whether voter t pays attention under the policy matrix (a_values, sigma)."""
-    return attention_membership(profile_belief(spec, a_values, sigma, t), mu)
-
 
 def attention_frontier(
     spec: UtilitySpec,
@@ -520,13 +516,10 @@ def truncation_statistic(
     mu: float | None = None,
 ) -> tuple[tuple[EquilibriumRecord, ...], float | None]:
     """Equilibria that retain voter t's attention, and the smallest
-    median-utility spread among them (None when the set is empty)."""
+    median-utility spread among them (None when the set is empty); each
+    record is judged under its own belief, ``r.belief(t)``."""
     mu = scenario.mu if mu is None else mu
-    kept = tuple(
-        r
-        for r in records
-        if attention_member(scenario.utility, r.triple.a_values, r.triple.sigma, t, mu)
-    )
+    kept = tuple(r for r in records if attention_membership(r.belief(t), mu))
     if not kept:
         return kept, None
     return kept, min(median_differential(scenario.utility, r.triple.a_values) for r in kept)

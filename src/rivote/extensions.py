@@ -10,6 +10,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -26,11 +27,11 @@ from .election import (
     EquilibriumRecord,
     ICKernel,
     StrategyAssignment,
-    build_record,
     downsian_matrix,
+    equilibrium_records,
     value_matrix,
 )
-from .solver import BeliefOverProfiles, attention_membership, entropy
+from .solver import BeliefOverProfiles, entropy
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +89,6 @@ def commitment_belief(
     return BeliefOverProfiles(support, np.outer(p, p).ravel(), values.ravel())
 
 
-def attention_member_commitment(
-    scenario: Scenario,
-    assignment: StrategyAssignment,
-    t: float,
-    mu: float | None = None,
-    eta: float | None = None,
-) -> bool:
-    mu = scenario.mu if mu is None else mu
-    return attention_membership(commitment_belief(scenario, assignment, t, eta), mu)
-
-
 def _commitment_kernel(scenario: Scenario, types, probs, eta: float) -> ICKernel:
     """IC kernel whose stage values blend the proposal with the proposer's
     type, played when the winner reneges; proposals are priced by the
@@ -132,21 +122,10 @@ def enumerate_equilibria_commitment(
     limited commitment; at eta = 1 this reduces to the baseline game."""
     require_symmetric(scenario)
     types = scenario.beta_types
-    grid = scenario.beta_axis.values
     kernel = _commitment_kernel(scenario, types.type_values, types.type_probs, eta)
-    rows = itertools.combinations(range(len(grid)), len(types.types))
-    records = []
-    for row, beta_gaps in kernel.passing(rows):
-        policies = tuple(grid[i] for i in row)
-        assignment = StrategyAssignment(types.type_values, types.type_probs, policies)
-        beliefs = {
-            t: commitment_belief(scenario, assignment, t, eta)
-            for t, _ in scenario.electorate.groups
-        }
-        records.append(
-            build_record(scenario, assignment, beta_gaps, mu, kind="commitment", beliefs=beliefs)
-        )
-    return records
+    rows = itertools.combinations(range(len(kernel.grid)), len(types.types))
+    belief = partial(commitment_belief, eta=eta)
+    return equilibrium_records(scenario, kernel, rows, "commitment", belief, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ from .election import (
     EquilibriumRecord,
     ICKernel,
     StrategyAssignment,
-    assignment_for,
     assignment_rows,
-    build_record,
+    equilibrium_records,
     game_kernel,
     value_matrix,
 )
@@ -378,14 +377,12 @@ def check_ic_noisy(
     return kernel.check(assignment.policies)
 
 
-def _noisy_beliefs(scenario: Scenario, assignment: StrategyAssignment):
-    tech = scenario.news
-    levels = assignment.levels
-    sigma = assignment.sigma()
-    return {
-        t: signal_belief(tech, scenario.utility, levels, sigma, t)
-        for t, _ in scenario.electorate.groups
-    }
+def news_belief(
+    scenario: Scenario, assignment: StrategyAssignment, t: float
+) -> BeliefOverProfiles:
+    """Belief builder of the noisy-news game: ``signal_belief`` of the
+    assignment's played levels under the scenario's technology."""
+    return signal_belief(scenario.news, scenario.utility, assignment.levels, assignment.sigma(), t)
 
 
 def enumerate_equilibria_noisy(
@@ -415,19 +412,4 @@ def enumerate_equilibria_noisy(
     rows = assignment_rows(scenario, max_assignments)
     types = scenario.beta_types
     kernel = _noisy_kernel(scenario, types.type_values, types.type_probs)
-    records = []
-    for row, beta_gaps in kernel.passing(rows):
-        assignment = assignment_for(scenario, tuple(grid[i] for i in row))
-        idx = sorted(set(row))
-        records.append(
-            build_record(
-                scenario,
-                assignment,
-                beta_gaps,
-                mu,
-                kind="noisy",
-                expected_w=kernel.w[np.ix_(idx, idx)],
-                beliefs=_noisy_beliefs(scenario, assignment),
-            )
-        )
-    return records
+    return equilibrium_records(scenario, kernel, rows, "noisy", news_belief, mu)

@@ -13,7 +13,6 @@ import pytest
 from rivote.core import UtilitySpec
 from rivote.election import (
     attention_frontier,
-    attention_member,
     enumerate_equilibria,
     profile_belief,
 )
@@ -240,7 +239,7 @@ def test_criterion_08_monotonicity_suite(abs_spec, quad_spec):
             members = {
                 pair
                 for pair in pairs
-                if attention_member(abs_spec, pair, sigma, -0.01, mu)
+                if attention_membership(profile_belief(abs_spec, pair, sigma, -0.01), mu)
             }
             if previous is not None:
                 assert members <= previous

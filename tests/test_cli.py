@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rivote.cli import main
-from rivote.presets import figure2_scenario, figure3_scenario, table1_scenario
+from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
 from rivote.scenario_io import dump_scenario, load_scenario, scenario_hash
 
 
@@ -127,6 +127,33 @@ class TestSolveAttention:
             assert row[1] == sol.regime
             assert float(row[2]) == sol.m_bar
             np.testing.assert_array_equal([float(x) for x in row[5:]], sol.m)
+
+    def test_commitment_scenario_uses_commitment_beliefs(self, tmp_path):
+        from rivote.election import assignment_for
+        from rivote.extensions import commitment_belief
+        from rivote.solver import solve_attention
+
+        path = tmp_path / "eta.json"
+        dump_scenario(example3_scenario(0.5), path)
+        out = tmp_path / "o"
+        assert main(["solve-attention", "--scenario", str(path),
+                     "--policies", "0.01,0.4", "--out", str(out)]) == 0
+        _, rows = read_rows(out / "solve_attention.csv")
+        scenario = load_scenario(path)
+        a = assignment_for(scenario, (0.01, 0.4))
+        for row in rows:
+            sol = solve_attention(commitment_belief(scenario, a, float(row[0])), scenario.mu)
+            assert row[1] == sol.regime
+            assert float(row[2]) == sol.m_bar
+            np.testing.assert_array_equal([float(x) for x in row[5:]], sol.m)
+        assert rows[0][0] == "-0.001" and round(float(rows[0][2]), 4) == 0.2980
+
+    def test_commitment_refuses_decreasing_policies(self, tmp_path, capsys):
+        path = tmp_path / "eta.json"
+        dump_scenario(example3_scenario(0.5), path)
+        assert main(["solve-attention", "--scenario", str(path),
+                     "--policies", "0.4,0.01", "--out", str(tmp_path / "o")]) == 2
+        assert "strictly increasing" in capsys.readouterr().err
 
     def test_wrong_policy_count_exit_2(self, fig2_path, tmp_path):
         assert main([

@@ -9,7 +9,6 @@ from rivote.election import (
     aggregate_and_rationalize,
     assignment_for,
     attention_frontier,
-    attention_member,
     check_ic,
     downsian_matrix,
     downsian_winner,
@@ -21,7 +20,12 @@ from rivote.election import (
     value_matrix,
 )
 from rivote.presets import build, figure2_scenario
-from rivote.solver import attention_threshold_delta, log_mean_exp, solve_attention
+from rivote.solver import (
+    attention_membership,
+    attention_threshold_delta,
+    log_mean_exp,
+    solve_attention,
+)
 
 
 class TestDownsianWinner:
@@ -191,21 +195,32 @@ class TestEnumeration:
             assert r.min_gap >= -1e-9
             assert dict(r.attentive)[0.0]  # the median group always attends
 
+    def test_corner_one_group_is_attentive(self):
+        # a group that always votes beta attends: only corner_zero is inattention
+        scenario = build(figure2_scenario(mu=10.0))
+        (record,) = [r for r in enumerate_equilibria(scenario)
+                     if r.assignment.policies == (0.01, 0.2)]
+        assert dict(record.attention)[0.001].regime == "corner_one"
+        assert dict(record.attentive)[0.001]
+        assert attention_membership(record.belief(0.001), 10.0)
+        assert not dict(record.attentive)[-0.001]  # corner_zero
+
 
 class TestAttentionSet:
     def test_cheap_attention_admits_everything(self, abs_spec):
         sigma = np.full((2, 2), 0.25)
-        assert attention_member(abs_spec, (0.1, 0.4), sigma, -0.05, 1e-3)
+        assert attention_membership(profile_belief(abs_spec, (0.1, 0.4), sigma, -0.05), 1e-3)
 
     def test_costly_attention_empties_the_set(self, abs_spec):
         sigma = np.full((2, 2), 0.25)
         for a in ((0.1, 0.4), (0.01, 0.99)):
-            assert not attention_member(abs_spec, a, sigma, -0.05, 1e4)
+            assert not attention_membership(profile_belief(abs_spec, a, sigma, -0.05), 1e4)
 
     def test_membership_monotone_in_mu(self, abs_spec):
         sigma = np.full((2, 2), 0.25)
         mus = np.geomspace(0.01, 100, 25)
-        flags = [attention_member(abs_spec, (0.05, 0.45), sigma, -0.01, m) for m in mus]
+        belief = profile_belief(abs_spec, (0.05, 0.45), sigma, -0.01)
+        flags = [attention_membership(belief, m) for m in mus]
         assert flags == sorted(flags, reverse=True)
 
     def test_frontier_dominates_closed_form(self, abs_spec):

@@ -9,7 +9,6 @@ from scipy.interpolate import PchipInterpolator
 from rivote.core import ValidationError, utility
 from rivote.election import assignment_for, enumerate_equilibria, value_matrix
 from rivote.extensions import (
-    attention_member_commitment,
     check_ic_commitment,
     commitment_belief,
     dissemination_filter,
@@ -23,7 +22,7 @@ from rivote.extensions import (
 )
 from rivote.presets import figure2_scenario
 from rivote.scenario_io import scenario_from_dict
-from rivote.solver import gamma_inverse
+from rivote.solver import attention_membership, gamma_inverse
 
 
 def hurdle(mu, tau=0.001):
@@ -79,7 +78,7 @@ class TestCommitment:
         with pytest.raises(ValidationError, match=r"eta must lie in \[0, 1\]"):
             commitment_belief(scenario, a, -0.001, eta=eta)
         with pytest.raises(ValidationError, match=r"eta must lie in \[0, 1\]"):
-            attention_member_commitment(scenario, a, -0.001, eta=eta)
+            enumerate_equilibria_commitment(scenario, eta=eta)
 
     def test_full_commitment_is_identity(self, figure2):
         base = enumerate_equilibria(figure2)
@@ -116,9 +115,8 @@ class TestCommitment:
             gap = pols[1] - pols[0]
             for eta in np.linspace(0.0, 1.0, 21):
                 scenario = example3_factory(float(eta))
-                member = attention_member_commitment(
-                    scenario, assignment_for(scenario, pols), -tau, mu=mu
-                )
+                belief = commitment_belief(scenario, assignment_for(scenario, pols), -tau)
+                member = attention_membership(belief, mu)
                 assert member == (eta * gap + (1 - eta) * 0.5 >= rhs)
 
     def test_case2_opposite_direction(self):
@@ -134,7 +132,7 @@ class TestCommitment:
         scenario = scenario_from_dict(doc)
         a = assignment_for(scenario, (0.01, 0.6))  # gap .59 > inference effect .5
         members = [
-            attention_member_commitment(scenario, a, -tau, mu=mu, eta=float(eta))
+            attention_membership(commitment_belief(scenario, a, -tau, eta=float(eta)), mu)
             for eta in np.linspace(0.0, 1.0, 21)
         ]
         assert members == sorted(members)  # flips from out to in as eta rises

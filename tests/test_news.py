@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from rivote.cli import main
 from rivote.core import ValidationError
-from rivote.election import assignment_for, enumerate_equilibria, profile_belief, value_matrix
+from rivote.election import (
+    assignment_for,
+    enumerate_equilibria,
+    profile_belief,
+    truncation_statistic,
+    value_matrix,
+)
 from rivote.news import (
     MarkovKernel,
     NewsTechnology,
@@ -17,8 +24,8 @@ from rivote.news import (
     posterior_value_matrix,
     signal_belief,
 )
-from rivote.presets import figure2_scenario
-from rivote.scenario_io import scenario_from_dict
+from rivote.presets import figure2_scenario, figure3_scenario
+from rivote.scenario_io import dump_scenario, scenario_from_dict
 from rivote.solver import attention_membership, solve_attention
 from tests.oracles import (
     bayes_posterior_differential,
@@ -187,6 +194,28 @@ class TestNoisyEquilibria:
             assert r.min_gap > 0
             assert r.expected_w is not None
             assert np.all((0 <= r.expected_w) & (r.expected_w <= 1))
+
+    def test_truncation_statistic_uses_signal_beliefs(self, figure3_factory, tmp_path):
+        # under garbled news voter t attends to news profiles: judged on
+        # policy profiles both equilibria would keep them, on signals neither
+        scenario = figure3_factory(0.6)
+        records = enumerate_equilibria_noisy(scenario)
+        assert len(records) == 2
+        for r in records:
+            levels, sigma = r.triple.a_values, r.triple.sigma
+            belief = profile_belief(scenario.utility, levels, sigma, -0.001)
+            assert attention_membership(belief, 1.0)
+            assert not noisy_member(scenario.news, scenario.utility, levels, sigma, -0.001, 1.0)
+        assert truncation_statistic(scenario, records, -0.001, mu=1.0) == ((), None)
+        # the CLI's sweep reports the same statistic
+        path = tmp_path / "fig3.json"
+        dump_scenario(figure3_scenario(0.6), path)
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", str(path), "--param", "mu", "--values", "1",
+                     "--t", "-0.001", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[3:]]
+        assert ["mu", "1.0", "ea_size", "t=-0.001", "0.0"] in rows
+        assert not any(row[2] == "min_median_diff" for row in rows)
 
     def test_convergence_to_bliss_points(self, figure3_factory):
         dists = []

@@ -1,0 +1,96 @@
+"""Every equilibrium record carries its pipeline's belief builder.
+
+``r.belief(t)`` must be the belief the pipeline's public builder returns,
+and every attention statistic of a record (its attention solutions, its
+``attentive`` flags, the truncation statistic) must be read from it.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rivote.election import enumerate_equilibria, profile_belief
+from rivote.extensions import commitment_belief, enumerate_equilibria_commitment
+from rivote.news import enumerate_equilibria_noisy, expected_winning_matrix, signal_belief
+from rivote.presets import build
+from rivote.solver import attention_membership, solve_attention
+
+GROUPS = [[-0.02, 0.25], [-0.001, 0.25], [0.001, 0.25], [0.02, 0.25]]
+
+
+def game(n, family="absolute", xi=None, eta=None, mu=1.0, types=((0.3, 0.5), (0.8, 0.5))):
+    """Two- or three-type game on the interior grid k/(n+1)."""
+    doc = {"schema_version": 1, "policies": {"beta": [k / (n + 1) for k in range(1, n + 1)]},
+           "utility": {"family": family, "office_rent": 0.0, "win_weight": 12.0,
+                       "lose_weight": 1.0, "loser_sign": -1},
+           "candidates": {"beta": [list(t) for t in types]},
+           "electorate": {"groups": GROUPS}, "attention": {"mu": mu}}
+    if xi is not None:
+        doc["news"] = {"family": "slant", "xi": xi, "signals": [0.25, 0.75]}
+    if eta is not None:
+        doc["commitment"] = {"eta": eta}
+    return build(doc)
+
+
+def public_belief(pipeline, scenario, record, t):
+    """Voter t's belief for ``record``, built by the pipeline's public builder."""
+    if pipeline == "noisy":
+        return signal_belief(scenario.news, scenario.utility, record.triple.a_values,
+                             record.triple.sigma, t)
+    if pipeline == "commitment":
+        return commitment_belief(scenario, record.assignment, t)
+    return profile_belief(scenario.utility, record.triple.a_values, record.triple.sigma, t)
+
+
+PIPELINES = {
+    "baseline": (enumerate_equilibria, {}),
+    "noisy": (enumerate_equilibria_noisy, {"xi": 0.75}),
+    "commitment": (enumerate_equilibria_commitment, {"eta": 0.5}),
+}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_record_belief_is_the_public_builder_bitwise(pipeline):
+    enumerate_fn, knobs = PIPELINES[pipeline]
+    scenario = game(8, **knobs)
+    records = enumerate_fn(scenario)
+    assert records and all(r.kind == pipeline for r in records)
+    for r in records:
+        for t, sol in r.attention:
+            carried, direct = r.belief(t), public_belief(pipeline, scenario, r, t)
+            assert carried.support == direct.support
+            assert carried.probs.tobytes() == direct.probs.tobytes()
+            assert carried.values.tobytes() == direct.values.tobytes()
+            # the attached solution is the solution under that belief
+            assert sol.m.tobytes() == solve_attention(direct, scenario.mu).m.tobytes()
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_expected_w_is_the_kernel_winner_on_played_levels(pipeline):
+    # perfect observation in the baseline and under commitment, news otherwise
+    enumerate_fn, knobs = PIPELINES[pipeline]
+    scenario = game(8, **knobs)
+    records = enumerate_fn(scenario)
+    assert records
+    for r in records:
+        expected = (expected_winning_matrix(scenario.news, r.triple.a_values)
+                    if pipeline == "noisy" else r.triple.w)
+        np.testing.assert_array_equal(r.expected_w, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    family=st.sampled_from(["absolute", "quadratic"]),
+    pipeline=st.sampled_from(list(PIPELINES)),
+    knob=st.floats(0.05, 0.95),
+    log_mu=st.floats(-3.0, 2.0),
+)
+def test_attentive_flag_is_the_one_rule(n, family, pipeline, knob, log_mu):
+    enumerate_fn, knobs = PIPELINES[pipeline]
+    knobs = {k: knob for k in knobs}
+    mu = 10.0 ** log_mu
+    scenario = game(n, family=family, mu=mu, **knobs)
+    for r in enumerate_fn(scenario):
+        for t, flag in r.attentive:
+            assert flag == attention_membership(r.belief(t), mu)
