@@ -156,9 +156,9 @@ class EquilibriumRecord:
 # ---------------------------------------------------------------------------
 
 def value_matrix(spec: UtilitySpec, a_values, t: float) -> np.ndarray:
-    """v[i, j] = differential utility of profile (-a_i, a_j) for voter t."""
+    """v[..., i, j] = differential utility of profile (-a_i, a_j) for voter t."""
     a = np.asarray(a_values, dtype=float)
-    return utility(spec, a, t)[None, :] - utility(spec, -a, t)[:, None]
+    return utility(spec, a, t)[..., None, :] - utility(spec, -a, t)[..., :, None]
 
 
 def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverProfiles:
@@ -472,35 +472,50 @@ def enumerate_equilibria(
 # Attention sets
 # ---------------------------------------------------------------------------
 
-def attention_frontier(
-    spec: UtilitySpec,
-    a1_grid,
-    a2_grid,
-    t: float,
-    mu: float,
-    level_probs=(0.5, 0.5),
-) -> np.ndarray:
+def frontier_scan(a1_grid, a2_grid, mu: float, level_probs, attentive_pairs,
+                  floats_per_pair: int) -> np.ndarray:
+    """Rows (a1, first grid a2 > a1 + 1e-12 with ``attentive_pairs(a1, a2, p)``
+    true, or NaN), where the callback judges the pairs (a1[i], a2[i]) under
+    level probabilities p; a1 is scanned in row chunks that hold
+    ``floats_per_pair`` per pair within ``IC_CHUNK_FLOATS``."""
+    if not mu > 0:
+        raise ValidationError("mu must be positive")
+    p = np.asarray(level_probs, dtype=float)
+    if p.shape != (2,) or np.any(p <= 0) or abs(float(p.sum()) - 1.0) > EXACT:
+        raise ValidationError("level probabilities must be two positive numbers summing to 1")
+    a1 = np.asarray(a1_grid, dtype=float)
+    a2 = np.asarray(a2_grid, dtype=float)
+    first = np.full(a1.shape, np.nan)
+    size = max(1, IC_CHUNK_FLOATS // max(1, a2.size * floats_per_pair))
+    for lo in range(0, a1.size, size):
+        rows = a1[lo:lo + size, None]
+        pairs = a2 > rows + EXACT
+        if not pairs.any():
+            continue
+        member = np.zeros(pairs.shape, dtype=bool)
+        member[pairs] = attentive_pairs(np.broadcast_to(rows, pairs.shape)[pairs],
+                                        np.broadcast_to(a2, pairs.shape)[pairs], p)
+        hit = member.any(axis=1)
+        first[lo:lo + size][hit] = a2[member.argmax(axis=1)[hit]]
+    return np.column_stack([a1, first])
+
+
+def attention_frontier(spec: UtilitySpec, a1_grid, a2_grid, t: float, mu: float,
+                       level_probs=(0.5, 0.5)) -> np.ndarray:
     """Indifference frontier of a two-level attention set as a polyline.
 
     For each a1, returns the smallest grid a2 > a1 at which voter t pays
     attention (NaN when no grid point qualifies).  Rows are (a1, a2).
     """
-    p1, p2 = float(level_probs[0]), float(level_probs[1])
-    if abs(p1 + p2 - 1.0) > EXACT or p1 <= 0 or p2 <= 0:
-        raise ValidationError("level probabilities must be positive and sum to 1")
-    probs = np.array([p1 * p1, p1 * p2, p2 * p1, p2 * p2])
-    a1 = np.asarray(a1_grid, dtype=float)
-    a2 = np.asarray(a2_grid, dtype=float)
-    u1, u1_alpha = utility(spec, a1, t)[:, None], utility(spec, -a1, t)[:, None]
-    u2, u2_alpha = utility(spec, a2, t)[None, :], utility(spec, -a2, t)[None, :]
-    # profiles (-a1,a1), (-a1,a2), (-a2,a1), (-a2,a2) per (a1, a2) pair
-    values = np.stack(
-        np.broadcast_arrays(u1 - u1_alpha, u2 - u1_alpha, u1 - u2_alpha, u2 - u2_alpha),
-        axis=-1,
-    )
-    member = attentive(values, probs, mu) & (a2[None, :] > a1[:, None] + EXACT)
-    first = a2[member.argmax(axis=1)] if a2.size else np.nan
-    return np.column_stack([a1, np.where(member.any(axis=1), first, np.nan)])
+    def attentive_pairs(a1, a2, p):
+        probs = np.outer(p, p).ravel()
+        u1, u1_alpha = utility(spec, a1, t), utility(spec, -a1, t)
+        u2, u2_alpha = utility(spec, a2, t), utility(spec, -a2, t)
+        # profiles (-a1,a1), (-a1,a2), (-a2,a1), (-a2,a2) per pair
+        values = np.stack([u1 - u1_alpha, u2 - u1_alpha, u1 - u2_alpha, u2 - u2_alpha], axis=-1)
+        return attentive(values, probs, mu)
+
+    return frontier_scan(a1_grid, a2_grid, mu, level_probs, attentive_pairs, 4)
 
 
 def median_differential(spec: UtilitySpec, a_values) -> float:

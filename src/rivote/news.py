@@ -27,10 +27,11 @@ from .election import (
     StrategyAssignment,
     assignment_rows,
     equilibrium_records,
+    frontier_scan,
     game_kernel,
     value_matrix,
 )
-from .solver import BeliefOverProfiles, attention_membership
+from .solver import BeliefOverProfiles, attentive
 
 
 @dataclass(frozen=True)
@@ -257,21 +258,22 @@ def posterior_value_matrix(
 
     nu[m, n] is the expected differential utility of choosing beta given the
     news profile (-w_m, w_n); cells with zero marginal probability are NaN.
+    Broadcasts over leading axes of ``levels`` (..., L) and ``sigma`` (..., L, L).
     """
-    levels = tuple(float(a) for a in levels)
+    levels = np.asarray(levels, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    f = tech.pmf_matrix(levels)
+    distinct, at = np.unique(levels, return_inverse=True)
+    f = tech.pmf_matrix(distinct)[at.reshape(levels.shape)]      # (..., L, k)
     v = value_matrix(spec, levels, t)
-    marginal = f.T @ sigma @ f
-    k = tech.k
-    nu = np.full((k, k), np.nan)
-    for m in range(k):
-        for n in range(k):
-            if marginal[m, n] <= 0:
-                continue
-            weights = sigma * np.outer(f[:, m], f[:, n])
-            nu[m, n] = float(np.sum((weights / marginal[m, n]) * v))
-    return marginal, nu
+    ft = np.swapaxes(f, -1, -2)
+    marginal = ft @ sigma @ f
+    positive = marginal > 0
+    # weights[..., m, n, i, j] = sigma[i, j] * f[i, m] * f[j, n]
+    weights = sigma[..., None, None, :, :] * (ft[..., :, None, :, None] * ft[..., None, :, None, :])
+    scale = np.where(positive, marginal, 1.0)[..., None, None]
+    terms = (weights / scale) * v[..., None, None, :, :]
+    nu = terms.reshape(*terms.shape[:-2], -1).sum(axis=-1)
+    return marginal, np.where(positive, nu, np.nan)
 
 
 def posterior_value(
@@ -295,49 +297,37 @@ def signal_belief(
     Zero-probability profiles are dropped from the support with a warning.
     """
     marginal, nu = posterior_value_matrix(tech, spec, levels, sigma, t)
-    k = tech.k
-    support = []
-    probs = []
-    values = []
+    keep = marginal.ravel() > 0
+    if dropped := int(np.count_nonzero(~keep)):
+        warnings.warn(f"dropped {dropped} zero-probability news profiles from the "
+                      "attention support", stacklevel=2)
+    profiles = itertools.product((-w for w in tech.signals), tech.signals)
+    support = tuple(itertools.compress(profiles, keep))
+    return BeliefOverProfiles(support, marginal.ravel()[keep], nu.ravel()[keep])
+
+
+def attention_frontier_noisy(tech: NewsTechnology, spec: UtilitySpec, a1_grid, a2_grid,
+                             t: float, mu: float, level_probs=(0.5, 0.5)) -> np.ndarray:
+    """Noisy-news counterpart of ``attention_frontier``: each pair (a1, a2) is
+    judged under its signal belief.  A zero-probability news profile is masked
+    out (probability 0 and the pair's smallest kept value, so that it adds
+    nothing to the exponential moment); one warning counts them over the scan."""
     dropped = 0
-    for m in range(k):
-        for n in range(k):
-            if marginal[m, n] <= 0:
-                dropped += 1
-                continue
-            support.append((-tech.signals[m], tech.signals[n]))
-            probs.append(marginal[m, n])
-            values.append(nu[m, n])
+
+    def attentive_pairs(a1, a2, p):
+        nonlocal dropped
+        levels = np.stack([a1, a2], axis=-1)
+        marginal, nu = posterior_value_matrix(tech, spec, levels, np.outer(p, p), t)
+        probs, values = marginal.reshape(len(a1), -1), nu.reshape(len(a1), -1)
+        keep = probs > 0
+        dropped += int(np.count_nonzero(~keep))
+        floor = np.min(values, axis=-1, where=keep, initial=np.inf, keepdims=True)
+        return attentive(np.where(keep, values, floor), np.where(keep, probs, 0.0), mu)
+
+    out = frontier_scan(a1_grid, a2_grid, mu, level_probs, attentive_pairs, 4 * tech.k ** 2)
     if dropped:
-        warnings.warn(
-            f"dropped {dropped} zero-probability news profiles from the "
-            "attention support",
-            stacklevel=2,
-        )
-    return BeliefOverProfiles(tuple(support), np.array(probs), np.array(values))
-
-
-def attention_frontier_noisy(
-    tech: NewsTechnology,
-    spec: UtilitySpec,
-    a1_grid,
-    a2_grid,
-    t: float,
-    mu: float,
-    level_probs=(0.5, 0.5),
-) -> np.ndarray:
-    """Noisy-news counterpart of the two-level attention frontier scan."""
-    p = np.asarray(level_probs, dtype=float)
-    out = np.full((len(a1_grid), 2), np.nan)
-    for i, a1 in enumerate(np.asarray(a1_grid, dtype=float)):
-        out[i, 0] = a1
-        for a2 in np.asarray(a2_grid, dtype=float):
-            if a2 <= a1 + EXACT:
-                continue
-            belief = signal_belief(tech, spec, (a1, a2), np.outer(p, p), t)
-            if attention_membership(belief, mu):
-                out[i, 1] = a2
-                break
+        warnings.warn(f"dropped {dropped} zero-probability news profiles from the attention "
+                      "supports of the scanned policy pairs", stacklevel=2)
     return out
 
 

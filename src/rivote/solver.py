@@ -134,34 +134,15 @@ def attentive(values, probs, mu: float):
     return log_mean_exp(values, probs, mu) >= -EXACT
 
 
-def _choice_probs(x: np.ndarray, m_bar: float) -> np.ndarray:
-    """Shifted-logit rule m(x) = m_bar e^x / (m_bar e^x + 1 - m_bar), stably."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    e = np.exp(-x[pos])
-    out[pos] = m_bar / (m_bar + (1.0 - m_bar) * e)
-    e = np.exp(x[~pos])
-    out[~pos] = m_bar * e / (m_bar * e + 1.0 - m_bar)
-    return out
-
-
-def _foc(x: np.ndarray, probs: np.ndarray, m_bar: float) -> float:
-    """E[(e^x - 1) / (m_bar e^x + 1 - m_bar)]: strictly decreasing in m_bar."""
-    terms = np.empty_like(x)
-    pos = x >= 0
-    e = np.exp(-x[pos])
-    terms[pos] = (1.0 - e) / (m_bar + (1.0 - m_bar) * e)
-    e = np.exp(x[~pos])
-    terms[~pos] = (e - 1.0) / (m_bar * e + 1.0 - m_bar)
-    return float(np.dot(probs, terms))
-
-
 def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     """Optimal attention strategy under ``belief`` at marginal cost ``mu``.
 
     Corner regimes are detected from the exponential-moment inequalities; the
     interior average probability is found by bisection on the first-order
-    condition, which is strictly decreasing in the average.
+    condition E[(e^x - 1) / (m_bar e^x + 1 - m_bar)] = 0, x = v / mu, which is
+    strictly decreasing in the average.  e = exp(-|x|) and the numerators are
+    computed once per belief; a step evaluates the denominators only, with
+    x >= 0 divided through by e^x so that nothing overflows.
     """
     if not mu > 0:
         raise ValidationError("mu must be positive")
@@ -175,26 +156,34 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
         return AttentionSolution("corner_one", 1.0, math.inf, np.ones(n), 0.0, 0.0)
 
     x = belief.values / mu
+    pos = x >= 0
+    e = np.exp(-np.abs(x))
+    num = np.where(pos, 1.0 - e, e - 1.0)
+
+    def denominators(m_bar: float) -> np.ndarray:
+        return np.where(pos, m_bar + (1.0 - m_bar) * e, m_bar * e + 1.0 - m_bar)
+
+    def foc(m_bar: float) -> float:
+        return float(np.dot(probs, num / denominators(m_bar)))
 
     lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
-    f_lo = _foc(x, probs, lo)
-    f_hi = _foc(x, probs, hi)
-    if f_lo <= 0.0:
+    if foc(lo) <= 0.0:
         m_bar = lo
-    elif f_hi >= 0.0:
+    elif foc(hi) >= 0.0:
         m_bar = hi
     else:
         for _ in range(_MAX_BISECT):
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if _foc(x, probs, mid) > 0.0:
+            if foc(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
         m_bar = 0.5 * (lo + hi)
 
-    m = _choice_probs(x, m_bar)
+    # shifted-logit rule m = m_bar e^x / (m_bar e^x + 1 - m_bar)
+    m = np.where(pos, m_bar, m_bar * e) / denominators(m_bar)
     residual = abs(float(np.dot(probs, m)) / m_bar - 1.0)
     return AttentionSolution(
         "interior",

@@ -4,7 +4,9 @@ These deliberately avoid the library's solution formulas: the attention
 oracle maximises the net objective by exhaustive grid search, the Bayes
 oracle builds the full joint table, the utility oracle reads one point at a
 time, and the incentive oracle walks grid x opponent types one scalar payoff
-at a time.
+at a time.  The solver, news-posterior and noisy-frontier oracles are the
+library's earlier loops: one first-order-condition evaluation per bisection
+step, one news profile and one policy pair at a time.
 """
 from __future__ import annotations
 
@@ -13,8 +15,18 @@ import math
 import numpy as np
 from scipy.special import xlogy
 
-from rivote.core import EXACT, Scenario, UtilitySpec
-from rivote.election import StrategyAssignment, downsian_winner
+from rivote.core import EXACT, Scenario, UtilitySpec, ValidationError
+from rivote.election import StrategyAssignment, downsian_winner, value_matrix
+from rivote.solver import (
+    _MAX_BISECT,
+    _MBAR_FLOOR,
+    AttentionSolution,
+    BeliefOverProfiles,
+    attention_membership,
+    attentive,
+    log_mean_exp,
+    mutual_information,
+)
 
 
 def _h(m):
@@ -245,3 +257,137 @@ def commitment_gaps(scenario: Scenario, assignment: StrategyAssignment, eta: flo
         lambda x, a: 1.0 - w_beta(a, x), win_value, lose_value,
     )
     return beta, alpha
+
+
+# ---------------------------------------------------------------------------
+# Attention solver oracle: one first-order-condition evaluation per step
+# ---------------------------------------------------------------------------
+
+def _choice_probs(x: np.ndarray, m_bar: float) -> np.ndarray:
+    """Shifted-logit rule m(x) = m_bar e^x / (m_bar e^x + 1 - m_bar), stably."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    e = np.exp(-x[pos])
+    out[pos] = m_bar / (m_bar + (1.0 - m_bar) * e)
+    e = np.exp(x[~pos])
+    out[~pos] = m_bar * e / (m_bar * e + 1.0 - m_bar)
+    return out
+
+
+def _foc(x: np.ndarray, probs: np.ndarray, m_bar: float) -> float:
+    """E[(e^x - 1) / (m_bar e^x + 1 - m_bar)]: strictly decreasing in m_bar."""
+    terms = np.empty_like(x)
+    pos = x >= 0
+    e = np.exp(-x[pos])
+    terms[pos] = (1.0 - e) / (m_bar + (1.0 - m_bar) * e)
+    e = np.exp(x[~pos])
+    terms[~pos] = (e - 1.0) / (m_bar * e + 1.0 - m_bar)
+    return float(np.dot(probs, terms))
+
+
+def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
+    """Optimal attention strategy under ``belief`` at marginal cost ``mu``.
+
+    Corner regimes are detected from the exponential-moment inequalities; the
+    interior average probability is found by bisection on the first-order
+    condition, which is strictly decreasing in the average.
+    """
+    if not mu > 0:
+        raise ValidationError("mu must be positive")
+    probs = belief.probs
+    n = len(belief.support)
+
+    # attentive() refuses values/mu that are not finite
+    if not attentive(belief.values, probs, mu):  # log E[exp(v/mu)] < -1e-12: never beta
+        return AttentionSolution("corner_zero", 0.0, 0.0, np.zeros(n), 0.0, 0.0)
+    if log_mean_exp(-belief.values, probs, mu) < 0.0:  # E[exp(-v/mu)] < 1: always choose beta
+        return AttentionSolution("corner_one", 1.0, math.inf, np.ones(n), 0.0, 0.0)
+
+    x = belief.values / mu
+
+    lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
+    f_lo = _foc(x, probs, lo)
+    f_hi = _foc(x, probs, hi)
+    if f_lo <= 0.0:
+        m_bar = lo
+    elif f_hi >= 0.0:
+        m_bar = hi
+    else:
+        for _ in range(_MAX_BISECT):
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if _foc(x, probs, mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        m_bar = 0.5 * (lo + hi)
+
+    m = _choice_probs(x, m_bar)
+    residual = abs(float(np.dot(probs, m)) / m_bar - 1.0)
+    return AttentionSolution(
+        "interior",
+        m_bar,
+        m_bar / (1.0 - m_bar),
+        m,
+        mutual_information(m, probs),
+        residual,
+    )
+
+
+# ---------------------------------------------------------------------------
+# News posterior and noisy frontier oracles: one profile, one pair at a time
+# ---------------------------------------------------------------------------
+
+def posterior_value_matrix(tech, spec: UtilitySpec, levels, sigma, t: float):
+    """(P, nu) by a loop over the k x k news profiles; zero-marginal cells NaN."""
+    levels = tuple(float(a) for a in levels)
+    sigma = np.asarray(sigma, dtype=float)
+    f = tech.pmf_matrix(levels)
+    v = value_matrix(spec, levels, t)
+    marginal = f.T @ sigma @ f
+    k = tech.k
+    nu = np.full((k, k), np.nan)
+    for m in range(k):
+        for n in range(k):
+            if marginal[m, n] <= 0:
+                continue
+            weights = sigma * np.outer(f[:, m], f[:, n])
+            nu[m, n] = float(np.sum((weights / marginal[m, n]) * v))
+    return marginal, nu
+
+
+def signal_belief(tech, spec: UtilitySpec, levels, sigma, t: float):
+    """(belief over the positive-probability news profiles, dropped count)."""
+    marginal, nu = posterior_value_matrix(tech, spec, levels, sigma, t)
+    k = tech.k
+    support = []
+    probs = []
+    values = []
+    dropped = 0
+    for m in range(k):
+        for n in range(k):
+            if marginal[m, n] <= 0:
+                dropped += 1
+                continue
+            support.append((-tech.signals[m], tech.signals[n]))
+            probs.append(marginal[m, n])
+            values.append(nu[m, n])
+    return BeliefOverProfiles(tuple(support), np.array(probs), np.array(values)), dropped
+
+
+def attention_frontier_noisy(tech, spec: UtilitySpec, a1_grid, a2_grid, t: float, mu: float,
+                             level_probs=(0.5, 0.5)) -> np.ndarray:
+    """Noisy frontier by building one signal belief per (a1, a2) pair."""
+    p = np.asarray(level_probs, dtype=float)
+    out = np.full((len(a1_grid), 2), np.nan)
+    for i, a1 in enumerate(np.asarray(a1_grid, dtype=float)):
+        out[i, 0] = a1
+        for a2 in np.asarray(a2_grid, dtype=float):
+            if a2 <= a1 + EXACT:
+                continue
+            belief, _ = signal_belief(tech, spec, (a1, a2), np.outer(p, p), t)
+            if attention_membership(belief, mu):
+                out[i, 1] = a2
+                break
+    return out

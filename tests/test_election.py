@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import rivote.election
 from rivote.core import SymmetryError, UtilitySpec, ValidationError
 from rivote.election import (
     MatrixTriple,
@@ -26,6 +28,7 @@ from rivote.solver import (
     log_mean_exp,
     solve_attention,
 )
+from tests.conftest import two_level_belief
 
 
 class TestDownsianWinner:
@@ -290,3 +293,51 @@ def test_median_moment_strict_on_random_symmetric_matrices(abs_spec):
         mu = float(rng.uniform(0.05, 5.0))
         belief = profile_belief(abs_spec, a, sigma, 0.0)
         assert float(log_mean_exp(belief.values, belief.probs, mu)) > 0.0
+
+
+def pairwise_frontier(spec, a1_grid, a2_grid, t, mu, level_probs=(0.5, 0.5)):
+    """First attentive a2 per a1 from one profile belief per pair."""
+    out = []
+    for a1 in a1_grid:
+        hit = next((a2 for a2 in a2_grid if a2 > a1 + 1e-12 and attention_membership(
+            two_level_belief(spec, a1, a2, t, level_probs), mu)), math.nan)
+        out.append((a1, hit))
+    return np.array(out, dtype=float).reshape(len(a1_grid), 2)
+
+
+class TestFrontierScan:
+    A1 = np.arange(0.01, 0.7, 0.03)
+    A2 = np.arange(0.01, 1.0, 0.02)
+
+    @pytest.mark.parametrize("family", ["absolute", "quadratic"])
+    @pytest.mark.parametrize("t, mu, level_probs", [
+        (-0.001, 10.0, (0.5, 0.5)), (-0.05, 0.1, (0.3, 0.7)), (0.2, 1.0, (0.5, 0.5))])
+    def test_equals_one_belief_per_pair(self, family, t, mu, level_probs):
+        spec = UtilitySpec(family=family)
+        got = attention_frontier(spec, self.A1, self.A2, t, mu, level_probs)
+        want = pairwise_frontier(spec, self.A1, self.A2, t, mu, level_probs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 64, 2 ** 15])
+    def test_row_chunks_do_not_change_the_frontier(self, monkeypatch, abs_spec, chunk):
+        a1, a2 = np.arange(0.005, 0.7 + 0.0025, 0.005), np.arange(0.005, 1.0 + 0.0025, 0.005)
+        want = attention_frontier(abs_spec, a1, a2, -0.001, 10.0)
+        monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+        assert attention_frontier(abs_spec, a1, a2, -0.001, 10.0).tobytes() == want.tobytes()
+
+    def test_empty_grids(self, abs_spec):
+        assert attention_frontier(abs_spec, self.A1, [], -0.001, 10.0).shape == (len(self.A1), 2)
+        assert np.all(np.isnan(attention_frontier(abs_spec, self.A1, [], -0.001, 10.0)[:, 1]))
+        assert attention_frontier(abs_spec, [], self.A2, -0.001, 10.0).shape == (0, 2)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_mu_refused(self, abs_spec, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # mu = 0 used to divide by zero first
+            with pytest.raises(ValidationError, match="mu must be positive"):
+                attention_frontier(abs_spec, self.A1, self.A2, -0.001, mu)
+
+    @pytest.mark.parametrize("level_probs", [(1.0, 0.0), (0.6, 0.6), (0.2, 0.3, 0.5)])
+    def test_bad_level_probabilities_refused(self, abs_spec, level_probs):
+        with pytest.raises(ValidationError, match="level probabilities"):
+            attention_frontier(abs_spec, self.A1, self.A2, -0.001, 10.0, level_probs)

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import rivote.election
+import rivote.news
 from rivote.cli import main
-from rivote.core import ValidationError
+from rivote.core import UtilitySpec, ValidationError
 from rivote.election import (
     assignment_for,
     enumerate_equilibria,
@@ -15,6 +18,7 @@ from rivote.election import (
 from rivote.news import (
     MarkovKernel,
     NewsTechnology,
+    attention_frontier_noisy,
     check_log_supermodularity,
     downsian_signal_matrix,
     enumerate_equilibria_noisy,
@@ -26,7 +30,8 @@ from rivote.news import (
 )
 from rivote.presets import figure2_scenario, figure3_scenario
 from rivote.scenario_io import dump_scenario, scenario_from_dict
-from rivote.solver import attention_membership, solve_attention
+from rivote.solver import attention_membership, log_mean_exp, solve_attention
+from tests import oracles
 from tests.oracles import (
     bayes_posterior_differential,
     random_kernel,
@@ -389,3 +394,136 @@ class TestGarblingProperties:
             _, nu = posterior_value_matrix(tech, abs_spec, policies, sigma, 0.0)
             assert nu[k - 1, 0] >= bound - 1e-12
         assert checked >= 10
+
+SCAN = np.arange(0.02, 1.0, 0.02)
+# (t, mu): some rows without a hit, every row hitting, no row hitting, a steep cost
+FRONTIER_CASES = [(-0.001, 1.0), (0.2, 0.05), (-0.3, 10.0), (-0.001, 0.01)]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestNoisyFrontierAgainstOracle:
+    @pytest.mark.parametrize("xi", [0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("family", ["absolute", "quadratic"])
+    @pytest.mark.parametrize("t, mu", FRONTIER_CASES)
+    def test_exact_frontier(self, xi, family, t, mu):
+        tech, spec = NewsTechnology.slant(xi), UtilitySpec(family=family)
+        got = attention_frontier_noisy(tech, spec, SCAN, SCAN, t, mu)
+        want = oracles.attention_frontier_noisy(tech, spec, SCAN, SCAN, t, mu)
+        assert _bits(got) == _bits(want)  # NaN in the same rows, too
+
+    def test_cases_cover_partial_full_and_empty_rows(self, abs_spec):
+        tech = NewsTechnology.slant(0.75)
+        hits = [np.count_nonzero(~np.isnan(attention_frontier_noisy(
+            tech, abs_spec, SCAN, SCAN, t, mu)[:, 1])) for t, mu in FRONTIER_CASES[:3]]
+        # the last a1 has no a2 above it, so at most 48 of 49 rows can hit
+        assert 0 < hits[0] < 48 and hits[1] == 48 and hits[2] == 0
+
+    def test_uneven_levels_and_empty_a2_grid(self, quad_spec):
+        tech = NewsTechnology.slant(0.6)
+        got = attention_frontier_noisy(tech, quad_spec, SCAN, SCAN, -0.001, 0.05, (0.3, 0.7))
+        want = oracles.attention_frontier_noisy(tech, quad_spec, SCAN, SCAN, -0.001, 0.05,
+                                                (0.3, 0.7))
+        assert _bits(got) == _bits(want)
+        empty = attention_frontier_noisy(tech, quad_spec, SCAN, [], -0.001, 0.05)
+        assert _bits(empty) == _bits(oracles.attention_frontier_noisy(
+            tech, quad_spec, SCAN, [], -0.001, 0.05))
+        assert empty.shape == (len(SCAN), 2) and np.all(np.isnan(empty[:, 1]))
+
+    @pytest.mark.parametrize("t, mu", FRONTIER_CASES)
+    def test_revealing_technology_drops_profiles(self, abs_spec, t, mu):
+        grid = (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75)
+        tech = NewsTechnology.revealing(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # masked cells divide nothing by 0
+            with pytest.warns(UserWarning, match="zero-probability"):
+                got = attention_frontier_noisy(tech, abs_spec, grid, grid, t, mu)
+        want = oracles.attention_frontier_noisy(tech, abs_spec, grid, grid, t, mu)
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("xi", [0.6, 0.9])
+    @pytest.mark.parametrize("t, mu", FRONTIER_CASES[:2])
+    def test_per_pair_log_moment_is_bitwise(self, monkeypatch, quad_spec, xi, t, mu):
+        """Full support: every scanned pair's log E[exp(v/mu)] is the oracle's."""
+        batches = []
+
+        def recording(values, probs, mu_):
+            batches.append(log_mean_exp(values, probs, mu_))
+            return attentive(values, probs, mu_)
+
+        attentive = rivote.news.attentive
+        monkeypatch.setattr(rivote.news, "attentive", recording)
+        tech = NewsTechnology.slant(xi)
+        attention_frontier_noisy(tech, quad_spec, SCAN, SCAN, t, mu)
+        got = np.concatenate(batches)
+        sigma = np.full((2, 2), 0.25)
+        # scanned pairs, row-major: chunks are consecutive blocks of a1 rows
+        pairs = [(a1, a2) for a1 in SCAN for a2 in SCAN if a2 > a1 + 1e-12]
+        want = [log_mean_exp(b.values, b.probs, mu) for b in (
+            oracles.signal_belief(tech, quad_spec, pair, sigma, t)[0] for pair in pairs)]
+        assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("chunk", [1, 50, 2 ** 15])
+    def test_row_chunks_do_not_change_the_frontier(self, monkeypatch, abs_spec, chunk):
+        tech = NewsTechnology.slant(0.75)
+        want = oracles.attention_frontier_noisy(tech, abs_spec, SCAN, SCAN, -0.001, 1.0)
+        monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+        assert _bits(attention_frontier_noisy(tech, abs_spec, SCAN, SCAN, -0.001, 1.0)) \
+            == _bits(want)
+
+
+class TestBatchedPosterior:
+    @pytest.mark.parametrize("tech", [NewsTechnology.slant(0.75),
+                                      NewsTechnology.revealing((0.1, 0.3, 0.5, 0.7))])
+    def test_signal_belief_matches_per_profile_loop(self, quad_spec, tech):
+        rng = np.random.default_rng(5)
+        for levels in ((0.1, 0.3), (0.1, 0.5, 0.7), (0.1, 0.3, 0.5, 0.7)):
+            sigma = random_symmetric_sigma(rng, len(levels))
+            want, dropped = oracles.signal_belief(tech, quad_spec, levels, sigma, 0.05)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = signal_belief(tech, quad_spec, levels, sigma, 0.05)
+            assert len(caught) == (1 if dropped else 0)
+            assert got.support == want.support
+            assert _bits(got.probs) == _bits(want.probs)
+            assert _bits(got.values) == _bits(want.values)
+
+    def test_leading_axes_equal_one_game_at_a_time(self, abs_spec):
+        tech = NewsTechnology.slant(0.6)
+        levels = np.array([[0.1, 0.4], [0.2, 0.9], [0.3, 0.3]])
+        sigma = np.full((2, 2), 0.25)
+        marginal, nu = posterior_value_matrix(tech, abs_spec, levels, sigma, -0.05)
+        for i, lv in enumerate(levels):
+            m1, nu1 = oracles.posterior_value_matrix(tech, abs_spec, lv, sigma, -0.05)
+            assert _bits(marginal[i]) == _bits(m1) and _bits(nu[i]) == _bits(nu1)
+
+
+class TestNoisyFrontierInputs:
+    @pytest.mark.parametrize("chunk", [1, 2 ** 15])
+    def test_one_warning_counts_every_dropped_profile(self, monkeypatch, abs_spec, chunk):
+        monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+        grid = (0.2, 0.4, 0.6)
+        tech = NewsTechnology.revealing(grid)
+        sigma = np.full((2, 2), 0.25)
+        expected = sum(oracles.signal_belief(tech, abs_spec, (a1, a2), sigma, -0.001)[1]
+                       for a1 in grid for a2 in grid if a2 > a1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            attention_frontier_noisy(tech, abs_spec, grid, grid, -0.001, 1.0)
+        assert [str(w.message).split()[:2] for w in caught] == [["dropped", str(expected)]]
+
+    @pytest.mark.parametrize("level_probs", [(1.0, 0.0), (0.6, 0.6), (0.2, 0.3, 0.5)])
+    def test_bad_level_probabilities_refused(self, abs_spec, level_probs):
+        with pytest.raises(ValidationError, match="level probabilities"):
+            attention_frontier_noisy(NewsTechnology.slant(0.75), abs_spec, SCAN, SCAN,
+                                     -0.001, 1.0, level_probs)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_mu_refused(self, abs_spec, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="mu must be positive"):
+                attention_frontier_noisy(NewsTechnology.slant(0.75), abs_spec, SCAN, SCAN,
+                                         -0.001, mu)

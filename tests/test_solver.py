@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from rivote.solver import (
     mutual_information,
     solve_attention,
 )
+from tests import oracles
 from tests.conftest import two_level_belief
 
 
@@ -320,3 +324,71 @@ class TestOracleEquivalence:
             brute = brute_force_objective_max(values, probs, mu)
             assert sol.objective(belief, mu) >= brute - 1e-9
             assert abs(sol.objective(belief, mu) - brute) <= 1e-4
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same_solution(belief, mu):
+    """The solver and the one-step-at-a-time oracle agree bit for bit."""
+    got, want = solve_attention(belief, mu), oracles.solve_attention(belief, mu)
+    assert got.regime == want.regime
+    for field in ("m_bar", "likelihood_ratio", "m", "info", "residual"):
+        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+    return got
+
+
+@st.composite
+def oracle_beliefs(draw):
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)) + [0.0]
+    value = st.one_of(st.sampled_from(pool), st.floats(-1.0, 1.0))  # ties are common
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    mu = 10.0 ** draw(st.floats(-3.0, 1.0))    # mu = 1e-3 puts |v|/mu near 1000
+    return BeliefOverProfiles(tuple(range(n)), weights / weights.sum(),
+                              scale * np.array(values)), mu
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(oracle_beliefs())
+    def test_bitwise_property(self, case):
+        assert_same_solution(*case)
+
+    @pytest.mark.parametrize("values, probs, mu, regime", [
+        ((-0.3, -0.1, -0.2), (0.2, 0.5, 0.3), 0.1, "corner_zero"),
+        ((0.3, 0.1, 0.2), (0.2, 0.5, 0.3), 0.1, "corner_one"),
+        ((0.4, 0.4, -0.5, -0.5), (0.25, 0.25, 0.25, 0.25), 0.2, "interior"),  # ties
+        ((0.0,), (1.0,), 0.5, "interior"),                                      # one point
+        ((0.25,), (1.0,), 0.5, "corner_one"),
+        ((0.8, -0.9, 0.001, -0.001), (0.1, 0.6, 0.2, 0.1), 1e-3, "interior"),  # |v|/mu 900
+        ((0.75, -0.75), (0.5, 0.5), 1e-3, "interior"),
+    ])
+    def test_bitwise_cases(self, values, probs, mu, regime):
+        belief = BeliefOverProfiles(tuple(range(len(values))), probs, values)
+        assert assert_same_solution(belief, mu).regime == regime
+
+    def test_bitwise_on_benchmark_belief_stream(self):
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        from rivote import NewsTechnology, UtilitySpec, profile_belief, signal_belief
+
+        techs = {f"slant_{xi}": NewsTechnology.slant(xi) for xi in workloads.NOISY_XIS}
+        techs["revealing"] = NewsTechnology.revealing(workloads.REVEAL_GRID)
+        specs = {f: UtilitySpec(family=f) for f in ("absolute", "quadratic")}
+        regimes = []
+        for item in workloads.belief_stream(0):
+            p = np.array(item["probs"])
+            args = (specs[item["family"]], item["levels"], np.outer(p, p), item["t"])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # revealing beliefs drop profiles
+                belief = (profile_belief(*args) if item["news"] is None
+                          else signal_belief(techs[item["news"]], *args))
+            regimes.append(assert_same_solution(belief, item["mu"]).regime)
+        assert len(regimes) == workloads.N_BELIEFS
+        assert {"corner_zero", "corner_one", "interior"} <= set(regimes)
