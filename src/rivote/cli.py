@@ -134,7 +134,7 @@ def _cmd_validate(manifest: RunManifest, args) -> int:
 
 def _cmd_solve_attention(manifest: RunManifest, args) -> int:
     doc, scenario = manifest.load()
-    policies = tuple(float(x) for x in args.policies.split(","))
+    policies = tuple(_floats(args.policies.split(","), "--policies"))
     if len(policies) != len(scenario.beta_types.types):
         raise ValidationError("--policies must assign one policy per beta type")
     assignment = assignment_for(scenario, policies)
@@ -177,16 +177,26 @@ def _cmd_enumerate(manifest: RunManifest, args) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> np.ndarray:
-    lo, hi, step = (float(x) for x in spec.split(":"))
+def _floats(parts: list[str], flag: str) -> list[float]:
+    try:
+        return [float(x) for x in parts]
+    except ValueError as exc:
+        raise ValidationError(f"{flag}: {exc}") from None
+
+
+def _parse_range(spec: str, flag: str) -> np.ndarray:
+    bounds = _floats(spec.split(":"), flag)
+    if len(bounds) != 3 or not np.all(np.isfinite(bounds)) or bounds[2] <= 0:
+        raise ValidationError(f"{flag} expects lo:hi:step with a positive step, got {spec!r}")
+    lo, hi, step = bounds
     return np.arange(lo, hi + step / 2, step)
 
 
 def _cmd_attention_set(manifest: RunManifest, args) -> int:
     doc, scenario = manifest.load()
     t = args.t if args.t is not None else scenario.electorate.groups[0][0]
-    a1 = _parse_range(args.a1)
-    a2 = _parse_range(args.a2 or args.a1)
+    a1 = _parse_range(args.a1, "--a1")
+    a2 = _parse_range(args.a2, "--a2") if args.a2 else a1
     if scenario.news is not None:
         frontier = attention_frontier_noisy(
             scenario.news, scenario.utility, a1, a2, t, scenario.mu
@@ -204,10 +214,13 @@ def _cmd_garble(manifest: RunManifest, args) -> int:
         raise ValidationError("garble needs a scenario with a news section")
     tech = scenario.news
     if args.kernel:
-        kernel = MarkovKernel(np.array(load_scenario_dict(args.kernel)["rows"], dtype=float))
+        try:
+            kernel = MarkovKernel(np.array(load_scenario_dict(args.kernel)["rows"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"{args.kernel}: expected numeric 'rows' ({exc!r})") from None
+    elif args.lam is None:
+        raise ValidationError("garble needs --kernel FILE or --lam WEIGHT")
     else:
-        if args.lam is None:
-            raise ValidationError("garble needs --kernel FILE or --lam WEIGHT")
         kernel = MarkovKernel.slant_shift(args.lam)
     garbled = tech.garbled(kernel)
     grid = scenario.beta_axis.values
@@ -256,7 +269,7 @@ def _sweep_point(doc: dict, param: str, value: float, t: float | None):
 
 def _cmd_sweep(manifest: RunManifest, args) -> int:
     doc, _scenario = manifest.load()
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    values = _floats([v for v in args.values.split(",") if v.strip()], "--values")
     if not values:
         raise ValidationError("sweep needs at least one value")
     with ThreadPoolExecutor(max_workers=manifest.threads) as pool:

@@ -508,12 +508,9 @@ def attention_frontier(spec: UtilitySpec, a1_grid, a2_grid, t: float, mu: float,
     attention (NaN when no grid point qualifies).  Rows are (a1, a2).
     """
     def attentive_pairs(a1, a2, p):
-        probs = np.outer(p, p).ravel()
-        u1, u1_alpha = utility(spec, a1, t), utility(spec, -a1, t)
-        u2, u2_alpha = utility(spec, a2, t), utility(spec, -a2, t)
-        # profiles (-a1,a1), (-a1,a2), (-a2,a1), (-a2,a2) per pair
-        values = np.stack([u1 - u1_alpha, u2 - u1_alpha, u1 - u2_alpha, u2 - u2_alpha], axis=-1)
-        return attentive(values, probs, mu)
+        # per pair, the four profile values in profile_belief's order
+        values = value_matrix(spec, np.stack([a1, a2], -1), t).reshape(-1, 4)
+        return attentive(values, np.outer(p, p).ravel(), mu)
 
     return frontier_scan(a1_grid, a2_grid, mu, level_probs, attentive_pairs, 4)
 

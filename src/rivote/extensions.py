@@ -134,10 +134,14 @@ def enumerate_equilibria_commitment(
 
 @dataclass(frozen=True)
 class Frontier:
-    """Feasible trade-off curve b = B(a) between the two issues."""
+    """Feasible trade-off curve b = B(a) between the two issues.
 
-    b: Callable[[float], float]
-    b_prime: Callable[[float], float]
+    ``b`` and ``b_prime`` must broadcast over numpy arrays of ``a``, as
+    ``rivote.utility`` does.
+    """
+
+    b: Callable
+    b_prime: Callable
     label: str = "custom"
 
 
@@ -145,14 +149,14 @@ def quarter_circle_frontier() -> Frontier:
     """Preset frontier: quarter circle of radius 2 centred at (-1, -1), with
     zero slope at a = -1 and unbounded slope at a = 1."""
 
-    def b(a: float) -> float:
-        return -1.0 + math.sqrt(max(4.0 - (a + 1.0) ** 2, 0.0))
+    def b(a):
+        x = np.asarray(a, dtype=float) + 1.0
+        return -1.0 + np.sqrt(np.maximum(4.0 - x * x, 0.0))
 
-    def b_prime(a: float) -> float:
-        rad = 4.0 - (a + 1.0) ** 2
-        if rad <= 0:
-            return -math.inf
-        return -(a + 1.0) / math.sqrt(rad)
+    def b_prime(a):
+        x = np.asarray(a, dtype=float) + 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x * x < 4.0, -x / np.sqrt(4.0 - x * x), -np.inf)[()]
 
     return Frontier(b, b_prime, label="quarter_circle")
 
@@ -187,17 +191,17 @@ def tabulated_frontier(a_points, b_points) -> Frontier:
     c3 = tilt / h
     c2 = (m - d[:-1]) / h - tilt
 
-    def piece(x: float):
-        k = int(np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2))
-        return k, x - a[k]
+    def piece(x):
+        k = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
+        return k, np.asarray(x, dtype=float) - a[k]
 
-    def b(x: float) -> float:
+    def b(x):
         k, s = piece(x)
-        return float(((c3[k] * s + c2[k]) * s + d[k]) * s + bv[k])
+        return ((c3[k] * s + c2[k]) * s + d[k]) * s + bv[k]
 
-    def b_prime(x: float) -> float:
+    def b_prime(x):
         k, s = piece(x)
-        return float((3.0 * c3[k] * s + 2.0 * c2[k]) * s + d[k])
+        return (3.0 * c3[k] * s + 2.0 * c2[k]) * s + d[k]
 
     return Frontier(b, b_prime, label="table")
 
@@ -206,7 +210,7 @@ def audit_frontier(frontier: Frontier, n: int = 201) -> list[str]:
     """Strict decrease, strict concavity and the endpoint slope conditions,
     checked at sampling resolution on [-1, 1]."""
     grid = np.linspace(-1.0, 1.0, n)
-    vals = np.array([frontier.b(a) for a in grid])
+    vals = frontier.b(grid)
     problems = []
     if np.any(np.diff(vals) >= 0):
         problems.append("frontier is not strictly decreasing on the sample")
@@ -223,12 +227,14 @@ def audit_frontier(frontier: Frontier, n: int = 201) -> list[str]:
 
 def weighted_bliss_utility(bliss: float = 2.0, slope: float = 0.5):
     """Preset two-issue utility: concave bliss-point pulls on both issues with
-    type-dependent weights; higher types weigh issue b more."""
+    type-dependent weights; higher types weigh issue b more.  Broadcasts over
+    its three arguments."""
     if not 0.0 < slope < 1.0:
         raise ValidationError("weight slope must lie in (0, 1)")
 
-    def u2(a: float, b: float, t: float) -> float:
-        return -(1.0 - slope * t) * (a - bliss) ** 2 - (1.0 + slope * t) * (b - bliss) ** 2
+    def u2(a, b, t):
+        da, db = a - bliss, b - bliss
+        return -(1.0 - slope * t) * (da * da) - (1.0 + slope * t) * (db * db)
 
     return u2
 
@@ -236,22 +242,27 @@ def weighted_bliss_utility(bliss: float = 2.0, slope: float = 0.5):
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Golden-section maximiser of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
+def golden_max(f, lo, hi, tol: float = 1e-10):
+    """Golden-section maximiser of a unimodal function on [lo, hi].
+
+    Broadcasts over ``lo`` and ``hi``: ``f`` is called on an array of probe
+    points, one per bracket, and each bracket takes the steps it would take
+    alone until it is no wider than ``tol``.
+    """
+    a, b = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    while np.any(live := b - a > tol):
+        # a live bracket whose peak lies left of d keeps [a, d] and probes a new
+        # c; the others keep [c, b] and probe a new d
+        steps = [live & (fc >= fd), live & ~(fc >= fd)]
+        a, b = np.where(steps[1], c, a), np.where(steps[0], d, b)
+        x = np.where(steps[0], b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = f(x)
+        c, fc, d, fd = (np.select(steps, [x, d], c), np.select(steps, [fx, fd], fc),
+                        np.select(steps, [c, x], d), np.select(steps, [fc, fx], fd))
+    return (0.5 * (a + b))[()]
 
 
 @dataclass(frozen=True)
@@ -269,26 +280,12 @@ class MultiIssueReduction:
 
     def utility_spec(self, **spec_kwargs) -> UtilitySpec:
         """Tabulated voter utility for the augmented single-issue game."""
-        table = TabulatedUtility(
-            self.a_grid,
-            self.t_grid,
-            tuple(tuple(self.uhat_table[:, i]) for i in range(len(self.a_grid))),
-        )
+        table = TabulatedUtility(self.a_grid, self.t_grid, tuple(map(tuple, self.uhat_table.T)))
         return UtilitySpec(family="table", table=table, **spec_kwargs)
 
 
-def _central(f, x: float, h: float = 1e-5):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def multi_issue_reduce(
-    u2,
-    frontier: Frontier,
-    a_grid=None,
-    t_grid=None,
-    lattice: int = 21,
-    tangency_tol: float = 1e-10,
-) -> MultiIssueReduction:
+def multi_issue_reduce(u2, frontier: Frontier, a_grid=None, t_grid=None, lattice: int = 21,
+                       tangency_tol: float = 1e-10) -> MultiIssueReduction:
     """Collapse a two-issue utility onto the frontier.
 
     Audits monotonicity of ``u2`` in both issues and the single-crossing
@@ -297,79 +294,62 @@ def multi_issue_reduce(
     augmented utility uhat(a, t) = u2(a, B(a), t) is tabulated on ``a_grid``,
     tangency points are located by golden-section search, and the shape
     properties expected of uhat are verified by finite differences.
+    ``u2(a, b, t)`` and the frontier must broadcast over numpy arrays, as
+    ``rivote.utility`` does: each audit is one call on a lattice mesh.
     """
     a_grid = np.linspace(-1.0, 1.0, 200) if a_grid is None else np.asarray(a_grid, float)
     t_grid = np.linspace(-1.0, 1.0, 21) if t_grid is None else np.asarray(t_grid, float)
     lat = np.linspace(-1.0, 1.0, lattice)
+    interior = lat[1:-1]
     eps = 1e-9
 
-    # monotonicity of u2 in each issue
-    for t in (t_grid[0], 0.0, t_grid[-1]):
-        for a in lat:
-            for b in lat:
-                if _central(lambda x: u2(x, b, t), a) <= eps:
-                    raise ValidationError(f"u2 is not strictly increasing in a at {(a, b, t)}")
-                if _central(lambda x: u2(a, x, t), b) <= eps:
-                    raise ValidationError(f"u2 is not strictly increasing in b at {(a, b, t)}")
+    def gradient(a, b, t, h=1e-5):
+        """Central differences of u2 in a and in b."""
+        return ((u2(a + h, b, t) - u2(a - h, b, t)) / (2.0 * h),
+                (u2(a, b + h, t) - u2(a, b - h, t)) / (2.0 * h))
 
-    # single crossing: -u2_a/u2_b strictly increasing in t
-    interior = lat[1:-1]
-    for a in interior:
-        for b in interior:
-            slopes = [
-                -_central(lambda x: u2(x, b, t), a) / _central(lambda x: u2(a, x, t), b)
-                for t in t_grid
-            ]
-            for t1, t2, s1, s2 in zip(t_grid, t_grid[1:], slopes, slopes[1:]):
-                if s2 <= s1 + EXACT:
-                    raise ValidationError(
-                        f"single crossing fails at (a, b)={(a, b)}: slope at t={t2} "
-                        f"does not exceed slope at t={t1}"
-                    )
+    # monotonicity of u2 in each issue, on a (t, a, b) mesh
+    mt, ma, mb = np.meshgrid([t_grid[0], 0.0, t_grid[-1]], lat, lat, indexing="ij")
+    bad = np.argwhere(np.stack(gradient(ma, mb, mt), axis=-1) <= eps)  # C order
+    if bad.size:
+        point = tuple(float(m[tuple(bad[0, :3])]) for m in (ma, mb, mt))
+        raise ValidationError(f"u2 is not strictly increasing in {'ab'[bad[0, 3]]} at {point}")
 
-    def uhat(a: float, t: float) -> float:
-        return u2(a, frontier.b(a), t)
+    # single crossing: -u2_a/u2_b strictly increasing in t, on an (a, b, t) mesh
+    u_a, u_b = gradient(*np.meshgrid(interior, interior, t_grid, indexing="ij"))
+    slopes = -u_a / u_b
+    bad = np.argwhere(slopes[..., 1:] <= slopes[..., :-1] + EXACT)
+    if bad.size:
+        i, j, k = bad[0]
+        raise ValidationError(
+            f"single crossing fails at (a, b)={(float(interior[i]), float(interior[j]))}: "
+            f"slope at t={float(t_grid[k + 1])} does not exceed slope at t={float(t_grid[k])}"
+        )
 
-    table = np.array([[uhat(a, t) for a in a_grid] for t in t_grid])
-    tangency = tuple(golden_max(lambda a: uhat(a, t), -1.0, 1.0, tangency_tol) for t in t_grid)
-
-    problems: list[str] = []
-    for row, t, a_star in zip(table, t_grid, tangency):
-        diffs = np.diff(row)
-        before = a_grid[1:] <= a_star
-        after = a_grid[:-1] >= a_star
-        if np.any(diffs[before] <= -eps):
-            problems.append(f"uhat(., {t}) is not increasing left of its peak")
-        if np.any(diffs[after] >= eps):
-            problems.append(f"uhat(., {t}) is not decreasing right of its peak")
-        second = np.diff(row, 2)
-        if np.any(second > -EXACT):
-            problems.append(f"uhat(., {t}) is not strictly concave on the grid")
+    table = u2(a_grid[None, :], frontier.b(a_grid)[None, :], t_grid[:, None])
+    tangency = golden_max(lambda a: u2(a, frontier.b(a), t_grid),
+                          np.full(t_grid.shape, -1.0), 1.0, tangency_tol)
+    diffs = np.diff(table, axis=1)
+    failed = np.stack([
+        np.any((diffs <= -eps) & (a_grid[1:] <= tangency[:, None]), axis=1),
+        np.any((diffs >= eps) & (a_grid[:-1] >= tangency[:, None]), axis=1),
+        np.any(np.diff(table, 2, axis=1) > -EXACT, axis=1),
+    ], axis=1)
+    shapes = ("increasing left of its peak", "decreasing right of its peak",
+              "strictly concave on the grid")
+    problems = [f"uhat(., {t}) is not {shape}"
+                for t, row in zip(t_grid, failed) for shape, flag in zip(shapes, row) if flag]
 
     # increasing differences only asserted under the sign conditions on u2_at, u2_bt
-    u_at = []
-    u_bt = []
-    for a in interior:
-        for b in interior:
-            u_at.append(_central(lambda t: _central(lambda x: u2(x, b, t), a), 0.0, 1e-4))
-            u_bt.append(_central(lambda t: _central(lambda x: u2(a, x, t), b), 0.0, 1e-4))
-    gate = (
-        all(x >= -eps for x in u_at)
-        and all(x <= eps for x in u_bt)
-        and (any(x > eps for x in u_at) or any(x < -eps for x in u_bt))
-    )
-    sid_ok: bool | None = None
-    if gate:
-        inc = np.diff(table, axis=1)
-        sid_ok = bool(np.all(np.diff(inc, axis=0) >= -EXACT))
+    h_t = 1e-4
+    mesh = np.meshgrid(interior, interior, [-h_t, h_t], indexing="ij")
+    u_at, u_bt = (np.diff(g, axis=-1) / (2.0 * h_t) for g in gradient(*mesh))
+    gate = bool(np.all(u_at >= -eps) and np.all(u_bt <= eps)
+                and (np.any(u_at > eps) or np.any(u_bt < -eps)))
+    sid_ok = bool(np.all(np.diff(diffs, axis=0) >= -EXACT)) if gate else None
 
     return MultiIssueReduction(
-        frontier=frontier,
-        a_grid=tuple(float(a) for a in a_grid),
-        t_grid=tuple(float(t) for t in t_grid),
-        uhat_table=table,
-        tangency=tangency,
-        problems=tuple(problems),
-        sid_checked=gate,
-        sid_ok=sid_ok,
+        frontier=frontier, a_grid=tuple(map(float, a_grid)), t_grid=tuple(map(float, t_grid)),
+        uhat_table=table, tangency=tuple(map(float, tangency)), problems=tuple(problems),
+        sid_checked=gate, sid_ok=sid_ok,
     )

@@ -23,6 +23,8 @@ from .core import (
 from .news import NewsTechnology
 
 SCHEMA_VERSION = 1
+_REQUIRED = ("policies", "utility", "candidates", "electorate", "attention")
+_OPTIONAL = ("news", "commitment", "dissemination", "issues")
 
 
 def _number(x) -> bool:
@@ -49,15 +51,16 @@ def _news_from_dict(data: dict, problems: list[str]) -> NewsTechnology | None:
     family = data.get("family")
     try:
         if family == "slant":
+            if not _number(data.get("xi")):
+                problems.append("news.xi: must be a number")
+                return None
             signals = tuple(data.get("signals", (0.25, 0.75)))
             return NewsTechnology.slant(float(data["xi"]), signals)
         if family == "table":
-            return NewsTechnology.from_table(
-                data["signals"], data["policies"], data["rows"]
-            )
+            return NewsTechnology.from_table(data["signals"], data["policies"], data["rows"])
         if family == "revealing":
             return NewsTechnology.revealing(data["policies"])
-    except (KeyError, TypeError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         problems.append(f"news: {exc}")
         return None
     problems.append(f"news.family: unknown family {family!r}")
@@ -86,17 +89,22 @@ def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
         if front == "quarter_circle":
             frontier = quarter_circle_frontier()
         elif isinstance(front, dict):
-            frontier = tabulated_frontier(front["a"], front["b"])
+            a, b = (_numbers(front.get(k), f"issues.frontier.{k}", problems) for k in "ab")
+            if not (a and b):
+                return None
+            frontier = tabulated_frontier(a, b)
         else:
             problems.append(f"issues.frontier: unknown preset {front!r}")
             return None
         u2spec = data.get("utility2", {})
+        if not isinstance(u2spec, dict):
+            problems.append("issues.utility2: expected a JSON object")
+            return None
         if u2spec.get("family", "weighted_bliss") != "weighted_bliss":
             problems.append(f"issues.utility2: unknown family {u2spec.get('family')!r}")
             return None
-        u2 = weighted_bliss_utility(
-            bliss=float(u2spec.get("bliss", 2.0)), slope=float(u2spec.get("slope", 0.5))
-        )
+        u2 = weighted_bliss_utility(bliss=float(u2spec.get("bliss", 2.0)),
+                                    slope=float(u2spec.get("slope", 0.5)))
         def merged(dense, extra):
             # points the table is read at must survive the merge verbatim; drop dense points
             # that would land within rounding distance of them
@@ -109,13 +117,9 @@ def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
         a_grid = merged(np.linspace(-1.0, 1.0, grid_size), lookup_a)
         t_grid = merged(np.linspace(-1.0, 1.0, 21), lookup_t)
         reduction = multi_issue_reduce(u2, frontier, a_grid=a_grid, t_grid=t_grid)
-        return reduction.utility_spec(
-            office_rent=base.office_rent,
-            win_weight=base.win_weight,
-            lose_weight=base.lose_weight,
-            loser_sign=base.loser_sign,
-        )
-    except (KeyError, TypeError, ValidationError) as exc:
+        stage = ("office_rent", "win_weight", "lose_weight", "loser_sign")
+        return reduction.utility_spec(**{name: getattr(base, name) for name in stage})
+    except (TypeError, ValueError, ValidationError) as exc:
         problems.append(f"issues: {exc}")
         return None
 
@@ -126,9 +130,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValidationError("scenario document must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         problems.append(f"schema_version: must be {SCHEMA_VERSION}")
-    for section in ("policies", "utility", "candidates", "electorate", "attention"):
-        if section not in data:
+    for section in _REQUIRED + _OPTIONAL:
+        if section not in data and section in _REQUIRED:
             problems.append(f"{section}: missing required section")
+        elif not isinstance(data.get(section, {}), dict):
+            problems.append(f"{section}: expected a JSON object")
     if problems:
         raise ValidationError("invalid scenario: " + "; ".join(problems))
 
@@ -151,6 +157,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         table = None
         if util.get("family") == "table":
             tbl = util.get("table", {})
+            if not isinstance(tbl, dict):
+                raise TypeError("table: expected a JSON object")
             table = TabulatedUtility(
                 _numbers(tbl.get("a"), "utility.table.a", problems),
                 _numbers(tbl.get("t"), "utility.table.t", problems),
@@ -232,11 +240,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario_dict(path) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON text
+        raise ValidationError(f"{path}: not a readable JSON file ({exc})") from exc
 
 
 def load_scenario(path) -> Scenario:

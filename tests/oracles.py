@@ -6,7 +6,8 @@ oracle builds the full joint table, the utility oracle reads one point at a
 time, and the incentive oracle walks grid x opponent types one scalar payoff
 at a time.  The solver, news-posterior and noisy-frontier oracles are the
 library's earlier loops: one first-order-condition evaluation per bisection
-step, one news profile and one policy pair at a time.
+step, one news profile and one policy pair at a time.  The two-issue oracle
+calls ``u2`` and the frontier one scalar point at a time.
 """
 from __future__ import annotations
 
@@ -34,30 +35,40 @@ def _h(m):
     return -(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m))
 
 
-def _h_fast(m):
-    """Bernoulli entropy via clipped logs: exact inside, 0 at the endpoints."""
-    c = np.clip(m, 1e-300, None)
-    d = np.clip(1.0 - m, 1e-300, None)
-    return -(c * np.log(c) + d * np.log(d))
+def _best_on(grids, probs, values, mu, dtype=np.float64):
+    """Best net objective on the product of four grids, and where it is.
 
-
-def _best_on(grids, probs, values, mu):
-    per = [p * (g * v + mu * _h(g)) for g, p, v in zip(grids, probs, values)]
-    pm = [p * g for g, p in zip(grids, probs)]
-    # cache-friendly: sweep the first two axes in python, vectorise the last two
-    pair_obj = per[2][:, None] + per[3][None, :]
-    pair_m = pm[2][:, None] + pm[3][None, :]
+    Scored in ``dtype``: one point of the first axis per step, over blocks of
+    eight points of the second axis, small enough to stay in cache, with each
+    step's temporaries written in place.  The entropy uses logs clipped at the
+    dtype's smallest normal, so it is exact inside and 0 at the endpoints.
+    """
+    per = [(p * (g * v + mu * _h(g))).astype(dtype) for g, p, v in zip(grids, probs, values)]
+    pm = [(p * g).astype(dtype) for g, p in zip(grids, probs)]
+    mu = dtype(mu)
+    tiny = np.finfo(dtype).tiny
     best = -math.inf
     best_point = None
-    for i0 in range(len(grids[0])):
-        o0, s0 = per[0][i0], pm[0][i0]
-        for i1 in range(len(grids[1])):
-            total = (o0 + per[1][i1] + pair_obj) - mu * _h_fast(s0 + pm[1][i1] + pair_m)
-            flat = int(np.argmax(total))
-            if total.flat[flat] > best:
-                best = float(total.flat[flat])
-                i2, i3 = np.unravel_index(flat, total.shape)
-                best_point = (grids[0][i0], grids[1][i1], grids[2][i2], grids[3][i3])
+    for lo in range(0, len(grids[1]), 8):
+        # the last three axes' objective and mean attention, less the first axis's
+        obj = per[1][lo:lo + 8, None, None] + per[2][:, None] + per[3]
+        m = pm[1][lo:lo + 8, None, None] + pm[2][:, None] + pm[3]
+        x, y, log = (np.empty_like(m) for _ in range(3))
+        for i0, (o0, s0) in enumerate(zip(per[0], pm[0])):
+            np.add(m, s0, out=x)
+            np.subtract(1.0, x, out=y)
+            np.maximum(x, tiny, out=x)
+            np.maximum(y, tiny, out=y)
+            x *= np.log(x, out=log)
+            y *= np.log(y, out=log)
+            x += y
+            x *= mu
+            x += obj  # the net objective, less o0
+            flat = int(np.argmax(x))
+            if x.flat[flat] + o0 > best:
+                best = float(x.flat[flat] + o0)
+                i1, i2, i3 = np.unravel_index(flat, x.shape)
+                best_point = (grids[0][i0], grids[1][lo + i1], grids[2][i2], grids[3][i3])
     return best, best_point
 
 
@@ -67,21 +78,22 @@ def brute_force_objective_max(values, probs, mu, coarse=0.01, fine=0.0005):
     Full sweep at step ``coarse``, then a local refinement at step ``fine``
     around the best coarse point.  The net objective is concave in the
     choice probabilities, so one refinement box suffices; the coarse pass
-    only locates it (single precision is plenty for that) and the refined
-    pass computes the value in double precision.
+    only locates it, in single precision, and the refined pass computes the
+    value in double precision.  Returns the refined maximum and the coarse
+    point.
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     assert len(values) == 4
 
     coarse_grid = np.arange(0.0, 1.0 + coarse / 2, coarse)
-    _, point = _best_on([coarse_grid] * 4, probs, values, mu)
+    _, point = _best_on([coarse_grid] * 4, probs, values, mu, np.float32)
     fine_grids = [
         np.unique(np.clip(np.arange(c - coarse, c + coarse + fine / 2, fine), 0.0, 1.0))
         for c in point
     ]
     refined, _ = _best_on(fine_grids, probs, values, mu)
-    return refined
+    return refined, point
 
 
 def random_tp2_technology(rng, n_policies=4, k=None):
@@ -391,3 +403,115 @@ def attention_frontier_noisy(tech, spec: UtilitySpec, a1_grid, a2_grid, t: float
                 out[i, 1] = a2
                 break
     return out
+
+
+# ---------------------------------------------------------------------------
+# Two-issue reduction oracle: one scalar u2 call at a time
+# ---------------------------------------------------------------------------
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Golden-section maximiser of a unimodal function on [lo, hi]."""
+    a, b = lo, hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _central(f, x: float, h: float = 1e-5):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def multi_issue_reduce(u2, frontier, a_grid=None, t_grid=None, lattice: int = 21,
+                       tangency_tol: float = 1e-10):
+    """The two-issue reduction by per-point central differences and one
+    golden-section search per type."""
+    from rivote.extensions import MultiIssueReduction
+
+    a_grid = np.linspace(-1.0, 1.0, 200) if a_grid is None else np.asarray(a_grid, float)
+    t_grid = np.linspace(-1.0, 1.0, 21) if t_grid is None else np.asarray(t_grid, float)
+    lat = np.linspace(-1.0, 1.0, lattice)
+    eps = 1e-9
+
+    # monotonicity of u2 in each issue
+    for t in (t_grid[0], 0.0, t_grid[-1]):
+        for a in lat:
+            for b in lat:
+                if _central(lambda x: u2(x, b, t), a) <= eps:
+                    raise ValidationError(f"u2 is not strictly increasing in a at {(a, b, t)}")
+                if _central(lambda x: u2(a, x, t), b) <= eps:
+                    raise ValidationError(f"u2 is not strictly increasing in b at {(a, b, t)}")
+
+    # single crossing: -u2_a/u2_b strictly increasing in t
+    interior = lat[1:-1]
+    for a in interior:
+        for b in interior:
+            slopes = [
+                -_central(lambda x: u2(x, b, t), a) / _central(lambda x: u2(a, x, t), b)
+                for t in t_grid
+            ]
+            for t1, t2, s1, s2 in zip(t_grid, t_grid[1:], slopes, slopes[1:]):
+                if s2 <= s1 + EXACT:
+                    raise ValidationError(
+                        f"single crossing fails at (a, b)={(a, b)}: slope at t={t2} "
+                        f"does not exceed slope at t={t1}"
+                    )
+
+    def uhat(a: float, t: float) -> float:
+        return u2(a, frontier.b(a), t)
+
+    table = np.array([[uhat(a, t) for a in a_grid] for t in t_grid])
+    tangency = tuple(golden_max(lambda a: uhat(a, t), -1.0, 1.0, tangency_tol) for t in t_grid)
+
+    problems: list[str] = []
+    for row, t, a_star in zip(table, t_grid, tangency):
+        diffs = np.diff(row)
+        before = a_grid[1:] <= a_star
+        after = a_grid[:-1] >= a_star
+        if np.any(diffs[before] <= -eps):
+            problems.append(f"uhat(., {t}) is not increasing left of its peak")
+        if np.any(diffs[after] >= eps):
+            problems.append(f"uhat(., {t}) is not decreasing right of its peak")
+        second = np.diff(row, 2)
+        if np.any(second > -EXACT):
+            problems.append(f"uhat(., {t}) is not strictly concave on the grid")
+
+    # increasing differences only asserted under the sign conditions on u2_at, u2_bt
+    u_at = []
+    u_bt = []
+    for a in interior:
+        for b in interior:
+            u_at.append(_central(lambda t: _central(lambda x: u2(x, b, t), a), 0.0, 1e-4))
+            u_bt.append(_central(lambda t: _central(lambda x: u2(a, x, t), b), 0.0, 1e-4))
+    gate = (
+        all(x >= -eps for x in u_at)
+        and all(x <= eps for x in u_bt)
+        and (any(x > eps for x in u_at) or any(x < -eps for x in u_bt))
+    )
+    sid_ok = None
+    if gate:
+        inc = np.diff(table, axis=1)
+        sid_ok = bool(np.all(np.diff(inc, axis=0) >= -EXACT))
+
+    return MultiIssueReduction(
+        frontier=frontier,
+        a_grid=tuple(float(a) for a in a_grid),
+        t_grid=tuple(float(t) for t in t_grid),
+        uhat_table=table,
+        tangency=tangency,
+        problems=tuple(problems),
+        sid_checked=gate,
+        sid_ok=sid_ok,
+    )

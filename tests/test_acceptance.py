@@ -162,16 +162,28 @@ def test_criterion_05_slanted_news_suite():
         assert dists[2] < dists[0]
 
 
+# Coarse-grid indices (step 0.01) of the refinement centres that the oracle's
+# coarse pass found in double precision; its single-precision pass must agree.
+CRITERION_06_CENTRES = [
+    (30, 1, 96, 3), (0, 0, 100, 0), (0, 0, 0, 0), (7, 3, 58, 57),
+    (100, 100, 100, 100), (100, 100, 100, 100), (100, 100, 100, 100), (4, 7, 35, 43),
+    (88, 99, 11, 98), (19, 51, 96, 79), (56, 2, 40, 1), (100, 100, 100, 100),
+    (100, 100, 100, 100), (39, 6, 3, 2), (0, 0, 0, 0), (0, 0, 0, 0),
+    (0, 0, 0, 0), (0, 0, 0, 0), (32, 89, 30, 76), (100, 0, 0, 43),
+]
+
+
 def test_criterion_06_solver_oracle_equivalence():
     with criterion(6, "solver vs brute-force oracle", 30.0):
         rng = np.random.default_rng(20240603)
-        for _ in range(20):
+        for expected_centre in CRITERION_06_CENTRES:
             values = rng.uniform(-1.0, 1.0, 4)
             probs = rng.dirichlet(np.ones(4) * 2.0)
             mu = float(rng.uniform(0.05, 0.5))
             belief = BeliefOverProfiles(tuple(range(4)), probs, values)
             sol = solve_attention(belief, mu)
-            brute = brute_force_objective_max(values, probs, mu)
+            brute, centre = brute_force_objective_max(values, probs, mu)
+            assert tuple(round(c / 0.01) for c in centre) == expected_centre
             assert sol.objective(belief, mu) >= brute - 1e-9
             assert abs(sol.objective(belief, mu) - brute) <= 1e-4
 

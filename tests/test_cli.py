@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from rivote.cli import main
+from rivote.core import ValidationError
 from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
-from rivote.scenario_io import dump_scenario, load_scenario, scenario_hash
+from rivote.scenario_io import dump_scenario, load_scenario, scenario_from_dict, scenario_hash
 
 
 @pytest.fixture()
@@ -63,6 +64,26 @@ class TestValidate:
         bad.write_text("not json {")
         assert main(["validate", "--scenario", str(bad)]) == 2
 
+
+    @pytest.mark.parametrize("section, value, path", [
+        ("attention", 5, "attention"),
+        ("policies", [0.1], "policies"),
+        ("utility", "abs", "utility"),
+        ("electorate", [[0, 1]], "electorate"),
+        ("candidates", 3, "candidates"),
+        ("commitment", 0.5, "commitment"),
+        ("dissemination", 0.1, "dissemination"),
+        ("news", "slant", "news"),
+        ("issues", 3, "issues"),
+        ("news", {"family": "slant", "xi": "a"}, "news.xi"),
+        ("issues", {"frontier": {"a": [-1, "x", 1], "b": [1, 0, -1]}}, "issues.frontier.a"),
+        ("issues", {"utility2": 3}, "issues.utility2"),
+    ])
+    def test_malformed_section_names_its_path(self, section, value, path):
+        doc = figure2_scenario()
+        doc[section] = value
+        with pytest.raises(ValidationError, match=f"invalid scenario: .*{path}: "):
+            scenario_from_dict(doc)
 
 @pytest.fixture()
 def off_table_path(tmp_path):
@@ -240,6 +261,26 @@ class TestSweep:
         assert main(args + ["--out", str(tmp_path / "b"), "--threads", "3"]) == 0
         assert (tmp_path / "a/sweep.csv").read_bytes() == (tmp_path / "b/sweep.csv").read_bytes()
 
+
+@pytest.mark.parametrize("command", [
+    ["attention-set", "--a1", "0:1:0"],
+    ["attention-set", "--a1", "abc"],
+    ["attention-set", "--a1", "0.1:0.5"],
+    ["attention-set", "--a1", "0.1:0.5:0.1", "--a2", "0.1:inf:0.1"],
+    ["solve-attention", "--policies", "x,y"],
+    ["sweep", "--param", "mu", "--values", "a,b"],
+    ["validate", "--scenario", "missing.json"],
+    ["garble", "--kernel", "missing.json"],
+    ["garble", "--kernel", "no_rows.json"],
+    ["garble", "--kernel", "ragged_rows.json"],
+], ids=lambda c: " ".join(c))
+def test_malformed_flags_and_files_exit_2(command, fig3_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no_rows.json").write_text(json.dumps({"matrix": [[1.0]]}))
+    (tmp_path / "ragged_rows.json").write_text(json.dumps({"rows": [[1.0, 0.0], [1.0]]}))
+    scenario = [] if "--scenario" in command else ["--scenario", fig3_path]
+    assert main(command + scenario + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("validation error: ")
 
 class TestReproduce:
     @pytest.mark.parametrize("target", ["table1", "table2"])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from rivote.extensions import (
 from rivote.presets import figure2_scenario
 from rivote.scenario_io import scenario_from_dict
 from rivote.solver import attention_membership, gamma_inverse
+
+from tests import oracles
 
 
 def hurdle(mu, tau=0.001):
@@ -273,3 +276,137 @@ class TestMultiIssue:
         doc["issues"] = {"frontier": "nosuch"}
         with pytest.raises(ValidationError, match="frontier"):
             scenario_from_dict(doc)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _outcome(reduce, *args, **kwargs):
+    """The reduction's fields, or its refusal with numpy scalars printed as floats."""
+    try:
+        red = reduce(*args, **kwargs)
+    except ValidationError as exc:
+        return "refused", re.sub(r"np\.float64\(([^)]*)\)", r"\1", str(exc))
+    return "reduced", red.uhat_table, red.tangency, red.problems, red.sid_checked, red.sid_ok
+
+
+def assert_matches_oracle(u2, frontier, **kwargs):
+    new = _outcome(multi_issue_reduce, u2, frontier, **kwargs)
+    old = _outcome(oracles.multi_issue_reduce, u2, frontier, **kwargs)
+    if "refused" in (new[0], old[0]):  # both refuse at the same first violating point
+        assert new == old
+        return
+    assert _same_bits(new[1], old[1]) and _same_bits(new[2], old[2])
+    assert new[3:] == old[3:]
+
+
+class TestMultiIssueAgainstOracle:
+    """The array reduction equals the scalar loop bitwise."""
+
+    @pytest.mark.parametrize("grids", [
+        {},
+        {"a_grid": np.linspace(-1, 1, 41), "t_grid": np.linspace(-1, 1, 5)},
+        {"a_grid": np.linspace(-1, 1, 200), "lattice": 7},
+    ], ids=["default", "41x5", "lattice7"])
+    def test_preset(self, grids):
+        assert_matches_oracle(weighted_bliss_utility(), quarter_circle_frontier(), **grids)
+
+    @pytest.mark.parametrize("size", [60, 200])
+    def test_issues_section_grids(self, monkeypatch, size):
+        import rivote.extensions
+
+        calls = []
+        reduce = rivote.extensions.multi_issue_reduce
+        monkeypatch.setattr(rivote.extensions, "multi_issue_reduce",
+                            lambda *a, **kw: calls.append((a, kw)) or reduce(*a, **kw))
+        doc = figure2_scenario()
+        doc["issues"] = {"frontier": "quarter_circle", "a_grid_size": size}
+        scenario_from_dict(doc)
+        (args, kwargs), = calls
+        assert len(kwargs["a_grid"]) > size
+        assert_matches_oracle(*args, **kwargs)
+
+    @pytest.mark.parametrize("u2", [
+        lambda a, b, t: -(1 + 0.5 * t) * (a - 2.0) ** 2 - (1 - 0.5 * t) * (b - 2.0) ** 2,
+        lambda a, b, t: -(a - 2.0) ** 2 + (b - 2.0) ** 2,
+        lambda a, b, t: -(a - 0.3) * (a - 0.3) - (b - 2.0) * (b - 2.0),
+    ], ids=["single_crossing", "decreasing_in_b", "peak_in_a"])
+    def test_refusals_name_the_oracle_point(self, u2):
+        with pytest.raises(ValidationError):
+            multi_issue_reduce(u2, quarter_circle_frontier())
+        assert_matches_oracle(u2, quarter_circle_frontier())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bliss=st.floats(0.5, 4.0),
+        slope=st.floats(0.01, 0.99),
+        lattice=st.integers(2, 25),
+        n_a=st.integers(3, 60),
+        t_points=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=9, unique=True),
+        drops=st.one_of(st.none(), st.lists(st.floats(0.05, 1.0), min_size=2, max_size=8)),
+    )
+    def test_property(self, bliss, slope, lattice, n_a, t_points, drops):
+        if drops is None:
+            frontier = quarter_circle_frontier()
+        else:  # concave samples: drops that grow along a
+            a = np.linspace(-1.0, 1.0, len(drops) + 1)
+            frontier = tabulated_frontier(a, 1.0 - np.concatenate([[0.0], np.cumsum(sorted(drops))]))
+        assert_matches_oracle(
+            weighted_bliss_utility(bliss, slope), frontier,
+            a_grid=np.linspace(-1.0, 1.0, n_a), t_grid=np.sort(t_points), lattice=lattice,
+        )
+
+    @pytest.mark.parametrize("grids", [
+        {},
+        {"a_grid": np.linspace(-1, 1, 41), "t_grid": np.linspace(-1, 1, 5)},
+    ], ids=["default", "41x5"])
+    def test_squares_as_products_keep_the_pow_tables(self, grids):
+        # the preset squares by products; with Python's pow the tables and
+        # tangencies of these grids are the same bits
+        def pow_u2(a, b, t):
+            return -(1.0 - 0.5 * t) * (a - 2.0) ** 2 - (1.0 + 0.5 * t) * (b - 2.0) ** 2
+
+        new = multi_issue_reduce(weighted_bliss_utility(), quarter_circle_frontier(), **grids)
+        old = oracles.multi_issue_reduce(pow_u2, quarter_circle_frontier(), **grids)
+        assert _same_bits(new.uhat_table, old.uhat_table)
+        assert _same_bits(new.tangency, old.tangency)
+
+    def test_callables_broadcast_bitwise(self):
+        # dense enough that libm pow(x, 2) and x * x would differ at some points
+        a = np.linspace(-1.3, 1.3, 20001)
+        t = np.array([-1.0, 0.3, 1.0])[:, None]
+        u2 = weighted_bliss_utility(1.7, 0.3)
+        table = tabulated_frontier(np.linspace(-1, 1, 9),
+                                   [1.0, 0.9, 0.7, 0.4, 0.0, -0.5, -1.1, -1.8, -2.6])
+        for frontier in (quarter_circle_frontier(), table):
+            for fn in (frontier.b, frontier.b_prime):
+                assert _same_bits(fn(a), [fn(float(x)) for x in a])
+            b = frontier.b(a)
+            assert _same_bits(u2(a, b, t), [[u2(float(x), float(y), float(s)) for x, y in zip(a, b)]
+                                            for s in t[:, 0]])
+
+    def test_tabulated_frontier_bits_pinned(self):
+        frontier = tabulated_frontier(np.linspace(-1, 1, 9),
+                                      [1.0, 0.9, 0.7, 0.4, 0.0, -0.5, -1.1, -1.8, -2.6])
+        # outside, inside and at the samples; bits of the scalar evaluation before
+        # the callables broadcast
+        xs = np.array([-1.2, -0.55, -0.5, 0.0, 0.37, 0.5, 1.3])
+        expected_b = [float.fromhex(h) for h in (
+            "0x1.fa43fe5c91d14p-1", "0x1.7e97fd28fcc02p-1", "0x1.6666666666666p-1", "0x0.0p+0",
+            "-0x1.8d000717998d4p-1", "-0x1.199999999999ap+0", "-0x1.d7396d0917d6ep+1")]
+        expected_slope = [float.fromhex(h) for h in (
+            "0x1.6b2dbd194238cp-2", "-0x1.da0b321b9469ap-1", "-0x1.eb851eb851ebap-1",
+            "-0x1.c71c71c71c71cp+0", "-0x1.333ce110d4d75p+1", "-0x1.4ad4ad4ad4ad5p+1",
+            "-0x1.e52bd3c361142p+1")]
+        assert _same_bits(frontier.b(xs), expected_b)
+        assert _same_bits(frontier.b_prime(xs), expected_slope)
+        assert _same_bits([frontier.b(x) for x in xs], expected_b)
+
+    def test_golden_max_broadcasts_over_brackets(self):
+        peaks = np.array([0.3, -0.2, 0.9])
+        lo = np.array([-1.0, -1.0, 0.0])
+        found = golden_max(lambda a: -(a - peaks) * (a - peaks), lo, 1.0, 1e-10)
+        for peak, start, x in zip(peaks, lo, found):
+            assert x == oracles.golden_max(lambda a: -(a - peak) * (a - peak), start, 1.0, 1e-10)

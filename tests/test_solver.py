@@ -309,7 +309,7 @@ class TestOracleEquivalence:
         belief = table_belief(-0.05)
         mu = 0.09
         sol = solve_attention(belief, mu)
-        brute = brute_force_objective_max(belief.values, belief.probs, mu)
+        brute, _ = brute_force_objective_max(belief.values, belief.probs, mu)
         assert sol.objective(belief, mu) >= brute - 1e-9
         assert abs(sol.objective(belief, mu) - brute) <= 1e-4
 
@@ -321,7 +321,7 @@ class TestOracleEquivalence:
             mu = rng.uniform(0.05, 0.5)
             belief = BeliefOverProfiles(tuple(range(4)), probs, values)
             sol = solve_attention(belief, mu)
-            brute = brute_force_objective_max(values, probs, mu)
+            brute, _ = brute_force_objective_max(values, probs, mu)
             assert sol.objective(belief, mu) >= brute - 1e-9
             assert abs(sol.objective(belief, mu) - brute) <= 1e-4
 
