@@ -24,7 +24,6 @@ from .core import (
 )
 from .election import (
     EquilibriumRecord,
-    MatrixTriple,
     StrategyAssignment,
     aggregate_and_rationalize,
     assignment_for,

@@ -168,7 +168,7 @@ def _cmd_enumerate(manifest: RunManifest, args) -> int:
             r.kind,
             "|".join(repr(t) for t in r.assignment.types),
             "|".join(repr(a) for a in r.assignment.policies),
-            "|".join(repr(a) for a in r.triple.a_values),
+            "|".join(repr(a) for a in r.assignment.levels),
             r.min_gap,
             "|".join(repr(t) for t, flag in r.attentive if flag),
             r.total_information(weights),

@@ -20,7 +20,6 @@ TOL = 1e-9      # default tolerance for threshold comparisons
 EXACT = 1e-12   # tolerance for identities expected to hold to rounding error
 
 VoterFamily = Literal["absolute", "quadratic", "table"]
-Side = Literal["alpha", "beta"]
 
 
 class ValidationError(ValueError):
@@ -41,14 +40,10 @@ class NumericError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PolicyAxis:
-    """Finite policy grid for one candidate.
-
-    Candidate beta draws from (0, 1], candidate alpha from [-1, 0); a
-    symmetric game uses exact mirror grids (``axis.mirrored()``).
-    """
+    """Candidate beta's finite policy grid in (0, 1]; candidate alpha draws
+    from its mirror image, ``alpha_values``."""
 
     values: tuple[float, ...]
-    side: Side = "beta"
 
     def __post_init__(self) -> None:
         vals = tuple(float(v) for v in self.values)
@@ -57,25 +52,13 @@ class PolicyAxis:
             raise ValidationError("policy axis is empty")
         if any(hi <= lo for lo, hi in zip(vals, vals[1:])):
             raise ValidationError("policy values must be strictly increasing")
-        if self.side == "beta":
-            if vals[0] <= 0.0 or vals[-1] > 1.0:
-                raise ValidationError("beta policies must lie in (0, 1]")
-        elif self.side == "alpha":
-            if vals[0] < -1.0 or vals[-1] >= 0.0:
-                raise ValidationError("alpha policies must lie in [-1, 0)")
-        else:
-            raise ValidationError(f"unknown candidate side {self.side!r}")
+        if vals[0] <= 0.0 or vals[-1] > 1.0:
+            raise ValidationError("beta policies must lie in (0, 1]")
 
-    def mirrored(self) -> PolicyAxis:
-        other: Side = "alpha" if self.side == "beta" else "beta"
-        return PolicyAxis(tuple(-v for v in reversed(self.values)), other)
-
-    def is_mirror_of(self, other: PolicyAxis) -> bool:
-        return (
-            self.side != other.side
-            and len(self.values) == len(other.values)
-            and all(a == -b for a, b in zip(self.values, reversed(other.values)))
-        )
+    @property
+    def alpha_values(self) -> tuple[float, ...]:
+        """Candidate alpha's grid: beta's negated, ascending."""
+        return tuple(-v for v in reversed(self.values))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +192,10 @@ def _partisan_gaps(spec: UtilitySpec, alpha_values, beta_values, types) -> np.nd
 
 @dataclass(frozen=True)
 class CandidateSpec:
-    """Finite type distribution of one candidate; types sorted ascending."""
+    """Finite type distribution of candidate beta, types sorted ascending in
+    (0, 1]; candidate alpha's types are the mirror image."""
 
     types: tuple[tuple[float, float], ...]  # (type, probability)
-    side: Side = "beta"
 
     def __post_init__(self) -> None:
         pairs = tuple(sorted((float(t), float(p)) for t, p in self.types))
@@ -225,11 +208,8 @@ class CandidateSpec:
             raise ValidationError("type probabilities must sum to 1")
         if any(t2 == t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):
             raise ValidationError("duplicate candidate types")
-        lo, hi = pairs[0][0], pairs[-1][0]
-        if self.side == "beta" and (lo <= 0 or hi > 1):
+        if pairs[0][0] <= 0 or pairs[-1][0] > 1:
             raise ValidationError("beta types must lie in (0, 1]")
-        if self.side == "alpha" and (lo < -1 or hi >= 0):
-            raise ValidationError("alpha types must lie in [-1, 0)")
 
     @property
     def type_values(self) -> tuple[float, ...]:
@@ -238,21 +218,6 @@ class CandidateSpec:
     @property
     def type_probs(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.types)
-
-    def mirrored(self) -> CandidateSpec:
-        other: Side = "alpha" if self.side == "beta" else "beta"
-        return CandidateSpec(tuple((-t, p) for t, p in reversed(self.types)), other)
-
-    def is_mirror_of(self, other: CandidateSpec) -> bool:
-        mine = self.mirrored()
-        return (
-            self.side != other.side
-            and len(mine.types) == len(other.types)
-            and all(
-                a == b and abs(p - q) <= EXACT
-                for (a, p), (b, q) in zip(mine.types, other.types)
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -290,12 +255,12 @@ class Electorate:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A full game description; optional sections switch on the extensions."""
+    """A full game description from candidate beta's half: candidate alpha is
+    its mirror image through the median.  Optional sections switch on the
+    extensions."""
 
-    alpha_axis: PolicyAxis
     beta_axis: PolicyAxis
     utility: UtilitySpec
-    alpha_types: CandidateSpec
     beta_types: CandidateSpec
     electorate: Electorate
     mu: float
@@ -304,61 +269,29 @@ class Scenario:
     dissemination_cost: float | None = None
 
     def __post_init__(self) -> None:
-        if self.alpha_axis.side != "alpha" or self.beta_axis.side != "beta":
-            raise ValidationError("scenario axes are on the wrong sides")
-        if self.alpha_types.side != "alpha" or self.beta_types.side != "beta":
-            raise ValidationError("scenario candidate specs are on the wrong sides")
         if not self.mu > 0:
             raise ValidationError("marginal attention cost mu must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ValidationError("commitment level eta must lie in [0, 1]")
+        if self.news is not None and self.eta < 1.0:
+            raise ValidationError("news cannot be combined with limited commitment (eta < 1)")
         if self.dissemination_cost is not None and self.dissemination_cost < 0:
             raise ValidationError("dissemination cost must be >= 0")
 
-    @classmethod
-    def symmetric(
-        cls,
-        beta_policies: tuple[float, ...],
-        utility: UtilitySpec,
-        beta_types: tuple[tuple[float, float], ...],
-        electorate_groups: tuple[tuple[float, float], ...],
-        mu: float,
-        news: "NewsTechnology | None" = None,
-        eta: float = 1.0,
-        dissemination_cost: float | None = None,
-    ) -> Scenario:
-        """Build a mirror-symmetric scenario from candidate beta's half."""
-        beta_axis = PolicyAxis(beta_policies, "beta")
-        bspec = CandidateSpec(beta_types, "beta")
-        return cls(
-            alpha_axis=beta_axis.mirrored(),
-            beta_axis=beta_axis,
-            utility=utility,
-            alpha_types=bspec.mirrored(),
-            beta_types=bspec,
-            electorate=Electorate(electorate_groups),
-            mu=mu,
-            news=news,
-            eta=eta,
-            dissemination_cost=dissemination_cost,
-        )
-
     def kappa(self) -> float:
         positive = tuple(t for t in self.electorate.group_types if t > 0)
-        return derived_kappa(self.utility, self.alpha_axis.values, self.beta_axis.values, positive)
+        return derived_kappa(
+            self.utility, self.beta_axis.alpha_values, self.beta_axis.values, positive)
 
 
 def symmetry_failures(scenario: Scenario) -> list[str]:
-    """Reasons the scenario is not mirror-symmetric (empty list when it is)."""
+    """Reasons the scenario is not mirror-symmetric (empty list when it is):
+    an asymmetric electorate or a tabulated utility that fails the audit."""
     problems: list[str] = []
-    if not scenario.beta_axis.is_mirror_of(scenario.alpha_axis):
-        problems.append("policy axes are not exact mirror images")
-    if not scenario.beta_types.is_mirror_of(scenario.alpha_types):
-        problems.append("candidate type distributions are not mirror images")
     if not scenario.electorate.is_symmetric():
         problems.append("electorate is not symmetric around the median")
     if scenario.utility.family == "table":
-        a_grid = scenario.alpha_axis.values + scenario.beta_axis.values
+        a_grid = scenario.beta_axis.alpha_values + scenario.beta_axis.values
         t_grid = scenario.electorate.group_types + scenario.beta_types.type_values
         t_grid = t_grid + tuple(-t for t in t_grid)
         problems += audit_mirror_symmetry(scenario.utility, a_grid, t_grid)
@@ -450,20 +383,14 @@ def audit_partisan_gap(
 
 def audit_scenario(scenario: Scenario) -> list[str]:
     """All maintained-assumption audits on the configured grids."""
-    a_grid = tuple(sorted(set(scenario.alpha_axis.values + scenario.beta_axis.values)))
-    t_grid = tuple(
-        sorted(
-            set(
-                scenario.electorate.group_types
-                + scenario.beta_types.type_values
-                + scenario.alpha_types.type_values
-            )
-        )
-    )
-    mirrored_a = tuple(sorted(set(a_grid + tuple(-a for a in a_grid))))
+    axis = scenario.beta_axis
+    a_grid = axis.alpha_values + axis.values
+    beta_types = scenario.beta_types.type_values
+    t_grid = tuple(sorted(set(
+        scenario.electorate.group_types + beta_types + tuple(-t for t in beta_types))))
     problems = symmetry_failures(scenario)
-    problems += audit_increasing_differences(scenario.utility, mirrored_a, t_grid)
-    problems += audit_concavity(scenario.utility, mirrored_a, t_grid)
+    problems += audit_increasing_differences(scenario.utility, a_grid, t_grid)
+    problems += audit_concavity(scenario.utility, a_grid, t_grid)
     positive = tuple(t for t in scenario.electorate.group_types if t > 0)
     if positive:
         try:
@@ -472,10 +399,5 @@ def audit_scenario(scenario: Scenario) -> list[str]:
             problems.append(str(exc))
         else:
             problems += audit_partisan_gap(
-                scenario.utility,
-                scenario.alpha_axis.values,
-                scenario.beta_axis.values,
-                positive,
-                kappa,
-            )
+                scenario.utility, axis.alpha_values, axis.values, positive, kappa)
     return problems

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -35,44 +35,8 @@ from .solver import (
 
 
 # ---------------------------------------------------------------------------
-# Matrix representation
+# Strategies and records
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MatrixTriple:
-    """Policy levels a_1 < ... < a_N plus the probability and winning matrices.
-
-    Cell (i, j) stands for the profile (-a_i, a_j); ``w[i, j]`` is candidate
-    beta's winning probability there, one of {0, 1/2, 1}.
-    """
-
-    a_values: tuple[float, ...]
-    sigma: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        a_values = tuple(float(a) for a in self.a_values)
-        sigma = np.array(self.sigma, dtype=float)
-        w = np.array(self.w, dtype=float)
-        sigma.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "a_values", a_values)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "w", w)
-        n = len(a_values)
-        if a_values[0] <= 0 or any(hi <= lo for lo, hi in zip(a_values, a_values[1:])):
-            raise ValidationError("policy levels must be positive and strictly increasing")
-        if sigma.shape != (n, n) or w.shape != (n, n):
-            raise ValidationError("sigma and w must be square of the same order")
-        if np.any(sigma <= 0):
-            raise ValidationError("profile probabilities must be positive")
-        if np.max(np.abs(sigma - sigma.T)) > EXACT:
-            raise ValidationError("probability matrix must be symmetric")
-        if abs(float(sigma.sum()) - 1.0) > EXACT:
-            raise ValidationError("profile probabilities must sum to 1")
-        if not np.all(np.isin(w, (0.0, 0.5, 1.0))):
-            raise ValidationError("winning probabilities must be 0, 1/2 or 1")
-
 
 @dataclass(frozen=True)
 class StrategyAssignment:
@@ -133,12 +97,11 @@ def assignment_for(scenario: Scenario, policies: tuple[float, ...]) -> StrategyA
 
 @dataclass(frozen=True)
 class EquilibriumRecord:
-    """One symmetric equilibrium with its matrices and attention diagnostics;
-    ``belief(t)`` is voter t's belief in the game that produced it."""
+    """One symmetric equilibrium with its attention diagnostics; ``belief(t)``
+    is voter t's belief in the game that produced it, built once per t."""
 
     kind: str                      # "baseline" | "noisy" | "commitment"
     assignment: StrategyAssignment
-    triple: MatrixTriple
     attention: tuple[tuple[float, AttentionSolution], ...]  # (group type, solution)
     attentive: tuple[tuple[float, bool], ...]
     gaps: tuple[tuple[float, float], ...]  # (beta type, deviation slack)
@@ -194,11 +157,6 @@ def downsian_winner(spec: UtilitySpec, a_alpha, a_beta) -> np.ndarray:
 def downsian_matrix(spec: UtilitySpec, a_values) -> np.ndarray:
     a = np.asarray(a_values, dtype=float)
     return downsian_winner(spec, -a[:, None], a[None, :])
-
-
-def matrix_triple(scenario: Scenario, assignment: StrategyAssignment) -> MatrixTriple:
-    levels = assignment.levels
-    return MatrixTriple(levels, assignment.sigma(), downsian_matrix(scenario.utility, levels))
 
 
 def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarray:
@@ -413,14 +371,15 @@ def equilibrium_records(
 
     ``belief(scenario, assignment, t)`` builds voter t's belief in the
     pipeline's game; each record carries it bound to its assignment and
-    attaches every group's attention solution under it.  A group is attentive
-    unless its solution is the ``corner_zero`` regime (``solver.attentive``).
+    cached per t, and attaches every group's attention solution under it.  A
+    group is attentive unless its solution is the ``corner_zero`` regime
+    (``solver.attentive``).
     """
     mu = scenario.mu if mu is None else mu
     records = []
     for row, beta_gaps in kernel.passing(rows):
         assignment = assignment_for(scenario, tuple(kernel.grid[i] for i in row))
-        bound = partial(belief, scenario, assignment)
+        bound = cache(partial(belief, scenario, assignment))
         attention = tuple(
             (t, solve_attention(bound(t), mu)) for t, _ in scenario.electorate.groups
         )
@@ -428,7 +387,6 @@ def equilibrium_records(
         records.append(EquilibriumRecord(
             kind=kind,
             assignment=assignment,
-            triple=matrix_triple(scenario, assignment),
             attention=attention,
             attentive=tuple((t, sol.regime != "corner_zero") for t, sol in attention),
             gaps=beta_gaps,
@@ -460,7 +418,7 @@ def enumerate_equilibria(
     if verify_rationalizable:
         for r in records:
             rationalized = aggregate_and_rationalize(scenario, r.assignment, mu)
-            if not np.array_equal(rationalized, r.triple.w):
+            if not np.array_equal(rationalized, r.expected_w):
                 raise NumericError(
                     "aggregated attention strategies do not rationalize the "
                     f"perfect-observation winner for policies {r.assignment.policies}"
@@ -534,4 +492,4 @@ def truncation_statistic(
     kept = tuple(r for r in records if attention_membership(r.belief(t), mu))
     if not kept:
         return kept, None
-    return kept, min(median_differential(scenario.utility, r.triple.a_values) for r in kept)
+    return kept, min(median_differential(scenario.utility, r.assignment.levels) for r in kept)

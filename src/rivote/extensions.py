@@ -48,7 +48,7 @@ def dissemination_filter(
     """
     weights = dict(scenario.electorate.groups)
     if records:
-        h_max = max(entropy(r.triple.sigma.ravel()) for r in records)
+        h_max = max(entropy(r.assignment.sigma().ravel()) for r in records)
         if not 0.0 < cost < h_max:
             warnings.warn(
                 f"dissemination cost {cost} outside (0, {h_max:.6g}); "

@@ -3,7 +3,9 @@
 Sections: ``policies``, ``utility``, ``candidates``, ``electorate``,
 ``attention``, plus optional ``news``, ``commitment``, ``dissemination`` and
 ``issues``.  A ``schema_version`` field is mandatory.  Validation collects
-every problem with its JSON path before raising.
+every problem with its JSON path before raising.  A scenario describes
+candidate beta; alpha is its mirror image, and an ``alpha`` entry of
+``policies`` or ``candidates`` is accepted only when it restates that image.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import json
 from pathlib import Path
 
 from .core import (
+    EXACT,
     CandidateSpec,
     Electorate,
     PolicyAxis,
@@ -47,24 +50,41 @@ def _numbers(raw, path: str, problems: list[str]) -> tuple[float, ...]:
     return tuple(float(v) for v in raw)
 
 
+def _rows(raw, path: str, problems: list[str]) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(raw, list) or not all(
+        isinstance(r, list) and all(_number(v) for v in r) for r in raw
+    ) or len({len(r) for r in raw}) > 1:
+        problems.append(f"{path}: expected equal-length lists of numbers")
+        return ()
+    return tuple(tuple(float(v) for v in r) for r in raw)
+
+
 def _news_from_dict(data: dict, problems: list[str]) -> NewsTechnology | None:
     family = data.get("family")
+    if family not in ("slant", "table", "revealing"):
+        problems.append(f"news.family: unknown family {family!r}")
+        return None
+    found = len(problems)
+    if family == "slant":
+        if not _number(data.get("xi")):
+            problems.append("news.xi: must be a number")
+        signals = _numbers(data.get("signals", [0.25, 0.75]), "news.signals", problems)
+    if family == "table":
+        signals = _numbers(data.get("signals"), "news.signals", problems)
+        rows = _rows(data.get("rows"), "news.rows", problems)
+    if family in ("table", "revealing"):
+        policies = _numbers(data.get("policies"), "news.policies", problems)
+    if len(problems) > found:
+        return None
     try:
         if family == "slant":
-            if not _number(data.get("xi")):
-                problems.append("news.xi: must be a number")
-                return None
-            signals = tuple(data.get("signals", (0.25, 0.75)))
             return NewsTechnology.slant(float(data["xi"]), signals)
         if family == "table":
-            return NewsTechnology.from_table(data["signals"], data["policies"], data["rows"])
-        if family == "revealing":
-            return NewsTechnology.revealing(data["policies"])
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+            return NewsTechnology.from_table(signals, policies, rows)
+        return NewsTechnology.revealing(policies)
+    except ValidationError as exc:
         problems.append(f"news: {exc}")
         return None
-    problems.append(f"news.family: unknown family {family!r}")
-    return None
 
 
 def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
@@ -93,6 +113,11 @@ def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
             if not (a and b):
                 return None
             frontier = tabulated_frontier(a, b)
+            secants = np.diff(b) / np.diff(a)
+            if np.any(np.diff(secants) >= 0):
+                problems.append("issues.frontier: samples must be strictly concave "
+                                "(secant slopes strictly decreasing)")
+                return None
         else:
             problems.append(f"issues.frontier: unknown preset {front!r}")
             return None
@@ -140,16 +165,14 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     pol = data["policies"]
     beta_vals = _numbers(pol.get("beta"), "policies.beta", problems)
-    beta_axis = alpha_axis = None
+    beta_axis = None
     if beta_vals:
         try:
-            beta_axis = PolicyAxis(beta_vals, "beta")
-            if "alpha" in pol:
-                alpha_axis = PolicyAxis(_numbers(pol["alpha"], "policies.alpha", problems), "alpha")
-            else:
-                alpha_axis = beta_axis.mirrored()
+            beta_axis = PolicyAxis(beta_vals)
         except ValidationError as exc:
             problems.append(f"policies: {exc}")
+    if beta_axis is not None and "alpha" in pol and pol["alpha"] != list(beta_axis.alpha_values):
+        problems.append("policies.alpha: must be the mirror image of policies.beta")
 
     util = data["utility"]
     utility = None
@@ -177,17 +200,18 @@ def scenario_from_dict(data: dict) -> Scenario:
         problems.append(f"utility: {exc}")
 
     cand = data["candidates"]
-    beta_types = alpha_types = None
+    beta_types = None
     try:
-        beta_types = CandidateSpec(_pairs(cand.get("beta"), "candidates.beta", problems), "beta")
-        if "alpha" in cand:
-            alpha_types = CandidateSpec(
-                _pairs(cand["alpha"], "candidates.alpha", problems), "alpha"
-            )
-        else:
-            alpha_types = beta_types.mirrored()
+        beta_types = CandidateSpec(_pairs(cand.get("beta"), "candidates.beta", problems))
     except ValidationError as exc:
         problems.append(f"candidates: {exc}")
+    if beta_types is not None and "alpha" in cand:
+        alpha = sorted(_pairs(cand["alpha"], "candidates.alpha", malformed := []))
+        mirror = sorted((-t, p) for t, p in beta_types.types)
+        if malformed or len(alpha) != len(mirror) or any(
+            a != b or abs(p - q) > EXACT for (a, p), (b, q) in zip(alpha, mirror)
+        ):
+            problems.append("candidates.alpha: must be the mirror image of candidates.beta")
 
     electorate = None
     try:
@@ -203,9 +227,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         problems.append("attention.mu: must be a positive number")
 
     if "issues" in data and utility is not None and not problems:
-        lookup_a = list(beta_axis.values) + list(alpha_axis.values)
-        lookup_t = [t for t, _ in electorate.groups]
-        lookup_t += [t for t, _ in beta_types.types] + [t for t, _ in alpha_types.types]
+        lookup_a = beta_axis.values + beta_axis.alpha_values
+        lookup_t = electorate.group_types + beta_types.type_values
+        lookup_t += tuple(-t for t in beta_types.type_values)
         augmented = _issues_utility(data["issues"], utility, lookup_a, lookup_t, problems)
         if augmented is not None:
             utility = augmented
@@ -224,10 +248,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValidationError("invalid scenario: " + "; ".join(problems))
     try:
         return Scenario(
-            alpha_axis=alpha_axis,
             beta_axis=beta_axis,
             utility=utility,
-            alpha_types=alpha_types,
             beta_types=beta_types,
             electorate=electorate,
             mu=float(mu),

@@ -233,7 +233,7 @@ def _two_sided_gaps(scenario: Scenario, assignment: StrategyAssignment, w_beta):
         lambda x, a: w_beta(x, a), win_value, lose_value,
     )
     alpha = deviation_gaps(
-        a_types, a_pols, list(scenario.alpha_axis.values),
+        a_types, a_pols, list(scenario.beta_axis.alpha_values),
         b_types, b_probs, b_pols,
         lambda x, a: 1.0 - w_beta(a, x), win_value, lose_value,
     )
@@ -264,7 +264,7 @@ def commitment_gaps(scenario: Scenario, assignment: StrategyAssignment, eta: flo
         a_types, a_probs, a_pols, w_beta, win_value, lose_value,
     )
     alpha = deviation_gaps(
-        a_types, a_pols, list(scenario.alpha_axis.values),
+        a_types, a_pols, list(scenario.beta_axis.alpha_values),
         b_types, b_probs, b_pols,
         lambda x, a: 1.0 - w_beta(a, x), win_value, lose_value,
     )

@@ -78,12 +78,70 @@ class TestValidate:
         ("news", {"family": "slant", "xi": "a"}, "news.xi"),
         ("issues", {"frontier": {"a": [-1, "x", 1], "b": [1, 0, -1]}}, "issues.frontier.a"),
         ("issues", {"utility2": 3}, "issues.utility2"),
+        ("news", {"family": "slant", "xi": 0.75, "signals": 5}, "news.signals"),
+        ("news", {"family": "table", "signals": [0.25, 0.75], "policies": "x",
+                  "rows": [[0.5, 0.5]]}, "news.policies"),
+        ("news", {"family": "table", "signals": [0.25, 0.75], "policies": [0.01],
+                  "rows": 5}, "news.rows"),
     ])
     def test_malformed_section_names_its_path(self, section, value, path):
         doc = figure2_scenario()
         doc[section] = value
         with pytest.raises(ValidationError, match=f"invalid scenario: .*{path}: "):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("section, alpha", [
+        ("policies", [-0.9, -0.5, -0.3]),
+        ("policies", [-0.01, -0.2, -0.4]),
+        ("policies", [-0.4, -0.2]),
+        ("candidates", [[-0.8, 0.5], [-0.3, 0.5 + 1e-9]]),
+        ("candidates", [[-0.8, 0.5], [-0.2, 0.5]]),
+        ("candidates", "x"),
+    ])
+    def test_non_mirror_alpha_section_refused(self, section, alpha, tmp_path, capsys):
+        # candidate alpha is beta's mirror image; an alpha section may only restate it
+        doc = figure2_scenario()
+        doc[section]["alpha"] = alpha
+        path = tmp_path / "alpha.json"
+        dump_scenario(doc, path)
+        for command in (["validate"], ["solve-attention", "--policies", "0.01,0.4"],
+                        ["attention-set", "--a1", "0.1:0.4:0.1"]):
+            assert main([*command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+            assert f"{section}.alpha: must be the mirror image" in capsys.readouterr().err
+
+    def test_mirror_alpha_section_accepted(self):
+        doc = figure2_scenario()
+        doc["policies"]["alpha"] = [-0.4, -0.2, -0.01]
+        doc["candidates"]["alpha"] = [[-0.3, 0.5], [-0.8, 0.5 + 1e-13]]
+        assert scenario_from_dict(doc) == scenario_from_dict(figure2_scenario())
+
+    def test_convex_frontier_samples_refused(self):
+        doc = figure2_scenario()
+        doc["issues"] = {"frontier": {"a": [-1, -0.5, 0, 0.5, 1],
+                                      "b": [1, 0, -0.5, -0.75, -0.875]}}
+        with pytest.raises(ValidationError, match="issues.frontier: .*concave"):
+            scenario_from_dict(doc)
+
+    def test_news_under_limited_commitment_refused(self, fig3_path, tmp_path, capsys):
+        path = tmp_path / "news_eta.json"
+        doc = figure3_scenario(0.75)
+        doc["commitment"] = {"eta": 0.5}
+        dump_scenario(doc, path)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "eta < 1" in capsys.readouterr().err
+        # an eta sweep over a news scenario is refused, not run without eta
+        assert main(["sweep", "--scenario", fig3_path, "--param", "eta", "--values", "0.5",
+                     "--out", str(tmp_path)]) == 2
+
+
+SHIPPED = sorted((Path(__file__).parents[1] / "demos" / "scenarios").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_scenarios_load_and_validate(path, capsys):
+    assert load_scenario(path).mu > 0
+    assert main(["validate", "--scenario", str(path)]) == 0
+    assert "scenario ok" in capsys.readouterr().out
 
 @pytest.fixture()
 def off_table_path(tmp_path):

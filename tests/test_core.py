@@ -240,19 +240,18 @@ class TestInvariantAudits:
 class TestConstruction:
     def test_axis_rejects_wrong_half_interval(self):
         with pytest.raises(ValidationError):
-            PolicyAxis((0.0, 0.5), "beta")
+            PolicyAxis((0.0, 0.5))
         with pytest.raises(ValidationError):
-            PolicyAxis((-0.5, 0.0), "alpha")
+            PolicyAxis((0.5, 1.5))
 
     def test_axis_mirror_roundtrip(self):
-        axis = PolicyAxis((0.01, 0.2, 0.4), "beta")
-        assert axis.mirrored().values == (-0.4, -0.2, -0.01)
-        assert axis.mirrored().mirrored() == axis
-        assert axis.is_mirror_of(axis.mirrored())
+        axis = PolicyAxis((0.01, 0.2, 0.4))
+        assert axis.alpha_values == (-0.4, -0.2, -0.01)
+        assert tuple(-a for a in reversed(axis.alpha_values)) == axis.values
 
     def test_candidate_probs_must_sum(self):
         with pytest.raises(ValidationError):
-            CandidateSpec(((0.3, 0.5), (0.8, 0.4)), "beta")
+            CandidateSpec(((0.3, 0.5), (0.8, 0.4)))
 
     def test_electorate_weights(self):
         with pytest.raises(ValidationError):
@@ -262,27 +261,13 @@ class TestConstruction:
 
     def test_scenario_requires_positive_mu(self):
         with pytest.raises(ValidationError):
-            Scenario.symmetric(
-                (0.1, 0.4),
-                UtilitySpec(),
-                ((0.5, 1.0),),
-                ((-0.1, 0.5), (0.1, 0.5)),
+            Scenario(
+                beta_axis=PolicyAxis((0.1, 0.4)),
+                utility=UtilitySpec(),
+                beta_types=CandidateSpec(((0.5, 1.0),)),
+                electorate=Electorate(((-0.1, 0.5), (0.1, 0.5))),
                 mu=0.0,
             )
-
-    def test_asymmetric_scenario_detected(self):
-        scenario = Scenario(
-            alpha_axis=PolicyAxis((-0.5, -0.1), "alpha"),
-            beta_axis=PolicyAxis((0.1, 0.4), "beta"),
-            utility=UtilitySpec(),
-            alpha_types=CandidateSpec(((-0.5, 1.0),), "alpha"),
-            beta_types=CandidateSpec(((0.5, 1.0),), "beta"),
-            electorate=Electorate(((-0.1, 0.5), (0.1, 0.5))),
-            mu=1.0,
-        )
-        from rivote.core import symmetry_failures
-
-        assert any("mirror" in p for p in symmetry_failures(scenario))
 
 
 def test_kappa_override_is_respected():

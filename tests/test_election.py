@@ -7,7 +7,6 @@ import pytest
 import rivote.election
 from rivote.core import SymmetryError, UtilitySpec, ValidationError
 from rivote.election import (
-    MatrixTriple,
     aggregate_and_rationalize,
     assignment_for,
     attention_frontier,
@@ -42,15 +41,7 @@ class TestDownsianWinner:
         assert downsian_winner(abs_spec, -0.01, 0.4) == 0.0
 
 
-class TestMatrixTriple:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValidationError):
-            MatrixTriple((0.2, 0.1), np.full((2, 2), 0.25), np.eye(2))
-        with pytest.raises(ValidationError):
-            MatrixTriple((0.1, 0.2), np.array([[0.5, 0.3], [0.1, 0.1]]), np.eye(2))
-        with pytest.raises(ValidationError):
-            MatrixTriple((0.1, 0.2), np.full((2, 2), 0.25), np.full((2, 2), 0.3))
-
+class TestValueMatrix:
     @pytest.mark.parametrize("family", ["absolute", "quadratic"])
     def test_median_value_structure(self, family):
         # scaled median differentials: antisymmetric, positive below the

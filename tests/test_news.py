@@ -207,7 +207,7 @@ class TestNoisyEquilibria:
         records = enumerate_equilibria_noisy(scenario)
         assert len(records) == 2
         for r in records:
-            levels, sigma = r.triple.a_values, r.triple.sigma
+            levels, sigma = r.assignment.levels, r.assignment.sigma()
             belief = profile_belief(scenario.utility, levels, sigma, -0.001)
             assert attention_membership(belief, 1.0)
             assert not noisy_member(scenario.news, scenario.utility, levels, sigma, -0.001, 1.0)

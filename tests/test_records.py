@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rivote.election import enumerate_equilibria, profile_belief
+from rivote.election import downsian_matrix, enumerate_equilibria, profile_belief
 from rivote.extensions import commitment_belief, enumerate_equilibria_commitment
 from rivote.news import enumerate_equilibria_noisy, expected_winning_matrix, signal_belief
 from rivote.presets import build
@@ -35,11 +35,12 @@ def game(n, family="absolute", xi=None, eta=None, mu=1.0, types=((0.3, 0.5), (0.
 def public_belief(pipeline, scenario, record, t):
     """Voter t's belief for ``record``, built by the pipeline's public builder."""
     if pipeline == "noisy":
-        return signal_belief(scenario.news, scenario.utility, record.triple.a_values,
-                             record.triple.sigma, t)
+        return signal_belief(scenario.news, scenario.utility, record.assignment.levels,
+                             record.assignment.sigma(), t)
     if pipeline == "commitment":
         return commitment_belief(scenario, record.assignment, t)
-    return profile_belief(scenario.utility, record.triple.a_values, record.triple.sigma, t)
+    return profile_belief(scenario.utility, record.assignment.levels,
+                          record.assignment.sigma(), t)
 
 
 PIPELINES = {
@@ -73,8 +74,9 @@ def test_expected_w_is_the_kernel_winner_on_played_levels(pipeline):
     records = enumerate_fn(scenario)
     assert records
     for r in records:
-        expected = (expected_winning_matrix(scenario.news, r.triple.a_values)
-                    if pipeline == "noisy" else r.triple.w)
+        levels = r.assignment.levels
+        expected = (expected_winning_matrix(scenario.news, levels) if pipeline == "noisy"
+                    else downsian_matrix(scenario.utility, levels))
         np.testing.assert_array_equal(r.expected_w, expected)
 
 
@@ -94,3 +96,31 @@ def test_attentive_flag_is_the_one_rule(n, family, pipeline, knob, log_mu):
     for r in enumerate_fn(scenario):
         for t, flag in r.attentive:
             assert flag == attention_membership(r.belief(t), mu)
+
+
+BUILDERS = {"baseline": ("rivote.election", "profile_belief"),
+            "noisy": ("rivote.news", "signal_belief"),
+            "commitment": ("rivote.extensions", "value_matrix")}
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_truncation_statistic_reuses_the_enumeration_beliefs(pipeline, monkeypatch):
+    # every group's belief was built while enumerating; judging a group again
+    # builds none, while a new voter type builds one per record
+    import importlib
+
+    from rivote.election import truncation_statistic
+
+    enumerate_fn, knobs = PIPELINES[pipeline]
+    scenario = game(8, **knobs)
+    records = enumerate_fn(scenario)
+    assert records
+    module, name = BUILDERS[pipeline]
+    module = importlib.import_module(module)
+    builder, calls = getattr(module, name), []
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or builder(*a, **k))
+    for t, _ in GROUPS:
+        truncation_statistic(scenario, records, t)
+    assert calls == []
+    truncation_statistic(scenario, records, 0.5)
+    assert calls
