@@ -6,6 +6,8 @@ the equilibrium set never moves with the attention cost.  What does move is
 which equilibria anybody watches: as the cost rises, only assignments with a
 wide enough policy spread clear the attention hurdle.
 """
+from dataclasses import replace
+
 import numpy as np
 
 from rivote import attention_frontier, enumerate_equilibria, truncation_statistic
@@ -22,12 +24,12 @@ for r in records:
 
 print("\nInvariance: the same set at every attention cost")
 for mu in (0.1, 1.0, 10.0, 100.0):
-    pols = [r.assignment.policies for r in enumerate_equilibria(scenario, mu=mu)]
+    pols = [r.assignment.policies for r in enumerate_equilibria(replace(scenario, mu=mu))]
     print(f"  mu={mu:6.1f}: {pols}")
 
 print("\nTruncation: which equilibria keep the near-median groups watching")
 for mu in (0.5, 5.0, 10.0, 40.0):
-    kept, diff = truncation_statistic(scenario, records, -0.001, mu=mu)
+    kept, diff = truncation_statistic(replace(scenario, mu=mu), records, -0.001)
     names = [r.assignment.policies for r in kept]
     spread = "-" if diff is None else f"{diff:.3f}"
     print(f"  mu={mu:5.1f}: attentive equilibria {names}  min median spread {spread}")

@@ -7,6 +7,7 @@ condition into an inference effect and a hurdle; a two-issue policy space
 collapses onto its Pareto frontier and reuses the whole pipeline.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,7 +30,7 @@ weights = dict(scenario.electorate.groups)
 for r in records:
     print(f"  {r.assignment.policies}: total attention {r.total_information(weights):.4f} nats")
 for cost in (0.05, 0.20, 0.35):
-    kept = dissemination_filter(records, scenario, cost)
+    kept = dissemination_filter(records, replace(scenario, dissemination_cost=cost))
     print(f"  cost {cost:.2f}: {[r.assignment.policies for r in kept]}")
 
 print("\nPartial commitment: inference effect vs the hurdle of indifference")
@@ -49,7 +50,7 @@ print("  only a spread beyond the hurdle keeps attention at full commitment.")
 
 print("\nCommitment equilibria at a few levels")
 for eta in (1.0, 0.6, 0.2):
-    recs = enumerate_equilibria_commitment(build(example3_scenario(eta)), eta=eta)
+    recs = enumerate_equilibria_commitment(build(example3_scenario(eta)))
     print(f"  eta={eta:.1f}: {[r.assignment.policies for r in recs]}")
 
 print("\nTwo issues collapsed onto the frontier")

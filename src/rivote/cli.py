@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .election import (
     assignment_for,
     attention_frontier,
     enumerate_equilibria,
+    game_of,
     on_path_belief,
     profile_belief,
     truncation_statistic,
@@ -48,52 +49,28 @@ class ReproductionMismatch(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """One CLI invocation: inputs, output sink and provenance fields."""
+def _load(args) -> tuple[dict, Scenario]:
+    doc = load_scenario_dict(args.scenario)
+    return doc, scenario_from_dict(doc)
 
-    command: str
-    scenario_path: str | None
-    out_dir: Path
-    seed: int
-    threads: int
-    tolerance: float
 
-    @staticmethod
-    def from_args(args) -> "RunManifest":
-        if args.threads < 1:
-            raise ValidationError("--threads must be at least 1")
-        return RunManifest(
-            command=args.command,
-            scenario_path=args.scenario,
-            out_dir=Path(args.out),
-            seed=args.seed,
-            threads=args.threads,
-            tolerance=args.tolerance,
-        )
-
-    def load(self) -> tuple[dict, Scenario]:
-        if not self.scenario_path:
-            raise ValidationError(f"{self.command} needs --scenario")
-        doc = load_scenario_dict(self.scenario_path)
-        return doc, scenario_from_dict(doc)
-
-    def write_csv(self, filename: str, shash: str, header: list[str], rows) -> Path:
-        try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValidationError(f"output directory {self.out_dir} is not writable: {exc}")
-        path = self.out_dir / filename
-        lines = [
-            f"# rivote {__version__}",
-            f"# command={self.command} scenario_hash={shash} seed={self.seed}",
-            ",".join(header),
-        ]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        path.write_text("\n".join(lines) + "\n")
-        print(f"wrote {path}")
-        return path
+def _write_csv(args, filename: str, shash: str, header: list[str], rows) -> Path:
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output directory {out_dir} is not writable: {exc}")
+    path = out_dir / filename
+    lines = [
+        f"# rivote {__version__}",
+        f"# command={args.command} scenario_hash={shash} seed={args.seed}",
+        ",".join(header),
+    ]
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    path.write_text("\n".join(lines) + "\n")
+    print(f"wrote {path}")
+    return path
 
 
 def _fmt(v) -> str:
@@ -102,22 +79,24 @@ def _fmt(v) -> str:
     return str(v)
 
 
+_PIPELINES = {
+    "baseline": (enumerate_equilibria, on_path_belief),
+    "noisy": (enumerate_equilibria_noisy, news_belief),
+    "commitment": (enumerate_equilibria_commitment, commitment_belief),
+}
+
+
 def _pipeline(scenario: Scenario):
-    """(enumerator, belief builder) of the game the scenario describes: noisy
-    news, limited commitment or the baseline."""
-    if scenario.news is not None:
-        return enumerate_equilibria_noisy, news_belief
-    if scenario.eta < 1.0:
-        return enumerate_equilibria_commitment, commitment_belief
-    return enumerate_equilibria, on_path_belief
+    """(enumerator, belief builder) of the game the scenario describes."""
+    return _PIPELINES[game_of(scenario)]
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(manifest: RunManifest, args) -> int:
-    doc, scenario = manifest.load()
+def _cmd_validate(args) -> int:
+    doc, scenario = _load(args)
     problems = audit_scenario(scenario)
     if scenario.news is not None:
         problems += scenario.news.audit_rows(scenario.beta_axis.values)
@@ -132,8 +111,8 @@ def _cmd_validate(manifest: RunManifest, args) -> int:
     return 0
 
 
-def _cmd_solve_attention(manifest: RunManifest, args) -> int:
-    doc, scenario = manifest.load()
+def _cmd_solve_attention(args) -> int:
+    doc, scenario = _load(args)
     policies = tuple(_floats(args.policies.split(","), "--policies"))
     if len(policies) != len(scenario.beta_types.types):
         raise ValidationError("--policies must assign one policy per beta type")
@@ -148,16 +127,14 @@ def _cmd_solve_attention(manifest: RunManifest, args) -> int:
     for t, _ in scenario.electorate.groups:
         sol = solve_attention(beliefs[t], scenario.mu)
         rows.append([t, sol.regime, sol.m_bar, sol.likelihood_ratio, sol.info, *sol.m])
-    manifest.write_csv("solve_attention.csv", scenario_hash(doc), header, rows)
+    _write_csv(args, "solve_attention.csv", scenario_hash(doc), header, rows)
     return 0
 
 
-def _cmd_enumerate(manifest: RunManifest, args) -> int:
-    doc, scenario = manifest.load()
+def _cmd_enumerate(args) -> int:
+    doc, scenario = _load(args)
     enumerate_fn, _ = _pipeline(scenario)
-    records = enumerate_fn(scenario)
-    if scenario.dissemination_cost is not None:
-        records = list(dissemination_filter(records, scenario, scenario.dissemination_cost))
+    records = dissemination_filter(enumerate_fn(scenario), scenario)
     weights = dict(scenario.electorate.groups)
     header = ["eq", "kind", "types", "policies", "levels", "min_gap",
               "attentive_groups", "total_info"]
@@ -173,7 +150,7 @@ def _cmd_enumerate(manifest: RunManifest, args) -> int:
             "|".join(repr(t) for t, flag in r.attentive if flag),
             r.total_information(weights),
         ])
-    manifest.write_csv("equilibria.csv", scenario_hash(doc), header, rows)
+    _write_csv(args, "equilibria.csv", scenario_hash(doc), header, rows)
     return 0
 
 
@@ -192,24 +169,22 @@ def _parse_range(spec: str, flag: str) -> np.ndarray:
     return np.arange(lo, hi + step / 2, step)
 
 
-def _cmd_attention_set(manifest: RunManifest, args) -> int:
-    doc, scenario = manifest.load()
+def _cmd_attention_set(args) -> int:
+    doc, scenario = _load(args)
     t = args.t if args.t is not None else scenario.electorate.groups[0][0]
     a1 = _parse_range(args.a1, "--a1")
     a2 = _parse_range(args.a2, "--a2") if args.a2 else a1
     if scenario.news is not None:
-        frontier = attention_frontier_noisy(
-            scenario.news, scenario.utility, a1, a2, t, scenario.mu
-        )
+        frontier = attention_frontier_noisy(scenario.news, scenario.utility, a1, a2, t,
+                                            scenario.mu)
     else:
         frontier = attention_frontier(scenario.utility, a1, a2, t, scenario.mu)
-    manifest.write_csv("attention_set.csv", scenario_hash(doc), ["a1", "a2"],
-                       frontier.tolist())
+    _write_csv(args, "attention_set.csv", scenario_hash(doc), ["a1", "a2"], frontier.tolist())
     return 0
 
 
-def _cmd_garble(manifest: RunManifest, args) -> int:
-    doc, scenario = manifest.load()
+def _cmd_garble(args) -> int:
+    doc, scenario = _load(args)
     if scenario.news is None:
         raise ValidationError("garble needs a scenario with a news section")
     tech = scenario.news
@@ -228,29 +203,20 @@ def _cmd_garble(manifest: RunManifest, args) -> int:
     print(f"garbled technology: {report.describe()}")
     header = ["policy"] + [f"f({w}|a)" for w in garbled.signals]
     rows = [[a, *garbled.pmf(a)] for a in grid]
-    manifest.write_csv("garbled_news.csv", scenario_hash(doc), header, rows)
+    _write_csv(args, "garbled_news.csv", scenario_hash(doc), header, rows)
     return 0
 
 
-def _sweep_point(doc: dict, param: str, value: float, t: float | None):
-    patched = {k: (dict(v) if isinstance(v, dict) else v) for k, v in doc.items()}
-    if param == "mu":
-        patched["attention"]["mu"] = value
-    elif param == "xi":
-        if patched.get("news", {}).get("family") != "slant":
+def _sweep_point(doc: dict, scenario: Scenario, param: str, value: float, t: float | None):
+    if param == "xi":
+        if doc.get("news", {}).get("family") != "slant":
             raise ValidationError("xi sweeps need a slant news technology")
-        patched["news"]["xi"] = value
-    elif param == "eta":
-        patched["commitment"] = {"eta": value}
-    elif param == "cost":
-        patched["dissemination"] = {"cost": value}
-    else:
-        raise ValidationError(f"unknown sweep parameter {param!r}")
-    scenario = scenario_from_dict(patched)
+        scenario = scenario_from_dict({**doc, "news": {**doc["news"], "xi": value}})
+    else:  # mu, eta or cost
+        field = "dissemination_cost" if param == "cost" else param
+        scenario = replace(scenario, **{field: value})
     enumerate_fn, _ = _pipeline(scenario)
-    records = enumerate_fn(scenario)
-    if scenario.dissemination_cost is not None:
-        records = list(dissemination_filter(records, scenario, scenario.dissemination_cost))
+    records = dissemination_filter(enumerate_fn(scenario), scenario)
     t = scenario.electorate.groups[0][0] if t is None else t
     members, spread = truncation_statistic(scenario, records, t)
     rows = [
@@ -267,16 +233,19 @@ def _sweep_point(doc: dict, param: str, value: float, t: float | None):
     return rows
 
 
-def _cmd_sweep(manifest: RunManifest, args) -> int:
-    doc, _scenario = manifest.load()
+def _cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise ValidationError("--threads must be at least 1")
+    doc, scenario = _load(args)
     values = _floats([v for v in args.values.split(",") if v.strip()], "--values")
     if not values:
         raise ValidationError("sweep needs at least one value")
-    with ThreadPoolExecutor(max_workers=manifest.threads) as pool:
-        chunks = list(pool.map(lambda v: _sweep_point(doc, args.param, v, args.t), values))
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        chunks = list(pool.map(lambda v: _sweep_point(doc, scenario, args.param, v, args.t),
+                               values))
     rows = [row for chunk in chunks for row in chunk]  # input order, already sorted
-    manifest.write_csv("sweep.csv", scenario_hash(doc),
-                       ["param", "value", "statistic", "key", "result"], rows)
+    _write_csv(args, "sweep.csv", scenario_hash(doc),
+               ["param", "value", "statistic", "key", "result"], rows)
     return 0
 
 
@@ -298,6 +267,9 @@ TABLE2_EXPECTED = {
     # self-consistent value; see README.
     0.20: (0.283, 0.263, 0.048, 0.627, 0.193),
 }
+
+# Largest deviation of a reproduced table cell from the published value.
+TOLERANCE = 0.002
 
 FIGURE2_DIAMONDS = {(0.01, 0.2), (0.01, 0.4)}
 FIGURE3_XIS = (0.6, 0.75, 0.9)
@@ -325,29 +297,28 @@ def table2_rows(t: float = -0.05):
     return rows
 
 
-def _check_close(actual, expected, tol, what):
+def _check_close(actual, expected, what):
     for a, e in zip(actual, expected):
-        if abs(a - e) > tol:
-            raise ReproductionMismatch(f"{what}: got {a:.5f}, expected {e} (tol {tol})")
+        if abs(a - e) > TOLERANCE:
+            raise ReproductionMismatch(f"{what}: got {a:.5f}, expected {e} (tol {TOLERANCE})")
 
 
-def _cmd_reproduce(manifest: RunManifest, args) -> int:
-    tol = manifest.tolerance
+def _cmd_reproduce(args) -> int:
     target = args.target
     if target == "table1":
         rows = table1_rows()
         for row in rows:
-            _check_close(row[1:], TABLE1_EXPECTED[row[0]], tol, f"table1 t={row[0]}")
-        manifest.write_csv("table1.csv", scenario_hash(table1_scenario()),
-                           ["t", "info", "m(-0.01,0.01)", "m(-0.01,0.4)",
-                            "m(-0.4,0.01)", "m(-0.4,0.4)"], rows)
+            _check_close(row[1:], TABLE1_EXPECTED[row[0]], f"table1 t={row[0]}")
+        _write_csv(args, "table1.csv", scenario_hash(table1_scenario()),
+                   ["t", "info", "m(-0.01,0.01)", "m(-0.01,0.4)",
+                    "m(-0.4,0.01)", "m(-0.4,0.4)"], rows)
     elif target == "table2":
         rows = table2_rows()
         for row in rows:
-            _check_close(row[1:], TABLE2_EXPECTED[row[0]], tol, f"table2 mu={row[0]}")
-        manifest.write_csv("table2.csv", scenario_hash(table1_scenario()),
-                           ["mu", "m_bar", "m(-0.01,0.01)", "m(-0.01,0.4)",
-                            "m(-0.4,0.01)", "m(-0.4,0.4)"], rows)
+            _check_close(row[1:], TABLE2_EXPECTED[row[0]], f"table2 mu={row[0]}")
+        _write_csv(args, "table2.csv", scenario_hash(table1_scenario()),
+                   ["mu", "m_bar", "m(-0.01,0.01)", "m(-0.01,0.4)",
+                    "m(-0.4,0.01)", "m(-0.4,0.4)"], rows)
     elif target == "figure2":
         doc = figure2_scenario()
         scenario = build(doc)
@@ -361,7 +332,7 @@ def _cmd_reproduce(manifest: RunManifest, args) -> int:
         )
         rows = [["equilibrium", a, b] for a, b in sorted(diamonds)]
         rows += [["frontier", a1, a2] for a1, a2 in frontier.tolist()]
-        manifest.write_csv("figure2.csv", scenario_hash(doc), ["kind", "a1", "a2"], rows)
+        _write_csv(args, "figure2.csv", scenario_hash(doc), ["kind", "a1", "a2"], rows)
     elif target == "figure3":
         rows = []
         last_dist = None
@@ -395,9 +366,7 @@ def _cmd_reproduce(manifest: RunManifest, args) -> int:
             last_frontier = frontier
             rows += [[xi, "equilibrium", *r.assignment.policies] for r in records]
             rows += [[xi, "frontier", a1, a2] for a1, a2 in frontier.tolist()]
-        manifest.write_csv("figure3.csv", shash, ["xi", "kind", "a1", "a2"], rows)
-    else:
-        raise ValidationError(f"unknown reproduction target {target!r}")
+        _write_csv(args, "figure3.csv", shash, ["xi", "kind", "a1", "a2"], rows)
     return 0
 
 
@@ -410,54 +379,41 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rivote {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--scenario", help="scenario JSON file")
+    def command(name, run, help, scenario=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        if scenario:
+            p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in output headers")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--tolerance", type=float, default=0.002)
+        return p
 
-    common(sub.add_parser("validate", help="audit a scenario file"))
-    p = sub.add_parser("solve-attention", help="per-group attention strategies")
-    common(p)
+    command("validate", _cmd_validate, "audit a scenario file")
+    p = command("solve-attention", _cmd_solve_attention, "per-group attention strategies")
     p.add_argument("--policies", required=True, help="comma-separated beta policy per type")
-    common(sub.add_parser("enumerate", help="enumerate symmetric equilibria"))
-    p = sub.add_parser("attention-set", help="scan an attention-set frontier")
-    common(p)
+    command("enumerate", _cmd_enumerate, "enumerate symmetric equilibria")
+    p = command("attention-set", _cmd_attention_set, "scan an attention-set frontier")
     p.add_argument("--t", type=float, help="voter group (default: most pro-alpha group)")
     p.add_argument("--a1", required=True, help="lo:hi:step for the first level")
     p.add_argument("--a2", help="lo:hi:step for the second level (default: same)")
-    p = sub.add_parser("garble", help="garble the scenario's news technology")
-    common(p)
+    p = command("garble", _cmd_garble, "garble the scenario's news technology")
     p.add_argument("--lam", type=float, help="two-signal centrist-to-extreme shift weight")
     p.add_argument("--kernel", help="JSON file with row-stochastic 'rows'")
-    p = sub.add_parser("sweep", help="sweep a parameter and tabulate statistics")
-    common(p)
+    p = command("sweep", _cmd_sweep, "sweep a parameter and tabulate statistics")
     p.add_argument("--param", required=True, choices=("mu", "xi", "eta", "cost"))
     p.add_argument("--values", required=True, help="comma-separated parameter values")
     p.add_argument("--t", type=float, help="voter group for attention statistics")
-    p = sub.add_parser("reproduce", help="reproduce a published table or figure")
-    common(p)
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
+    p = command("reproduce", _cmd_reproduce, "reproduce a published table or figure",
+                scenario=False)
     p.add_argument("target", choices=("table1", "table2", "figure2", "figure3"))
     return parser
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "solve-attention": _cmd_solve_attention,
-    "enumerate": _cmd_enumerate,
-    "attention-set": _cmd_attention_set,
-    "garble": _cmd_garble,
-    "sweep": _cmd_sweep,
-    "reproduce": _cmd_reproduce,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        manifest = RunManifest.from_args(args)
-        return _COMMANDS[args.command](manifest, args)
+        return args.run(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

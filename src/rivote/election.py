@@ -95,6 +95,24 @@ def assignment_for(scenario: Scenario, policies: tuple[float, ...]) -> StrategyA
     )
 
 
+def game_of(scenario: Scenario) -> str:
+    """The game a scenario describes: "noisy" with a news technology,
+    "commitment" with eta < 1, else "baseline"."""
+    if scenario.news is not None:
+        return "noisy"
+    return "commitment" if scenario.eta < 1.0 else "baseline"
+
+
+def require_game(scenario: Scenario, *games: str) -> None:
+    """Refuse a scenario whose game is none of ``games``, naming the
+    enumerator that models it."""
+    game = game_of(scenario)
+    if game not in games:
+        suffix = "" if game == "baseline" else f"_{game}"
+        raise ValidationError(f"the scenario describes the {game} game, which this "
+                              f"routine does not model; use enumerate_equilibria{suffix}")
+
+
 @dataclass(frozen=True)
 class EquilibriumRecord:
     """One symmetric equilibrium with its attention diagnostics; ``belief(t)``
@@ -173,22 +191,20 @@ def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarra
     return _winning_prob(share - 0.5, TOL)
 
 
-def aggregate_and_rationalize(
-    scenario: Scenario, assignment: StrategyAssignment, mu: float | None = None
-) -> np.ndarray:
+def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment) -> np.ndarray:
     """Winning matrix implied by every group's optimal attention strategy.
 
-    Solves each voter group's attention problem on the on-path profiles,
-    forms the weighted vote share per profile and maps it to {0, 1/2, 1}.
+    Solves each voter group's attention problem on the on-path profiles at
+    the scenario's mu, forms the weighted vote share per profile and maps it
+    to {0, 1/2, 1}.
     """
     require_symmetric(scenario)
-    mu = scenario.mu if mu is None else mu
     levels = assignment.levels
     sigma = assignment.sigma()
     n = len(levels)
     share = np.zeros((n, n))
     for t, weight in scenario.electorate.groups:
-        sol = solve_attention(profile_belief(scenario.utility, levels, sigma, t), mu)
+        sol = solve_attention(profile_belief(scenario.utility, levels, sigma, t), scenario.mu)
         share += weight * sol.m.reshape(n, n)
     return _winning_prob(share - 0.5, TOL)
 
@@ -325,25 +341,24 @@ def assignment_rows(scenario: Scenario, max_assignments: int):
 
 
 def check_ic(
-    scenario: Scenario,
-    assignment: StrategyAssignment,
-    w_source: str = "downsian",
-    mu: float | None = None,
+    scenario: Scenario, assignment: StrategyAssignment, w_source: str = "downsian"
 ) -> tuple[bool, dict]:
-    """Incentive compatibility of a pure symmetric assignment.
+    """Incentive compatibility of a pure symmetric assignment in the baseline
+    game.
 
     Deviations are priced by the perfect-observation winner; with
     ``w_source="rationalized"`` the on-path cells instead come from
     aggregating optimal attention strategies.  Returns (ok, slack per
     (candidate, type)).
     """
+    require_game(scenario, "baseline")
     require_symmetric(scenario)
     grid = scenario.beta_axis.values
     if w_source == "downsian":
         w = downsian_matrix(scenario.utility, grid)
     elif w_source == "rationalized":
         levels = assignment.levels
-        on_path = aggregate_and_rationalize(scenario, assignment, mu)
+        on_path = aggregate_and_rationalize(scenario, assignment)
         g = np.array(grid)
         w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
         at = np.array([levels.index(a) if a in levels else -1 for a in grid])
@@ -365,23 +380,21 @@ def equilibrium_records(
     rows,
     kind: str,
     belief: Callable[[Scenario, StrategyAssignment, float], BeliefOverProfiles],
-    mu: float | None = None,
 ) -> list[EquilibriumRecord]:
     """One record per incentive compatible row of ``rows``, in their order.
 
     ``belief(scenario, assignment, t)`` builds voter t's belief in the
     pipeline's game; each record carries it bound to its assignment and
-    cached per t, and attaches every group's attention solution under it.  A
-    group is attentive unless its solution is the ``corner_zero`` regime
-    (``solver.attentive``).
+    cached per t, and attaches every group's attention solution under it at
+    the scenario's mu.  A group is attentive unless its solution is the
+    ``corner_zero`` regime (``solver.attentive``).
     """
-    mu = scenario.mu if mu is None else mu
     records = []
     for row, beta_gaps in kernel.passing(rows):
         assignment = assignment_for(scenario, tuple(kernel.grid[i] for i in row))
         bound = cache(partial(belief, scenario, assignment))
         attention = tuple(
-            (t, solve_attention(bound(t), mu)) for t, _ in scenario.electorate.groups
+            (t, solve_attention(bound(t), scenario.mu)) for t, _ in scenario.electorate.groups
         )
         idx = sorted(set(row))
         records.append(EquilibriumRecord(
@@ -399,25 +412,26 @@ def equilibrium_records(
 
 def enumerate_equilibria(
     scenario: Scenario,
-    mu: float | None = None,
     max_assignments: int = 200_000,
     verify_rationalizable: bool = False,
 ) -> list[EquilibriumRecord]:
-    """All pure symmetric equilibria, in lexicographic policy order.
+    """All pure symmetric equilibria of the baseline game, in lexicographic
+    policy order.
 
     Every beta type -> policy map on the grid is checked for incentive
     compatibility under perfect-observation deviation pricing.  Grids whose
     assignment count exceeds ``max_assignments`` are refused outright.
     """
+    require_game(scenario, "baseline")
     require_symmetric(scenario)
     rows = assignment_rows(scenario, max_assignments)
     types = scenario.beta_types
     w = downsian_matrix(scenario.utility, scenario.beta_axis.values)
     kernel = game_kernel(scenario, w, types.type_values, types.type_probs)
-    records = equilibrium_records(scenario, kernel, rows, "baseline", on_path_belief, mu)
+    records = equilibrium_records(scenario, kernel, rows, "baseline", on_path_belief)
     if verify_rationalizable:
         for r in records:
-            rationalized = aggregate_and_rationalize(scenario, r.assignment, mu)
+            rationalized = aggregate_and_rationalize(scenario, r.assignment)
             if not np.array_equal(rationalized, r.expected_w):
                 raise NumericError(
                     "aggregated attention strategies do not rationalize the "
@@ -480,16 +494,12 @@ def median_differential(spec: UtilitySpec, a_values) -> float:
 
 
 def truncation_statistic(
-    scenario: Scenario,
-    records: list[EquilibriumRecord],
-    t: float,
-    mu: float | None = None,
+    scenario: Scenario, records: list[EquilibriumRecord], t: float
 ) -> tuple[tuple[EquilibriumRecord, ...], float | None]:
-    """Equilibria that retain voter t's attention, and the smallest
-    median-utility spread among them (None when the set is empty); each
-    record is judged under its own belief, ``r.belief(t)``."""
-    mu = scenario.mu if mu is None else mu
-    kept = tuple(r for r in records if attention_membership(r.belief(t), mu))
+    """Equilibria that retain voter t's attention at the scenario's mu, and
+    the smallest median-utility spread among them (None when the set is
+    empty); each record is judged under its own belief, ``r.belief(t)``."""
+    kept = tuple(r for r in records if attention_membership(r.belief(t), scenario.mu))
     if not kept:
         return kept, None
     return kept, min(median_differential(scenario.utility, r.assignment.levels) for r in kept)

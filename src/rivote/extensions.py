@@ -10,7 +10,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -29,6 +28,7 @@ from .election import (
     StrategyAssignment,
     downsian_matrix,
     equilibrium_records,
+    require_game,
     value_matrix,
 )
 from .solver import BeliefOverProfiles, entropy
@@ -39,13 +39,17 @@ from .solver import BeliefOverProfiles, entropy
 # ---------------------------------------------------------------------------
 
 def dissemination_filter(
-    records: list[EquilibriumRecord], scenario: Scenario, cost: float
+    records: list[EquilibriumRecord], scenario: Scenario
 ) -> tuple[EquilibriumRecord, ...]:
-    """Keep equilibria whose electorate-wide mutual information covers ``cost``.
+    """Keep equilibria whose electorate-wide mutual information covers the
+    scenario's dissemination cost; without a cost every record is kept.
 
     The no-loss requirement compares the weighted sum of per-group attention
     levels (nats) against the fixed dissemination cost.
     """
+    cost = scenario.dissemination_cost
+    if cost is None:
+        return tuple(records)
     weights = dict(scenario.electorate.groups)
     if records:
         h_max = max(entropy(r.assignment.sigma().ravel()) for r in records)
@@ -62,22 +66,15 @@ def dissemination_filter(
 # Limited commitment
 # ---------------------------------------------------------------------------
 
-def _commitment_level(scenario: Scenario, eta: float | None) -> float:
-    """The scenario's eta unless one is given; it must lie in [0, 1]."""
-    eta = scenario.eta if eta is None else eta
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError("eta must lie in [0, 1]")
-    return eta
-
-
 def commitment_belief(
-    scenario: Scenario, assignment: StrategyAssignment, t: float, eta: float | None = None
+    scenario: Scenario, assignment: StrategyAssignment, t: float
 ) -> BeliefOverProfiles:
-    """Belief over proposal profiles whose values mix the proposal and the
-    proposer's own type (played when the winner reneges)."""
-    eta = _commitment_level(scenario, eta)
+    """Belief over proposal profiles whose values mix the proposal, weight
+    ``scenario.eta``, and the proposer's own type (played when the winner
+    reneges)."""
     if any(hi <= lo for lo, hi in zip(assignment.policies, assignment.policies[1:])):
         raise ValidationError("limited commitment requires strictly increasing policies")
+    eta = scenario.eta
     spec = scenario.utility
     policies = assignment.policies
     types = assignment.types
@@ -89,43 +86,40 @@ def commitment_belief(
     return BeliefOverProfiles(support, np.outer(p, p).ravel(), values.ravel())
 
 
-def _commitment_kernel(scenario: Scenario, types, probs, eta: float) -> ICKernel:
+def _commitment_kernel(scenario: Scenario, types, probs) -> ICKernel:
     """IC kernel whose stage values blend the proposal with the proposer's
     type, played when the winner reneges; proposals are priced by the
     perfect-observation winner."""
-    eta = _commitment_level(scenario, eta)
     spec = scenario.utility
     grid = scenario.beta_axis.values
-    return ICKernel(grid, types, probs, downsian_matrix(spec, grid), spec, eta)
+    return ICKernel(grid, types, probs, downsian_matrix(spec, grid), spec, scenario.eta)
 
 
 def check_ic_commitment(
-    scenario: Scenario, assignment: StrategyAssignment, eta: float | None = None
+    scenario: Scenario, assignment: StrategyAssignment
 ) -> tuple[bool, dict]:
-    """Incentive compatibility when the winner reneges with probability 1-eta.
+    """Incentive compatibility when the winner reneges with probability
+    1 - ``scenario.eta``.
 
     Types double as fallback policies, so both stage values blend the
     proposal with the proposer's type; deviations are priced by the
     perfect-observation winner on proposals.
     """
+    require_game(scenario, "commitment", "baseline")
     require_symmetric(scenario)
-    kernel = _commitment_kernel(scenario, assignment.types, assignment.type_probs, eta)
+    kernel = _commitment_kernel(scenario, assignment.types, assignment.type_probs)
     return kernel.check(assignment.policies)
 
 
-def enumerate_equilibria_commitment(
-    scenario: Scenario,
-    eta: float | None = None,
-    mu: float | None = None,
-) -> list[EquilibriumRecord]:
+def enumerate_equilibria_commitment(scenario: Scenario) -> list[EquilibriumRecord]:
     """Equilibria in strictly increasing pure symmetric strategies under
     limited commitment; at eta = 1 this reduces to the baseline game."""
+    require_game(scenario, "commitment", "baseline")
     require_symmetric(scenario)
     types = scenario.beta_types
-    kernel = _commitment_kernel(scenario, types.type_values, types.type_probs, eta)
+    kernel = _commitment_kernel(scenario, types.type_values, types.type_probs)
     rows = itertools.combinations(range(len(kernel.grid)), len(types.types))
-    belief = partial(commitment_belief, eta=eta)
-    return equilibrium_records(scenario, kernel, rows, "commitment", belief, mu)
+    return equilibrium_records(scenario, kernel, rows, "commitment", commitment_belief)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .election import (
     equilibrium_records,
     frontier_scan,
     game_kernel,
+    require_game,
     value_matrix,
 )
 from .solver import BeliefOverProfiles, attentive
@@ -360,9 +361,8 @@ def check_ic_noisy(
     scenario: Scenario, assignment: StrategyAssignment
 ) -> tuple[bool, dict]:
     """Incentive compatibility when winners are decided by news reports."""
+    require_game(scenario, "noisy")
     require_symmetric(scenario)
-    if scenario.news is None:
-        raise ValidationError("scenario has no news technology")
     kernel = _noisy_kernel(scenario, assignment.types, assignment.type_probs)
     return kernel.check(assignment.policies)
 
@@ -376,19 +376,16 @@ def news_belief(
 
 
 def enumerate_equilibria_noisy(
-    scenario: Scenario,
-    mu: float | None = None,
-    max_assignments: int = 200_000,
+    scenario: Scenario, max_assignments: int = 200_000
 ) -> list[EquilibriumRecord]:
     """All pure symmetric equilibria under the scenario's news technology.
 
     Refuses technologies that fail the pmf or log-supermodularity audits.
     Attached attention solutions live on the news-profile support.
     """
+    require_game(scenario, "noisy")
     require_symmetric(scenario)
     tech = scenario.news
-    if tech is None:
-        raise ValidationError("scenario has no news technology")
     grid = scenario.beta_axis.values
     revealing = is_monotone_revealing(tech, grid)
     problems = tech.audit_rows(grid, warn_zero=not revealing)
@@ -402,4 +399,4 @@ def enumerate_equilibria_noisy(
     rows = assignment_rows(scenario, max_assignments)
     types = scenario.beta_types
     kernel = _noisy_kernel(scenario, types.type_values, types.type_probs)
-    return equilibrium_records(scenario, kernel, rows, "noisy", news_belief, mu)
+    return equilibrium_records(scenario, kernel, rows, "noisy", news_belief)

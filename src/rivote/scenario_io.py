@@ -34,6 +34,19 @@ def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _scalar(data: dict, key: str, path: str, default, problems: list[str], kind=float):
+    """``data[key]`` (``default`` when absent) as ``kind``, or None where the
+    default is None; anything but a number, or for ``int`` an integral one,
+    is a problem at ``path``."""
+    value = data.get(key, default)
+    if value is None and default is None:
+        return None
+    if _number(value) and (kind is float or float(value).is_integer()):
+        return kind(value)
+    problems.append(f"{path}: must be {'a number' if kind is float else 'an integer'}")
+    return None
+
+
 def _pairs(raw, path: str, problems: list[str]) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(_number(v) for v in p) for p in raw
@@ -128,8 +141,14 @@ def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
         if u2spec.get("family", "weighted_bliss") != "weighted_bliss":
             problems.append(f"issues.utility2: unknown family {u2spec.get('family')!r}")
             return None
-        u2 = weighted_bliss_utility(bliss=float(u2spec.get("bliss", 2.0)),
-                                    slope=float(u2spec.get("slope", 0.5)))
+        found = len(problems)
+        shape = {name: _scalar(u2spec, name, f"issues.utility2.{name}", default, problems)
+                 for name, default in (("bliss", 2.0), ("slope", 0.5))}
+        grid_size = _scalar(data, "a_grid_size", "issues.a_grid_size", 200, problems, int)
+        if len(problems) > found:
+            return None
+        u2 = weighted_bliss_utility(**shape)
+
         def merged(dense, extra):
             # points the table is read at must survive the merge verbatim; drop dense points
             # that would land within rounding distance of them
@@ -138,7 +157,6 @@ def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
             keep = np.abs(dense[:, None] - extra[None, :]).min(axis=1) > 1e-9
             return np.unique(np.concatenate([dense[keep], extra]))
 
-        grid_size = int(data.get("a_grid_size", 200))
         a_grid = merged(np.linspace(-1.0, 1.0, grid_size), lookup_a)
         t_grid = merged(np.linspace(-1.0, 1.0, 21), lookup_t)
         reduction = multi_issue_reduce(u2, frontier, a_grid=a_grid, t_grid=t_grid)
@@ -176,28 +194,26 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     util = data["utility"]
     utility = None
-    try:
-        table = None
-        if util.get("family") == "table":
-            tbl = util.get("table", {})
-            if not isinstance(tbl, dict):
-                raise TypeError("table: expected a JSON object")
-            table = TabulatedUtility(
-                _numbers(tbl.get("a"), "utility.table.a", problems),
-                _numbers(tbl.get("t"), "utility.table.t", problems),
-                tuple(tuple(row) for row in tbl.get("values", ())),
-            )
-        utility = UtilitySpec(
-            family=util.get("family", "absolute"),
-            office_rent=float(util.get("office_rent", 0.0)),
-            win_weight=float(util.get("win_weight", 0.0)),
-            lose_weight=float(util.get("lose_weight", 0.0)),
-            loser_sign=int(util.get("loser_sign", 1)),
-            kappa=util.get("kappa"),
-            table=table,
-        )
-    except (TypeError, ValueError) as exc:
-        problems.append(f"utility: {exc}")
+    found = len(problems)
+    table = None
+    if util.get("family") == "table":
+        tbl = util.get("table", {})
+        if not isinstance(tbl, dict):
+            problems.append("utility.table: expected a JSON object")
+        else:
+            table = [_numbers(tbl.get("a"), "utility.table.a", problems),
+                     _numbers(tbl.get("t"), "utility.table.t", problems),
+                     _rows(tbl.get("values"), "utility.table.values", problems)]
+    stage = {name: _scalar(util, name, f"utility.{name}", default, problems)
+             for name, default in (("office_rent", 0.0), ("win_weight", 0.0),
+                                   ("lose_weight", 0.0), ("kappa", None))}
+    stage["loser_sign"] = _scalar(util, "loser_sign", "utility.loser_sign", 1, problems, int)
+    if len(problems) == found:
+        try:
+            utility = UtilitySpec(family=util.get("family", "absolute"),
+                                  table=table and TabulatedUtility(*table), **stage)
+        except ValidationError as exc:
+            problems.append(f"utility: {exc}")
 
     cand = data["candidates"]
     beta_types = None
@@ -237,12 +253,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     news = None
     if "news" in data:
         news = _news_from_dict(data["news"], problems)
-    eta = data.get("commitment", {}).get("eta", 1.0)
-    if not _number(eta):
-        problems.append("commitment.eta: must be a number")
-    cost = data.get("dissemination", {}).get("cost")
-    if cost is not None and not _number(cost):
-        problems.append("dissemination.cost: must be a number")
+    eta = _scalar(data.get("commitment", {}), "eta", "commitment.eta", 1.0, problems)
+    cost = _scalar(data.get("dissemination", {}), "cost", "dissemination.cost", None, problems)
 
     if problems:
         raise ValidationError("invalid scenario: " + "; ".join(problems))
@@ -254,8 +266,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             electorate=electorate,
             mu=float(mu),
             news=news,
-            eta=float(eta),
-            dissemination_cost=None if cost is None else float(cost),
+            eta=eta,
+            dissemination_cost=cost,
         )
     except ValidationError as exc:
         raise ValidationError(f"invalid scenario: {exc}") from exc

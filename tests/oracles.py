@@ -96,6 +96,43 @@ def brute_force_objective_max(values, probs, mu, coarse=0.01, fine=0.0005):
     return refined, point
 
 
+def blahut_arimoto(values, probs, mu, tol=1e-15, max_steps=1_000_000):
+    """Optimal attention by the Blahut-Arimoto alternation, for any support.
+
+    With a Shannon cost the voter's problem is a rate-distortion problem, so
+    alternating m_i = m_bar e^{x_i} / (m_bar e^{x_i} + 1 - m_bar), x = v/mu,
+    with m_bar = sum_i p_i m_i climbs to the optimum from any interior start;
+    no first-order condition is solved.  e = exp(-|x|) keeps every step
+    finite, and both m and 1 - m are formed directly.  Stops when m_bar moves
+    by at most ``tol`` or after ``max_steps``; returns (net objective
+    E[m v] - mu I at the final m, m_bar).
+    """
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    x = values / mu
+    pos = x >= 0
+    e = np.exp(-np.abs(x))
+
+    def choice(m_bar):
+        """(m, 1 - m) of the logit rule at m_bar."""
+        beta = np.where(pos, m_bar, m_bar * e)
+        alpha = np.where(pos, (1.0 - m_bar) * e, 1.0 - m_bar)
+        return beta / (beta + alpha), alpha / (beta + alpha)
+
+    m_bar = 0.5
+    for _ in range(max_steps):
+        new = min(float(np.dot(probs, choice(m_bar)[0])), 1.0)  # sum(p) may round above 1
+        done = abs(new - m_bar) <= tol
+        m_bar = new
+        if done:
+            break
+    m, rest = choice(m_bar)
+    # I = H(m_bar) - sum_i p_i H(m_i), with 0 log 0 = 0
+    info = -(xlogy(m_bar, m_bar) + xlogy(1.0 - m_bar, 1.0 - m_bar))
+    info += float(np.dot(probs, xlogy(m, m) + xlogy(rest, rest)))
+    return float(np.dot(probs, m * values)) - mu * info, m_bar
+
+
 def random_tp2_technology(rng, n_policies=4, k=None):
     """Symmetric technology with strictly log-supermodular rows.
 

@@ -6,6 +6,7 @@ Every tolerance is pinned here; nothing is deferred to calibration.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ def test_criterion_03_equilibrium_set(figure2):
         assert {r.assignment.policies for r in records} == {(0.01, 0.2), (0.01, 0.4)}
         for mu in (0.1, 1.0, 10.0, 100.0):
             assert {
-                r.assignment.policies for r in enumerate_equilibria(figure2, mu=mu)
+                r.assignment.policies for r in enumerate_equilibria(replace(figure2, mu=mu))
             } == {(0.01, 0.2), (0.01, 0.4)}
 
 
@@ -287,7 +288,7 @@ def test_criterion_09_reductions(figure2):
                 np.testing.assert_array_equal(sb.m, sn.m)
 
         # full commitment: the transform is the identity
-        comm = enumerate_equilibria_commitment(figure2, eta=1.0)
+        comm = enumerate_equilibria_commitment(figure2)
         assert [r.assignment.policies for r in base] == [
             r.assignment.policies for r in comm
         ]
@@ -298,9 +299,9 @@ def test_criterion_09_reductions(figure2):
                 np.testing.assert_array_equal(sb.m, sc.m)
 
         # vanishing dissemination cost: the filter keeps every attentive record
-        records = enumerate_equilibria(figure2, mu=0.09)
+        records = enumerate_equilibria(replace(figure2, mu=0.09))
         assert all(r.total_information(dict(figure2.electorate.groups)) > 0 for r in records)
-        assert len(dissemination_filter(records, figure2, 1e-12)) == len(records)
+        assert len(dissemination_filter(records, replace(figure2, dissemination_cost=1e-12))) == len(records)
 
 
 def test_criterion_10_two_issue_audit():

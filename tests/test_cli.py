@@ -7,8 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rivote import cli
 from rivote.cli import main
 from rivote.core import ValidationError
+from rivote.election import assignment_for, check_ic, enumerate_equilibria, game_of
+from rivote.extensions import check_ic_commitment, enumerate_equilibria_commitment
+from rivote.news import check_ic_noisy, enumerate_equilibria_noisy
 from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
 from rivote.scenario_io import dump_scenario, load_scenario, scenario_from_dict, scenario_hash
 
@@ -25,6 +29,10 @@ def fig3_path(tmp_path):
     path = tmp_path / "fig3.json"
     dump_scenario(figure3_scenario(0.75), path)
     return str(path)
+
+
+UTILITY = figure2_scenario()["utility"]
+TABLE = {"a": [-0.4, 0.4], "t": [0.0]}
 
 
 def read_rows(path):
@@ -83,6 +91,14 @@ class TestValidate:
                   "rows": [[0.5, 0.5]]}, "news.policies"),
         ("news", {"family": "table", "signals": [0.25, 0.75], "policies": [0.01],
                   "rows": 5}, "news.rows"),
+        ("utility", {**UTILITY, "family": "table", "table": TABLE | {"values": [[1, "x"]]}},
+         "utility.table.values"),
+        ("utility", {**UTILITY, "family": "table", "table": TABLE | {"values": 5}},
+         "utility.table.values"),
+        ("utility", {**UTILITY, "kappa": "x"}, "utility.kappa"),
+        ("utility", {**UTILITY, "office_rent": "x"}, "utility.office_rent"),
+        ("issues", {"utility2": {"bliss": "x"}}, "issues.utility2.bliss"),
+        ("issues", {"a_grid_size": "x"}, "issues.a_grid_size"),
     ])
     def test_malformed_section_names_its_path(self, section, value, path):
         doc = figure2_scenario()
@@ -142,6 +158,36 @@ def test_shipped_scenarios_load_and_validate(path, capsys):
     assert load_scenario(path).mu > 0
     assert main(["validate", "--scenario", str(path)]) == 0
     assert "scenario ok" in capsys.readouterr().out
+
+
+PIPELINES = {
+    "baseline": (enumerate_equilibria, check_ic),
+    "noisy": (enumerate_equilibria_noisy, check_ic_noisy),
+    "commitment": (enumerate_equilibria_commitment, check_ic_commitment),
+}
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_only_the_scenarios_own_pipeline_runs(path):
+    scenario = load_scenario(path)
+    game = game_of(scenario)
+    assert cli._pipeline(scenario)[0] is PIPELINES[game][0]
+    n_types = len(scenario.beta_types.types)
+    assignment = assignment_for(scenario, scenario.beta_axis.values[:n_types])
+    own = PIPELINES[game][0](scenario)
+    PIPELINES[game][1](scenario, assignment)
+    for other, (enumerate_fn, check) in PIPELINES.items():
+        if other == game:
+            continue
+        if (game, other) == ("baseline", "commitment"):
+            # at eta = 1 limited commitment is the baseline game
+            assert [r.assignment.policies for r in enumerate_fn(scenario)] == [
+                r.assignment.policies for r in own]
+            continue
+        for run in (lambda: enumerate_fn(scenario), lambda: check(scenario, assignment)):
+            with pytest.raises(ValidationError, match=f"use {PIPELINES[game][0].__name__}$"):
+                run()
+
 
 @pytest.fixture()
 def off_table_path(tmp_path):
@@ -327,6 +373,7 @@ class TestSweep:
     ["attention-set", "--a1", "0.1:0.5:0.1", "--a2", "0.1:inf:0.1"],
     ["solve-attention", "--policies", "x,y"],
     ["sweep", "--param", "mu", "--values", "a,b"],
+    ["sweep", "--param", "mu", "--values", "1", "--threads", "0"],
     ["validate", "--scenario", "missing.json"],
     ["garble", "--kernel", "missing.json"],
     ["garble", "--kernel", "no_rows.json"],
@@ -340,6 +387,22 @@ def test_malformed_flags_and_files_exit_2(command, fig3_path, tmp_path, monkeypa
     assert main(command + scenario + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("validation error: ")
 
+
+@pytest.mark.parametrize("command", [
+    ["reproduce", "table1", "--tolerance", "nan"],
+    ["reproduce", "table1", "--scenario", "/nonexistent.json"],
+    ["validate", "--scenario", "x.json", "--threads", "0"],
+    ["enumerate"],
+    ["sweep", "--param", "mu", "--values", "1"],
+], ids=lambda c: " ".join(c))
+def test_flags_a_subcommand_does_not_read_exit_2(command, tmp_path, capsys):
+    # each subcommand takes only the flags it reads; --scenario is required where read
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
 class TestReproduce:
     @pytest.mark.parametrize("target", ["table1", "table2"])
     def test_tables(self, target, tmp_path):
@@ -352,15 +415,40 @@ class TestReproduce:
         diamonds = {(float(r[1]), float(r[2])) for r in rows if r[0] == "equilibrium"}
         assert diamonds == {(0.01, 0.2), (0.01, 0.4)}
 
-    def test_tight_tolerance_exits_4(self, tmp_path):
-        assert main([
-            "reproduce", "table1", "--out", str(tmp_path), "--tolerance", "1e-9",
-        ]) == 4
+    def test_tight_tolerance_exits_4(self, tmp_path, monkeypatch, capsys):
+        # one expected cell moved just past the fixed tolerance is a mismatch
+        expected = dict(cli.TABLE1_EXPECTED)
+        info, *cells = expected[-0.05]
+        expected[-0.05] = (info + 1.5 * cli.TOLERANCE, *cells)
+        monkeypatch.setattr(cli, "TABLE1_EXPECTED", expected)
+        assert main(["reproduce", "table1", "--out", str(tmp_path)]) == 4
+        assert "table1 t=-0.05" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         assert main(["reproduce", "table1", "--out", str(tmp_path / "a")]) == 0
         assert main(["reproduce", "table1", "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a/table1.csv").read_bytes() == (tmp_path / "b/table1.csv").read_bytes()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The ``rivote ...`` commands of the README's CLI bash block, one per
+    ``&&`` part, with backslash continuations joined."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        commands += [part.split() for part in line.split("&&") if part.strip()]
+    return commands
+
+
+@pytest.mark.parametrize("command", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_runs(command, tmp_path, monkeypatch):
+    assert command[0] == "rivote"
+    monkeypatch.chdir(ROOT)
+    assert main(command[1:] + ["--out", str(tmp_path)]) == 0
 
 
 def test_scenario_hash_stable():

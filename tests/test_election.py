@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,12 +65,12 @@ class TestAggregation:
     def test_off_diagonal_profile_beta_wins(self, figure2):
         # moderate-vs-centrist profile: the more centrist candidate wins
         assignment = assignment_for(figure2, (0.01, 0.4))
-        w = aggregate_and_rationalize(figure2, assignment, mu=0.09)
+        w = aggregate_and_rationalize(replace(figure2, mu=0.09), assignment)
         assert w[1, 0] == 1.0 and w[0, 1] == 0.0
 
     def test_diagonal_profiles_split(self, figure2):
         assignment = assignment_for(figure2, (0.01, 0.4))
-        w = aggregate_and_rationalize(figure2, assignment, mu=0.09)
+        w = aggregate_and_rationalize(replace(figure2, mu=0.09), assignment)
         assert w[0, 0] == 0.5 and w[1, 1] == 0.5
 
     def test_recovers_perfect_observation_matrix(self, table1):
@@ -159,7 +160,7 @@ class TestIncentiveCompatibility:
         for policies in ((0.01, 0.2), (0.01, 0.4)):
             a = assignment_for(figure2, policies)
             ok_d, gaps_d = check_ic(figure2, a, w_source="downsian")
-            ok_r, gaps_r = check_ic(figure2, a, w_source="rationalized", mu=0.09)
+            ok_r, gaps_r = check_ic(replace(figure2, mu=0.09), a, w_source="rationalized")
             assert ok_d == ok_r
             for key in gaps_d:
                 assert gaps_d[key] == pytest.approx(gaps_r[key], abs=1e-9)
@@ -174,7 +175,7 @@ class TestEnumeration:
         baseline = {r.assignment.policies for r in enumerate_equilibria(figure2)}
         for mu in (0.1, 1.0, 10.0, 100.0):
             assert {
-                r.assignment.policies for r in enumerate_equilibria(figure2, mu=mu)
+                r.assignment.policies for r in enumerate_equilibria(replace(figure2, mu=mu))
             } == baseline
 
     def test_cap_refusal(self, figure2):
@@ -240,19 +241,19 @@ class TestAttentionSet:
 class TestTruncation:
     def test_cheap_attention_keeps_both(self, figure2):
         records = enumerate_equilibria(figure2)
-        kept, diff = truncation_statistic(figure2, records, -0.001, mu=0.1)
+        kept, diff = truncation_statistic(replace(figure2, mu=0.1), records, -0.001)
         assert len(kept) == 2
         assert diff == pytest.approx(median_differential(figure2.utility, (0.01, 0.2)))
 
     def test_intermediate_cost_truncates(self, figure2):
         records = enumerate_equilibria(figure2)
-        kept, diff = truncation_statistic(figure2, records, -0.001, mu=10.0)
+        kept, diff = truncation_statistic(replace(figure2, mu=10.0), records, -0.001)
         assert [r.assignment.policies for r in kept] == [(0.01, 0.4)]
         assert diff == pytest.approx(0.39)
 
     def test_prohibitive_cost_empties(self, figure2):
         records = enumerate_equilibria(figure2)
-        kept, diff = truncation_statistic(figure2, records, -0.001, mu=1e4)
+        kept, diff = truncation_statistic(replace(figure2, mu=1e4), records, -0.001)
         assert kept == () and diff is None
 
     def test_nested_and_monotone_in_mu(self, figure2):
@@ -261,7 +262,7 @@ class TestTruncation:
         prev = None
         prev_diff = -math.inf
         for mu in mus:
-            kept, diff = truncation_statistic(figure2, records, -0.001, mu=mu)
+            kept, diff = truncation_statistic(replace(figure2, mu=mu), records, -0.001)
             keys = {r.assignment.policies for r in kept}
             if prev is not None:
                 assert keys <= prev

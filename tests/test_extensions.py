@@ -1,5 +1,7 @@
 import math
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,15 +38,21 @@ def hurdle(mu, tau=0.001):
 class TestDisseminationFilter:
     @pytest.fixture()
     def records(self, figure2):
-        return enumerate_equilibria(figure2, mu=0.09)
+        return enumerate_equilibria(replace(figure2, mu=0.09))
+
+    def test_no_cost_keeps_every_record(self, figure2, records):
+        assert figure2.dissemination_cost is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dissemination_filter(records, figure2) == tuple(records)
 
     def test_vanishing_cost_is_noop(self, figure2, records):
-        kept = dissemination_filter(records, figure2, 1e-12)
+        kept = dissemination_filter(records, replace(figure2, dissemination_cost=1e-12))
         assert len(kept) == len(records)
 
     def test_cost_above_entropy_empties(self, figure2, records):
         with pytest.warns(UserWarning):
-            kept = dissemination_filter(records, figure2, math.log(4.0))
+            kept = dissemination_filter(records, replace(figure2, dissemination_cost=math.log(4.0)))
         assert kept == ()
 
     def test_intermediate_cost_selects_by_total_information(self, figure2, records):
@@ -52,14 +60,14 @@ class TestDisseminationFilter:
         totals = sorted(r.total_information(weights) for r in records)
         assert totals[0] < totals[1]
         cost = 0.5 * (totals[0] + totals[1])
-        kept = dissemination_filter(records, figure2, cost)
+        kept = dissemination_filter(records, replace(figure2, dissemination_cost=cost))
         assert len(kept) == 1
         assert kept[0].total_information(weights) == totals[1]
 
     def test_monotone_in_cost(self, figure2, records):
         sizes = []
         for cost in np.linspace(1e-6, 1.0, 15):
-            sizes.append(len(dissemination_filter(records, figure2, cost)))
+            sizes.append(len(dissemination_filter(records, replace(figure2, dissemination_cost=cost))))
         assert sizes == sorted(sizes, reverse=True)
 
 
@@ -71,21 +79,16 @@ class TestCommitment:
         blend = (0.25 * value_matrix(scenario.utility, a.policies, -0.05)
                  + 0.75 * value_matrix(scenario.utility, a.types, -0.05))
         np.testing.assert_array_equal(belief.values, blend.ravel())
-        with pytest.raises(ValidationError, match="eta"):
-            commitment_belief(scenario, a, -0.05, eta=1.5)
 
     @pytest.mark.parametrize("eta", [1.5, -3.0])
     def test_eta_out_of_range_refused(self, example3_factory, eta):
-        scenario = example3_factory(0.5)
-        a = assignment_for(scenario, (0.01, 0.4))
+        # the scenario is the one source of eta, and it checks the range
         with pytest.raises(ValidationError, match=r"eta must lie in \[0, 1\]"):
-            commitment_belief(scenario, a, -0.001, eta=eta)
-        with pytest.raises(ValidationError, match=r"eta must lie in \[0, 1\]"):
-            enumerate_equilibria_commitment(scenario, eta=eta)
+            replace(example3_factory(0.5), eta=eta)
 
     def test_full_commitment_is_identity(self, figure2):
         base = enumerate_equilibria(figure2)
-        comm = enumerate_equilibria_commitment(figure2, eta=1.0)
+        comm = enumerate_equilibria_commitment(figure2)
         assert [r.assignment.policies for r in base] == [
             r.assignment.policies for r in comm
         ]
@@ -98,7 +101,7 @@ class TestCommitment:
     def test_no_commitment_ignores_proposals(self, example3_factory):
         scenario = example3_factory(0.0)
         beliefs = [
-            commitment_belief(scenario, assignment_for(scenario, pols), -0.001, eta=0.0)
+            commitment_belief(scenario, assignment_for(scenario, pols), -0.001)
             for pols in ((0.01, 0.2), (0.01, 0.4), (0.2, 0.4))
         ]
         for other in beliefs[1:]:
@@ -135,7 +138,7 @@ class TestCommitment:
         scenario = scenario_from_dict(doc)
         a = assignment_for(scenario, (0.01, 0.6))  # gap .59 > inference effect .5
         members = [
-            attention_membership(commitment_belief(scenario, a, -tau, eta=float(eta)), mu)
+            attention_membership(commitment_belief(replace(scenario, eta=float(eta)), a, -tau), mu)
             for eta in np.linspace(0.0, 1.0, 21)
         ]
         assert members == sorted(members)  # flips from out to in as eta rises
@@ -147,7 +150,7 @@ class TestCommitment:
         for pols in ((0.01, 0.2), (0.01, 0.4), (0.2, 0.4)):
             a = assignment_for(figure2, pols)
             ok_b, gaps_b = check_ic(figure2, a)
-            ok_c, gaps_c = check_ic_commitment(figure2, a, eta=1.0)
+            ok_c, gaps_c = check_ic_commitment(figure2, a)
             assert ok_b == ok_c and gaps_b == gaps_c
 
 

@@ -1,5 +1,6 @@
 """The batched IC kernel against the scalar oracle, and its mirror identity."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def kernel_and_oracle(scenario, pipeline):
         g = expected_winning_matrix(scenario.news, grid)
         return kernel, lambda a: _two_sided_gaps(
             scenario, a, lambda x, y: float(g[grid.index(-x), grid.index(y)]))
-    kernel = _commitment_kernel(scenario, types.type_values, types.type_probs, scenario.eta)
+    kernel = _commitment_kernel(scenario, types.type_values, types.type_probs)
     return kernel, lambda a: commitment_gaps(scenario, a, scenario.eta)
 
 
@@ -154,7 +155,7 @@ def test_rationalized_check_equals_oracle(figure2):
         assignment = StrategyAssignment(
             figure2.beta_types.type_values, figure2.beta_types.type_probs, policies)
         levels = assignment.levels
-        on_path = election.aggregate_and_rationalize(figure2, assignment, 0.09)
+        on_path = election.aggregate_and_rationalize(replace(figure2, mu=0.09), assignment)
 
         def w_beta(x, a):
             if -x in levels and a in levels:
@@ -164,7 +165,7 @@ def test_rationalized_check_equals_oracle(figure2):
         ob, oa = _two_sided_gaps(figure2, assignment, w_beta)
         expected = {("beta", t): g for t, g in ob}
         expected.update({("alpha", t): g for t, g in oa})
-        _, gaps = check_ic(figure2, assignment, w_source="rationalized", mu=0.09)
+        _, gaps = check_ic(replace(figure2, mu=0.09), assignment, w_source="rationalized")
         assert gaps == expected
 
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,7 +212,7 @@ class TestNoisyEquilibria:
             belief = profile_belief(scenario.utility, levels, sigma, -0.001)
             assert attention_membership(belief, 1.0)
             assert not noisy_member(scenario.news, scenario.utility, levels, sigma, -0.001, 1.0)
-        assert truncation_statistic(scenario, records, -0.001, mu=1.0) == ((), None)
+        assert truncation_statistic(replace(scenario, mu=1.0), records, -0.001) == ((), None)
         # the CLI's sweep reports the same statistic
         path = tmp_path / "fig3.json"
         dump_scenario(figure3_scenario(0.6), path)
@@ -249,14 +250,12 @@ class TestNoisyEquilibria:
                 np.testing.assert_array_equal(bs.m, ns.m)
 
     def test_non_ratio_ordered_technology_refused(self, figure3_factory):
-        import dataclasses
-
         scenario = figure3_factory(0.75)
         flat = NewsTechnology(
             scenario.news.signals, lambda a: np.array([0.5, 0.5]), label="flat"
         )
         with pytest.raises(ValidationError):
-            enumerate_equilibria_noisy(dataclasses.replace(scenario, news=flat))
+            enumerate_equilibria_noisy(replace(scenario, news=flat))
 
     def test_expected_winning_matrix_structure(self):
         tech = NewsTechnology.slant(0.4)

@@ -372,23 +372,45 @@ class TestAgainstOracle:
         assert assert_same_solution(belief, mu).regime == regime
 
     def test_bitwise_on_benchmark_belief_stream(self):
-        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        from rivote import NewsTechnology, UtilitySpec, profile_belief, signal_belief
-
-        techs = {f"slant_{xi}": NewsTechnology.slant(xi) for xi in workloads.NOISY_XIS}
-        techs["revealing"] = NewsTechnology.revealing(workloads.REVEAL_GRID)
-        specs = {f: UtilitySpec(family=f) for f in ("absolute", "quadratic")}
-        regimes = []
-        for item in workloads.belief_stream(0):
-            p = np.array(item["probs"])
-            args = (specs[item["family"]], item["levels"], np.outer(p, p), item["t"])
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # revealing beliefs drop profiles
-                belief = (profile_belief(*args) if item["news"] is None
-                          else signal_belief(techs[item["news"]], *args))
-            regimes.append(assert_same_solution(belief, item["mu"]).regime)
-        assert len(regimes) == workloads.N_BELIEFS
+        regimes = [assert_same_solution(belief, mu).regime
+                   for belief, mu in benchmark_belief_stream()]
+        assert len(regimes) == 600
         assert {"corner_zero", "corner_one", "interior"} <= set(regimes)
+
+
+def benchmark_belief_stream(seed: int = 0):
+    """(belief, mu) of each item of the benchmark's seeded belief stream:
+    supports of 4-64 profiles, news beliefs among them."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    from rivote import NewsTechnology, UtilitySpec, profile_belief, signal_belief
+
+    techs = {f"slant_{xi}": NewsTechnology.slant(xi) for xi in workloads.NOISY_XIS}
+    techs["revealing"] = NewsTechnology.revealing(workloads.REVEAL_GRID)
+    specs = {f: UtilitySpec(family=f) for f in ("absolute", "quadratic")}
+    stream = []
+    for item in workloads.belief_stream(seed):
+        p = np.array(item["probs"])
+        args = (specs[item["family"]], item["levels"], np.outer(p, p), item["t"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # revealing beliefs drop profiles
+            belief = (profile_belief(*args) if item["news"] is None
+                      else signal_belief(techs[item["news"]], *args))
+        stream.append((belief, item["mu"]))
+    return stream
+
+
+def test_solver_reaches_the_blahut_arimoto_optimum():
+    # an independent algorithm for any support size: the solver's objective
+    # equals the Blahut-Arimoto limit, and BA's m_bar goes where the solver's
+    # is, so to below 1e-6 or above 1 - 1e-6 on corner beliefs
+    regimes = set()
+    for belief, mu in benchmark_belief_stream():
+        sol = solve_attention(belief, mu)
+        limit, m_bar = oracles.blahut_arimoto(belief.values, belief.probs, mu)
+        assert -1e-9 <= sol.objective(belief, mu) - limit <= 1e-9
+        assert abs(m_bar - sol.m_bar) < 1e-6
+        regimes.add(sol.regime)
+    assert regimes == {"corner_zero", "corner_one", "interior"}
