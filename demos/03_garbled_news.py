@@ -12,7 +12,7 @@ from rivote import (
     MarkovKernel,
     NewsTechnology,
     attention_membership,
-    check_log_supermodularity,
+    audit_news,
     enumerate_equilibria_noisy,
     posterior_value,
     signal_belief,
@@ -25,9 +25,10 @@ lam = (xi2 - xi) / (1 - xi)
 shifted = NewsTechnology.slant(xi).garbled(MarkovKernel.slant_shift(lam))
 target = NewsTechnology.slant(xi2)
 grid = np.linspace(0.05, 0.95, 10)
-gap = np.max(np.abs(shifted.pmf_matrix(grid) - target.pmf_matrix(grid)))
+gap = np.max(np.abs(shifted.pmf(grid) - target.pmf(grid)))
 print(f"  max row difference after shifting xi={xi} by lam={lam:.3f}: {gap:.1e}")
-print(f"  ratio ordering: {check_log_supermodularity(target, grid).describe()}")
+verdict = "; ".join(audit_news(target, grid)) or "log-supermodular on the audited grid"
+print(f"  ratio ordering: {verdict}")
 
 print("\nPosterior stakes fall as news degrades (median voter, widest profile)")
 sigma = np.full((2, 2), 0.25)

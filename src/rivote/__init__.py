@@ -52,7 +52,7 @@ from .news import (
     MarkovKernel,
     NewsTechnology,
     attention_frontier_noisy,
-    check_log_supermodularity,
+    audit_news,
     enumerate_equilibria_noisy,
     news_belief,
     posterior_value,

@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import NumericError, Scenario, UtilitySpec, ValidationError, audit_scenario
+from .core import NumericError, Scenario, ValidationError, audit_scenario
 from .election import (
     assignment_for,
     attention_frontier,
     enumerate_equilibria,
     game_of,
     on_path_belief,
-    profile_belief,
     truncation_statistic,
 )
 from .extensions import (
@@ -36,7 +35,7 @@ from .extensions import (
 from .news import (
     MarkovKernel,
     attention_frontier_noisy,
-    check_log_supermodularity,
+    audit_news,
     enumerate_equilibria_noisy,
     news_belief,
 )
@@ -99,10 +98,7 @@ def _cmd_validate(args) -> int:
     doc, scenario = _load(args)
     problems = audit_scenario(scenario)
     if scenario.news is not None:
-        problems += scenario.news.audit_rows(scenario.beta_axis.values)
-        report = check_log_supermodularity(scenario.news, scenario.beta_axis.values)
-        if not report.ok:
-            problems.append(report.describe())
+        problems += audit_news(scenario.news, scenario.beta_axis.values)
     if problems:
         for p in problems:
             print(f"audit: {p}", file=sys.stderr)
@@ -187,7 +183,6 @@ def _cmd_garble(args) -> int:
     doc, scenario = _load(args)
     if scenario.news is None:
         raise ValidationError("garble needs a scenario with a news section")
-    tech = scenario.news
     if args.kernel:
         try:
             kernel = MarkovKernel(np.array(load_scenario_dict(args.kernel)["rows"], dtype=float))
@@ -197,12 +192,12 @@ def _cmd_garble(args) -> int:
         raise ValidationError("garble needs --kernel FILE or --lam WEIGHT")
     else:
         kernel = MarkovKernel.slant_shift(args.lam)
-    garbled = tech.garbled(kernel)
+    garbled = scenario.news.garbled(kernel)
     grid = scenario.beta_axis.values
-    report = check_log_supermodularity(garbled, grid)
-    print(f"garbled technology: {report.describe()}")
+    verdict = "; ".join(audit_news(garbled, grid)) or "log-supermodular on the audited grid"
+    print(f"garbled technology: {verdict}")
     header = ["policy"] + [f"f({w}|a)" for w in garbled.signals]
-    rows = [[a, *garbled.pmf(a)] for a in grid]
+    rows = [[a, *f] for a, f in zip(grid, garbled.pmf(grid))]
     _write_csv(args, "garbled_news.csv", scenario_hash(doc), header, rows)
     return 0
 
@@ -275,24 +270,26 @@ FIGURE2_DIAMONDS = {(0.01, 0.2), (0.01, 0.4)}
 FIGURE3_XIS = (0.6, 0.75, 0.9)
 
 
-def _table_belief(t: float):
-    spec = UtilitySpec(family="absolute")
-    sigma = np.full((2, 2), 0.25)
-    return profile_belief(spec, (0.01, 0.4), sigma, t)
+def _table_solution(scenario: Scenario, t: float):
+    """Voter t's attention when the two candidate types play .01 and .4."""
+    belief = on_path_belief(scenario, assignment_for(scenario, (0.01, 0.4)), t)
+    return solve_attention(belief, scenario.mu)
 
 
-def table1_rows(mu: float = 0.09):
+def table1_rows():
+    scenario = build(table1_scenario())
     rows = []
     for t in sorted(TABLE1_EXPECTED):
-        sol = solve_attention(_table_belief(t), mu)
+        sol = _table_solution(scenario, t)
         rows.append((t, sol.info, *sol.m))
     return rows
 
 
 def table2_rows(t: float = -0.05):
+    scenario = build(table1_scenario())
     rows = []
     for mu in sorted(TABLE2_EXPECTED):
-        sol = solve_attention(_table_belief(t), mu)
+        sol = _table_solution(replace(scenario, mu=mu), t)
         rows.append((mu, sol.m_bar, *sol.m))
     return rows
 

@@ -269,14 +269,14 @@ class Scenario:
     dissemination_cost: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.mu > 0:
-            raise ValidationError("marginal attention cost mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise ValidationError("marginal attention cost mu must be positive and finite")
         if not 0.0 <= self.eta <= 1.0:
             raise ValidationError("commitment level eta must lie in [0, 1]")
         if self.news is not None and self.eta < 1.0:
             raise ValidationError("news cannot be combined with limited commitment (eta < 1)")
-        if self.dissemination_cost is not None and self.dissemination_cost < 0:
-            raise ValidationError("dissemination cost must be >= 0")
+        if self.dissemination_cost is not None and not 0 <= self.dissemination_cost < math.inf:
+            raise ValidationError("dissemination cost must be finite and >= 0")
 
     def kappa(self) -> float:
         positive = tuple(t for t in self.electorate.group_types if t > 0)

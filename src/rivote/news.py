@@ -51,10 +51,8 @@ class MarkovKernel:
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("garbling kernel must be a square matrix")
-        if np.any(m < 0):
-            raise ValidationError("garbling kernel entries must be nonnegative")
-        if np.max(np.abs(m.sum(axis=1) - 1.0)) > EXACT:
-            raise ValidationError("garbling kernel rows must sum to 1")
+        if problem := stochastic_problem(m):
+            raise ValidationError(f"garbling kernel {problem}")
 
     @property
     def order(self) -> int:
@@ -82,8 +80,22 @@ class MarkovKernel:
         return MarkovKernel(np.array([[1.0 - lam, lam], [0.0, 1.0]]))
 
 
+def stochastic_problem(rows) -> str | None:
+    """Why ``rows`` is not a table of probability distributions (finite,
+    nonnegative entries, each row summing to 1 within 1e-12), or None."""
+    m = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(m)):
+        return "entries must be finite"
+    if np.any(m < 0):
+        return "entries must be nonnegative"
+    if np.any(np.abs(m.sum(axis=-1) - 1.0) > EXACT):
+        return "rows must sum to 1"
+    return None
+
+
 class NewsTechnology:
-    """Per-policy signal pmf of candidate beta on an increasing signal grid."""
+    """Per-policy signal pmf of candidate beta on an increasing signal grid.
+    ``row_fn`` must broadcast: policies of shape (...) give rows (..., k)."""
 
     def __init__(self, signals, row_fn, label: str = "custom"):
         sig = tuple(float(w) for w in signals)
@@ -99,46 +111,25 @@ class NewsTechnology:
     def k(self) -> int:
         return len(self.signals)
 
-    def pmf(self, a: float) -> np.ndarray:
-        """Signal distribution when candidate beta's policy is ``a``."""
-        row = np.asarray(self._row_fn(float(a)), dtype=float)
-        if row.shape != (self.k,):
+    def pmf(self, a) -> np.ndarray:
+        """Signal distributions when candidate beta's policy is ``a``: policies
+        of shape (...) give rows of shape (..., k)."""
+        a = np.asarray(a, dtype=float)
+        rows = np.asarray(self._row_fn(a), dtype=float)
+        if rows.shape != a.shape + (self.k,):
             raise ValidationError("technology row has the wrong length")
-        return row
-
-    def pmf_matrix(self, a_values) -> np.ndarray:
-        return np.stack([self.pmf(a) for a in a_values])
-
-    def audit_rows(self, a_values, warn_zero: bool = True) -> list[str]:
-        """Hard violations of the pmf invariants; zero entries only warn."""
-        problems = []
-        zero_at = []
-        for a in a_values:
-            row = self.pmf(a)
-            if np.any(row < 0):
-                problems.append(f"negative signal probability at policy {a}")
-            if abs(float(row.sum()) - 1.0) > EXACT:
-                problems.append(f"signal probabilities at policy {a} do not sum to 1")
-            if np.any(row == 0):
-                zero_at.append(a)
-        if zero_at and warn_zero:
-            warnings.warn(
-                f"technology {self.label!r} lacks full support at "
-                f"{len(zero_at)} policies (first: {zero_at[0]})",
-                stacklevel=2,
-            )
-        return problems
+        return rows
 
     def garbled(self, kernel: MarkovKernel) -> NewsTechnology:
         """Post-compose with a per-candidate kernel; the result is a garble of
         this technology by construction."""
         if kernel.order != self.k:
             raise ValidationError("kernel order does not match the signal grid")
-        base = self._row_fn
-        matrix = kernel.matrix
+        # one 1 x k product per policy: a policy's row has the same bits
+        # alone as in a batch, which one (n, k) @ (k, k) product does not give
         return NewsTechnology(
             self.signals,
-            lambda a: np.asarray(base(a), dtype=float) @ matrix,
+            lambda a: (self.pmf(a)[..., None, :] @ kernel.matrix)[..., 0, :],
             label=f"{self.label}+garbled",
         )
 
@@ -149,103 +140,80 @@ class NewsTechnology:
         if not 0.0 < xi < 1.0:
             raise ValidationError("slant parameter must lie in (0, 1)")
 
-        def row(a: float) -> np.ndarray:
+        def row(a):
             extreme = a + xi * (1.0 - a)
-            return np.array([1.0 - extreme, extreme])
+            return np.stack([1.0 - extreme, extreme], axis=-1)
 
         return NewsTechnology(signals, row, label=f"slant(xi={xi})")
 
     @staticmethod
     def from_table(signals, policies, rows) -> NewsTechnology:
-        pol = tuple(float(a) for a in policies)
+        """Tabulated technology: a policy reads the row of the first table
+        policy within 1e-12; a policy off the table is a ValidationError."""
+        pol = np.array(policies, dtype=float)
         table = np.array(rows, dtype=float)
         if table.shape != (len(pol), len(signals)):
             raise ValidationError("technology table shape does not match its grids")
-        return NewsTechnology(signals, _policy_rows(pol, table), label="table")
+        if problem := stochastic_problem(table):
+            raise ValidationError(f"technology table {problem}")
+
+        def row(a):
+            near = np.abs(a[..., None] - pol) <= EXACT
+            on_grid = near.any(axis=-1)
+            if not np.all(on_grid):
+                off = float(a[~on_grid].flat[0])
+                raise ValidationError(f"policy {off!r} is not on the technology's grid")
+            return table[np.argmax(near, axis=-1)]
+
+        return NewsTechnology(signals, row, label="table")
 
     @staticmethod
     def revealing(policies) -> NewsTechnology:
         """Fully revealing technology: the signal grid is the policy grid and
         each policy maps to its own signal with probability one."""
-        pol = tuple(float(a) for a in policies)
-        return NewsTechnology(pol, _policy_rows(pol, np.eye(len(pol))), label="revealing")
+        return NewsTechnology.from_table(policies, policies, np.eye(len(policies)))
 
 
-def _policy_rows(policies: tuple[float, ...], table: np.ndarray):
-    """Row function of a tabulated technology: a policy reads the row of the
-    first table policy within 1e-12; one off the table is a ValidationError."""
-    pol = np.array(policies)
+def audit_news(tech: NewsTechnology, grid) -> list[str]:
+    """Why ``tech`` is not admissible on the policy grid (empty if it is): each
+    row that is not a signal distribution, then, unless the technology is
+    monotone revealing (the noiseless limit), the first empty cell, which
+    also warns once, or failed 2x2 log minor over policy, then signal pairs."""
+    a = [float(x) for x in grid]
+    rows = tech.pmf(np.array(a))
+    problems = []
+    for ai, row in zip(a, rows):
+        if np.any(row < 0):
+            problems.append(f"negative signal probability at policy {ai}")
+        if not abs(row.sum() - 1.0) <= EXACT:
+            problems.append(f"signal probabilities at policy {ai} do not sum to 1")
+    if (np.all((rows == 0) | (rows == 1)) and np.all(rows.sum(axis=-1) == 1.0)
+            and np.all(np.diff(np.argmax(rows, axis=-1)) > 0)):
+        return problems
 
-    def row(a: float) -> np.ndarray:
-        hits = np.flatnonzero(np.abs(pol - a) <= EXACT)
-        if not hits.size:
-            raise ValidationError(f"policy {a!r} is not on the technology's grid")
-        return table[hits[0]]
-
-    return row
-
-
-def is_monotone_revealing(tech: NewsTechnology, a_values) -> bool:
-    """Whether every policy maps to exactly one signal, in increasing order.
-
-    Such a technology is the noiseless limit: the ratio-ordering audit is
-    vacuous (zero cells everywhere) and the noisy game collapses to the
-    baseline one.
-    """
-    rows = tech.pmf_matrix(a_values)
-    if not np.all(np.isin(rows, (0.0, 1.0))):
-        return False
-    if not np.all(rows.sum(axis=1) == 1.0):
-        return False
-    hits = np.argmax(rows, axis=1)
-    return bool(np.all(np.diff(hits) > 0))
-
-
-# ---------------------------------------------------------------------------
-# Log-supermodularity audit
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogSupermodularityReport:
-    ok: bool
-    violation: tuple | None = None       # (a, a', w, w') with a<a', w<w'
-    indeterminate: tuple | None = None   # first compared cell with zero mass
-
-    def describe(self) -> str:
-        if self.ok:
-            return "log-supermodular on the audited grid"
-        if self.indeterminate is not None:
-            a, w = self.indeterminate
-            return f"indeterminate: zero probability at policy {a}, signal {w}"
-        a, a2, w, w2 = self.violation
-        return f"ratio ordering fails for policies ({a}, {a2}) and signals ({w}, {w2})"
-
-
-def check_log_supermodularity(tech: NewsTechnology, a_values) -> LogSupermodularityReport:
-    """Strict positivity of every 2x2 minor of log f on the policy grid."""
-    a = tuple(float(x) for x in a_values)
-    rows = tech.pmf_matrix(a)
-    for (i, i2), (m, m2) in itertools.product(
-        itertools.combinations(range(len(a)), 2),
-        itertools.combinations(range(tech.k), 2),
-    ):
-        cells = rows[[i, i, i2, i2], [m, m2, m, m2]]
-        if np.any(cells <= 0):
-            bad = [(i, m), (i, m2), (i2, m), (i2, m2)][int(np.argmax(cells <= 0))]
-            return LogSupermodularityReport(
-                False, indeterminate=(a[bad[0]], tech.signals[bad[1]])
-            )
-        minor = (
-            math.log(rows[i, m])
-            + math.log(rows[i2, m2])
-            - math.log(rows[i, m2])
-            - math.log(rows[i2, m])
-        )
-        if minor <= EXACT:
-            return LogSupermodularityReport(
-                False, violation=(a[i], a[i2], tech.signals[m], tech.signals[m2])
-            )
-    return LogSupermodularityReport(True)
+    if (zero_at := np.flatnonzero(np.any(rows == 0, axis=-1))).size:
+        warnings.warn(f"technology {tech.label!r} lacks full support at {zero_at.size} "
+                      f"policies (first: {a[zero_at[0]]})", stacklevel=2)
+    # math.log, not np.log: numpy's vectorised log can differ in the last bit,
+    # and each minor is compared with a 1e-12 threshold
+    logf = np.full(rows.shape, np.nan)
+    logf[rows > 0] = [math.log(x) for x in rows[rows > 0]]
+    i, i2 = (x[:, None] for x in np.triu_indices(len(a), 1))   # policy pairs
+    m, m2 = np.triu_indices(tech.k, 1)                          # signal pairs
+    minor = logf[i, m] + logf[i2, m2] - logf[i, m2] - logf[i2, m]
+    failed = ~(minor > EXACT)                                   # NaN at empty cells
+    if np.any(failed):
+        p, q = np.unravel_index(np.argmax(failed), failed.shape)
+        at = (i[p, 0], i[p, 0], i2[p, 0], i2[p, 0])
+        to = (m[q], m2[q], m[q], m2[q])
+        if np.any(empty := rows[at, to] <= 0):
+            c = np.argmax(empty)
+            problems.append(f"indeterminate: zero probability at policy {a[at[c]]}, "
+                            f"signal {tech.signals[to[c]]}")
+        else:
+            problems.append(f"ratio ordering fails for policies ({a[at[0]]}, {a[at[2]]}) "
+                            f"and signals ({tech.signals[to[0]]}, {tech.signals[to[1]]})")
+    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +231,7 @@ def posterior_value_matrix(
     """
     levels = np.asarray(levels, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    distinct, at = np.unique(levels, return_inverse=True)
-    f = tech.pmf_matrix(distinct)[at.reshape(levels.shape)]      # (..., L, k)
+    f = tech.pmf(levels)                                          # (..., L, k)
     v = value_matrix(spec, levels, t)
     ft = np.swapaxes(f, -1, -2)
     marginal = ft @ sigma @ f
@@ -348,7 +315,7 @@ def downsian_signal_matrix(k: int) -> np.ndarray:
 def expected_winning_matrix(tech: NewsTechnology, a_values) -> np.ndarray:
     """G[i, j]: beta's winning probability when alpha plays -a_i and beta a_j,
     with the winner decided signal-wise by centrism."""
-    rows = tech.pmf_matrix(a_values)
+    rows = tech.pmf(a_values)
     return rows @ downsian_signal_matrix(tech.k) @ rows.T
 
 
@@ -380,21 +347,13 @@ def enumerate_equilibria_noisy(
 ) -> list[EquilibriumRecord]:
     """All pure symmetric equilibria under the scenario's news technology.
 
-    Refuses technologies that fail the pmf or log-supermodularity audits.
+    Refuses a technology that fails ``audit_news`` on the policy grid.
     Attached attention solutions live on the news-profile support.
     """
     require_game(scenario, "noisy")
     require_symmetric(scenario)
-    tech = scenario.news
-    grid = scenario.beta_axis.values
-    revealing = is_monotone_revealing(tech, grid)
-    problems = tech.audit_rows(grid, warn_zero=not revealing)
-    if problems:
+    if problems := audit_news(scenario.news, scenario.beta_axis.values):
         raise ValidationError("news technology rejected: " + "; ".join(problems))
-    if not revealing:
-        report = check_log_supermodularity(tech, grid)
-        if not report.ok:
-            raise ValidationError("news technology rejected: " + report.describe())
 
     rows = assignment_rows(scenario, max_assignments)
     types = scenario.beta_types

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from .core import (
@@ -23,7 +24,7 @@ from .core import (
     UtilitySpec,
     ValidationError,
 )
-from .news import NewsTechnology
+from .news import NewsTechnology, stochastic_problem
 
 SCHEMA_VERSION = 1
 _REQUIRED = ("policies", "utility", "candidates", "electorate", "attention")
@@ -31,7 +32,8 @@ _OPTIONAL = ("news", "commitment", "dissemination", "issues")
 
 
 def _number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite float or an int within float range (JSON parses NaN and Infinity)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _scalar(data: dict, key: str, path: str, default, problems: list[str], kind=float):
@@ -85,6 +87,8 @@ def _news_from_dict(data: dict, problems: list[str]) -> NewsTechnology | None:
     if family == "table":
         signals = _numbers(data.get("signals"), "news.signals", problems)
         rows = _rows(data.get("rows"), "news.rows", problems)
+        if rows and (problem := stochastic_problem(rows)):
+            problems.append(f"news.rows: {problem}")
     if family in ("table", "revealing"):
         policies = _numbers(data.get("policies"), "news.policies", problems)
     if len(problems) > found:

@@ -4,14 +4,18 @@ These deliberately avoid the library's solution formulas: the attention
 oracle maximises the net objective by exhaustive grid search, the Bayes
 oracle builds the full joint table, the utility oracle reads one point at a
 time, and the incentive oracle walks grid x opponent types one scalar payoff
-at a time.  The solver, news-posterior and noisy-frontier oracles are the
-library's earlier loops: one first-order-condition evaluation per bisection
-step, one news profile and one policy pair at a time.  The two-issue oracle
+at a time.  The solver, news-audit, news-posterior and noisy-frontier
+oracles are the library's earlier loops: one first-order-condition
+evaluation per bisection step, one policy and one 2x2 log minor at a time,
+one news profile and one policy pair at a time.  The two-issue oracle
 calls ``u2`` and the frontier one scalar point at a time.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -385,6 +389,102 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
 
 
 # ---------------------------------------------------------------------------
+# News technology audit oracle: one policy, one 2x2 minor at a time
+# ---------------------------------------------------------------------------
+
+def pmf_rows(tech, a_values) -> np.ndarray:
+    """The technology's rows, one ``pmf`` call per policy."""
+    return np.stack([tech.pmf(a) for a in a_values])
+
+
+def audit_rows(tech, a_values, warn_zero: bool = True) -> list[str]:
+    """Hard violations of the pmf invariants; zero entries only warn."""
+    problems = []
+    zero_at = []
+    for a in a_values:
+        row = tech.pmf(a)
+        if np.any(row < 0):
+            problems.append(f"negative signal probability at policy {a}")
+        if abs(float(row.sum()) - 1.0) > EXACT:
+            problems.append(f"signal probabilities at policy {a} do not sum to 1")
+        if np.any(row == 0):
+            zero_at.append(a)
+    if zero_at and warn_zero:
+        warnings.warn(
+            f"technology {tech.label!r} lacks full support at "
+            f"{len(zero_at)} policies (first: {zero_at[0]})",
+            stacklevel=2,
+        )
+    return problems
+
+
+def is_monotone_revealing(tech, a_values) -> bool:
+    """Whether every policy maps to exactly one signal, in increasing order."""
+    rows = pmf_rows(tech, a_values)
+    if not np.all(np.isin(rows, (0.0, 1.0))):
+        return False
+    if not np.all(rows.sum(axis=1) == 1.0):
+        return False
+    hits = np.argmax(rows, axis=1)
+    return bool(np.all(np.diff(hits) > 0))
+
+
+@dataclass(frozen=True)
+class LogSupermodularityReport:
+    ok: bool
+    violation: tuple | None = None       # (a, a', w, w') with a<a', w<w'
+    indeterminate: tuple | None = None   # first compared cell with zero mass
+
+    def describe(self) -> str:
+        if self.ok:
+            return "log-supermodular on the audited grid"
+        if self.indeterminate is not None:
+            a, w = self.indeterminate
+            return f"indeterminate: zero probability at policy {a}, signal {w}"
+        a, a2, w, w2 = self.violation
+        return f"ratio ordering fails for policies ({a}, {a2}) and signals ({w}, {w2})"
+
+
+def check_log_supermodularity(tech, a_values) -> LogSupermodularityReport:
+    """Strict positivity of every 2x2 minor of log f on the policy grid."""
+    a = tuple(float(x) for x in a_values)
+    rows = pmf_rows(tech, a)
+    for (i, i2), (m, m2) in itertools.product(
+        itertools.combinations(range(len(a)), 2),
+        itertools.combinations(range(tech.k), 2),
+    ):
+        cells = rows[[i, i, i2, i2], [m, m2, m, m2]]
+        if np.any(cells <= 0):
+            bad = [(i, m), (i, m2), (i2, m), (i2, m2)][int(np.argmax(cells <= 0))]
+            return LogSupermodularityReport(
+                False, indeterminate=(a[bad[0]], tech.signals[bad[1]])
+            )
+        minor = (
+            math.log(rows[i, m])
+            + math.log(rows[i2, m2])
+            - math.log(rows[i, m2])
+            - math.log(rows[i2, m])
+        )
+        if minor <= EXACT:
+            return LogSupermodularityReport(
+                False, violation=(a[i], a[i2], tech.signals[m], tech.signals[m2])
+            )
+    return LogSupermodularityReport(True)
+
+
+def audit_news(tech, a_values) -> list[str]:
+    """The pmf problems, then, unless the technology is monotone revealing,
+    the ratio-ordering verdict; zero cells warn only in the second case."""
+    revealing = is_monotone_revealing(tech, a_values)
+    problems = audit_rows(tech, a_values, warn_zero=not revealing)
+    if not revealing:
+        report = check_log_supermodularity(tech, a_values)
+        if not report.ok:
+            problems.append(report.describe())
+    return problems
+
+
+# ---------------------------------------------------------------------------
 # News posterior and noisy frontier oracles: one profile, one pair at a time
 # ---------------------------------------------------------------------------
 
@@ -392,7 +492,7 @@ def posterior_value_matrix(tech, spec: UtilitySpec, levels, sigma, t: float):
     """(P, nu) by a loop over the k x k news profiles; zero-marginal cells NaN."""
     levels = tuple(float(a) for a in levels)
     sigma = np.asarray(sigma, dtype=float)
-    f = tech.pmf_matrix(levels)
+    f = pmf_rows(tech, levels)
     v = value_matrix(spec, levels, t)
     marginal = f.T @ sigma @ f
     k = tech.k

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +48,19 @@ class TestValidate:
     def test_good_scenario(self, fig2_path, capsys):
         assert main(["validate", "--scenario", fig2_path]) == 0
         assert "scenario ok" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore:dropped")
+    def test_revealing_news_passes_validate_and_enumerate(self, tmp_path, capsys):
+        # one audit serves both: fully revealing news is the noiseless limit
+        doc = figure2_scenario()
+        doc["news"] = {"family": "revealing", "policies": doc["policies"]["beta"]}
+        path = tmp_path / "revealing.json"
+        dump_scenario(doc, path)
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert "scenario ok" in capsys.readouterr().out
+        assert main(["enumerate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        _, rows = read_rows(tmp_path / "o/equilibria.csv")
+        assert [r[3] for r in rows] == ["0.01|0.2", "0.01|0.4"]
 
     def test_schema_violations_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -99,6 +113,18 @@ class TestValidate:
         ("utility", {**UTILITY, "office_rent": "x"}, "utility.office_rent"),
         ("issues", {"utility2": {"bliss": "x"}}, "issues.utility2.bliss"),
         ("issues", {"a_grid_size": "x"}, "issues.a_grid_size"),
+        # JSON's NaN and Infinity parse, but are no numbers of a scenario
+        ("policies", {"beta": [0.01, math.nan, 0.4]}, "policies.beta"),
+        ("candidates", {"beta": [[0.3, math.nan], [0.8, 0.5]]}, "candidates.beta"),
+        ("utility", {**UTILITY, "office_rent": math.nan}, "utility.office_rent"),
+        ("utility", {**UTILITY, "office_rent": math.inf}, "utility.office_rent"),
+        ("dissemination", {"cost": math.nan}, "dissemination.cost"),
+        ("attention", {"mu": math.inf}, "attention.mu"),
+        ("attention", {"mu": 10 ** 400}, "attention.mu"),
+        ("news", {"family": "table", "signals": [0.25, 0.75], "policies": [0.01, 0.2, 0.4],
+                  "rows": [[0.6, 0.6], [0.5, 0.5], [0.4, 0.6]]}, "news.rows"),
+        ("news", {"family": "table", "signals": [0.25, 0.75], "policies": [0.01, 0.2, 0.4],
+                  "rows": [[1.1, -0.1], [0.5, 0.5], [0.4, 0.6]]}, "news.rows"),
     ])
     def test_malformed_section_names_its_path(self, section, value, path):
         doc = figure2_scenario()
@@ -378,11 +404,15 @@ class TestSweep:
     ["garble", "--kernel", "missing.json"],
     ["garble", "--kernel", "no_rows.json"],
     ["garble", "--kernel", "ragged_rows.json"],
+    ["sweep", "--param", "mu", "--values", "inf"],
+    ["sweep", "--param", "cost", "--values", "nan"],
+    ["garble", "--kernel", "nan_rows.json"],
 ], ids=lambda c: " ".join(c))
 def test_malformed_flags_and_files_exit_2(command, fig3_path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no_rows.json").write_text(json.dumps({"matrix": [[1.0]]}))
     (tmp_path / "ragged_rows.json").write_text(json.dumps({"rows": [[1.0, 0.0], [1.0]]}))
+    (tmp_path / "nan_rows.json").write_text('{"rows": [[NaN, NaN], [0, 1]]}')
     scenario = [] if "--scenario" in command else ["--scenario", fig3_path]
     assert main(command + scenario + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("validation error: ")

@@ -20,11 +20,10 @@ from rivote.news import (
     MarkovKernel,
     NewsTechnology,
     attention_frontier_noisy,
-    check_log_supermodularity,
+    audit_news,
     downsian_signal_matrix,
     enumerate_equilibria_noisy,
     expected_winning_matrix,
-    is_monotone_revealing,
     posterior_value,
     posterior_value_matrix,
     signal_belief,
@@ -56,16 +55,38 @@ class TestTechnology:
     def test_slant_rows(self):
         tech = NewsTechnology.slant(0.5)
         np.testing.assert_allclose(tech.pmf(0.2), [0.4, 0.6], atol=1e-15)
-        assert tech.audit_rows((0.1, 0.5, 0.9)) == []
+        assert audit_news(tech, (0.1, 0.5, 0.9)) == []
 
     def test_signals_must_increase(self):
         with pytest.raises(ValidationError):
             NewsTechnology.slant(0.5, signals=(0.75, 0.25))
 
+    @pytest.mark.parametrize("rows, reason", [
+        ([[0.6, 0.6], [0.4, 0.6]], "rows must sum to 1"),
+        ([[1.1, -0.1], [0.4, 0.6]], "entries must be nonnegative"),
+        ([[np.nan, np.nan], [0.4, 0.6]], "entries must be finite"),
+    ])
+    def test_table_must_be_a_pmf(self, rows, reason):
+        with pytest.raises(ValidationError, match=f"technology table {reason}"):
+            NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), rows)
+
+    def test_table_rows_broadcast_and_refuse_off_grid_policies(self):
+        tech = NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), [[0.6, 0.4], [0.4, 0.6]])
+        np.testing.assert_array_equal(tech.pmf([[0.8], [0.2 + 1e-13]]),
+                                      [[[0.4, 0.6]], [[0.6, 0.4]]])
+        with pytest.raises(ValidationError, match="policy 0.5 is not on"):
+            tech.pmf([0.2, 0.5, 0.6])
+
     def test_revealing_detection(self):
+        # a monotone revealing technology is admissible, and its zero cells do
+        # not warn; out of order, the same rows are audited as any others
         grid = (0.1, 0.4, 0.7)
-        assert is_monotone_revealing(NewsTechnology.revealing(grid), grid)
-        assert not is_monotone_revealing(NewsTechnology.slant(0.3), (0.1, 0.4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert audit_news(NewsTechnology.revealing(grid), grid) == []
+        with pytest.warns(UserWarning, match="lacks full support at 3 policies"):
+            assert audit_news(NewsTechnology.revealing(grid), grid[::-1]) == [
+                "indeterminate: zero probability at policy 0.7, signal 0.1"]
 
 
 class TestGarble:
@@ -87,35 +108,139 @@ class TestGarble:
         garbled = NewsTechnology.slant(xi).garbled(MarkovKernel.slant_shift(lam))
         target = NewsTechnology.slant(xi2)
         grid = np.linspace(0.05, 0.95, 19)
-        assert np.max(np.abs(garbled.pmf_matrix(grid) - target.pmf_matrix(grid))) <= 1e-14
+        assert np.max(np.abs(garbled.pmf(grid) - target.pmf(grid))) <= 1e-14
 
     def test_non_stochastic_kernel_rejected(self):
         with pytest.raises(ValidationError):
             MarkovKernel(np.array([[0.5, 0.4], [0.0, 1.0]]))
         with pytest.raises(ValidationError):
             MarkovKernel(np.array([[1.1, -0.1], [0.0, 1.0]]))
+        with pytest.raises(ValidationError, match="finite"):
+            MarkovKernel(np.array([[np.nan, np.nan], [0.0, 1.0]]))
 
 
 class TestLogSupermodularity:
     def test_slant_family_passes(self):
-        report = check_log_supermodularity(NewsTechnology.slant(0.4), np.linspace(0.05, 0.95, 15))
-        assert report.ok
+        assert audit_news(NewsTechnology.slant(0.4), np.linspace(0.05, 0.95, 15)) == []
 
     def test_identical_rows_fail_weakly(self):
         tech = NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), [[0.4, 0.6], [0.4, 0.6]])
-        report = check_log_supermodularity(tech, (0.2, 0.8))
-        assert not report.ok
-        assert report.violation == (0.2, 0.8, 0.3, 0.7)
+        assert audit_news(tech, (0.2, 0.8)) == [
+            "ratio ordering fails for policies (0.2, 0.8) and signals (0.3, 0.7)"]
 
     def test_swapped_entries_reported(self):
         tech = NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), [[0.4, 0.6], [0.6, 0.4]])
-        report = check_log_supermodularity(tech, (0.2, 0.8))
-        assert not report.ok and report.violation is not None
+        [problem] = audit_news(tech, (0.2, 0.8))
+        assert problem.startswith("ratio ordering fails")
 
     def test_zero_cells_indeterminate(self):
         tech = NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), [[1.0, 0.0], [0.5, 0.5]])
-        report = check_log_supermodularity(tech, (0.2, 0.8))
-        assert not report.ok and report.indeterminate is not None
+        with pytest.warns(UserWarning, match="lacks full support at 1 policies"):
+            assert audit_news(tech, (0.2, 0.8)) == [
+                "indeterminate: zero probability at policy 0.2, signal 0.7"]
+
+
+def _audit_cases() -> dict:
+    """Name -> (technology, policy grid) for the audit and pmf oracle tests."""
+    rng = np.random.default_rng(17)
+    grid = (0.2, 0.8)
+    tables = {
+        "swapped": [[0.4, 0.6], [0.6, 0.4]],
+        "identical": [[0.4, 0.6], [0.4, 0.6]],
+        "zero_cells": [[1.0, 0.0], [0.5, 0.5]],
+    }
+    cases = {name: (NewsTechnology.from_table((0.3, 0.7), grid, rows), grid)
+             for name, rows in tables.items()}
+    reveal = (0.1, 0.3, 0.5, 0.7)
+    cases["revealing"] = (NewsTechnology.revealing(reveal), reveal)
+    cases["revealing_out_of_order"] = (NewsTechnology.revealing(reveal), reveal[::-1])
+    cases["revealing_subgrid"] = (NewsTechnology.revealing(reveal), reveal[::2])
+    slant_grid = tuple(np.linspace(0.05, 0.95, 19))
+    flat = NewsTechnology((0.25, 0.75), lambda a: np.full(np.shape(a) + (2,), 0.5))
+    cases["flat"] = (flat, slant_grid)
+    not_a_pmf = NewsTechnology((0.25, 0.75), lambda a: np.stack([a - 0.3, 1.2 - a], axis=-1))
+    cases["not_a_pmf"] = (not_a_pmf, slant_grid)
+    cases["slant"] = (NewsTechnology.slant(0.6), slant_grid)
+    cases["slant_garbled"] = (NewsTechnology.slant(0.6).garbled(MarkovKernel.slant_shift(0.4)),
+                              slant_grid)
+    cases["slant_garbled_to_one_signal"] = (
+        NewsTechnology.slant(0.6).garbled(MarkovKernel.slant_shift(1.0)), slant_grid)
+    policies = (0.1, 0.3, 0.5, 0.7, 0.9)
+    for i in range(6):
+        rows = rng.uniform(0.05, 1.0, (5, 4))
+        cases[f"unordered_{i}"] = (NewsTechnology.from_table(
+            (0.2, 0.4, 0.6, 0.8), policies, rows / rows.sum(axis=1, keepdims=True)), policies)
+    for i in range(12):
+        tech, policies = random_tp2_technology(rng, n_policies=int(rng.integers(2, 7)))
+        cases[f"tp2_{i}"] = (tech, policies)
+        cases[f"tp2_{i}_garbled"] = (tech.garbled(random_kernel(rng, tech.k)), policies)
+    return cases
+
+
+AUDIT_CASES = _audit_cases()
+
+
+def _audited(audit, tech, grid):
+    """(problems, warning messages) of one audit call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        problems = audit(tech, grid)
+    return problems, [str(w.message) for w in caught]
+
+
+class TestAuditAgainstOracle:
+    """``audit_news`` says what the old per-policy and per-minor loops said,
+    message for message and warning for warning."""
+
+    @pytest.mark.parametrize("name", AUDIT_CASES)
+    def test_matches_oracle(self, name):
+        tech, grid = AUDIT_CASES[name]
+        assert _audited(audit_news, tech, grid) == _audited(oracles.audit_news, tech, grid)
+
+    def test_minors_at_the_threshold_match_oracle(self):
+        # 2x2 tables [[p, 1-p], [q, 1-q]] whose log minor logit(p) - logit(q)
+        # sits at the 1e-12 threshold, q stepped ulp by ulp across it.  Audited
+        # are every 50th table and each one where np.log's verdict differs
+        # from math.log's (a handful per 10^4 tables with a SIMD np.log)
+        rng = np.random.default_rng(23)
+        p = rng.uniform(0.05, 0.95, 4000)
+        q = [p - 1e-12 * p * (1 - p)]
+        for _ in range(6):
+            q = [np.nextafter(q[0], 0.0), *q, np.nextafter(q[-1], 1.0)]
+        p, q = np.tile(p, len(q)), np.concatenate(q)
+        rows = np.stack([p, 1 - p, q, 1 - q])
+        exact = np.vectorize(math.log)(rows)
+        fast = np.log(rows)
+        verdicts = [x[0] + x[3] - x[1] - x[2] <= 1e-12 for x in (exact, fast)]
+        picked = np.flatnonzero((verdicts[0] != verdicts[1]) | (np.arange(len(p)) % 50 == 0))
+        for j in picked:
+            tech = NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8),
+                                             [[p[j], 1 - p[j]], [q[j], 1 - q[j]]])
+            got = audit_news(tech, (0.2, 0.8))
+            assert got == oracles.audit_news(tech, (0.2, 0.8))
+            assert (got != []) == verdicts[0][j]
+        assert 0 < np.count_nonzero(verdicts[0][picked]) < len(picked)
+
+    def test_cases_cover_every_verdict(self):
+        verdicts = {name: _audited(audit_news, *AUDIT_CASES[name])[0]
+                    for name in ("swapped", "zero_cells", "revealing", "not_a_pmf")}
+        assert verdicts["swapped"][0].startswith("ratio ordering fails")
+        assert verdicts["zero_cells"][0].startswith("indeterminate")
+        assert verdicts["revealing"] == []
+        assert verdicts["not_a_pmf"][0] == "negative signal probability at policy 0.05"
+        assert verdicts["not_a_pmf"][1] == "signal probabilities at policy 0.05 do not sum to 1"
+        # unlike the old loops, a NaN row is not a signal distribution
+        nan_rows = NewsTechnology((0.25, 0.75), lambda a: np.full(np.shape(a) + (2,), np.nan))
+        assert audit_news(nan_rows, (0.2,)) == [
+            "signal probabilities at policy 0.2 do not sum to 1"]
+
+    @pytest.mark.parametrize("name", ["slant", "slant_garbled", "swapped", "revealing",
+                                      "tp2_0", "tp2_0_garbled", "tp2_3_garbled"])
+    def test_pmf_of_a_grid_is_its_rows_bitwise(self, name):
+        tech, grid = AUDIT_CASES[name]
+        rows = tech.pmf(grid)
+        assert rows.shape == (len(grid), tech.k)
+        assert rows.tobytes() == oracles.pmf_rows(tech, grid).tobytes()
 
 
 class TestPosterior:
@@ -138,7 +263,7 @@ class TestPosterior:
         # two equiprobable policies .2 and .6 under the xi=.5 slant family:
         # hearing the extreme report about beta weighs them 0.6 to 0.8
         tech = NewsTechnology.slant(0.5)
-        rows = tech.pmf_matrix((0.2, 0.6))
+        rows = tech.pmf((0.2, 0.6))
         np.testing.assert_allclose(rows[:, 1], [0.6, 0.8], atol=1e-15)
         sigma = np.full((2, 2), 0.25)
         for (m, n) in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -252,9 +377,9 @@ class TestNoisyEquilibria:
     def test_non_ratio_ordered_technology_refused(self, figure3_factory):
         scenario = figure3_factory(0.75)
         flat = NewsTechnology(
-            scenario.news.signals, lambda a: np.array([0.5, 0.5]), label="flat"
+            scenario.news.signals, lambda a: np.full(np.shape(a) + (2,), 0.5), label="flat"
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="ratio ordering"):
             enumerate_equilibria_noisy(replace(scenario, news=flat))
 
     def test_expected_winning_matrix_structure(self):
@@ -334,7 +459,7 @@ class TestGarblingProperties:
             tech, policies = random_tp2_technology(rng)
             sigma = random_symmetric_sigma(rng, len(policies))
             marg = sigma.sum(axis=0)  # beta's policy marginal
-            rows = tech.pmf_matrix(policies)
+            rows = tech.pmf(policies)
             for h in (lambda a: a, lambda a: voter_utility(abs_spec, a, 1.0)):
                 values = np.array([h(a) for a in policies])
                 post = []
