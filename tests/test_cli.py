@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -213,6 +214,28 @@ def test_only_the_scenarios_own_pipeline_runs(path):
         for run in (lambda: enumerate_fn(scenario), lambda: check(scenario, assignment)):
             with pytest.raises(ValidationError, match=f"use {PIPELINES[game][0].__name__}$"):
                 run()
+
+
+# sha256 of the CSV each command writes; a refactor of the games keeps every byte
+PINNED_CSVS = {
+    "attention_tables": "c34b67e862ebc323822ddf6f36c55083557640831710437e99a54d96612847ba",
+    "partial_commitment": "3ffdbfdb18b38d85025f4f081cffedb4e56cca1c4b3008374d456d36af34a36e",
+    "slanted_news": "e47c4645088d1776030bd1003458c2ab30c089c1b3df00eb818166fced8e1941",
+    "three_levels": "3c644cf41cc79a260f76920a25cd76e05f8dd36a12e019f267db2b899668c5cd",
+    "figure2": "79c0998238eb3152b60e55c0f5c7178112d6a4b522df91e391c88d9035ee11d1",
+    "figure3": "457293395c2335b5599535bcea8389e6d7e8e2921069760cbf95c9bf81df26f2",
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CSVS)
+def test_csv_bytes_are_pinned(name, tmp_path):
+    if name.startswith("figure"):
+        command, csv = ["reproduce", name], f"{name}.csv"
+    else:
+        scenario = Path(__file__).parents[1] / "demos" / "scenarios" / f"{name}.json"
+        command, csv = ["enumerate", "--scenario", str(scenario)], "equilibria.csv"
+    assert main(command + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == PINNED_CSVS[name]
 
 
 @pytest.fixture()
