@@ -13,7 +13,7 @@ from rivote import (
     NewsTechnology,
     attention_membership,
     audit_news,
-    enumerate_equilibria_noisy,
+    enumerate_equilibria,
     posterior_value,
     signal_belief,
 )
@@ -42,7 +42,7 @@ scan = np.arange(0.05, 1.0, 0.05)
 pairs = [(a1, a2) for a1 in scan for a2 in scan if a2 > a1 + 1e-9]
 for x in (0.6, 0.75, 0.9):
     scenario = build(figure3_scenario(x))
-    records = enumerate_equilibria_noisy(scenario)
+    records = enumerate_equilibria(scenario)
     members = sum(
         attention_membership(
             signal_belief(scenario.news, scenario.utility, p, sigma, -0.001), scenario.mu

@@ -15,7 +15,6 @@ from rivote import dissemination_filter, enumerate_equilibria
 from rivote.election import assignment_for
 from rivote.extensions import (
     commitment_belief,
-    enumerate_equilibria_commitment,
     multi_issue_reduce,
     quarter_circle_frontier,
     weighted_bliss_utility,
@@ -50,7 +49,7 @@ print("  only a spread beyond the hurdle keeps attention at full commitment.")
 
 print("\nCommitment equilibria at a few levels")
 for eta in (1.0, 0.6, 0.2):
-    recs = enumerate_equilibria_commitment(build(example3_scenario(eta)))
+    recs = enumerate_equilibria(build(example3_scenario(eta)))
     print(f"  eta={eta:.1f}: {[r.assignment.policies for r in recs]}")
 
 print("\nTwo issues collapsed onto the frontier")

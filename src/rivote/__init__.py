@@ -43,7 +43,6 @@ from .extensions import (
     MultiIssueReduction,
     commitment_belief,
     dissemination_filter,
-    enumerate_equilibria_commitment,
     multi_issue_reduce,
     quarter_circle_frontier,
     tabulated_frontier,
@@ -53,7 +52,6 @@ from .news import (
     NewsTechnology,
     attention_frontier_noisy,
     audit_news,
-    enumerate_equilibria_noisy,
     news_belief,
     posterior_value,
     signal_belief,
@@ -71,3 +69,6 @@ from .solver import (
     mutual_information,
     solve_attention,
 )
+
+# bench/workloads.py still imports the per-game names: plain aliases of the one enumerator
+enumerate_equilibria_noisy = enumerate_equilibria_commitment = enumerate_equilibria

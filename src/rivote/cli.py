@@ -20,25 +20,15 @@ import numpy as np
 from . import __version__
 from .core import NumericError, Scenario, ValidationError, audit_scenario
 from .election import (
+    _game,
     assignment_for,
     attention_frontier,
     enumerate_equilibria,
-    game_of,
     on_path_belief,
     truncation_statistic,
 )
-from .extensions import (
-    commitment_belief,
-    dissemination_filter,
-    enumerate_equilibria_commitment,
-)
-from .news import (
-    MarkovKernel,
-    attention_frontier_noisy,
-    audit_news,
-    enumerate_equilibria_noisy,
-    news_belief,
-)
+from .extensions import dissemination_filter
+from .news import MarkovKernel, attention_frontier_noisy, audit_news
 from .presets import build, figure2_scenario, figure3_scenario, table1_scenario
 from .scenario_io import load_scenario_dict, scenario_from_dict, scenario_hash
 from .solver import solve_attention
@@ -78,18 +68,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_PIPELINES = {
-    "baseline": (enumerate_equilibria, on_path_belief),
-    "noisy": (enumerate_equilibria_noisy, news_belief),
-    "commitment": (enumerate_equilibria_commitment, commitment_belief),
-}
-
-
-def _pipeline(scenario: Scenario):
-    """(enumerator, belief builder) of the game the scenario describes."""
-    return _PIPELINES[game_of(scenario)]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -113,7 +91,7 @@ def _cmd_solve_attention(args) -> int:
     if len(policies) != len(scenario.beta_types.types):
         raise ValidationError("--policies must assign one policy per beta type")
     assignment = assignment_for(scenario, policies)
-    _, belief = _pipeline(scenario)
+    *_, belief = _game(scenario)
     beliefs = {t: belief(scenario, assignment, t) for t, _ in scenario.electorate.groups}
     support = beliefs[scenario.electorate.groups[0][0]].support
     header = ["t", "regime", "m_bar", "likelihood_ratio", "info"] + [
@@ -129,8 +107,7 @@ def _cmd_solve_attention(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     doc, scenario = _load(args)
-    enumerate_fn, _ = _pipeline(scenario)
-    records = dissemination_filter(enumerate_fn(scenario), scenario)
+    records = dissemination_filter(enumerate_equilibria(scenario), scenario)
     weights = dict(scenario.electorate.groups)
     header = ["eq", "kind", "types", "policies", "levels", "min_gap",
               "attentive_groups", "total_info"]
@@ -185,9 +162,10 @@ def _cmd_garble(args) -> int:
         raise ValidationError("garble needs a scenario with a news section")
     if args.kernel:
         try:
-            kernel = MarkovKernel(np.array(load_scenario_dict(args.kernel)["rows"], dtype=float))
+            rows = np.array(load_scenario_dict(args.kernel)["rows"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"{args.kernel}: expected numeric 'rows' ({exc!r})") from None
+        kernel = MarkovKernel(rows)
     elif args.lam is None:
         raise ValidationError("garble needs --kernel FILE or --lam WEIGHT")
     else:
@@ -210,8 +188,7 @@ def _sweep_point(doc: dict, scenario: Scenario, param: str, value: float, t: flo
     else:  # mu, eta or cost
         field = "dissemination_cost" if param == "cost" else param
         scenario = replace(scenario, **{field: value})
-    enumerate_fn, _ = _pipeline(scenario)
-    records = dissemination_filter(enumerate_fn(scenario), scenario)
+    records = dissemination_filter(enumerate_equilibria(scenario), scenario)
     t = scenario.electorate.groups[0][0] if t is None else t
     members, spread = truncation_statistic(scenario, records, t)
     rows = [
@@ -337,7 +314,7 @@ def _cmd_reproduce(args) -> int:
         shash = scenario_hash(figure3_scenario(FIGURE3_XIS[0]))
         for xi in FIGURE3_XIS:
             scenario = build(figure3_scenario(xi))
-            records = enumerate_equilibria_noisy(scenario)
+            records = enumerate_equilibria(scenario)
             if not records:
                 raise ReproductionMismatch(f"figure3 xi={xi}: no equilibria")
             dist = max(

@@ -269,6 +269,8 @@ class Scenario:
     dissemination_cost: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.beta_axis, PolicyAxis):
+            raise ValidationError("beta_axis must be a PolicyAxis")
         if not 0 < self.mu < math.inf:
             raise ValidationError("marginal attention cost mu must be positive and finite")
         if not 0.0 <= self.eta <= 1.0:

@@ -1,9 +1,10 @@
 """Symmetric electoral competition over finite grids.
 
 Vote aggregation from optimal attention strategies, candidate incentive
-checks, exhaustive enumeration of pure symmetric equilibria, attention-set
-membership and boundary scans, and the truncation statistic that drives the
-comparative statics in the attention cost.
+checks and exhaustive enumeration of pure symmetric equilibria for the
+baseline, noisy-news and limited-commitment games (one game table, one
+kernel), attention-set membership and boundary scans, and the truncation
+statistic that drives the comparative statics in the attention cost.
 """
 from __future__ import annotations
 
@@ -103,22 +104,12 @@ def game_of(scenario: Scenario) -> str:
     return "commitment" if scenario.eta < 1.0 else "baseline"
 
 
-def require_game(scenario: Scenario, *games: str) -> None:
-    """Refuse a scenario whose game is none of ``games``, naming the
-    enumerator that models it."""
-    game = game_of(scenario)
-    if game not in games:
-        suffix = "" if game == "baseline" else f"_{game}"
-        raise ValidationError(f"the scenario describes the {game} game, which this "
-                              f"routine does not model; use enumerate_equilibria{suffix}")
-
-
 @dataclass(frozen=True)
 class EquilibriumRecord:
     """One symmetric equilibrium with its attention diagnostics; ``belief(t)``
     is voter t's belief in the game that produced it, built once per t."""
 
-    kind: str                      # "baseline" | "noisy" | "commitment"
+    kind: str                      # game_of(scenario): "baseline" | "noisy" | "commitment"
     assignment: StrategyAssignment
     attention: tuple[tuple[float, AttentionSolution], ...]  # (group type, solution)
     attentive: tuple[tuple[float, bool], ...]
@@ -322,41 +313,77 @@ class ICKernel:
                 yield chunk[r], tuple(zip(self.types, beta[r].tolist()))
 
 
-def game_kernel(scenario: Scenario, w, types, probs) -> ICKernel:
-    """IC kernel of the baseline stage values under beta's winning matrix ``w``."""
-    return ICKernel(scenario.beta_axis.values, types, probs, w, scenario.utility)
+def _every_map(n: int, k: int):
+    """(n**k, the maps of k types to n grid indices in lexicographic order)."""
+    return n ** k, itertools.product(range(n), repeat=k)
+
+
+def _increasing_maps(n: int, k: int):
+    """(comb(n, k), the strictly increasing maps in lexicographic order)."""
+    return math.comb(n, k), itertools.combinations(range(n), k)
+
+
+def _game(scenario: Scenario):
+    """The game table's row for ``game_of(scenario)``: (W builder, eta or
+    None, row generator, belief builder).
+
+    The three games share one kernel and differ only here: beta's winning
+    matrix on the grid (perfect observation, or decided signal-wise under
+    news), the commitment level blended into the stage values, the strategy
+    rows searched (every map, or strictly increasing maps under limited
+    commitment) and voter t's belief ``belief(scenario, assignment, t)``.
+    news and extensions import this module, so their builders load here.
+    """
+    from .extensions import commitment_belief
+    from .news import expected_winning_matrix, news_belief
+
+    def perfect(s):
+        return downsian_matrix(s.utility, s.beta_axis.values)
+
+    def signal_wise(s):
+        return expected_winning_matrix(s.news, s.beta_axis.values)
+
+    return {
+        "baseline": (perfect, None, _every_map, on_path_belief),
+        "noisy": (signal_wise, None, _every_map, news_belief),
+        "commitment": (perfect, scenario.eta, _increasing_maps, commitment_belief),
+    }[game_of(scenario)]
 
 
 def assignment_rows(scenario: Scenario, max_assignments: int):
-    """Every type -> policy map as grid-index rows, in lexicographic order;
-    grids with more than ``max_assignments`` maps are refused outright."""
-    n_types = len(scenario.beta_types.types)
-    count = len(scenario.beta_axis.values) ** n_types
+    """The game's type -> policy maps as grid-index rows, in lexicographic
+    order: every map, or the strictly increasing ones under limited
+    commitment.  More than ``max_assignments`` rows are refused outright."""
+    maps = _game(scenario)[2]
+    count, rows = maps(len(scenario.beta_axis.values), len(scenario.beta_types.types))
     if count > max_assignments:
         raise ValidationError(
             f"{count} assignments exceed the cap {max_assignments}; "
             "raise max_assignments explicitly to search this grid"
         )
-    return itertools.product(range(len(scenario.beta_axis.values)), repeat=n_types)
+    return rows
 
 
 def check_ic(
     scenario: Scenario, assignment: StrategyAssignment, w_source: str = "downsian"
 ) -> tuple[bool, dict]:
-    """Incentive compatibility of a pure symmetric assignment in the baseline
-    game.
+    """Incentive compatibility of a pure symmetric assignment in the
+    scenario's game.
 
-    Deviations are priced by the perfect-observation winner; with
-    ``w_source="rationalized"`` the on-path cells instead come from
+    Deviations are priced by the game's winning matrix.  In the baseline game
+    ``w_source="rationalized"`` instead takes the on-path cells from
     aggregating optimal attention strategies.  Returns (ok, slack per
     (candidate, type)).
     """
-    require_game(scenario, "baseline")
     require_symmetric(scenario)
+    w_of, eta, _, _ = _game(scenario)
     grid = scenario.beta_axis.values
     if w_source == "downsian":
-        w = downsian_matrix(scenario.utility, grid)
+        w = w_of(scenario)
     elif w_source == "rationalized":
+        if (game := game_of(scenario)) != "baseline":
+            raise ValidationError(f"w_source='rationalized' models the baseline game only, "
+                                  f"not the scenario's {game} game")
         levels = assignment.levels
         on_path = aggregate_and_rationalize(scenario, assignment)
         g = np.array(grid)
@@ -366,7 +393,7 @@ def check_ic(
         w[np.ix_(on, on)] = on_path[np.ix_(at[on], at[on])]
     else:
         raise ValidationError(f"unknown w_source {w_source!r}")
-    kernel = game_kernel(scenario, w, assignment.types, assignment.type_probs)
+    kernel = ICKernel(grid, assignment.types, assignment.type_probs, w, scenario.utility, eta)
     return kernel.check(assignment.policies)
 
 
@@ -378,13 +405,12 @@ def equilibrium_records(
     scenario: Scenario,
     kernel: ICKernel,
     rows,
-    kind: str,
     belief: Callable[[Scenario, StrategyAssignment, float], BeliefOverProfiles],
 ) -> list[EquilibriumRecord]:
     """One record per incentive compatible row of ``rows``, in their order.
 
     ``belief(scenario, assignment, t)`` builds voter t's belief in the
-    pipeline's game; each record carries it bound to its assignment and
+    scenario's game; each record carries it bound to its assignment and
     cached per t, and attaches every group's attention solution under it at
     the scenario's mu.  A group is attentive unless its solution is the
     ``corner_zero`` regime (``solver.attentive``).
@@ -398,7 +424,7 @@ def equilibrium_records(
         )
         idx = sorted(set(row))
         records.append(EquilibriumRecord(
-            kind=kind,
+            kind=game_of(scenario),
             assignment=assignment,
             attention=attention,
             attentive=tuple((t, sol.regime != "corner_zero") for t, sol in attention),
@@ -415,20 +441,31 @@ def enumerate_equilibria(
     max_assignments: int = 200_000,
     verify_rationalizable: bool = False,
 ) -> list[EquilibriumRecord]:
-    """All pure symmetric equilibria of the baseline game, in lexicographic
+    """All pure symmetric equilibria of the scenario's game, in lexicographic
     policy order.
 
-    Every beta type -> policy map on the grid is checked for incentive
-    compatibility under perfect-observation deviation pricing.  Grids whose
-    assignment count exceeds ``max_assignments`` are refused outright.
+    Every row of ``assignment_rows`` is checked for incentive compatibility
+    under the game's winning matrix, and each record carries the game's
+    beliefs.  A news technology that fails ``audit_news`` on the grid is
+    refused.  ``verify_rationalizable`` (baseline game only) checks that
+    aggregated attention strategies reproduce every record's winner.
     """
-    require_game(scenario, "baseline")
     require_symmetric(scenario)
+    game = game_of(scenario)
+    if verify_rationalizable and game != "baseline":
+        raise ValidationError(f"verify_rationalizable models the baseline game only, "
+                              f"not the scenario's {game} game")
+    if game == "noisy":
+        from .news import audit_news
+
+        if problems := audit_news(scenario.news, scenario.beta_axis.values):
+            raise ValidationError("news technology rejected: " + "; ".join(problems))
+    w_of, eta, _, belief = _game(scenario)
     rows = assignment_rows(scenario, max_assignments)
     types = scenario.beta_types
-    w = downsian_matrix(scenario.utility, scenario.beta_axis.values)
-    kernel = game_kernel(scenario, w, types.type_values, types.type_probs)
-    records = equilibrium_records(scenario, kernel, rows, "baseline", on_path_belief)
+    kernel = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
+                      w_of(scenario), scenario.utility, eta)
+    records = equilibrium_records(scenario, kernel, rows, belief)
     if verify_rationalizable:
         for r in records:
             rationalized = aggregate_and_rationalize(scenario, r.assignment)

@@ -6,7 +6,6 @@ then reuses the same solver and enumeration machinery.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,23 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    EXACT,
-    Scenario,
-    TabulatedUtility,
-    UtilitySpec,
-    ValidationError,
-    require_symmetric,
-)
-from .election import (
-    EquilibriumRecord,
-    ICKernel,
-    StrategyAssignment,
-    downsian_matrix,
-    equilibrium_records,
-    require_game,
-    value_matrix,
-)
+from .core import EXACT, Scenario, TabulatedUtility, UtilitySpec, ValidationError
+from .election import EquilibriumRecord, StrategyAssignment, value_matrix
 from .solver import BeliefOverProfiles, entropy
 
 
@@ -84,42 +68,6 @@ def commitment_belief(
     p = np.array(assignment.type_probs)
     support = tuple((-ai, aj) for ai in policies for aj in policies)
     return BeliefOverProfiles(support, np.outer(p, p).ravel(), values.ravel())
-
-
-def _commitment_kernel(scenario: Scenario, types, probs) -> ICKernel:
-    """IC kernel whose stage values blend the proposal with the proposer's
-    type, played when the winner reneges; proposals are priced by the
-    perfect-observation winner."""
-    spec = scenario.utility
-    grid = scenario.beta_axis.values
-    return ICKernel(grid, types, probs, downsian_matrix(spec, grid), spec, scenario.eta)
-
-
-def check_ic_commitment(
-    scenario: Scenario, assignment: StrategyAssignment
-) -> tuple[bool, dict]:
-    """Incentive compatibility when the winner reneges with probability
-    1 - ``scenario.eta``.
-
-    Types double as fallback policies, so both stage values blend the
-    proposal with the proposer's type; deviations are priced by the
-    perfect-observation winner on proposals.
-    """
-    require_game(scenario, "commitment", "baseline")
-    require_symmetric(scenario)
-    kernel = _commitment_kernel(scenario, assignment.types, assignment.type_probs)
-    return kernel.check(assignment.policies)
-
-
-def enumerate_equilibria_commitment(scenario: Scenario) -> list[EquilibriumRecord]:
-    """Equilibria in strictly increasing pure symmetric strategies under
-    limited commitment; at eta = 1 this reduces to the baseline game."""
-    require_game(scenario, "commitment", "baseline")
-    require_symmetric(scenario)
-    types = scenario.beta_types
-    kernel = _commitment_kernel(scenario, types.type_values, types.type_probs)
-    rows = itertools.combinations(range(len(kernel.grid)), len(types.types))
-    return equilibrium_records(scenario, kernel, rows, "commitment", commitment_belief)
 
 
 # ---------------------------------------------------------------------------

@@ -14,24 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EXACT,
-    Scenario,
-    UtilitySpec,
-    ValidationError,
-    require_symmetric,
-)
-from .election import (
-    EquilibriumRecord,
-    ICKernel,
-    StrategyAssignment,
-    assignment_rows,
-    equilibrium_records,
-    frontier_scan,
-    game_kernel,
-    require_game,
-    value_matrix,
-)
+from .core import EXACT, Scenario, UtilitySpec, ValidationError
+from .election import StrategyAssignment, frontier_scan, value_matrix
 from .solver import BeliefOverProfiles, attentive
 
 
@@ -300,7 +284,7 @@ def attention_frontier_noisy(tech: NewsTechnology, spec: UtilitySpec, a1_grid, a
 
 
 # ---------------------------------------------------------------------------
-# Noisy equilibrium enumeration
+# The noisy-news game's winner and beliefs
 # ---------------------------------------------------------------------------
 
 def downsian_signal_matrix(k: int) -> np.ndarray:
@@ -319,21 +303,6 @@ def expected_winning_matrix(tech: NewsTechnology, a_values) -> np.ndarray:
     return rows @ downsian_signal_matrix(tech.k) @ rows.T
 
 
-def _noisy_kernel(scenario: Scenario, types, probs) -> ICKernel:
-    w = expected_winning_matrix(scenario.news, scenario.beta_axis.values)
-    return game_kernel(scenario, w, types, probs)
-
-
-def check_ic_noisy(
-    scenario: Scenario, assignment: StrategyAssignment
-) -> tuple[bool, dict]:
-    """Incentive compatibility when winners are decided by news reports."""
-    require_game(scenario, "noisy")
-    require_symmetric(scenario)
-    kernel = _noisy_kernel(scenario, assignment.types, assignment.type_probs)
-    return kernel.check(assignment.policies)
-
-
 def news_belief(
     scenario: Scenario, assignment: StrategyAssignment, t: float
 ) -> BeliefOverProfiles:
@@ -341,21 +310,3 @@ def news_belief(
     assignment's played levels under the scenario's technology."""
     return signal_belief(scenario.news, scenario.utility, assignment.levels, assignment.sigma(), t)
 
-
-def enumerate_equilibria_noisy(
-    scenario: Scenario, max_assignments: int = 200_000
-) -> list[EquilibriumRecord]:
-    """All pure symmetric equilibria under the scenario's news technology.
-
-    Refuses a technology that fails ``audit_news`` on the policy grid.
-    Attached attention solutions live on the news-profile support.
-    """
-    require_game(scenario, "noisy")
-    require_symmetric(scenario)
-    if problems := audit_news(scenario.news, scenario.beta_axis.values):
-        raise ValidationError("news technology rejected: " + "; ".join(problems))
-
-    rows = assignment_rows(scenario, max_assignments)
-    types = scenario.beta_types
-    kernel = _noisy_kernel(scenario, types.type_values, types.type_probs)
-    return equilibrium_records(scenario, kernel, rows, "noisy", news_belief)

@@ -188,7 +188,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     pol = data["policies"]
     beta_vals = _numbers(pol.get("beta"), "policies.beta", problems)
     beta_axis = None
-    if beta_vals:
+    if pol.get("beta") == []:
+        problems.append("policies.beta: expected at least one policy")
+    elif beta_vals:
         try:
             beta_axis = PolicyAxis(beta_vals)
         except ValidationError as exc:

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines as they pass.
 Every tolerance is pinned here; nothing is deferred to calibration.
 """
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -13,19 +14,21 @@ import pytest
 
 from rivote.core import UtilitySpec
 from rivote.election import (
+    ICKernel,
     attention_frontier,
+    downsian_matrix,
     enumerate_equilibria,
+    on_path_belief,
     profile_belief,
 )
 from rivote.extensions import (
+    commitment_belief,
     dissemination_filter,
-    enumerate_equilibria_commitment,
     multi_issue_reduce,
     quarter_circle_frontier,
     weighted_bliss_utility,
 )
 from rivote.news import (
-    enumerate_equilibria_noisy,
     posterior_value_matrix,
     signal_belief,
 )
@@ -138,7 +141,7 @@ def test_criterion_05_slanted_news_suite():
         dists = []
         for xi in xis:
             scenario = build(figure3_scenario(xi))
-            records = enumerate_equilibria_noisy(scenario)
+            records = enumerate_equilibria(scenario)
             assert records, f"no equilibria at xi={xi}"
             dists.append(
                 max(
@@ -276,7 +279,7 @@ def test_criterion_09_reductions(figure2):
         # fully revealing news: identical records bit for bit
         doc = figure2_scenario()
         doc["news"] = {"family": "revealing", "policies": doc["policies"]["beta"]}
-        noisy = enumerate_equilibria_noisy(scenario_from_dict(doc))
+        noisy = enumerate_equilibria(scenario_from_dict(doc))
         base = enumerate_equilibria(figure2)
         assert [r.assignment.policies for r in base] == [
             r.assignment.policies for r in noisy
@@ -287,16 +290,31 @@ def test_criterion_09_reductions(figure2):
                 assert tb == tn and sb.m_bar == sn.m_bar and sb.info == sn.info
                 np.testing.assert_array_equal(sb.m, sn.m)
 
-        # full commitment: the transform is the identity
-        comm = enumerate_equilibria_commitment(figure2)
-        assert [r.assignment.policies for r in base] == [
-            r.assignment.policies for r in comm
-        ]
-        for b, c in zip(base, comm):
-            assert b.gaps == c.gaps
-            for (tb, sb), (tc, sc) in zip(b.attention, c.attention):
-                assert tb == tc and sb.m_bar == sc.m_bar
-                np.testing.assert_array_equal(sb.m, sc.m)
+        # full commitment: the transform is the identity.  At eta = 1 the
+        # commitment kernel prices every row bit for bit as the baseline one,
+        # every baseline equilibrium is strictly increasing (so the
+        # commitment game's rows lose none), and the commitment belief and
+        # its attention solution are the baseline ones bit for bit
+        grid, types = figure2.beta_axis.values, figure2.beta_types
+        kernels = [ICKernel(grid, types.type_values, types.type_probs,
+                            downsian_matrix(figure2.utility, grid), figure2.utility, eta)
+                   for eta in (None, 1.0)]
+        rows = np.array(list(itertools.product(range(len(grid)), repeat=len(types.types))))
+        for b, c in zip(kernels[0].gaps(rows), kernels[1].gaps(rows)):
+            assert b.tobytes() == c.tobytes()
+        assert figure2.eta == 1.0
+        for r in base:
+            policies = r.assignment.policies
+            assert all(lo < hi for lo, hi in zip(policies, policies[1:]))
+            for t, sol in r.attention:
+                b = on_path_belief(figure2, r.assignment, t)
+                c = commitment_belief(figure2, r.assignment, t)
+                assert b.support == c.support
+                assert b.probs.tobytes() == c.probs.tobytes()
+                assert b.values.tobytes() == c.values.tobytes()
+                sc = solve_attention(c, figure2.mu)
+                assert sc.m.tobytes() == sol.m.tobytes()
+                assert (sc.m_bar, sc.info, sc.regime) == (sol.m_bar, sol.info, sol.regime)
 
         # vanishing dissemination cost: the filter keeps every attentive record
         records = enumerate_equilibria(replace(figure2, mu=0.09))

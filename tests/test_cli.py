@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,6 @@ from rivote import cli
 from rivote.cli import main
 from rivote.core import ValidationError
 from rivote.election import assignment_for, check_ic, enumerate_equilibria, game_of
-from rivote.extensions import check_ic_commitment, enumerate_equilibria_commitment
-from rivote.news import check_ic_noisy, enumerate_equilibria_noisy
 from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
 from rivote.scenario_io import dump_scenario, load_scenario, scenario_from_dict, scenario_hash
 
@@ -126,6 +125,8 @@ class TestValidate:
                   "rows": [[0.6, 0.6], [0.5, 0.5], [0.4, 0.6]]}, "news.rows"),
         ("news", {"family": "table", "signals": [0.25, 0.75], "policies": [0.01, 0.2, 0.4],
                   "rows": [[1.1, -0.1], [0.5, 0.5], [0.4, 0.6]]}, "news.rows"),
+        ("policies", {"beta": []}, "policies.beta"),
+        ("policies", {"beta": [], "alpha": []}, "policies.beta"),
     ])
     def test_malformed_section_names_its_path(self, section, value, path):
         doc = figure2_scenario()
@@ -165,6 +166,16 @@ class TestValidate:
         with pytest.raises(ValidationError, match="issues.frontier: .*concave"):
             scenario_from_dict(doc)
 
+    def test_empty_policy_grid_exit_2(self, tmp_path, capsys):
+        doc = figure2_scenario()
+        doc["policies"] = {"beta": []}
+        path = tmp_path / "empty.json"
+        dump_scenario(doc, path)
+        for command in ("validate", "enumerate"):
+            assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == (
+                "validation error: invalid scenario: policies.beta: expected at least one policy\n")
+
     def test_news_under_limited_commitment_refused(self, fig3_path, tmp_path, capsys):
         path = tmp_path / "news_eta.json"
         doc = figure3_scenario(0.75)
@@ -187,33 +198,34 @@ def test_shipped_scenarios_load_and_validate(path, capsys):
     assert "scenario ok" in capsys.readouterr().out
 
 
-PIPELINES = {
-    "baseline": (enumerate_equilibria, check_ic),
-    "noisy": (enumerate_equilibria_noisy, check_ic_noisy),
-    "commitment": (enumerate_equilibria_commitment, check_ic_commitment),
-}
-
-
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
 def test_only_the_scenarios_own_pipeline_runs(path):
+    # one enumerator and one check serve every game, and run the scenario's
+    # own; the baseline-only options refuse the other games by name
     scenario = load_scenario(path)
     game = game_of(scenario)
-    assert cli._pipeline(scenario)[0] is PIPELINES[game][0]
+    assert all(r.kind == game for r in enumerate_equilibria(scenario))
     n_types = len(scenario.beta_types.types)
     assignment = assignment_for(scenario, scenario.beta_axis.values[:n_types])
-    own = PIPELINES[game][0](scenario)
-    PIPELINES[game][1](scenario, assignment)
-    for other, (enumerate_fn, check) in PIPELINES.items():
-        if other == game:
-            continue
-        if (game, other) == ("baseline", "commitment"):
-            # at eta = 1 limited commitment is the baseline game
-            assert [r.assignment.policies for r in enumerate_fn(scenario)] == [
-                r.assignment.policies for r in own]
-            continue
-        for run in (lambda: enumerate_fn(scenario), lambda: check(scenario, assignment)):
-            with pytest.raises(ValidationError, match=f"use {PIPELINES[game][0].__name__}$"):
-                run()
+    check_ic(scenario, assignment)
+    if game == "baseline":
+        return
+    refusal = f"models the baseline game only, not the scenario's {game} game$"
+    with pytest.raises(ValidationError, match=refusal):
+        check_ic(scenario, assignment, w_source="rationalized")
+    with pytest.raises(ValidationError, match=refusal):
+        enumerate_equilibria(scenario, verify_rationalizable=True)
+
+
+def test_commitment_cap_counts_increasing_maps():
+    # 3 policies and 2 types: comb(3, 2) = 3 increasing maps, not 3 ** 2 = 9
+    (path,) = [p for p in SHIPPED if p.stem == "partial_commitment"]
+    scenario = replace(load_scenario(path), eta=0.9)
+    records = enumerate_equilibria(scenario, max_assignments=3)
+    assert [(r.kind, r.assignment.policies) for r in records] == [("commitment", (0.01, 0.2))]
+    with pytest.raises(ValidationError, match="^3 assignments exceed the cap 2; "
+                                              "raise max_assignments explicitly"):
+        enumerate_equilibria(scenario, max_assignments=2)
 
 
 # sha256 of the CSV each command writes; a refactor of the games keeps every byte
@@ -382,6 +394,19 @@ class TestGarble:
             "garble", "--scenario", fig2_path, "--lam", "0.4",
             "--out", str(tmp_path / "o"),
         ]) == 2
+
+    @pytest.mark.parametrize("rows, message", [
+        ("[[NaN, NaN], [0, 1]]", "garbling kernel entries must be finite"),
+        ("[[0.5, 0.6], [0, 1]]", "garbling kernel rows must sum to 1"),
+    ], ids=["nan", "not_stochastic"])
+    def test_numeric_kernel_reports_its_own_problem(self, rows, message, fig3_path, tmp_path,
+                                                    capsys):
+        # numeric rows that are no Markov kernel are not "expected numeric 'rows'"
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text(f'{{"rows": {rows}}}')
+        assert main(["garble", "--scenario", fig3_path, "--kernel", str(kernel),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 class TestSweep:

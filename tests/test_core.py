@@ -259,6 +259,16 @@ class TestConstruction:
         assert Electorate(((-0.2, 0.5), (0.2, 0.5))).is_symmetric()
         assert not Electorate(((-0.2, 0.4), (0.0, 0.2), (0.3, 0.4))).is_symmetric()
 
+    def test_scenario_requires_a_policy_axis(self):
+        with pytest.raises(ValidationError, match="beta_axis must be a PolicyAxis"):
+            Scenario(
+                beta_axis=None,
+                utility=UtilitySpec(),
+                beta_types=CandidateSpec(((0.5, 1.0),)),
+                electorate=Electorate(((-0.1, 0.5), (0.1, 0.5))),
+                mu=1.0,
+            )
+
     def test_scenario_requires_positive_mu(self):
         with pytest.raises(ValidationError):
             Scenario(

@@ -10,12 +10,17 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from rivote.core import ValidationError, utility
-from rivote.election import assignment_for, enumerate_equilibria, value_matrix
+from rivote.election import (
+    ICKernel,
+    assignment_for,
+    downsian_matrix,
+    enumerate_equilibria,
+    on_path_belief,
+    value_matrix,
+)
 from rivote.extensions import (
-    check_ic_commitment,
     commitment_belief,
     dissemination_filter,
-    enumerate_equilibria_commitment,
     golden_max,
     multi_issue_reduce,
     quarter_circle_frontier,
@@ -25,7 +30,7 @@ from rivote.extensions import (
 )
 from rivote.presets import figure2_scenario
 from rivote.scenario_io import scenario_from_dict
-from rivote.solver import attention_membership, gamma_inverse
+from rivote.solver import attention_membership, gamma_inverse, solve_attention
 
 from tests import oracles
 
@@ -87,16 +92,15 @@ class TestCommitment:
             replace(example3_factory(0.5), eta=eta)
 
     def test_full_commitment_is_identity(self, figure2):
-        base = enumerate_equilibria(figure2)
-        comm = enumerate_equilibria_commitment(figure2)
-        assert [r.assignment.policies for r in base] == [
-            r.assignment.policies for r in comm
-        ]
-        for b, c in zip(base, comm):
-            assert b.gaps == c.gaps
-            for (t, bs), (_, cs) in zip(b.attention, c.attention):
-                assert bs.m_bar == cs.m_bar
-                np.testing.assert_array_equal(bs.m, cs.m)
+        # at eta = 1 the commitment belief is the baseline belief bit for bit
+        assert figure2.eta == 1.0
+        for r in enumerate_equilibria(figure2):
+            for t, sol in r.attention:
+                belief = commitment_belief(figure2, r.assignment, t)
+                base = on_path_belief(figure2, r.assignment, t)
+                assert belief.values.tobytes() == base.values.tobytes()
+                assert belief.probs.tobytes() == base.probs.tobytes()
+                np.testing.assert_array_equal(solve_attention(belief, figure2.mu).m, sol.m)
 
     def test_no_commitment_ignores_proposals(self, example3_factory):
         scenario = example3_factory(0.0)
@@ -147,11 +151,11 @@ class TestCommitment:
     def test_ic_reduces_to_baseline_at_full_commitment(self, figure2):
         from rivote.election import check_ic
 
+        grid, types = figure2.beta_axis.values, figure2.beta_types
+        kernel = ICKernel(grid, types.type_values, types.type_probs,
+                          downsian_matrix(figure2.utility, grid), figure2.utility, eta=1.0)
         for pols in ((0.01, 0.2), (0.01, 0.4), (0.2, 0.4)):
-            a = assignment_for(figure2, pols)
-            ok_b, gaps_b = check_ic(figure2, a)
-            ok_c, gaps_c = check_ic_commitment(figure2, a)
-            assert ok_b == ok_c and gaps_b == gaps_c
+            assert kernel.check(pols) == check_ic(figure2, assignment_for(figure2, pols))
 
 
 class TestFrontier:

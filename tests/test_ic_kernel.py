@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from rivote import election
 from rivote.core import ValidationError
 from rivote.election import (
+    ICKernel,
     StrategyAssignment,
     check_ic,
-    downsian_matrix,
     downsian_winner,
-    game_kernel,
+    game_of,
     perfect_observation_winner,
 )
-from rivote.extensions import _commitment_kernel, check_ic_commitment
-from rivote.news import _noisy_kernel, check_ic_noisy, expected_winning_matrix
+from rivote.news import expected_winning_matrix
 from rivote.presets import build
 from tests.oracles import _two_sided_gaps, commitment_gaps
 
@@ -49,21 +48,21 @@ def game(n, types=TWO_TYPES, family="absolute", xi=None, eta=None, rent=8.0,
 
 
 def kernel_and_oracle(scenario, pipeline):
-    """The pipeline's IC kernel and a scalar oracle of (beta, alpha) gaps."""
+    """The IC kernel the game table builds for the scenario's game and a
+    scalar oracle of (beta, alpha) gaps."""
+    assert game_of(scenario) == pipeline
     types = scenario.beta_types
     grid = scenario.beta_axis.values
     spec = scenario.utility
+    w_of, eta, _, _ = election._game(scenario)
+    kernel = ICKernel(grid, types.type_values, types.type_probs, w_of(scenario), spec, eta)
     if pipeline == "baseline":
-        kernel = game_kernel(scenario, downsian_matrix(spec, grid),
-                             types.type_values, types.type_probs)
         return kernel, lambda a: _two_sided_gaps(
             scenario, a, lambda x, y: downsian_winner(spec, x, y))
     if pipeline == "noisy":
-        kernel = _noisy_kernel(scenario, types.type_values, types.type_probs)
         g = expected_winning_matrix(scenario.news, grid)
         return kernel, lambda a: _two_sided_gaps(
             scenario, a, lambda x, y: float(g[grid.index(-x), grid.index(y)]))
-    kernel = _commitment_kernel(scenario, types.type_values, types.type_probs)
     return kernel, lambda a: commitment_gaps(scenario, a, scenario.eta)
 
 
@@ -131,18 +130,13 @@ def test_chunked_scan_keeps_order_and_gaps(label, monkeypatch):
 def test_one_row_checks_equal_oracle(pipeline):
     scenario = game(6, xi=0.75 if pipeline == "noisy" else None,
                     eta=0.8 if pipeline == "commitment" else None)
-    check = {
-        "baseline": lambda a: check_ic(scenario, a),
-        "noisy": lambda a: check_ic_noisy(scenario, a),
-        "commitment": lambda a: check_ic_commitment(scenario, a),
-    }[pipeline]
     _, oracle = kernel_and_oracle(scenario, pipeline)
     grid = scenario.beta_axis.values
     types = scenario.beta_types
     for row in all_rows(scenario):
         assignment = StrategyAssignment(
             types.type_values, types.type_probs, tuple(grid[i] for i in row))
-        ok, gaps = check(assignment)
+        ok, gaps = check_ic(scenario, assignment)
         ob, oa = oracle(assignment)
         expected = {("beta", t): g for t, g in ob}
         expected.update({("alpha", t): g for t, g in oa})
@@ -209,7 +203,5 @@ def test_off_grid_policy_is_a_validation_error(pipeline):
                     eta=0.8 if pipeline == "commitment" else None)
     assignment = StrategyAssignment(
         scenario.beta_types.type_values, scenario.beta_types.type_probs, (0.1, 0.3))
-    check = {"baseline": check_ic, "noisy": check_ic_noisy,
-             "commitment": check_ic_commitment}[pipeline]
     with pytest.raises(ValidationError, match="off candidate beta's grid"):
-        check(scenario, assignment)
+        check_ic(scenario, assignment)

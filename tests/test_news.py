@@ -22,7 +22,6 @@ from rivote.news import (
     attention_frontier_noisy,
     audit_news,
     downsian_signal_matrix,
-    enumerate_equilibria_noisy,
     expected_winning_matrix,
     posterior_value,
     posterior_value_matrix,
@@ -317,7 +316,7 @@ class TestNoisyAttention:
 
 class TestNoisyEquilibria:
     def test_benchmark_has_strict_separating_equilibria(self, figure3_factory):
-        records = enumerate_equilibria_noisy(figure3_factory(0.75))
+        records = enumerate_equilibria(figure3_factory(0.75))
         assert records
         for r in records:
             a1, a2 = r.assignment.policies
@@ -330,7 +329,7 @@ class TestNoisyEquilibria:
         # under garbled news voter t attends to news profiles: judged on
         # policy profiles both equilibria would keep them, on signals neither
         scenario = figure3_factory(0.6)
-        records = enumerate_equilibria_noisy(scenario)
+        records = enumerate_equilibria(scenario)
         assert len(records) == 2
         for r in records:
             levels, sigma = r.assignment.levels, r.assignment.sigma()
@@ -351,7 +350,7 @@ class TestNoisyEquilibria:
     def test_convergence_to_bliss_points(self, figure3_factory):
         dists = []
         for xi in (0.6, 0.75, 0.9):
-            records = enumerate_equilibria_noisy(figure3_factory(xi))
+            records = enumerate_equilibria(figure3_factory(xi))
             dists.append(
                 max(
                     max(abs(r.assignment.policies[0] - 0.25),
@@ -365,7 +364,7 @@ class TestNoisyEquilibria:
     def test_revealing_news_reproduces_baseline_bitwise(self, figure2):
         doc = figure2_scenario()
         doc["news"] = {"family": "revealing", "policies": doc["policies"]["beta"]}
-        noisy = enumerate_equilibria_noisy(scenario_from_dict(doc))
+        noisy = enumerate_equilibria(scenario_from_dict(doc))
         base = enumerate_equilibria(figure2)
         assert [r.assignment.policies for r in base] == [r.assignment.policies for r in noisy]
         for b, n in zip(base, noisy):
@@ -380,7 +379,7 @@ class TestNoisyEquilibria:
             scenario.news.signals, lambda a: np.full(np.shape(a) + (2,), 0.5), label="flat"
         )
         with pytest.raises(ValidationError, match="ratio ordering"):
-            enumerate_equilibria_noisy(replace(scenario, news=flat))
+            enumerate_equilibria(replace(scenario, news=flat))
 
     def test_expected_winning_matrix_structure(self):
         tech = NewsTechnology.slant(0.4)

@@ -1,6 +1,6 @@
-"""Every equilibrium record carries its pipeline's belief builder.
+"""Every equilibrium record carries its game's belief builder.
 
-``r.belief(t)`` must be the belief the pipeline's public builder returns,
+``r.belief(t)`` must be the belief the game's public builder returns,
 and every attention statistic of a record (its attention solutions, its
 ``attentive`` flags, the truncation statistic) must be read from it.
 """
@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rivote.election import downsian_matrix, enumerate_equilibria, profile_belief
-from rivote.extensions import commitment_belief, enumerate_equilibria_commitment
-from rivote.news import enumerate_equilibria_noisy, expected_winning_matrix, signal_belief
+from rivote.extensions import commitment_belief
+from rivote.news import expected_winning_matrix, signal_belief
 from rivote.presets import build
 from rivote.solver import attention_membership, solve_attention
 
@@ -33,7 +33,7 @@ def game(n, family="absolute", xi=None, eta=None, mu=1.0, types=((0.3, 0.5), (0.
 
 
 def public_belief(pipeline, scenario, record, t):
-    """Voter t's belief for ``record``, built by the pipeline's public builder."""
+    """Voter t's belief for ``record``, built by its game's public builder."""
     if pipeline == "noisy":
         return signal_belief(scenario.news, scenario.utility, record.assignment.levels,
                              record.assignment.sigma(), t)
@@ -43,18 +43,13 @@ def public_belief(pipeline, scenario, record, t):
                           record.assignment.sigma(), t)
 
 
-PIPELINES = {
-    "baseline": (enumerate_equilibria, {}),
-    "noisy": (enumerate_equilibria_noisy, {"xi": 0.75}),
-    "commitment": (enumerate_equilibria_commitment, {"eta": 0.5}),
-}
+GAMES = {"baseline": {}, "noisy": {"xi": 0.75}, "commitment": {"eta": 0.5}}
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("pipeline", GAMES)
 def test_record_belief_is_the_public_builder_bitwise(pipeline):
-    enumerate_fn, knobs = PIPELINES[pipeline]
-    scenario = game(8, **knobs)
-    records = enumerate_fn(scenario)
+    scenario = game(8, **GAMES[pipeline])
+    records = enumerate_equilibria(scenario)
     assert records and all(r.kind == pipeline for r in records)
     for r in records:
         for t, sol in r.attention:
@@ -66,12 +61,11 @@ def test_record_belief_is_the_public_builder_bitwise(pipeline):
             assert sol.m.tobytes() == solve_attention(direct, scenario.mu).m.tobytes()
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("pipeline", GAMES)
 def test_expected_w_is_the_kernel_winner_on_played_levels(pipeline):
     # perfect observation in the baseline and under commitment, news otherwise
-    enumerate_fn, knobs = PIPELINES[pipeline]
-    scenario = game(8, **knobs)
-    records = enumerate_fn(scenario)
+    scenario = game(8, **GAMES[pipeline])
+    records = enumerate_equilibria(scenario)
     assert records
     for r in records:
         levels = r.assignment.levels
@@ -84,16 +78,15 @@ def test_expected_w_is_the_kernel_winner_on_played_levels(pipeline):
 @given(
     n=st.integers(2, 6),
     family=st.sampled_from(["absolute", "quadratic"]),
-    pipeline=st.sampled_from(list(PIPELINES)),
+    pipeline=st.sampled_from(list(GAMES)),
     knob=st.floats(0.05, 0.95),
     log_mu=st.floats(-3.0, 2.0),
 )
 def test_attentive_flag_is_the_one_rule(n, family, pipeline, knob, log_mu):
-    enumerate_fn, knobs = PIPELINES[pipeline]
-    knobs = {k: knob for k in knobs}
+    knobs = {k: knob for k in GAMES[pipeline]}
     mu = 10.0 ** log_mu
     scenario = game(n, family=family, mu=mu, **knobs)
-    for r in enumerate_fn(scenario):
+    for r in enumerate_equilibria(scenario):
         for t, flag in r.attentive:
             assert flag == attention_membership(r.belief(t), mu)
 
@@ -103,7 +96,7 @@ BUILDERS = {"baseline": ("rivote.election", "profile_belief"),
             "commitment": ("rivote.extensions", "value_matrix")}
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("pipeline", GAMES)
 def test_truncation_statistic_reuses_the_enumeration_beliefs(pipeline, monkeypatch):
     # every group's belief was built while enumerating; judging a group again
     # builds none, while a new voter type builds one per record
@@ -111,9 +104,8 @@ def test_truncation_statistic_reuses_the_enumeration_beliefs(pipeline, monkeypat
 
     from rivote.election import truncation_statistic
 
-    enumerate_fn, knobs = PIPELINES[pipeline]
-    scenario = game(8, **knobs)
-    records = enumerate_fn(scenario)
+    scenario = game(8, **GAMES[pipeline])
+    records = enumerate_equilibria(scenario)
     assert records
     module, name = BUILDERS[pipeline]
     module = importlib.import_module(module)
