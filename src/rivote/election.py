@@ -1,7 +1,7 @@
 """Symmetric electoral competition over finite grids.
 
 Vote aggregation from optimal attention strategies, candidate incentive
-checks and exhaustive enumeration of pure symmetric equilibria for the
+checks and exact, pruned enumeration of pure symmetric equilibria for the
 baseline, noisy-news and limited-commitment games (one game table, one
 kernel), attention-set membership and boundary scans, and the truncation
 statistic that drives the comparative statics in the attention cost.
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -312,26 +312,73 @@ class ICKernel:
             for r in np.flatnonzero(ok):
                 yield chunk[r], tuple(zip(self.types, beta[r].tolist()))
 
+    @cached_property
+    def _bound_tables(self):
+        """(pay, tail, margin) of beta's side: ``pay[i, x, k, a]`` is the term
+        ``_side_gaps`` adds to type k's payoff at a when type i's mirror plays
+        x, and ``tail[l, k, a, b]`` the most types i >= l can add to a over b."""
+        w, win, lose, probs = self._beta
+        w = w[:, None, :]
+        p = np.array(probs)[:, None, None, None]
+        pay = (p * (w * win + (1.0 - w) * lose[..., None]))[::-1]
+        n, size = len(self.types), len(self.grid)
+        gain = np.zeros((n + 1, n, size, size))
+        step = max(1, IC_CHUNK_FLOATS // size ** 2)
+        for i, k, lo in itertools.product(range(n), range(n), range(0, size, step)):
+            part = pay[i, :, k, lo:lo + step, None] - pay[i, :, k, None]
+            gain[i, k, lo:lo + step] = part.max(axis=0)
+        return pay, np.cumsum(gain[::-1], axis=0)[::-1], 1e-9 * max(1.0, np.abs(pay).max())
 
-def _every_map(n: int, k: int):
-    """(n**k, the maps of k types to n grid indices in lexicographic order)."""
-    return n ** k, itertools.product(range(n), repeat=k)
+    def bound(self, prefixes: np.ndarray) -> np.ndarray:
+        """Upper bound on beta type k's payoff at its policy a_k less its payoff
+        at b, over every completion of each row prefix (prefixes x assigned
+        types x grid; inf at b = a_k): assigned types add their exact term,
+        open ones their largest.  On a complete row its least entry per type
+        is that type's slack, up to rounding."""
+        pay, tail, _ = self._bound_tables
+        level, own = prefixes.shape[1], prefixes[:, :, None]
+        ub = tail[level][np.arange(level), prefixes]
+        for i in range(level):
+            term = pay[i, prefixes[:, i], :level]
+            ub += np.take_along_axis(term, own, 2) - term
+        np.put_along_axis(ub, own, math.inf, 2)
+        return ub
 
-
-def _increasing_maps(n: int, k: int):
-    """(comb(n, k), the strictly increasing maps in lexicographic order)."""
-    return math.comb(n, k), itertools.combinations(range(n), k)
+    def search(self, follows, max_prefixes: int) -> list[tuple[int, ...]]:
+        """Rows, in lexicographic order, no prefix of which has a ``bound``
+        below -TOL by more than a rounding margin; no other row can pass.
+        Prefixes grow one type at a time by the indices ``follows(last,
+        next)`` allows (all when None); over ``max_prefixes`` are refused."""
+        margin, size = self._bound_tables[2], len(self.grid)
+        chunk = max(1, IC_CHUNK_FLOATS // (len(self.types) * size))
+        rows, visited = np.zeros((1, 0), dtype=np.intp), 0
+        for level in range(len(self.types)):
+            allowed = np.ones((len(rows), size), dtype=bool)
+            if follows is not None and level:
+                allowed &= follows(rows[:, -1:], np.arange(size))
+            if (visited := visited + int(allowed.sum())) > max_prefixes:
+                raise ValidationError(f"{visited} prefixes exceed the cap {max_prefixes}; "
+                                      "raise max_assignments explicitly to search this grid")
+            parent, nxt = np.nonzero(allowed)
+            rows = np.column_stack([rows[parent], nxt])
+            keep = np.ones(len(rows), dtype=bool)
+            for lo in range(0, len(rows), chunk):
+                ub = self.bound(rows[lo:lo + chunk]).min(axis=(1, 2))
+                keep[lo:lo + chunk] = ub >= -TOL - margin
+            rows = rows[keep]
+        return [tuple(r) for r in rows.tolist()]
 
 
 def _game(scenario: Scenario):
     """The game table's row for ``game_of(scenario)``: (W builder, eta or
-    None, row generator, belief builder).
+    None, prefix rule, belief builder).
 
     The three games share one kernel and differ only here: beta's winning
     matrix on the grid (perfect observation, or decided signal-wise under
-    news), the commitment level blended into the stage values, the strategy
-    rows searched (every map, or strictly increasing maps under limited
-    commitment) and voter t's belief ``belief(scenario, assignment, t)``.
+    news), the commitment level blended into the stage values, the rule
+    ``follows(last, next)`` on consecutive types' policy indices (None for
+    every map, ``np.less`` for the increasing maps of limited commitment)
+    and voter t's belief ``belief(scenario, assignment, t)``.
     news and extensions import this module, so their builders load here.
     """
     from .extensions import commitment_belief
@@ -344,24 +391,10 @@ def _game(scenario: Scenario):
         return expected_winning_matrix(s.news, s.beta_axis.values)
 
     return {
-        "baseline": (perfect, None, _every_map, on_path_belief),
-        "noisy": (signal_wise, None, _every_map, news_belief),
-        "commitment": (perfect, scenario.eta, _increasing_maps, commitment_belief),
+        "baseline": (perfect, None, None, on_path_belief),
+        "noisy": (signal_wise, None, None, news_belief),
+        "commitment": (perfect, scenario.eta, np.less, commitment_belief),
     }[game_of(scenario)]
-
-
-def assignment_rows(scenario: Scenario, max_assignments: int):
-    """The game's type -> policy maps as grid-index rows, in lexicographic
-    order: every map, or the strictly increasing ones under limited
-    commitment.  More than ``max_assignments`` rows are refused outright."""
-    maps = _game(scenario)[2]
-    count, rows = maps(len(scenario.beta_axis.values), len(scenario.beta_types.types))
-    if count > max_assignments:
-        raise ValidationError(
-            f"{count} assignments exceed the cap {max_assignments}; "
-            "raise max_assignments explicitly to search this grid"
-        )
-    return rows
 
 
 def check_ic(
@@ -373,10 +406,13 @@ def check_ic(
     Deviations are priced by the game's winning matrix.  In the baseline game
     ``w_source="rationalized"`` instead takes the on-path cells from
     aggregating optimal attention strategies.  Returns (ok, slack per
-    (candidate, type)).
+    (candidate, type)); maps the game's prefix rule excludes are refused.
     """
     require_symmetric(scenario)
-    w_of, eta, _, _ = _game(scenario)
+    w_of, eta, follows, _ = _game(scenario)
+    policies = np.array(assignment.policies)  # ordered as their grid indices
+    if follows is not None and not follows(policies[:-1], policies[1:]).all():
+        raise ValidationError("limited commitment requires strictly increasing policies")
     grid = scenario.beta_axis.values
     if w_source == "downsian":
         w = w_of(scenario)
@@ -444,11 +480,13 @@ def enumerate_equilibria(
     """All pure symmetric equilibria of the scenario's game, in lexicographic
     policy order.
 
-    Every row of ``assignment_rows`` is checked for incentive compatibility
-    under the game's winning matrix, and each record carries the game's
-    beliefs.  A news technology that fails ``audit_news`` on the grid is
-    refused.  ``verify_rationalizable`` (baseline game only) checks that
-    aggregated attention strategies reproduce every record's winner.
+    ``ICKernel.search`` cuts the prefixes whose payoff bound rules out
+    incentive compatibility (so ``max_assignments`` caps visited prefixes),
+    ``ICKernel.passing`` checks the surviving rows under the game's winning
+    matrix, and each record carries the game's beliefs.  A news technology
+    that fails ``audit_news`` on the grid is refused.  ``verify_rationalizable``
+    (baseline game only) checks that aggregated attention strategies
+    reproduce every record's winner.
     """
     require_symmetric(scenario)
     game = game_of(scenario)
@@ -460,11 +498,11 @@ def enumerate_equilibria(
 
         if problems := audit_news(scenario.news, scenario.beta_axis.values):
             raise ValidationError("news technology rejected: " + "; ".join(problems))
-    w_of, eta, _, belief = _game(scenario)
-    rows = assignment_rows(scenario, max_assignments)
+    w_of, eta, follows, belief = _game(scenario)
     types = scenario.beta_types
     kernel = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
                       w_of(scenario), scenario.utility, eta)
+    rows = kernel.search(follows, max_assignments)
     records = equilibrium_records(scenario, kernel, rows, belief)
     if verify_rationalizable:
         for r in records:

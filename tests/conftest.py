@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,16 @@ def abs_spec():
 @pytest.fixture(scope="session")
 def quad_spec():
     return UtilitySpec(family="quadratic")
+
+
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py`` (its inputs: belief streams and
+    game documents), loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def two_level_belief(spec, a1, a2, t, probs=(0.5, 0.5)):

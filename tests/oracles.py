@@ -8,7 +8,9 @@ at a time.  The solver, news-audit, news-posterior and noisy-frontier
 oracles are the library's earlier loops: one first-order-condition
 evaluation per bisection step, one policy and one 2x2 log minor at a time,
 one news profile and one policy pair at a time.  The two-issue oracle
-calls ``u2`` and the frontier one scalar point at a time.
+calls ``u2`` and the frontier one scalar point at a time.  The
+equilibrium oracle is the library's earlier exhaustive search: every map of
+the game's strategy set through ``ICKernel.passing``, with no pruning.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from rivote import election
 from rivote.core import EXACT, Scenario, UtilitySpec, ValidationError
 from rivote.election import StrategyAssignment, downsian_winner, value_matrix
 from rivote.solver import (
@@ -310,6 +313,32 @@ def commitment_gaps(scenario: Scenario, assignment: StrategyAssignment, eta: flo
         lambda x, a: 1.0 - w_beta(a, x), win_value, lose_value,
     )
     return beta, alpha
+
+
+def exhaustive_rows(scenario: Scenario):
+    """The game's strategies as grid-index rows in lexicographic order: every
+    type -> policy map, or the strictly increasing ones under limited
+    commitment."""
+    n, k = len(scenario.beta_axis.values), len(scenario.beta_types.types)
+    if election.game_of(scenario) == "commitment":
+        return itertools.combinations(range(n), k)
+    return itertools.product(range(n), repeat=k)
+
+
+def table_kernel(scenario: Scenario) -> election.ICKernel:
+    """The IC kernel the game table builds for the scenario's game."""
+    w_of, eta, _, _ = election._game(scenario)
+    types = scenario.beta_types
+    return election.ICKernel(scenario.beta_axis.values, types.type_values,
+                             types.type_probs, w_of(scenario), scenario.utility, eta)
+
+
+def exhaustive_equilibria(scenario: Scenario):
+    """Records of every incentive compatible row of ``exhaustive_rows``,
+    scored by ``ICKernel.passing`` without pruning or a cap."""
+    belief = election._game(scenario)[3]
+    return election.equilibrium_records(scenario, table_kernel(scenario),
+                                        exhaustive_rows(scenario), belief)
 
 
 # ---------------------------------------------------------------------------

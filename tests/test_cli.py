@@ -218,14 +218,16 @@ def test_only_the_scenarios_own_pipeline_runs(path):
 
 
 def test_commitment_cap_counts_increasing_maps():
-    # 3 policies and 2 types: comb(3, 2) = 3 increasing maps, not 3 ** 2 = 9
+    # 3 policies and 2 types: the cap counts visited prefixes, 3 of the first
+    # type and the 3 increasing extensions (0, 1), (0, 2) and (1, 2); a
+    # decreasing map is never visited
     (path,) = [p for p in SHIPPED if p.stem == "partial_commitment"]
     scenario = replace(load_scenario(path), eta=0.9)
-    records = enumerate_equilibria(scenario, max_assignments=3)
+    records = enumerate_equilibria(scenario, max_assignments=6)
     assert [(r.kind, r.assignment.policies) for r in records] == [("commitment", (0.01, 0.2))]
-    with pytest.raises(ValidationError, match="^3 assignments exceed the cap 2; "
+    with pytest.raises(ValidationError, match="^6 prefixes exceed the cap 5; "
                                               "raise max_assignments explicitly"):
-        enumerate_equilibria(scenario, max_assignments=2)
+        enumerate_equilibria(scenario, max_assignments=5)
 
 
 # sha256 of the CSV each command writes; a refactor of the games keeps every byte

@@ -179,8 +179,12 @@ class TestEnumeration:
             } == baseline
 
     def test_cap_refusal(self, figure2):
-        with pytest.raises(ValidationError):
-            enumerate_equilibria(figure2, max_assignments=3)
+        # the cap counts visited prefixes: 3 of the first type, then the 3
+        # extensions of each of the 2 that the bound keeps
+        assert len(enumerate_equilibria(figure2, max_assignments=9)) == 2
+        with pytest.raises(ValidationError, match="^9 prefixes exceed the cap 8; "
+                                                  "raise max_assignments explicitly"):
+            enumerate_equilibria(figure2, max_assignments=8)
 
     def test_records_sorted_and_diagnosed(self, figure2):
         records = enumerate_equilibria(figure2)

@@ -1,6 +1,9 @@
-"""The batched IC kernel against the scalar oracle, and its mirror identity."""
+"""The batched IC kernel against the scalar oracle, its mirror identity, and
+the pruned equilibrium search against the exhaustive one."""
 import itertools
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,17 +13,26 @@ from hypothesis import strategies as st
 from rivote import election
 from rivote.core import ValidationError
 from rivote.election import (
-    ICKernel,
     StrategyAssignment,
     check_ic,
     downsian_winner,
+    enumerate_equilibria,
     game_of,
     perfect_observation_winner,
 )
 from rivote.news import expected_winning_matrix
 from rivote.presets import build
-from tests.oracles import _two_sided_gaps, commitment_gaps
+from rivote.scenario_io import load_scenario
+from tests.conftest import bench_workloads
+from tests.oracles import (
+    _two_sided_gaps,
+    commitment_gaps,
+    exhaustive_equilibria,
+    table_kernel,
+)
 
+INCREASING = "^limited commitment requires strictly increasing policies$"
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 TWO_TYPES = ((0.25, 0.5), (0.75, 0.5))
 THREE_TYPES = ((0.2, 1 / 3), (0.5, 1 / 3), (0.8, 1 / 3))
 THIRDS = [[-0.001, 1 / 3], [0.0, 1 / 3], [0.001, 1 / 3]]
@@ -33,7 +45,8 @@ def game(n, types=TWO_TYPES, family="absolute", xi=None, eta=None, rent=8.0,
     utility = {"family": family, "office_rent": rent, "win_weight": win_weight,
                "lose_weight": lose_weight, "loser_sign": loser_sign}
     if family == "table":
-        a_values = sorted({a for g in grid for a in (g, -g)})
+        # reneging winners play their type, so types are policies too
+        a_values = sorted({a for g in (*grid, *(t for t, _ in types)) for a in (g, -g)})
         t_values = sorted({0.0, *(t for t, _ in THIRDS)} | {x for t, _ in types for x in (t, -t)})
         utility["table"] = {"a": a_values, "t": t_values,
                             "values": [[-(t - a) * (t - a) for t in t_values] for a in a_values]}
@@ -51,11 +64,9 @@ def kernel_and_oracle(scenario, pipeline):
     """The IC kernel the game table builds for the scenario's game and a
     scalar oracle of (beta, alpha) gaps."""
     assert game_of(scenario) == pipeline
-    types = scenario.beta_types
     grid = scenario.beta_axis.values
     spec = scenario.utility
-    w_of, eta, _, _ = election._game(scenario)
-    kernel = ICKernel(grid, types.type_values, types.type_probs, w_of(scenario), spec, eta)
+    kernel = table_kernel(scenario)
     if pipeline == "baseline":
         return kernel, lambda a: _two_sided_gaps(
             scenario, a, lambda x, y: downsian_winner(spec, x, y))
@@ -126,16 +137,33 @@ def test_chunked_scan_keeps_order_and_gaps(label, monkeypatch):
         assert list(kernel.passing(rows)) == expected
 
 
-@pytest.mark.parametrize("pipeline", ["baseline", "noisy", "commitment"])
-def test_one_row_checks_equal_oracle(pipeline):
-    scenario = game(6, xi=0.75 if pipeline == "noisy" else None,
-                    eta=0.8 if pipeline == "commitment" else None)
+ONE_ROW = {
+    "baseline": (lambda: game(6), "baseline"),
+    "noisy": (lambda: game(6, xi=0.75), "noisy"),
+    "commitment": (lambda: game(6, eta=0.8), "commitment"),
+    # where check_ic once scored the pooling map (0.01, 0.01) as incentive
+    # compatible, although the game has no such strategy
+    "partial_commitment_eta.9": (
+        lambda: replace(load_scenario(SCENARIOS / "partial_commitment.json"), eta=0.9),
+        "commitment"),
+}
+
+
+@pytest.mark.parametrize("label", ONE_ROW)
+def test_one_row_checks_equal_oracle(label):
+    make, pipeline = ONE_ROW[label]
+    scenario = make()
     _, oracle = kernel_and_oracle(scenario, pipeline)
     grid = scenario.beta_axis.values
     types = scenario.beta_types
     for row in all_rows(scenario):
         assignment = StrategyAssignment(
             types.type_values, types.type_probs, tuple(grid[i] for i in row))
+        if pipeline == "commitment" and any(np.diff(row) <= 0):
+            # not increasing, so no strategy of the game: refused, not scored
+            with pytest.raises(ValidationError, match=INCREASING):
+                check_ic(scenario, assignment)
+            continue
         ok, gaps = check_ic(scenario, assignment)
         ob, oa = oracle(assignment)
         expected = {("beta", t): g for t, g in ob}
@@ -205,3 +233,90 @@ def test_off_grid_policy_is_a_validation_error(pipeline):
         scenario.beta_types.type_values, scenario.beta_types.type_probs, (0.1, 0.3))
     with pytest.raises(ValidationError, match="off candidate beta's grid"):
         check_ic(scenario, assignment)
+
+
+# ---------------------------------------------------------------------------
+# The pruned search against the exhaustive oracle
+# ---------------------------------------------------------------------------
+
+WORKLOADS = bench_workloads()
+FOUR_TYPES = tuple((t, 0.25) for t in (0.2, 0.4, 0.6, 0.8))
+SIX_TYPES = tuple((t, 1 / 6) for t in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9))
+SEARCHED = {
+    **{p.stem: p for p in sorted(SCENARIOS.glob("*.json"))},
+    **{label: kwargs for label, (_, _, kwargs) in WORKLOADS.IC_TASKS.items()},
+    "4types_n20": {"n": 20, "types": FOUR_TYPES},
+}
+
+
+def searched(label):
+    """A shipped scenario, an ``ic_grid`` game of the benchmark, or 4 x 20."""
+    source = SEARCHED[label]
+    return load_scenario(source) if isinstance(source, Path) else build(
+        WORKLOADS.game_doc(**source))
+
+
+def fingerprint(records):
+    """Everything a record holds, floats as exact reprs and arrays as bytes."""
+    return [(r.kind, r.assignment.policies, repr(r.gaps), repr(r.min_gap), r.attentive,
+             r.expected_w.tobytes(),
+             [(t, s.regime, repr((s.m_bar, s.likelihood_ratio, s.info, s.residual)),
+               s.m.tobytes()) for t, s in r.attention])
+            for r in records]
+
+
+@pytest.mark.parametrize("label", SEARCHED)
+def test_pruned_records_equal_the_exhaustive_oracle(label):
+    scenario = searched(label)
+    records = enumerate_equilibria(scenario)
+    assert fingerprint(records) == fingerprint(exhaustive_equilibria(scenario))
+
+
+@pytest.mark.parametrize("label", SEARCHED)
+def test_bound_on_complete_rows_is_the_kernel_slack(label):
+    # with every type known the bound is beta's slack, up to rounding
+    scenario = searched(label)
+    kernel = table_kernel(scenario)
+    rows = all_rows(scenario)
+    for lo in range(0, len(rows), 4096):
+        chunk = rows[lo:lo + 4096]
+        np.testing.assert_allclose(kernel.bound(chunk).min(axis=2), kernel.gaps(chunk)[0],
+                                   rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    n_types=st.integers(1, 3),
+    family=st.sampled_from(["absolute", "quadratic", "table"]),
+    pipeline=st.sampled_from(["baseline", "noisy", "commitment"]),
+    knob=st.floats(0.05, 0.95),
+    rent=st.sampled_from([0.0, 8.0]),
+    lose_weight=st.sampled_from([0.0, 1.0]),
+    loser_sign=st.sampled_from([1, -1]),
+)
+def test_pruned_search_is_exact_property(n, n_types, family, pipeline, knob, rent,
+                                         lose_weight, loser_sign):
+    # zero rents and loser values make ties and zero payoffs
+    types = tuple((t, 1.0 / n_types) for t in (0.2, 0.5, 0.8)[:n_types])
+    scenario = game(n, types, family, rent=rent, lose_weight=lose_weight,
+                    loser_sign=loser_sign, xi=knob if pipeline == "noisy" else None,
+                    eta=knob if pipeline == "commitment" else None)
+    oracle = exhaustive_equilibria(scenario)
+    assert fingerprint(enumerate_equilibria(scenario)) == fingerprint(oracle)
+    # no prefix the bound cuts at the 1e-9 margin starts a passing row of any order
+    kernel = table_kernel(scenario)
+    passing = [row for row, _ in kernel.passing(map(tuple, all_rows(scenario).tolist()))]
+    for level in range(1, n_types + 1):
+        prefixes = np.array(list(itertools.product(range(n), repeat=level)), dtype=np.intp)
+        cut = kernel.bound(prefixes).min(axis=(1, 2)) < -election.TOL - 1e-9
+        assert not {tuple(p) for p in prefixes[cut].tolist()} & {r[:level] for r in passing}
+
+
+def test_six_types_on_twenty_policies_under_the_default_cap():
+    # 20 ** 6 = 6.4e7 maps, far beyond the default cap of 200,000 visited prefixes
+    scenario = build(WORKLOADS.game_doc(20, types=SIX_TYPES))
+    start = time.perf_counter()
+    records = enumerate_equilibria(scenario)
+    assert time.perf_counter() - start < 1.0
+    assert records and all(r.min_gap >= -election.TOL for r in records)

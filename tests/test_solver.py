@@ -1,7 +1,5 @@
-import importlib.util
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +20,7 @@ from rivote.solver import (
     solve_attention,
 )
 from tests import oracles
-from tests.conftest import two_level_belief
+from tests.conftest import bench_workloads, two_level_belief
 
 
 class TestEntropy:
@@ -381,10 +379,7 @@ class TestAgainstOracle:
 def benchmark_belief_stream(seed: int = 0):
     """(belief, mu) of each item of the benchmark's seeded belief stream:
     supports of 4-64 profiles, news beliefs among them."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     from rivote import NewsTechnology, UtilitySpec, profile_belief, signal_belief
 
     techs = {f"slant_{xi}": NewsTechnology.slant(xi) for xi in workloads.NOISY_XIS}
