@@ -204,33 +204,9 @@ def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment
 # Candidate incentive compatibility
 # ---------------------------------------------------------------------------
 
-# Most floats any temporary of the IC kernel holds; enumerations score their
-# assignments in chunks of rows that respect it.
+# Most floats any temporary of the IC kernel holds; the search scores its
+# rows in chunks that respect it.
 IC_CHUNK_FLOATS = 2 ** 15
-
-
-def _side_gaps(win_prob, win, lose, opp_probs, own, opp) -> np.ndarray:
-    """Slack of each own type's assigned policy over its best grid deviation.
-
-    ``own`` (rows x own types) and ``opp`` (rows x opponent types) hold grid
-    indices, one assignment per row.  ``win_prob[x, a]`` is the own winning
-    probability when the opponent plays index x and the own candidate a;
-    ``win[k, a]`` prices a win of own type k with a, and ``lose[j, x, k]`` its
-    loss to opponent type j playing x.  Payoffs accumulate opponent by
-    opponent as ``total += p * (w * win + (1 - w) * lose)``, never through a
-    reduction, so every gap is bitwise that of the scalar loop.  A one-point
-    grid has no deviation and leaves infinite slack.
-    """
-    rows, n_types = own.shape
-    total = np.zeros((rows, n_types, win.shape[1]))
-    for j, p in enumerate(opp_probs):
-        w = win_prob[opp[:, j]][:, None, :]
-        total += p * (w * win + (1.0 - w) * lose[j][opp[:, j]][:, :, None])
-    r = np.arange(rows)[:, None]
-    k = np.arange(n_types)
-    assigned = total[r, k, own]
-    total[r, k, own] = -math.inf
-    return assigned - total.max(axis=2)
 
 
 def stage_tables(spec: UtilitySpec, own_grid, opp_grid, own_types, opp_types, eta=None):
@@ -256,16 +232,46 @@ def stage_tables(spec: UtilitySpec, own_grid, opp_grid, own_types, opp_types, et
     return win_v, np.broadcast_to(lose_v, (len(opp_types), *lose_v.shape[1:]))
 
 
+def _payoffs(w, win, lose, probs) -> np.ndarray:
+    """One candidate's payoff table: ``pay[j, x, k, a]`` is what opponent type
+    j, of probability ``probs[j]``, playing grid index x adds to own type k's
+    payoff at own index a, ``p * (w * win + (1 - w) * lose)`` with ``w[x, a]``
+    the own winning probability and (win, lose) the ``stage_tables``."""
+    w, p = w[:, None, :], np.array(probs)[:, None, None, None]
+    return p * (w * win + (1.0 - w) * lose[..., None])
+
+
+def _margins(pay, own, opp, gain=None) -> np.ndarray:
+    """``ub[r, k, b]``: own type k's payoff at ``own[r, k]`` less its payoff at b
+    (inf at b = ``own[r, k]``) when opponent j plays ``opp[r, j]``, plus any
+    ``gain[k, own[r, k], b]``.  Payoffs add up opponent by opponent, and
+    rounding is monotone, so with no gain the least entry per type is bitwise
+    the scalar loop's slack (infinite on a one-point grid)."""
+    total = np.zeros((len(own), *pay.shape[2:]))
+    for j in range(opp.shape[1]):
+        total += pay[j, opp[:, j]]
+    at = own[:, :, None]
+    ub = np.take_along_axis(total, at, 2) - total
+    if gain is not None:
+        ub += gain[np.arange(own.shape[1]), own]
+    np.put_along_axis(ub, at, math.inf, 2)
+    return ub
+
+
 class ICKernel:
-    """Batched incentive check of pure symmetric assignments on one grid.
+    """Batched incentive check and pruned search of pure symmetric
+    assignments on one grid.
 
     Built once per game from beta's winning-probability matrix ``w`` on the
     grid (``w[i, j]`` at the profile (-grid[i], grid[j])) and the
     ``stage_tables`` of both candidates under ``spec`` (and ``eta`` under
-    limited commitment).  Alpha's game is the mirror image: its policies are
-    indexed by their magnitude on beta's grid and its types are the negated
-    beta types in reverse.  An assignment is the row of beta's grid indices
-    per type.
+    limited commitment), as one ``_payoffs`` table per candidate that
+    ``gaps``, ``bound`` and ``search`` all read through ``_margins``.  Alpha's
+    game is the mirror image: its policies are indexed by their magnitude on
+    beta's grid and its types are the negated beta types in reverse.  An
+    assignment is the row of beta's grid indices per type.  Alpha's side is
+    checked too: where W + W^T != 1 (ties that go to alpha, as in the
+    rationalized check) its slack is not beta's mirrored.
     """
 
     def __init__(self, grid, types, probs, w, spec: UtilitySpec, eta=None):
@@ -273,100 +279,79 @@ class ICKernel:
         self.types = tuple(types)
         self.alpha_types = tuple(-t for t in reversed(self.types))
         self.w = w = np.asarray(w, dtype=float)
-        g = np.array(self.grid)
-        b_types = np.array(self.types)
-        a_types = np.array(self.alpha_types)
+        g, b_types, a_types = np.array(self.grid), np.array(self.types), np.array(self.alpha_types)
         beta = stage_tables(spec, g, -g, b_types, a_types, eta)
         alpha = stage_tables(spec, -g, g, a_types, b_types, eta)
-        self._beta = (w, *beta, tuple(reversed(probs)))
-        self._alpha = ((1.0 - w).T, *alpha, tuple(probs))
+        self._beta = _payoffs(w, *beta, tuple(reversed(probs)))
+        self._alpha = _payoffs((1.0 - w).T, *alpha, tuple(probs))
 
     def gaps(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(beta, alpha) slack per assignment row and type, in type order."""
-        mirrored = rows[:, ::-1]
-        return (
-            _side_gaps(*self._beta, rows, mirrored),
-            _side_gaps(*self._alpha, mirrored, rows),
-        )
+        return self.bound(rows).min(axis=2), _margins(self._alpha, rows[:, ::-1], rows).min(axis=2)
 
     def check(self, policies) -> tuple[bool, dict]:
         """(ok, slack per (candidate, type)) of beta's policies per type;
         policies off beta's grid are refused."""
-        for a in policies:
-            if a not in self.grid:
-                raise ValidationError(f"assigned policy {a!r} is off candidate beta's grid")
+        if off := [a for a in policies if a not in self.grid]:
+            raise ValidationError(f"assigned policy {off[0]!r} is off candidate beta's grid")
         beta, alpha = self.gaps(np.array([[self.grid.index(a) for a in policies]]))
         gaps = dict(zip((("beta", t) for t in self.types), beta[0].tolist()))
         gaps.update(zip((("alpha", t) for t in self.alpha_types), alpha[0].tolist()))
         return min(gaps.values()) >= -TOL, gaps
 
-    def passing(self, rows):
-        """Yield (grid indices, beta's (type, slack) pairs) of every incentive
-        compatible row of the iterable ``rows``, in its order."""
-        n_types = len(self.types)
-        size = max(1, IC_CHUNK_FLOATS // (n_types * len(self.grid)))
-        rows = iter(rows)
-        while chunk := list(itertools.islice(rows, size)):
-            beta, alpha = self.gaps(np.array(chunk, dtype=np.intp))
-            ok = np.minimum(beta.min(axis=1), alpha.min(axis=1)) >= -TOL
-            for r in np.flatnonzero(ok):
-                yield chunk[r], tuple(zip(self.types, beta[r].tolist()))
-
     @cached_property
-    def _bound_tables(self):
-        """(pay, tail, margin) of beta's side: ``pay[i, x, k, a]`` is the term
-        ``_side_gaps`` adds to type k's payoff at a when type i's mirror plays
-        x, and ``tail[l, k, a, b]`` the most types i >= l can add to a over b."""
-        w, win, lose, probs = self._beta
-        w = w[:, None, :]
-        p = np.array(probs)[:, None, None, None]
-        pay = (p * (w * win + (1.0 - w) * lose[..., None]))[::-1]
-        n, size = len(self.types), len(self.grid)
+    def _open_gains(self) -> np.ndarray:
+        """``gains[m, k, a, b]``: the most beta's opponents j < m can add to
+        type k's payoff at a over b, each maximised over its policy."""
+        pay, (n, size) = self._beta, self._beta.shape[:2]
         gain = np.zeros((n + 1, n, size, size))
         step = max(1, IC_CHUNK_FLOATS // size ** 2)
-        for i, k, lo in itertools.product(range(n), range(n), range(0, size, step)):
-            part = pay[i, :, k, lo:lo + step, None] - pay[i, :, k, None]
-            gain[i, k, lo:lo + step] = part.max(axis=0)
-        return pay, np.cumsum(gain[::-1], axis=0)[::-1], 1e-9 * max(1.0, np.abs(pay).max())
+        for j, k, lo in itertools.product(range(n), range(n), range(0, size, step)):
+            part = pay[j, :, k, lo:lo + step, None] - pay[j, :, k, None]
+            gain[j + 1, k, lo:lo + step] = part.max(axis=0)
+        return np.cumsum(gain, axis=0)
 
     def bound(self, prefixes: np.ndarray) -> np.ndarray:
         """Upper bound on beta type k's payoff at its policy a_k less its payoff
         at b, over every completion of each row prefix (prefixes x assigned
-        types x grid; inf at b = a_k): assigned types add their exact term,
-        open ones their largest.  On a complete row its least entry per type
-        is that type's slack, up to rounding."""
-        pay, tail, _ = self._bound_tables
-        level, own = prefixes.shape[1], prefixes[:, :, None]
-        ub = tail[level][np.arange(level), prefixes]
-        for i in range(level):
-            term = pay[i, prefixes[:, i], :level]
-            ub += np.take_along_axis(term, own, 2) - term
-        np.put_along_axis(ub, own, math.inf, 2)
-        return ub
+        types x grid; inf at b = a_k): alpha's types that mirror assigned ones,
+        its last, add their exact term, the open ones their largest.  A
+        complete row has no open type: its least entry is the exact slack."""
+        level, n_open = prefixes.shape[1], len(self.types) - prefixes.shape[1]
+        gain = self._open_gains[n_open, :level] if n_open else None
+        return _margins(self._beta[n_open:, :, :level], prefixes, prefixes[:, ::-1], gain)
 
-    def search(self, follows, max_prefixes: int) -> list[tuple[int, ...]]:
-        """Rows, in lexicographic order, no prefix of which has a ``bound``
-        below -TOL by more than a rounding margin; no other row can pass.
-        Prefixes grow one type at a time by the indices ``follows(last,
-        next)`` allows (all when None); over ``max_prefixes`` are refused."""
-        margin, size = self._bound_tables[2], len(self.grid)
-        chunk = max(1, IC_CHUNK_FLOATS // (len(self.types) * size))
+    def search(self, follows, max_prefixes: int):
+        """(grid indices, beta's (type, slack) pairs) of every incentive
+        compatible row, in lexicographic order.  Prefixes grow one type at a
+        time by the indices ``follows(last, next)`` allows (all when None),
+        over ``max_prefixes`` visited are refused, and a prefix whose ``bound``
+        is below -TOL by more than a rounding margin is cut: no completion of
+        it can pass.  Complete rows are judged by their exact ``gaps``."""
+        n, size = len(self.types), len(self.grid)
+        margin = 1e-9 * max(1.0, np.abs(self._beta).max())
+        chunk = max(1, IC_CHUNK_FLOATS // (n * size))
         rows, visited = np.zeros((1, 0), dtype=np.intp), 0
-        for level in range(len(self.types)):
+        for level in range(1, n + 1):
             allowed = np.ones((len(rows), size), dtype=bool)
-            if follows is not None and level:
+            if follows is not None and level > 1:
                 allowed &= follows(rows[:, -1:], np.arange(size))
             if (visited := visited + int(allowed.sum())) > max_prefixes:
                 raise ValidationError(f"{visited} prefixes exceed the cap {max_prefixes}; "
                                       "raise max_assignments explicitly to search this grid")
             parent, nxt = np.nonzero(allowed)
             rows = np.column_stack([rows[parent], nxt])
-            keep = np.ones(len(rows), dtype=bool)
+            keep, slack = np.ones(len(rows), dtype=bool), np.empty((len(rows), n))
             for lo in range(0, len(rows), chunk):
-                ub = self.bound(rows[lo:lo + chunk]).min(axis=(1, 2))
-                keep[lo:lo + chunk] = ub >= -TOL - margin
-            rows = rows[keep]
-        return [tuple(r) for r in rows.tolist()]
+                part = slice(lo, lo + chunk)
+                if level < n:
+                    keep[part] = self.bound(rows[part]).min(axis=(1, 2)) >= -TOL - margin
+                else:
+                    slack[part], alpha = self.gaps(rows[part])
+                    keep[part] = np.minimum(slack[part].min(axis=1), alpha.min(axis=1)) >= -TOL
+            rows, slack = rows[keep], slack[keep]
+        return [(tuple(r), tuple(zip(self.types, s)))
+                for r, s in zip(rows.tolist(), slack.tolist())]
 
 
 def _game(scenario: Scenario):
@@ -440,10 +425,10 @@ def check_ic(
 def equilibrium_records(
     scenario: Scenario,
     kernel: ICKernel,
-    rows,
+    scored,
     belief: Callable[[Scenario, StrategyAssignment, float], BeliefOverProfiles],
 ) -> list[EquilibriumRecord]:
-    """One record per incentive compatible row of ``rows``, in their order.
+    """One record per (grid indices, beta's (type, slack) pairs) of ``scored``.
 
     ``belief(scenario, assignment, t)`` builds voter t's belief in the
     scenario's game; each record carries it bound to its assignment and
@@ -452,7 +437,7 @@ def equilibrium_records(
     ``corner_zero`` regime (``solver.attentive``).
     """
     records = []
-    for row, beta_gaps in kernel.passing(rows):
+    for row, beta_gaps in scored:
         assignment = assignment_for(scenario, tuple(kernel.grid[i] for i in row))
         bound = cache(partial(belief, scenario, assignment))
         attention = tuple(
@@ -481,9 +466,9 @@ def enumerate_equilibria(
     policy order.
 
     ``ICKernel.search`` cuts the prefixes whose payoff bound rules out
-    incentive compatibility (so ``max_assignments`` caps visited prefixes),
-    ``ICKernel.passing`` checks the surviving rows under the game's winning
-    matrix, and each record carries the game's beliefs.  A news technology
+    incentive compatibility (so ``max_assignments`` caps visited prefixes)
+    and judges complete rows by their exact slack under the game's winning
+    matrix; each record carries the game's beliefs.  A news technology
     that fails ``audit_news`` on the grid is refused.  ``verify_rationalizable``
     (baseline game only) checks that aggregated attention strategies
     reproduce every record's winner.
@@ -502,8 +487,8 @@ def enumerate_equilibria(
     types = scenario.beta_types
     kernel = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
                       w_of(scenario), scenario.utility, eta)
-    rows = kernel.search(follows, max_assignments)
-    records = equilibrium_records(scenario, kernel, rows, belief)
+    records = equilibrium_records(scenario, kernel, kernel.search(follows, max_assignments),
+                                  belief)
     if verify_rationalizable:
         for r in records:
             rationalized = aggregate_and_rationalize(scenario, r.assignment)

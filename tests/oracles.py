@@ -10,7 +10,8 @@ evaluation per bisection step, one policy and one 2x2 log minor at a time,
 one news profile and one policy pair at a time.  The two-issue oracle
 calls ``u2`` and the frontier one scalar point at a time.  The
 equilibrium oracle is the library's earlier exhaustive search: every map of
-the game's strategy set through ``ICKernel.passing``, with no pruning.
+the game's strategy set scored by ``ICKernel.gaps`` in chunks (``passing``),
+with no pruning.
 """
 from __future__ import annotations
 
@@ -333,12 +334,26 @@ def table_kernel(scenario: Scenario) -> election.ICKernel:
                              types.type_probs, w_of(scenario), scenario.utility, eta)
 
 
+def passing(kernel: election.ICKernel, rows):
+    """The library's earlier unpruned scan: (grid indices, beta's (type,
+    slack) pairs) of every incentive compatible row of the iterable ``rows``,
+    in its order, scored by ``kernel.gaps`` in chunks of rows within
+    ``IC_CHUNK_FLOATS``."""
+    size = max(1, election.IC_CHUNK_FLOATS // (len(kernel.types) * len(kernel.grid)))
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, size)):
+        beta, alpha = kernel.gaps(np.array(chunk, dtype=np.intp))
+        ok = np.minimum(beta.min(axis=1), alpha.min(axis=1)) >= -election.TOL
+        for r in np.flatnonzero(ok):
+            yield chunk[r], tuple(zip(kernel.types, beta[r].tolist()))
+
+
 def exhaustive_equilibria(scenario: Scenario):
     """Records of every incentive compatible row of ``exhaustive_rows``,
-    scored by ``ICKernel.passing`` without pruning or a cap."""
-    belief = election._game(scenario)[3]
-    return election.equilibrium_records(scenario, table_kernel(scenario),
-                                        exhaustive_rows(scenario), belief)
+    scored by ``passing`` without pruning or a cap."""
+    kernel, belief = table_kernel(scenario), election._game(scenario)[3]
+    return election.equilibrium_records(
+        scenario, kernel, passing(kernel, exhaustive_rows(scenario)), belief)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -196,6 +197,38 @@ def test_shipped_scenarios_load_and_validate(path, capsys):
     assert load_scenario(path).mu > 0
     assert main(["validate", "--scenario", str(path)]) == 0
     assert "scenario ok" in capsys.readouterr().out
+
+
+BAD_LEAVES = (None, "x", [], {}, [1, "a"], -1, 0, 1e308, True, [[0.5]], math.nan)
+
+
+def leaf_paths(node, path=()):
+    """Key and index path of every leaf of a JSON document, list elements included."""
+    if not isinstance(node, (dict, list)):
+        yield path
+        return
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield from leaf_paths(child, (*path, key))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("source", SHIPPED, ids=lambda p: p.stem)
+def test_fuzzed_scenario_exits_0_or_2(source, tmp_path, capsys):
+    # leaf i takes bad values 3i, 3i + 1 and 3i + 2 (mod 11), so every value
+    # meets about a third of the leaves; a run passes or is refused, nothing else
+    doc = json.loads(source.read_text())
+    path = tmp_path / "fuzzed.json"
+    for i, (*parents, last) in enumerate(leaf_paths(doc)):
+        for m in range(3):
+            fuzzed = copy.deepcopy(doc)
+            node = fuzzed
+            for key in parents:
+                node = node[key]
+            node[last] = value = BAD_LEAVES[(3 * i + m) % len(BAD_LEAVES)]
+            path.write_text(json.dumps(fuzzed))
+            for command in ("validate", "enumerate"):
+                code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+                assert code in (0, 2), ((*parents, last), value, command, capsys.readouterr())
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

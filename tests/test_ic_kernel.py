@@ -28,6 +28,8 @@ from tests.oracles import (
     _two_sided_gaps,
     commitment_gaps,
     exhaustive_equilibria,
+    exhaustive_rows,
+    passing,
     table_kernel,
 )
 
@@ -121,20 +123,18 @@ def test_kernel_gaps_bitwise_equal_scalar_oracle(label):
         np.testing.assert_array_equal(bits(a), bits([g for _, g in oa]))
 
 
-@pytest.mark.parametrize("label", ["absolute_n12", "noisy_xi.75", "commit_eta.8_3types"])
+@pytest.mark.parametrize("label",
+                         ["absolute_n12", "3types_n8", "noisy_xi.75", "commit_eta.8_3types"])
 def test_chunked_scan_keeps_order_and_gaps(label, monkeypatch):
-    make, pipeline = GRIDS[label]
-    scenario = make()
-    kernel, _ = kernel_and_oracle(scenario, pipeline)
-    rows = [tuple(r) for r in all_rows(scenario).tolist()]
-    beta, alpha = kernel.gaps(np.array(rows))
-    ok = np.minimum(beta.min(axis=1), alpha.min(axis=1)) >= -election.TOL
-    expected = [(rows[r], tuple(zip(kernel.types, beta[r].tolist())))
-                for r in np.flatnonzero(ok)]
-    # chunks of one, a few and all rows score every row alike
+    scenario = GRIDS[label][0]()
+    follows = election._game(scenario)[2]
+    kernel = table_kernel(scenario)
+    expected = list(passing(kernel, exhaustive_rows(scenario)))
+    # chunks of one row, five rows and the default search and score alike,
+    # each with a fresh kernel, so its open gains are chunked the same way
     for floats in (1, 5 * len(kernel.types) * len(kernel.grid), election.IC_CHUNK_FLOATS):
         monkeypatch.setattr(election, "IC_CHUNK_FLOATS", floats)
-        assert list(kernel.passing(rows)) == expected
+        assert table_kernel(scenario).search(follows, 10 ** 6) == expected
 
 
 ONE_ROW = {
@@ -189,6 +189,30 @@ def test_rationalized_check_equals_oracle(figure2):
         expected.update({("alpha", t): g for t, g in oa})
         _, gaps = check_ic(replace(figure2, mu=0.09), assignment, w_source="rationalized")
         assert gaps == expected
+
+
+def test_alpha_side_is_not_redundant(figure2):
+    # perfect observation gives ties to alpha: beta wins no diagonal cell, so
+    # W + W^T - 1 is -1 there and alpha's slack is not beta's read backwards
+    scenario = replace(figure2, mu=0.09)
+    grid, types = scenario.beta_axis.values, scenario.beta_types
+    g = np.array(grid)
+    w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
+    np.testing.assert_array_equal(np.diag(w + w.T - 1.0), -1.0)
+    checks = {}
+    for policies in itertools.product(grid, repeat=2):
+        assignment = StrategyAssignment(types.type_values, types.type_probs, policies)
+        checks[policies] = check_ic(scenario, assignment, w_source="rationalized")
+    differ = [policies for policies, (_, gaps) in checks.items()
+              if not np.allclose([gaps["beta", t] for t in types.type_values],
+                                 [gaps["alpha", -t] for t in types.type_values],
+                                 rtol=0, atol=1e-12)]
+    assert differ == [(0.01, 0.01), (0.2, 0.2), (0.4, 0.4)]
+    # beta's side alone would pass the pooling map; alpha type -0.8 refuses it
+    ok, gaps = checks[0.01, 0.01]
+    assert [gaps["beta", t] for t in types.type_values] == [0.0, 0.0]
+    assert gaps["alpha", -0.8] == pytest.approx(-0.67, abs=1e-12)
+    assert not ok
 
 
 @pytest.mark.parametrize("label", GRIDS)
@@ -274,14 +298,24 @@ def test_pruned_records_equal_the_exhaustive_oracle(label):
 
 @pytest.mark.parametrize("label", SEARCHED)
 def test_bound_on_complete_rows_is_the_kernel_slack(label):
-    # with every type known the bound is beta's slack, up to rounding
+    # with every type known the bound is beta's slack, bitwise the scalar
+    # oracle's, as alpha's slack is; sampled rows plus every equilibrium
     scenario = searched(label)
-    kernel = table_kernel(scenario)
-    rows = all_rows(scenario)
-    for lo in range(0, len(rows), 4096):
-        chunk = rows[lo:lo + 4096]
-        np.testing.assert_allclose(kernel.bound(chunk).min(axis=2), kernel.gaps(chunk)[0],
-                                   rtol=0, atol=1e-12)
+    kernel, oracle = kernel_and_oracle(scenario, game_of(scenario))
+    rows = list(exhaustive_rows(scenario))
+    n, k = len(kernel.grid), len(kernel.types)
+    count = max(8, 1_200 // (n * k * k))  # the oracle walks grid x types^2 per row
+    picked = {rows[i] for i in np.linspace(0, len(rows) - 1, count).astype(int)}
+    picked |= {row for row, _ in kernel.search(election._game(scenario)[2], 10 ** 6)}
+    rows = np.array(sorted(picked), dtype=np.intp)
+    beta, alpha = kernel.bound(rows).min(axis=2), kernel.gaps(rows)[1]
+    types = scenario.beta_types
+    for row, b, a in zip(rows, beta, alpha):
+        assignment = StrategyAssignment(
+            types.type_values, types.type_probs, tuple(kernel.grid[i] for i in row))
+        ob, oa = oracle(assignment)
+        np.testing.assert_array_equal(bits(b), bits([g for _, g in ob]))
+        np.testing.assert_array_equal(bits(a), bits([g for _, g in oa]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -306,11 +340,11 @@ def test_pruned_search_is_exact_property(n, n_types, family, pipeline, knob, ren
     assert fingerprint(enumerate_equilibria(scenario)) == fingerprint(oracle)
     # no prefix the bound cuts at the 1e-9 margin starts a passing row of any order
     kernel = table_kernel(scenario)
-    passing = [row for row, _ in kernel.passing(map(tuple, all_rows(scenario).tolist()))]
+    passed = [row for row, _ in passing(kernel, map(tuple, all_rows(scenario).tolist()))]
     for level in range(1, n_types + 1):
         prefixes = np.array(list(itertools.product(range(n), repeat=level)), dtype=np.intp)
         cut = kernel.bound(prefixes).min(axis=(1, 2)) < -election.TOL - 1e-9
-        assert not {tuple(p) for p in prefixes[cut].tolist()} & {r[:level] for r in passing}
+        assert not {tuple(p) for p in prefixes[cut].tolist()} & {r[:level] for r in passed}
 
 
 def test_six_types_on_twenty_policies_under_the_default_cap():
