@@ -10,11 +10,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from rivote import attention_frontier, enumerate_equilibria, truncation_statistic
-from rivote.presets import build, figure2_scenario
+from rivote import (
+    attention_frontier,
+    enumerate_equilibria,
+    scenario_from_dict,
+    truncation_statistic,
+)
+from rivote.presets import figure2_scenario
 from rivote.solver import attention_threshold_delta
 
-scenario = build(figure2_scenario())
+scenario = scenario_from_dict(figure2_scenario())
 
 print("Equilibrium set (perfect-observation deviation pricing)")
 records = enumerate_equilibria(scenario, verify_rationalizable=True)

@@ -14,10 +14,11 @@ from rivote import (
     attention_membership,
     audit_news,
     enumerate_equilibria,
-    posterior_value,
+    scenario_from_dict,
     signal_belief,
 )
-from rivote.presets import build, figure3_scenario
+from rivote.news import posterior_value_matrix
+from rivote.presets import figure3_scenario
 
 print("The slant family is closed under centrist-to-extreme garbling")
 xi, xi2 = 0.6, 0.75
@@ -34,14 +35,15 @@ print("\nPosterior stakes fall as news degrades (median voter, widest profile)")
 sigma = np.full((2, 2), 0.25)
 for x in (0.3, 0.6, 0.9):
     tech = NewsTechnology.slant(x)
-    nu = posterior_value(tech, build(figure3_scenario(x)).utility, (0.2, 0.6), sigma, 1, 0, 0.0)
+    spec = scenario_from_dict(figure3_scenario(x)).utility
+    nu = posterior_value_matrix(tech, spec, (0.2, 0.6), sigma, 0.0)[1][1, 0]
     print(f"  xi={x:.1f}: value of hearing (extreme alpha, centrist beta) = {nu:+.4f}")
 
 print("\nEquilibria and attention sets across the slant grid")
 scan = np.arange(0.05, 1.0, 0.05)
 pairs = [(a1, a2) for a1 in scan for a2 in scan if a2 > a1 + 1e-9]
 for x in (0.6, 0.75, 0.9):
-    scenario = build(figure3_scenario(x))
+    scenario = scenario_from_dict(figure3_scenario(x))
     records = enumerate_equilibria(scenario)
     members = sum(
         attention_membership(

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from rivote import dissemination_filter, enumerate_equilibria
+from rivote import dissemination_filter, enumerate_equilibria, scenario_from_dict
 from rivote.election import assignment_for
 from rivote.extensions import (
     commitment_belief,
@@ -19,15 +19,14 @@ from rivote.extensions import (
     quarter_circle_frontier,
     weighted_bliss_utility,
 )
-from rivote.presets import build, example3_scenario, figure2_scenario
+from rivote.presets import example3_scenario, figure2_scenario
 from rivote.solver import attention_membership, gamma_inverse
 
 print("Costly dissemination: equilibria must generate enough eyeballs")
-scenario = build(figure2_scenario(mu=0.09))
+scenario = scenario_from_dict(figure2_scenario(mu=0.09))
 records = enumerate_equilibria(scenario)
-weights = dict(scenario.electorate.groups)
 for r in records:
-    print(f"  {r.assignment.policies}: total attention {r.total_information(weights):.4f} nats")
+    print(f"  {r.assignment.policies}: total attention {r.total_info:.4f} nats")
 for cost in (0.05, 0.20, 0.35):
     kept = dissemination_filter(records, replace(scenario, dissemination_cost=cost))
     print(f"  cost {cost:.2f}: {[r.assignment.policies for r in kept]}")
@@ -40,7 +39,7 @@ for pols in ((0.01, 0.2), (0.01, 0.4)):
     gap = pols[1] - pols[0]
     flips = []
     for eta in np.linspace(0, 1, 11):
-        s = build(example3_scenario(float(eta)))
+        s = scenario_from_dict(example3_scenario(float(eta)))
         member = attention_membership(commitment_belief(s, assignment_for(s, pols), -tau), mu)
         flips.append("#" if member else ".")
     print(f"  proposals {pols} (spread {gap:.2f}): attention over eta 0..1  {''.join(flips)}")
@@ -49,7 +48,7 @@ print("  only a spread beyond the hurdle keeps attention at full commitment.")
 
 print("\nCommitment equilibria at a few levels")
 for eta in (1.0, 0.6, 0.2):
-    recs = enumerate_equilibria(build(example3_scenario(eta)))
+    recs = enumerate_equilibria(scenario_from_dict(example3_scenario(eta)))
     print(f"  eta={eta:.1f}: {[r.assignment.policies for r in recs]}")
 
 print("\nTwo issues collapsed onto the frontier")

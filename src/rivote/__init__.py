@@ -53,7 +53,6 @@ from .news import (
     attention_frontier_noisy,
     audit_news,
     news_belief,
-    posterior_value,
     signal_belief,
 )
 from .scenario_io import load_scenario, scenario_from_dict, scenario_hash

@@ -24,12 +24,13 @@ from .election import (
     assignment_for,
     attention_frontier,
     enumerate_equilibria,
+    game_of,
     on_path_belief,
     truncation_statistic,
 )
 from .extensions import dissemination_filter
-from .news import MarkovKernel, attention_frontier_noisy, audit_news
-from .presets import build, figure2_scenario, figure3_scenario, table1_scenario
+from .news import MarkovKernel, NewsTechnology, attention_frontier_noisy, audit_news
+from .presets import figure2_scenario, figure3_scenario, table1_scenario
 from .scenario_io import load_scenario_dict, scenario_from_dict, scenario_hash
 from .solver import solve_attention
 
@@ -108,7 +109,6 @@ def _cmd_solve_attention(args) -> int:
 def _cmd_enumerate(args) -> int:
     doc, scenario = _load(args)
     records = dissemination_filter(enumerate_equilibria(scenario), scenario)
-    weights = dict(scenario.electorate.groups)
     header = ["eq", "kind", "types", "policies", "levels", "min_gap",
               "attentive_groups", "total_info"]
     rows = []
@@ -121,7 +121,7 @@ def _cmd_enumerate(args) -> int:
             "|".join(repr(a) for a in r.assignment.levels),
             r.min_gap,
             "|".join(repr(t) for t, flag in r.attentive if flag),
-            r.total_information(weights),
+            r.total_info,
         ])
     _write_csv(args, "equilibria.csv", scenario_hash(doc), header, rows)
     return 0
@@ -144,6 +144,9 @@ def _parse_range(spec: str, flag: str) -> np.ndarray:
 
 def _cmd_attention_set(args) -> int:
     doc, scenario = _load(args)
+    if game_of(scenario) == "commitment":
+        raise ValidationError("attention-set scans the baseline and noisy games, "
+                              "not the scenario's commitment game")
     t = args.t if args.t is not None else scenario.electorate.groups[0][0]
     a1 = _parse_range(args.a1, "--a1")
     a2 = _parse_range(args.a2, "--a2") if args.a2 else a1
@@ -180,11 +183,9 @@ def _cmd_garble(args) -> int:
     return 0
 
 
-def _sweep_point(doc: dict, scenario: Scenario, param: str, value: float, t: float | None):
+def _sweep_point(scenario: Scenario, param: str, value: float, t: float | None):
     if param == "xi":
-        if doc.get("news", {}).get("family") != "slant":
-            raise ValidationError("xi sweeps need a slant news technology")
-        scenario = scenario_from_dict({**doc, "news": {**doc["news"], "xi": value}})
+        scenario = replace(scenario, news=NewsTechnology.slant(value, scenario.news.signals))
     else:  # mu, eta or cost
         field = "dissemination_cost" if param == "cost" else param
         scenario = replace(scenario, **{field: value})
@@ -197,11 +198,10 @@ def _sweep_point(doc: dict, scenario: Scenario, param: str, value: float, t: flo
     ]
     if spread is not None:
         rows.append((param, value, "min_median_diff", f"t={t}", spread))
-    weights = dict(scenario.electorate.groups)
     for i, r in enumerate(records):
         rows.append((param, value, "equilibrium", f"eq{i}",
                      "|".join(repr(a) for a in r.assignment.policies)))
-        rows.append((param, value, "total_info", f"eq{i}", r.total_information(weights)))
+        rows.append((param, value, "total_info", f"eq{i}", r.total_info))
     return rows
 
 
@@ -209,12 +209,13 @@ def _cmd_sweep(args) -> int:
     if args.threads < 1:
         raise ValidationError("--threads must be at least 1")
     doc, scenario = _load(args)
+    if args.param == "xi" and doc.get("news", {}).get("family") != "slant":
+        raise ValidationError("xi sweeps need a slant news technology")
     values = _floats([v for v in args.values.split(",") if v.strip()], "--values")
     if not values:
         raise ValidationError("sweep needs at least one value")
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        chunks = list(pool.map(lambda v: _sweep_point(doc, scenario, args.param, v, args.t),
-                               values))
+        chunks = list(pool.map(lambda v: _sweep_point(scenario, args.param, v, args.t), values))
     rows = [row for chunk in chunks for row in chunk]  # input order, already sorted
     _write_csv(args, "sweep.csv", scenario_hash(doc),
                ["param", "value", "statistic", "key", "result"], rows)
@@ -254,7 +255,7 @@ def _table_solution(scenario: Scenario, t: float):
 
 
 def table1_rows():
-    scenario = build(table1_scenario())
+    scenario = scenario_from_dict(table1_scenario())
     rows = []
     for t in sorted(TABLE1_EXPECTED):
         sol = _table_solution(scenario, t)
@@ -262,11 +263,11 @@ def table1_rows():
     return rows
 
 
-def table2_rows(t: float = -0.05):
-    scenario = build(table1_scenario())
+def table2_rows():
+    scenario = scenario_from_dict(table1_scenario())
     rows = []
     for mu in sorted(TABLE2_EXPECTED):
-        sol = _table_solution(replace(scenario, mu=mu), t)
+        sol = _table_solution(replace(scenario, mu=mu), -0.05)  # table 2's voter group
         rows.append((mu, sol.m_bar, *sol.m))
     return rows
 
@@ -295,7 +296,7 @@ def _cmd_reproduce(args) -> int:
                     "m(-0.4,0.01)", "m(-0.4,0.4)"], rows)
     elif target == "figure2":
         doc = figure2_scenario()
-        scenario = build(doc)
+        scenario = scenario_from_dict(doc)
         records = enumerate_equilibria(scenario)
         diamonds = {r.assignment.policies for r in records}
         if diamonds != FIGURE2_DIAMONDS:
@@ -313,7 +314,7 @@ def _cmd_reproduce(args) -> int:
         last_frontier = None
         shash = scenario_hash(figure3_scenario(FIGURE3_XIS[0]))
         for xi in FIGURE3_XIS:
-            scenario = build(figure3_scenario(xi))
+            scenario = scenario_from_dict(figure3_scenario(xi))
             records = enumerate_equilibria(scenario)
             if not records:
                 raise ReproductionMismatch(f"figure3 xi={xi}: no equilibria")

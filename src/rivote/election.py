@@ -116,11 +116,8 @@ class EquilibriumRecord:
     gaps: tuple[tuple[float, float], ...]  # (beta type, deviation slack)
     min_gap: float
     expected_w: np.ndarray         # beta's winning probability per on-path profile
+    total_info: float              # group-weighted mutual information (nats)
     belief: Callable[[float], BeliefOverProfiles] = field(repr=False, compare=False)
-
-    def total_information(self, weights: dict[float, float]) -> float:
-        """Weighted mutual information summed over voter groups (nats)."""
-        return sum(weights[t] * sol.info for t, sol in self.attention)
 
 
 # ---------------------------------------------------------------------------
@@ -433,16 +430,16 @@ def equilibrium_records(
     ``belief(scenario, assignment, t)`` builds voter t's belief in the
     scenario's game; each record carries it bound to its assignment and
     cached per t, and attaches every group's attention solution under it at
-    the scenario's mu.  A group is attentive unless its solution is the
+    the scenario's mu, and their weighted mutual information as
+    ``total_info``.  A group is attentive unless its solution is the
     ``corner_zero`` regime (``solver.attentive``).
     """
+    groups = scenario.electorate.groups
     records = []
     for row, beta_gaps in scored:
         assignment = assignment_for(scenario, tuple(kernel.grid[i] for i in row))
         bound = cache(partial(belief, scenario, assignment))
-        attention = tuple(
-            (t, solve_attention(bound(t), scenario.mu)) for t, _ in scenario.electorate.groups
-        )
+        attention = tuple((t, solve_attention(bound(t), scenario.mu)) for t, _ in groups)
         idx = sorted(set(row))
         records.append(EquilibriumRecord(
             kind=game_of(scenario),
@@ -452,6 +449,7 @@ def equilibrium_records(
             gaps=beta_gaps,
             min_gap=min(g for _, g in beta_gaps),
             expected_w=kernel.w[np.ix_(idx, idx)],
+            total_info=sum(w * sol.info for (_, w), (_, sol) in zip(groups, attention)),
             belief=bound,
         ))
     return records

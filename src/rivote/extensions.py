@@ -34,7 +34,6 @@ def dissemination_filter(
     cost = scenario.dissemination_cost
     if cost is None:
         return tuple(records)
-    weights = dict(scenario.electorate.groups)
     if records:
         h_max = max(entropy(r.assignment.sigma().ravel()) for r in records)
         if not 0.0 < cost < h_max:
@@ -43,7 +42,7 @@ def dissemination_filter(
                 "the filter degenerates",
                 stacklevel=2,
             )
-    return tuple(r for r in records if r.total_information(weights) >= cost - EXACT)
+    return tuple(r for r in records if r.total_info >= cost - EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -146,25 +145,6 @@ def tabulated_frontier(a_points, b_points) -> Frontier:
         return (3.0 * c3[k] * s + 2.0 * c2[k]) * s + d[k]
 
     return Frontier(b, b_prime, label="table")
-
-
-def audit_frontier(frontier: Frontier, n: int = 201) -> list[str]:
-    """Strict decrease, strict concavity and the endpoint slope conditions,
-    checked at sampling resolution on [-1, 1]."""
-    grid = np.linspace(-1.0, 1.0, n)
-    vals = frontier.b(grid)
-    problems = []
-    if np.any(np.diff(vals) >= 0):
-        problems.append("frontier is not strictly decreasing on the sample")
-    slopes = np.diff(vals) / np.diff(grid)
-    if np.any(np.diff(slopes) >= 0):
-        problems.append("frontier is not strictly concave on the sample")
-    h = grid[1] - grid[0]
-    if abs(frontier.b_prime(-1.0 + h)) > 2.0 * math.sqrt(h):
-        problems.append("frontier slope at the left endpoint is not near zero")
-    if frontier.b_prime(1.0 - h) > -0.5 / math.sqrt(h):
-        problems.append("frontier slope at the right endpoint is not steep")
-    return problems
 
 
 def weighted_bliss_utility(bliss: float = 2.0, slope: float = 0.5):

@@ -228,19 +228,6 @@ def posterior_value_matrix(
     return marginal, np.where(positive, nu, np.nan)
 
 
-def posterior_value(
-    tech: NewsTechnology, spec: UtilitySpec, levels, sigma, m: int, n: int, t: float
-) -> float:
-    """Posterior differential utility at the news profile (-w_m, w_n)."""
-    marginal, nu = posterior_value_matrix(tech, spec, levels, sigma, t)
-    if marginal[m, n] <= 0:
-        raise ValidationError(
-            f"news profile ({-tech.signals[m]}, {tech.signals[n]}) has zero "
-            "probability; its posterior is undefined"
-        )
-    return float(nu[m, n])
-
-
 def signal_belief(
     tech: NewsTechnology, spec: UtilitySpec, levels, sigma, t: float
 ) -> BeliefOverProfiles:

@@ -1,14 +1,14 @@
 """Ready-made scenario documents used by the demos, tests and the CLI.
 
-Each preset is a plain scenario dict (serialisable as-is); ``build`` turns it
-into a live Scenario.  The negative loser sign in the benchmark scenarios is
-deliberate: it is the sign under which the published two-equilibrium
-configuration is actually incentive compatible (see README).
+Each preset is a plain scenario dict (serialisable as-is);
+``scenario_from_dict`` turns it into a live Scenario.  The negative loser
+sign in the benchmark scenarios is deliberate: it is the sign under which the
+published two-equilibrium configuration is actually incentive compatible
+(see README).
 """
 from __future__ import annotations
 
-from .core import Scenario
-from .scenario_io import SCHEMA_VERSION, scenario_from_dict
+from .scenario_io import SCHEMA_VERSION
 
 _THIRDS = [[-0.001, 1 / 3], [0.0, 1 / 3], [0.001, 1 / 3]]
 
@@ -64,6 +64,3 @@ def example3_scenario(eta: float, mu: float = 10.0) -> dict:
     doc["commitment"] = {"eta": eta}
     return doc
 
-
-def build(doc: dict) -> Scenario:
-    return scenario_from_dict(doc)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from pathlib import Path
 
 from .core import (
     EXACT,
@@ -289,10 +288,6 @@ def load_scenario_dict(path) -> dict:
 
 def load_scenario(path) -> Scenario:
     return scenario_from_dict(load_scenario_dict(path))
-
-
-def dump_scenario(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def scenario_hash(data: dict) -> str:

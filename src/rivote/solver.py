@@ -112,8 +112,11 @@ def log_mean_exp(values, probs, mu: float):
 
     The mass m at the maximum is split out of the max-shifted sum s of the
     other points, log1p(s / m) + log(m) + max, which keeps full precision
-    when one point dominates.  ``probs`` must be positive.
+    when one point dominates.  ``probs`` must be positive; a ``mu`` that is
+    not positive is a ValidationError.
     """
+    if not mu > 0:
+        raise ValidationError("mu must be positive")
     x = np.asarray(values, dtype=float) / mu
     if not np.all(np.isfinite(x)):
         raise NumericError("non-finite scaled payoffs in exponential moment")
@@ -144,12 +147,10 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     computed once per belief; a step evaluates the denominators only, with
     x >= 0 divided through by e^x so that nothing overflows.
     """
-    if not mu > 0:
-        raise ValidationError("mu must be positive")
     probs = belief.probs
     n = len(belief.support)
 
-    # attentive() refuses values/mu that are not finite
+    # attentive() refuses a mu that is not positive and values/mu that are not finite
     if not attentive(belief.values, probs, mu):  # log E[exp(v/mu)] < -1e-12: never beta
         return AttentionSolution("corner_zero", 0.0, 0.0, np.zeros(n), 0.0, 0.0)
     if log_mean_exp(-belief.values, probs, mu) < 0.0:  # E[exp(-v/mu)] < 1: always choose beta
@@ -197,8 +198,6 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
 
 def attention_membership(belief: BeliefOverProfiles, mu: float) -> bool:
     """Whether the voter pays attention: E[exp(v/mu)] >= 1, up to 1e-12."""
-    if not mu > 0:
-        raise ValidationError("mu must be positive")
     return bool(attentive(belief.values, belief.probs, mu))
 
 

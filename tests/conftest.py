@@ -6,7 +6,8 @@ import pytest
 
 from rivote.core import UtilitySpec
 from rivote.election import profile_belief
-from rivote.presets import build, example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
+from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
+from rivote.scenario_io import scenario_from_dict
 
 
 @pytest.fixture(scope="session")
@@ -43,19 +44,19 @@ def table_belief(abs_spec):
 
 @pytest.fixture(scope="session")
 def figure2():
-    return build(figure2_scenario())
+    return scenario_from_dict(figure2_scenario())
 
 
 @pytest.fixture(scope="session")
 def table1():
-    return build(table1_scenario())
+    return scenario_from_dict(table1_scenario())
 
 
 @pytest.fixture()
 def figure3_factory():
-    return lambda xi, **kw: build(figure3_scenario(xi, **kw))
+    return lambda xi, **kw: scenario_from_dict(figure3_scenario(xi, **kw))
 
 
 @pytest.fixture()
 def example3_factory():
-    return lambda eta, **kw: build(example3_scenario(eta, **kw))
+    return lambda eta, **kw: scenario_from_dict(example3_scenario(eta, **kw))

@@ -32,7 +32,7 @@ from rivote.news import (
     posterior_value_matrix,
     signal_belief,
 )
-from rivote.presets import build, figure2_scenario, figure3_scenario
+from rivote.presets import figure2_scenario, figure3_scenario
 from rivote.scenario_io import scenario_from_dict
 from rivote.solver import (
     BeliefOverProfiles,
@@ -140,7 +140,7 @@ def test_criterion_05_slanted_news_suite():
         member_sets = []
         dists = []
         for xi in xis:
-            scenario = build(figure3_scenario(xi))
+            scenario = scenario_from_dict(figure3_scenario(xi))
             records = enumerate_equilibria(scenario)
             assert records, f"no equilibria at xi={xi}"
             dists.append(
@@ -318,7 +318,7 @@ def test_criterion_09_reductions(figure2):
 
         # vanishing dissemination cost: the filter keeps every attentive record
         records = enumerate_equilibria(replace(figure2, mu=0.09))
-        assert all(r.total_information(dict(figure2.electorate.groups)) > 0 for r in records)
+        assert all(r.total_info > 0 for r in records)
         assert len(dissemination_filter(records, replace(figure2, dissemination_cost=1e-12))) == len(records)
 
 

@@ -16,20 +16,20 @@ from rivote.cli import main
 from rivote.core import ValidationError
 from rivote.election import assignment_for, check_ic, enumerate_equilibria, game_of
 from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
-from rivote.scenario_io import dump_scenario, load_scenario, scenario_from_dict, scenario_hash
+from rivote.scenario_io import load_scenario, scenario_from_dict, scenario_hash
 
 
 @pytest.fixture()
 def fig2_path(tmp_path):
     path = tmp_path / "fig2.json"
-    dump_scenario(figure2_scenario(), path)
+    path.write_text(json.dumps(figure2_scenario()))
     return str(path)
 
 
 @pytest.fixture()
 def fig3_path(tmp_path):
     path = tmp_path / "fig3.json"
-    dump_scenario(figure3_scenario(0.75), path)
+    path.write_text(json.dumps(figure3_scenario(0.75)))
     return str(path)
 
 
@@ -56,7 +56,7 @@ class TestValidate:
         doc = figure2_scenario()
         doc["news"] = {"family": "revealing", "policies": doc["policies"]["beta"]}
         path = tmp_path / "revealing.json"
-        dump_scenario(doc, path)
+        path.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(path)]) == 0
         assert "scenario ok" in capsys.readouterr().out
         assert main(["enumerate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -148,7 +148,7 @@ class TestValidate:
         doc = figure2_scenario()
         doc[section]["alpha"] = alpha
         path = tmp_path / "alpha.json"
-        dump_scenario(doc, path)
+        path.write_text(json.dumps(doc))
         for command in (["validate"], ["solve-attention", "--policies", "0.01,0.4"],
                         ["attention-set", "--a1", "0.1:0.4:0.1"]):
             assert main([*command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
@@ -171,7 +171,7 @@ class TestValidate:
         doc = figure2_scenario()
         doc["policies"] = {"beta": []}
         path = tmp_path / "empty.json"
-        dump_scenario(doc, path)
+        path.write_text(json.dumps(doc))
         for command in ("validate", "enumerate"):
             assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
             assert capsys.readouterr().err == (
@@ -181,7 +181,7 @@ class TestValidate:
         path = tmp_path / "news_eta.json"
         doc = figure3_scenario(0.75)
         doc["commitment"] = {"eta": 0.5}
-        dump_scenario(doc, path)
+        path.write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(path)]) == 2
         assert "eta < 1" in capsys.readouterr().err
         # an eta sweep over a news scenario is refused, not run without eta
@@ -189,7 +189,8 @@ class TestValidate:
                      "--out", str(tmp_path)]) == 2
 
 
-SHIPPED = sorted((Path(__file__).parents[1] / "demos" / "scenarios").glob("*.json"))
+SCENARIOS = Path(__file__).parents[1] / "demos" / "scenarios"
+SHIPPED = sorted(SCENARIOS.glob("*.json"))
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
@@ -232,7 +233,7 @@ def test_fuzzed_scenario_exits_0_or_2(source, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
-def test_only_the_scenarios_own_pipeline_runs(path):
+def test_only_the_scenarios_own_pipeline_runs(path, tmp_path, capsys):
     # one enumerator and one check serve every game, and run the scenario's
     # own; the baseline-only options refuse the other games by name
     scenario = load_scenario(path)
@@ -248,6 +249,13 @@ def test_only_the_scenarios_own_pipeline_runs(path):
         check_ic(scenario, assignment, w_source="rationalized")
     with pytest.raises(ValidationError, match=refusal):
         enumerate_equilibria(scenario, verify_rationalizable=True)
+    if game == "commitment":
+        # attention-set would scan the baseline game's beliefs
+        assert main(["attention-set", "--scenario", str(path), "--a1", "0.1:0.4:0.1",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: attention-set scans the baseline and noisy games, "
+            "not the scenario's commitment game\n")
 
 
 def test_commitment_cap_counts_increasing_maps():
@@ -263,26 +271,37 @@ def test_commitment_cap_counts_increasing_maps():
         enumerate_equilibria(scenario, max_assignments=5)
 
 
+def _on(name, command, *flags):
+    return [command, "--scenario", str(SCENARIOS / f"{name}.json"), *flags]
+
+
 # sha256 of the CSV each command writes; a refactor of the games keeps every byte
 PINNED_CSVS = {
-    "attention_tables": "c34b67e862ebc323822ddf6f36c55083557640831710437e99a54d96612847ba",
-    "partial_commitment": "3ffdbfdb18b38d85025f4f081cffedb4e56cca1c4b3008374d456d36af34a36e",
-    "slanted_news": "e47c4645088d1776030bd1003458c2ab30c089c1b3df00eb818166fced8e1941",
-    "three_levels": "3c644cf41cc79a260f76920a25cd76e05f8dd36a12e019f267db2b899668c5cd",
-    "figure2": "79c0998238eb3152b60e55c0f5c7178112d6a4b522df91e391c88d9035ee11d1",
-    "figure3": "457293395c2335b5599535bcea8389e6d7e8e2921069760cbf95c9bf81df26f2",
+    "attention_tables": (_on("attention_tables", "enumerate"), "equilibria.csv",
+                         "c34b67e862ebc323822ddf6f36c55083557640831710437e99a54d96612847ba"),
+    "partial_commitment": (_on("partial_commitment", "enumerate"), "equilibria.csv",
+                           "3ffdbfdb18b38d85025f4f081cffedb4e56cca1c4b3008374d456d36af34a36e"),
+    "slanted_news": (_on("slanted_news", "enumerate"), "equilibria.csv",
+                     "e47c4645088d1776030bd1003458c2ab30c089c1b3df00eb818166fced8e1941"),
+    "three_levels": (_on("three_levels", "enumerate"), "equilibria.csv",
+                     "3c644cf41cc79a260f76920a25cd76e05f8dd36a12e019f267db2b899668c5cd"),
+    "figure2": (["reproduce", "figure2"], "figure2.csv",
+                "79c0998238eb3152b60e55c0f5c7178112d6a4b522df91e391c88d9035ee11d1"),
+    "figure3": (["reproduce", "figure3"], "figure3.csv",
+                "457293395c2335b5599535bcea8389e6d7e8e2921069760cbf95c9bf81df26f2"),
+    "sweep_xi": (_on("slanted_news", "sweep", "--param", "xi", "--values", "0.6,0.75,0.9"),
+                 "sweep.csv", "8d6f9daab84cce43c8feea7371f80dd85d6cd33b9ac2dc170656680f892bcbfa"),
+    "sweep_mu": (_on("three_levels", "sweep", "--param", "mu", "--values", "0.1,1,10,100",
+                     "--t", "-0.001"),
+                 "sweep.csv", "f1b37541eba1acdbe14dbff72d536e42fc187541bcc819d14b703b12fa0424b7"),
 }
 
 
 @pytest.mark.parametrize("name", PINNED_CSVS)
 def test_csv_bytes_are_pinned(name, tmp_path):
-    if name.startswith("figure"):
-        command, csv = ["reproduce", name], f"{name}.csv"
-    else:
-        scenario = Path(__file__).parents[1] / "demos" / "scenarios" / f"{name}.json"
-        command, csv = ["enumerate", "--scenario", str(scenario)], "equilibria.csv"
+    command, csv, digest = PINNED_CSVS[name]
     assert main(command + ["--out", str(tmp_path)]) == 0
-    assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == PINNED_CSVS[name]
+    assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest
 
 
 @pytest.fixture()
@@ -295,7 +314,7 @@ def off_table_path(tmp_path):
     doc["utility"]["table"] = {"a": a, "t": t,
                                "values": [[-abs(y - x) for y in t] for x in a]}
     path = tmp_path / "off_table.json"
-    dump_scenario(doc, path)
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -320,7 +339,7 @@ class TestOffTableLookups:
         doc = figure2_scenario()
         doc["news"] = {"family": "revealing", "policies": [0.01, 0.2]}
         path = tmp_path / "off_news.json"
-        dump_scenario(doc, path)
+        path.write_text(json.dumps(doc))
         assert main(["enumerate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "policy 0.4 is not on the technology's grid" in capsys.readouterr().err
 
@@ -355,7 +374,7 @@ class TestSolveAttention:
         from rivote.solver import solve_attention
 
         path = tmp_path / "eta.json"
-        dump_scenario(example3_scenario(0.5), path)
+        path.write_text(json.dumps(example3_scenario(0.5)))
         out = tmp_path / "o"
         assert main(["solve-attention", "--scenario", str(path),
                      "--policies", "0.01,0.4", "--out", str(out)]) == 0
@@ -371,7 +390,7 @@ class TestSolveAttention:
 
     def test_commitment_refuses_decreasing_policies(self, tmp_path, capsys):
         path = tmp_path / "eta.json"
-        dump_scenario(example3_scenario(0.5), path)
+        path.write_text(json.dumps(example3_scenario(0.5)))
         assert main(["solve-attention", "--scenario", str(path),
                      "--policies", "0.4,0.01", "--out", str(tmp_path / "o")]) == 2
         assert "strictly increasing" in capsys.readouterr().err

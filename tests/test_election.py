@@ -21,7 +21,8 @@ from rivote.election import (
     truncation_statistic,
     value_matrix,
 )
-from rivote.presets import build, figure2_scenario
+from rivote.presets import figure2_scenario
+from rivote.scenario_io import scenario_from_dict
 from rivote.solver import (
     attention_membership,
     attention_threshold_delta,
@@ -136,7 +137,7 @@ class TestIncentiveCompatibility:
     def test_pure_office_motivation_converges(self):
         doc = figure2_scenario()
         doc["utility"].update({"win_weight": 0.0, "lose_weight": 0.0})
-        scenario = build(doc)
+        scenario = scenario_from_dict(doc)
         assert check_ic(scenario, assignment_for(scenario, (0.01, 0.01)))[0]
         for policies in ((0.01, 0.2), (0.2, 0.2), (0.01, 0.4)):
             assert not check_ic(scenario, assignment_for(scenario, policies))[0]
@@ -144,14 +145,14 @@ class TestIncentiveCompatibility:
     def test_equal_weights_converge(self):
         doc = figure2_scenario()
         doc["utility"].update({"win_weight": 6.0, "lose_weight": 6.0})
-        scenario = build(doc)
+        scenario = scenario_from_dict(doc)
         records = enumerate_equilibria(scenario)
         assert [r.assignment.policies for r in records] == [(0.01, 0.01)]
 
     def test_huge_winner_weight_creates_profitable_centrist_deviation(self):
         doc = figure2_scenario()
         doc["utility"]["win_weight"] = 100.0
-        scenario = build(doc)
+        scenario = scenario_from_dict(doc)
         ok, gaps = check_ic(scenario, assignment_for(scenario, (0.01, 0.4)))
         assert not ok
         assert gaps[("beta", 0.3)] < 0
@@ -196,7 +197,7 @@ class TestEnumeration:
 
     def test_corner_one_group_is_attentive(self):
         # a group that always votes beta attends: only corner_zero is inattention
-        scenario = build(figure2_scenario(mu=10.0))
+        scenario = scenario_from_dict(figure2_scenario(mu=10.0))
         (record,) = [r for r in enumerate_equilibria(scenario)
                      if r.assignment.policies == (0.01, 0.2)]
         assert dict(record.attention)[0.001].regime == "corner_one"

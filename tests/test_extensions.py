@@ -24,7 +24,6 @@ from rivote.extensions import (
     golden_max,
     multi_issue_reduce,
     quarter_circle_frontier,
-    audit_frontier,
     tabulated_frontier,
     weighted_bliss_utility,
 )
@@ -60,14 +59,13 @@ class TestDisseminationFilter:
             kept = dissemination_filter(records, replace(figure2, dissemination_cost=math.log(4.0)))
         assert kept == ()
 
-    def test_intermediate_cost_selects_by_total_information(self, figure2, records):
-        weights = dict(figure2.electorate.groups)
-        totals = sorted(r.total_information(weights) for r in records)
+    def test_intermediate_cost_selects_by_total_info(self, figure2, records):
+        totals = sorted(r.total_info for r in records)
         assert totals[0] < totals[1]
         cost = 0.5 * (totals[0] + totals[1])
         kept = dissemination_filter(records, replace(figure2, dissemination_cost=cost))
         assert len(kept) == 1
-        assert kept[0].total_information(weights) == totals[1]
+        assert kept[0].total_info == totals[1]
 
     def test_monotone_in_cost(self, figure2, records):
         sizes = []
@@ -165,7 +163,11 @@ class TestFrontier:
         assert frontier.b(1.0) == pytest.approx(-1.0)
         assert frontier.b_prime(-1.0) == 0.0
         assert frontier.b_prime(0.999) < -20
-        assert audit_frontier(frontier) == []
+        # strictly decreasing and strictly concave on 201 samples of [-1, 1]
+        grid = np.linspace(-1.0, 1.0, 201)
+        values = frontier.b(grid)
+        assert np.all(np.diff(values) < 0)
+        assert np.all(np.diff(np.diff(values) / np.diff(grid)) < 0)
 
     def test_tabulated_matches_samples(self):
         base = quarter_circle_frontier()

@@ -21,8 +21,7 @@ from rivote.election import (
     perfect_observation_winner,
 )
 from rivote.news import expected_winning_matrix
-from rivote.presets import build
-from rivote.scenario_io import load_scenario
+from rivote.scenario_io import load_scenario, scenario_from_dict
 from tests.conftest import bench_workloads
 from tests.oracles import (
     _two_sided_gaps,
@@ -59,7 +58,7 @@ def game(n, types=TWO_TYPES, family="absolute", xi=None, eta=None, rent=8.0,
         doc["news"] = {"family": "slant", "xi": xi, "signals": [0.25, 0.75]}
     if eta is not None:
         doc["commitment"] = {"eta": eta}
-    return build(doc)
+    return scenario_from_dict(doc)
 
 
 def kernel_and_oracle(scenario, pipeline):
@@ -276,7 +275,7 @@ SEARCHED = {
 def searched(label):
     """A shipped scenario, an ``ic_grid`` game of the benchmark, or 4 x 20."""
     source = SEARCHED[label]
-    return load_scenario(source) if isinstance(source, Path) else build(
+    return load_scenario(source) if isinstance(source, Path) else scenario_from_dict(
         WORKLOADS.game_doc(**source))
 
 
@@ -349,7 +348,7 @@ def test_pruned_search_is_exact_property(n, n_types, family, pipeline, knob, ren
 
 def test_six_types_on_twenty_policies_under_the_default_cap():
     # 20 ** 6 = 6.4e7 maps, far beyond the default cap of 200,000 visited prefixes
-    scenario = build(WORKLOADS.game_doc(20, types=SIX_TYPES))
+    scenario = scenario_from_dict(WORKLOADS.game_doc(20, types=SIX_TYPES))
     start = time.perf_counter()
     records = enumerate_equilibria(scenario)
     assert time.perf_counter() - start < 1.0

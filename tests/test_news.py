@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -23,12 +24,11 @@ from rivote.news import (
     audit_news,
     downsian_signal_matrix,
     expected_winning_matrix,
-    posterior_value,
     posterior_value_matrix,
     signal_belief,
 )
 from rivote.presets import figure2_scenario, figure3_scenario
-from rivote.scenario_io import dump_scenario, scenario_from_dict
+from rivote.scenario_io import scenario_from_dict
 from rivote.solver import attention_membership, log_mean_exp, solve_attention
 from tests import oracles
 from tests.oracles import (
@@ -265,20 +265,21 @@ class TestPosterior:
         rows = tech.pmf((0.2, 0.6))
         np.testing.assert_allclose(rows[:, 1], [0.6, 0.8], atol=1e-15)
         sigma = np.full((2, 2), 0.25)
+        _, nu = posterior_value_matrix(tech, abs_spec, (0.2, 0.6), sigma, 0.0)
         for (m, n) in ((0, 0), (0, 1), (1, 0), (1, 1)):
             expected = bayes_posterior_differential(
                 (0.2, 0.6), (0.5, 0.5), rows, lambda a, t: voter_utility(abs_spec, a, t),
                 m, n, 0.0,
             )
-            got = posterior_value(tech, abs_spec, (0.2, 0.6), sigma, m, n, 0.0)
-            assert got == pytest.approx(expected, abs=1e-14)
+            assert nu[m, n] == pytest.approx(expected, abs=1e-14)
 
     def test_zero_probability_profile_rejected(self, abs_spec):
         levels = (0.1, 0.4)
         tech = NewsTechnology.revealing((0.1, 0.4, 0.7))
         sigma = np.full((2, 2), 0.25)
-        with pytest.raises(ValidationError):
-            posterior_value(tech, abs_spec, levels, sigma, 2, 2, 0.0)
+        # the profile (-0.7, 0.7) is never heard: zero marginal, undefined posterior
+        marginal, nu = posterior_value_matrix(tech, abs_spec, levels, sigma, 0.0)
+        assert marginal[2, 2] == 0.0 and np.isnan(nu[2, 2])
 
 
 class TestNoisyAttention:
@@ -339,7 +340,7 @@ class TestNoisyEquilibria:
         assert truncation_statistic(replace(scenario, mu=1.0), records, -0.001) == ((), None)
         # the CLI's sweep reports the same statistic
         path = tmp_path / "fig3.json"
-        dump_scenario(figure3_scenario(0.6), path)
+        path.write_text(json.dumps(figure3_scenario(0.6)))
         out = tmp_path / "o"
         assert main(["sweep", "--scenario", str(path), "--param", "mu", "--values", "1",
                      "--t", "-0.001", "--out", str(out)]) == 0

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from rivote.election import downsian_matrix, enumerate_equilibria, profile_belief
 from rivote.extensions import commitment_belief
 from rivote.news import expected_winning_matrix, signal_belief
-from rivote.presets import build
+from rivote.scenario_io import scenario_from_dict
 from rivote.solver import attention_membership, solve_attention
 
 GROUPS = [[-0.02, 0.25], [-0.001, 0.25], [0.001, 0.25], [0.02, 0.25]]
@@ -29,7 +29,7 @@ def game(n, family="absolute", xi=None, eta=None, mu=1.0, types=((0.3, 0.5), (0.
         doc["news"] = {"family": "slant", "xi": xi, "signals": [0.25, 0.75]}
     if eta is not None:
         doc["commitment"] = {"eta": eta}
-    return build(doc)
+    return scenario_from_dict(doc)
 
 
 def public_belief(pipeline, scenario, record, t):

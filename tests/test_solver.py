@@ -12,6 +12,7 @@ from rivote.solver import (
     BeliefOverProfiles,
     attention_membership,
     attention_threshold_delta,
+    attentive,
     entropy,
     gamma,
     gamma_inverse,
@@ -194,6 +195,19 @@ class TestMembership:
         sol = solve_attention(belief, 1.0)
         assert sol.regime == "interior"
         assert sol.m_bar == pytest.approx(0.0, abs=1e-11)
+
+    @pytest.mark.parametrize("mu", [0.0, -0.09, math.nan])
+    @pytest.mark.parametrize("rule", [
+        lambda belief, mu: attentive(belief.values, belief.probs, mu),
+        lambda belief, mu: log_mean_exp(belief.values, belief.probs, mu),
+        solve_attention,
+        attention_membership,
+    ], ids=["attentive", "log_mean_exp", "solve_attention", "attention_membership"])
+    def test_mu_must_be_positive(self, rule, mu):
+        # the rule itself checks mu, so no entry point can skip the check
+        belief = BeliefOverProfiles(("lo", "hi"), [0.5, 0.5], [-1.0, 0.5])
+        with pytest.raises(ValidationError, match="^mu must be positive$"):
+            rule(belief, mu)
 
 
 def _bits(x):
