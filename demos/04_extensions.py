@@ -12,9 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from rivote import dissemination_filter, enumerate_equilibria, scenario_from_dict
-from rivote.election import assignment_for
+from rivote.election import assignment_for, commitment_belief
 from rivote.extensions import (
-    commitment_belief,
     multi_issue_reduce,
     quarter_circle_frontier,
     weighted_bliss_utility,

@@ -21,6 +21,7 @@ from .core import (
     audit_scenario,
     derived_kappa,
     utility,
+    value_matrix,
 )
 from .election import (
     EquilibriumRecord,
@@ -28,20 +29,20 @@ from .election import (
     aggregate_and_rationalize,
     assignment_for,
     attention_frontier,
+    attention_frontier_noisy,
     check_ic,
+    commitment_belief,
     downsian_winner,
     enumerate_equilibria,
     median_differential,
+    news_belief,
     on_path_belief,
     perfect_observation_winner,
     profile_belief,
     truncation_statistic,
-    value_matrix,
 )
 from .extensions import (
-    Frontier,
     MultiIssueReduction,
-    commitment_belief,
     dissemination_filter,
     multi_issue_reduce,
     quarter_circle_frontier,
@@ -50,9 +51,7 @@ from .extensions import (
 from .news import (
     MarkovKernel,
     NewsTechnology,
-    attention_frontier_noisy,
     audit_news,
-    news_belief,
     signal_belief,
 )
 from .scenario_io import load_scenario, scenario_from_dict, scenario_hash

@@ -23,13 +23,14 @@ from .election import (
     _game,
     assignment_for,
     attention_frontier,
+    attention_frontier_noisy,
     enumerate_equilibria,
     game_of,
     on_path_belief,
     truncation_statistic,
 )
 from .extensions import dissemination_filter
-from .news import MarkovKernel, NewsTechnology, attention_frontier_noisy, audit_news
+from .news import MarkovKernel, NewsTechnology, audit_news
 from .presets import figure2_scenario, figure3_scenario, table1_scenario
 from .scenario_io import load_scenario_dict, scenario_from_dict, scenario_hash
 from .solver import solve_attention

@@ -151,6 +151,12 @@ def utility(spec: UtilitySpec, a, t):
     return u[_grid_index(a_grid, a, "policy"), _grid_index(t_grid, t, "type")]
 
 
+def value_matrix(spec: UtilitySpec, a_values, t: float) -> np.ndarray:
+    """v[..., i, j] = differential utility of profile (-a_i, a_j) for voter t."""
+    a = np.asarray(a_values, dtype=float)
+    return utility(spec, a, t)[..., None, :] - utility(spec, -a, t)[..., :, None]
+
+
 def derived_kappa(
     spec: UtilitySpec,
     alpha_values: tuple[float, ...],
@@ -295,7 +301,7 @@ def symmetry_failures(scenario: Scenario) -> list[str]:
     if scenario.utility.family == "table":
         a_grid = scenario.beta_axis.alpha_values + scenario.beta_axis.values
         t_grid = scenario.electorate.group_types + scenario.beta_types.type_values
-        t_grid = t_grid + tuple(-t for t in t_grid)
+        t_grid = tuple(sorted(set(t_grid + tuple(-t for t in t_grid))))
         problems += audit_mirror_symmetry(scenario.utility, a_grid, t_grid)
     return problems
 

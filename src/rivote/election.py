@@ -1,16 +1,18 @@
 """Symmetric electoral competition over finite grids.
 
-Vote aggregation from optimal attention strategies, candidate incentive
-checks and exact, pruned enumeration of pure symmetric equilibria for the
-baseline, noisy-news and limited-commitment games (one game table, one
-kernel), attention-set membership and boundary scans, and the truncation
-statistic that drives the comparative statics in the attention cost.
+One game table (``_game``) holds every part of the baseline, noisy-news and
+limited-commitment games: beta's winning matrix, commitment level, prefix
+rule and belief builder.  On it: vote aggregation, incentive checks, exact
+pruned enumeration of pure symmetric equilibria, the attention-set scans of
+both observation models and the truncation statistic behind the comparative
+statics in the attention cost.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from typing import Callable
 
@@ -25,6 +27,14 @@ from .core import (
     ValidationError,
     require_symmetric,
     utility,
+    value_matrix,
+)
+from .news import (
+    NewsTechnology,
+    audit_news,
+    expected_winning_matrix,
+    posterior_value_matrix,
+    signal_belief,
 )
 from .solver import (
     AttentionSolution,
@@ -124,12 +134,6 @@ class EquilibriumRecord:
 # Values, beliefs, winners
 # ---------------------------------------------------------------------------
 
-def value_matrix(spec: UtilitySpec, a_values, t: float) -> np.ndarray:
-    """v[..., i, j] = differential utility of profile (-a_i, a_j) for voter t."""
-    a = np.asarray(a_values, dtype=float)
-    return utility(spec, a, t)[..., None, :] - utility(spec, -a, t)[..., :, None]
-
-
 def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverProfiles:
     """Belief over on-path policy profiles with voter t's differential values."""
     a = tuple(float(x) for x in a_values)
@@ -144,6 +148,28 @@ def on_path_belief(
     """Belief builder of the baseline game: ``profile_belief`` of the
     assignment's played levels."""
     return profile_belief(scenario.utility, assignment.levels, assignment.sigma(), t)
+
+
+def news_belief(
+    scenario: Scenario, assignment: StrategyAssignment, t: float
+) -> BeliefOverProfiles:
+    """Belief builder of the noisy-news game: ``signal_belief`` of the
+    assignment's played levels under the scenario's technology."""
+    return signal_belief(scenario.news, scenario.utility, assignment.levels, assignment.sigma(), t)
+
+
+def commitment_belief(
+    scenario: Scenario, assignment: StrategyAssignment, t: float
+) -> BeliefOverProfiles:
+    """Belief builder of the limited-commitment game: ``on_path_belief`` of the
+    strictly increasing proposals, valued as the mix of the proposal, weight
+    ``scenario.eta``, and the proposer's own type (played when the winner reneges)."""
+    if any(hi <= lo for lo, hi in zip(assignment.policies, assignment.policies[1:])):
+        raise ValidationError("limited commitment requires strictly increasing policies")
+    eta, spec = scenario.eta, scenario.utility
+    values = (eta * value_matrix(spec, assignment.policies, t)
+              + (1.0 - eta) * value_matrix(spec, assignment.types, t))
+    return replace(on_path_belief(scenario, assignment, t), values=values.ravel())
 
 
 def _winning_prob(margin, tol: float) -> np.ndarray:
@@ -184,9 +210,10 @@ def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment
 
     Solves each voter group's attention problem on the on-path profiles at
     the scenario's mu, forms the weighted vote share per profile and maps it
-    to {0, 1/2, 1}.
+    to {0, 1/2, 1}.  Only the baseline game aggregates this way.
     """
     require_symmetric(scenario)
+    _require_baseline(scenario, "aggregate_and_rationalize")
     levels = assignment.levels
     sigma = assignment.sigma()
     n = len(levels)
@@ -195,6 +222,12 @@ def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment
         sol = solve_attention(profile_belief(scenario.utility, levels, sigma, t), scenario.mu)
         share += weight * sol.m.reshape(n, n)
     return _winning_prob(share - 0.5, TOL)
+
+
+def _require_baseline(scenario: Scenario, what: str) -> None:
+    if (game := game_of(scenario)) != "baseline":
+        raise ValidationError(f"{what} models the baseline game only, "
+                              f"not the scenario's {game} game")
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +319,6 @@ class ICKernel:
         """(beta, alpha) slack per assignment row and type, in type order."""
         return self.bound(rows).min(axis=2), _margins(self._alpha, rows[:, ::-1], rows).min(axis=2)
 
-    def check(self, policies) -> tuple[bool, dict]:
-        """(ok, slack per (candidate, type)) of beta's policies per type;
-        policies off beta's grid are refused."""
-        if off := [a for a in policies if a not in self.grid]:
-            raise ValidationError(f"assigned policy {off[0]!r} is off candidate beta's grid")
-        beta, alpha = self.gaps(np.array([[self.grid.index(a) for a in policies]]))
-        gaps = dict(zip((("beta", t) for t in self.types), beta[0].tolist()))
-        gaps.update(zip((("alpha", t) for t in self.alpha_types), alpha[0].tolist()))
-        return min(gaps.values()) >= -TOL, gaps
-
     @cached_property
     def _open_gains(self) -> np.ndarray:
         """``gains[m, k, a, b]``: the most beta's opponents j < m can add to
@@ -361,11 +384,7 @@ def _game(scenario: Scenario):
     ``follows(last, next)`` on consecutive types' policy indices (None for
     every map, ``np.less`` for the increasing maps of limited commitment)
     and voter t's belief ``belief(scenario, assignment, t)``.
-    news and extensions import this module, so their builders load here.
     """
-    from .extensions import commitment_belief
-    from .news import expected_winning_matrix, news_belief
-
     def perfect(s):
         return downsian_matrix(s.utility, s.beta_axis.values)
 
@@ -379,6 +398,16 @@ def _game(scenario: Scenario):
     }[game_of(scenario)]
 
 
+def _admitted_game(scenario: Scenario):
+    """``_game(scenario)`` of a symmetric scenario whose news, if any, passes
+    ``audit_news`` on beta's grid; ``check_ic`` and the enumeration refuse the rest."""
+    require_symmetric(scenario)
+    if scenario.news is not None and (
+            problems := audit_news(scenario.news, scenario.beta_axis.values)):
+        raise ValidationError("news technology rejected: " + "; ".join(problems))
+    return _game(scenario)
+
+
 def check_ic(
     scenario: Scenario, assignment: StrategyAssignment, w_source: str = "downsian"
 ) -> tuple[bool, dict]:
@@ -388,20 +417,24 @@ def check_ic(
     Deviations are priced by the game's winning matrix.  In the baseline game
     ``w_source="rationalized"`` instead takes the on-path cells from
     aggregating optimal attention strategies.  Returns (ok, slack per
-    (candidate, type)); maps the game's prefix rule excludes are refused.
+    (candidate, type)).  Refused: what ``enumerate_equilibria`` refuses, an
+    assignment of other types than the scenario's, policies off beta's grid
+    and maps the game's prefix rule excludes.
     """
-    require_symmetric(scenario)
-    w_of, eta, follows, _ = _game(scenario)
+    w_of, eta, follows, _ = _admitted_game(scenario)
+    types = scenario.beta_types
+    if (assignment.types, assignment.type_probs) != (types.type_values, types.type_probs):
+        raise ValidationError("the assignment's types are not the scenario's candidate types")
+    grid = scenario.beta_axis.values
+    if off := [a for a in assignment.policies if a not in grid]:
+        raise ValidationError(f"assigned policy {off[0]!r} is off candidate beta's grid")
     policies = np.array(assignment.policies)  # ordered as their grid indices
     if follows is not None and not follows(policies[:-1], policies[1:]).all():
         raise ValidationError("limited commitment requires strictly increasing policies")
-    grid = scenario.beta_axis.values
     if w_source == "downsian":
         w = w_of(scenario)
     elif w_source == "rationalized":
-        if (game := game_of(scenario)) != "baseline":
-            raise ValidationError(f"w_source='rationalized' models the baseline game only, "
-                                  f"not the scenario's {game} game")
+        _require_baseline(scenario, "w_source='rationalized'")
         levels = assignment.levels
         on_path = aggregate_and_rationalize(scenario, assignment)
         g = np.array(grid)
@@ -411,8 +444,11 @@ def check_ic(
         w[np.ix_(on, on)] = on_path[np.ix_(at[on], at[on])]
     else:
         raise ValidationError(f"unknown w_source {w_source!r}")
-    kernel = ICKernel(grid, assignment.types, assignment.type_probs, w, scenario.utility, eta)
-    return kernel.check(assignment.policies)
+    kernel = ICKernel(grid, types.type_values, types.type_probs, w, scenario.utility, eta)
+    beta, alpha = kernel.gaps(np.array([[grid.index(a) for a in assignment.policies]]))
+    gaps = dict(zip((("beta", t) for t in kernel.types), beta[0].tolist()))
+    gaps.update(zip((("alpha", t) for t in kernel.alpha_types), alpha[0].tolist()))
+    return min(gaps.values()) >= -TOL, gaps
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +507,9 @@ def enumerate_equilibria(
     (baseline game only) checks that aggregated attention strategies
     reproduce every record's winner.
     """
-    require_symmetric(scenario)
-    game = game_of(scenario)
-    if verify_rationalizable and game != "baseline":
-        raise ValidationError(f"verify_rationalizable models the baseline game only, "
-                              f"not the scenario's {game} game")
-    if game == "noisy":
-        from .news import audit_news
-
-        if problems := audit_news(scenario.news, scenario.beta_axis.values):
-            raise ValidationError("news technology rejected: " + "; ".join(problems))
-    w_of, eta, follows, belief = _game(scenario)
+    w_of, eta, follows, belief = _admitted_game(scenario)
+    if verify_rationalizable:
+        _require_baseline(scenario, "verify_rationalizable")
     types = scenario.beta_types
     kernel = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
                       w_of(scenario), scenario.utility, eta)
@@ -543,6 +571,31 @@ def attention_frontier(spec: UtilitySpec, a1_grid, a2_grid, t: float, mu: float,
         return attentive(values, np.outer(p, p).ravel(), mu)
 
     return frontier_scan(a1_grid, a2_grid, mu, level_probs, attentive_pairs, 4)
+
+
+def attention_frontier_noisy(tech: NewsTechnology, spec: UtilitySpec, a1_grid, a2_grid,
+                             t: float, mu: float, level_probs=(0.5, 0.5)) -> np.ndarray:
+    """Noisy-news counterpart of ``attention_frontier``: each pair (a1, a2) is
+    judged under its signal belief.  A zero-probability news profile is masked
+    out (probability 0 and the pair's smallest kept value, so that it adds
+    nothing to the exponential moment); one warning counts them over the scan."""
+    dropped = 0
+
+    def attentive_pairs(a1, a2, p):
+        nonlocal dropped
+        levels = np.stack([a1, a2], axis=-1)
+        marginal, nu = posterior_value_matrix(tech, spec, levels, np.outer(p, p), t)
+        probs, values = marginal.reshape(len(a1), -1), nu.reshape(len(a1), -1)
+        keep = probs > 0
+        dropped += int(np.count_nonzero(~keep))
+        floor = np.min(values, axis=-1, where=keep, initial=np.inf, keepdims=True)
+        return attentive(np.where(keep, values, floor), np.where(keep, probs, 0.0), mu)
+
+    out = frontier_scan(a1_grid, a2_grid, mu, level_probs, attentive_pairs, 4 * tech.k ** 2)
+    if dropped:
+        warnings.warn(f"dropped {dropped} zero-probability news profiles from the attention "
+                      "supports of the scanned policy pairs", stacklevel=2)
+    return out
 
 
 def median_differential(spec: UtilitySpec, a_values) -> float:

@@ -1,8 +1,9 @@
-"""Model extensions: costly dissemination, limited commitment, two-issue games.
+"""Model extensions: costly dissemination and two-issue games.
 
 Each extension rewrites a piece of the baseline game (an equilibrium filter,
-a transformed differential utility, an augmented single-issue utility) and
-then reuses the same solver and enumeration machinery.
+an augmented single-issue utility) and then reuses the same solver and
+enumeration machinery.  Limited commitment is one of the three games of
+``election``'s game table.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .core import EXACT, Scenario, TabulatedUtility, UtilitySpec, ValidationError
-from .election import EquilibriumRecord, StrategyAssignment, value_matrix
-from .solver import BeliefOverProfiles, entropy
+from .election import EquilibriumRecord
+from .solver import entropy
 
 
 # ---------------------------------------------------------------------------
@@ -46,63 +47,21 @@ def dissemination_filter(
 
 
 # ---------------------------------------------------------------------------
-# Limited commitment
-# ---------------------------------------------------------------------------
-
-def commitment_belief(
-    scenario: Scenario, assignment: StrategyAssignment, t: float
-) -> BeliefOverProfiles:
-    """Belief over proposal profiles whose values mix the proposal, weight
-    ``scenario.eta``, and the proposer's own type (played when the winner
-    reneges)."""
-    if any(hi <= lo for lo, hi in zip(assignment.policies, assignment.policies[1:])):
-        raise ValidationError("limited commitment requires strictly increasing policies")
-    eta = scenario.eta
-    spec = scenario.utility
-    policies = assignment.policies
-    types = assignment.types
-    v_pol = value_matrix(spec, policies, t)
-    v_typ = value_matrix(spec, types, t)
-    values = eta * v_pol + (1.0 - eta) * v_typ
-    p = np.array(assignment.type_probs)
-    support = tuple((-ai, aj) for ai in policies for aj in policies)
-    return BeliefOverProfiles(support, np.outer(p, p).ravel(), values.ravel())
-
-
-# ---------------------------------------------------------------------------
 # Two issues reduced to one
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Frontier:
-    """Feasible trade-off curve b = B(a) between the two issues.
-
-    ``b`` and ``b_prime`` must broadcast over numpy arrays of ``a``, as
-    ``rivote.utility`` does.
-    """
-
-    b: Callable
-    b_prime: Callable
-    label: str = "custom"
-
-
-def quarter_circle_frontier() -> Frontier:
-    """Preset frontier: quarter circle of radius 2 centred at (-1, -1), with
-    zero slope at a = -1 and unbounded slope at a = 1."""
+def quarter_circle_frontier() -> Callable:
+    """Preset frontier b = B(a), the issues' feasible trade-off: a quarter
+    circle of radius 2 centred at (-1, -1), flat at a = -1 and vertical at 1."""
 
     def b(a):
         x = np.asarray(a, dtype=float) + 1.0
         return -1.0 + np.sqrt(np.maximum(4.0 - x * x, 0.0))
 
-    def b_prime(a):
-        x = np.asarray(a, dtype=float) + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(x * x < 4.0, -x / np.sqrt(4.0 - x * x), -np.inf)[()]
-
-    return Frontier(b, b_prime, label="quarter_circle")
+    return b
 
 
-def tabulated_frontier(a_points, b_points) -> Frontier:
+def tabulated_frontier(a_points, b_points) -> Callable:
     """Shape-preserving (monotone cubic) interpolation of frontier samples.
 
     Fritsch-Carlson (1980) Hermite cubic with PCHIP's slopes: weighted
@@ -132,19 +91,12 @@ def tabulated_frontier(a_points, b_points) -> Frontier:
     c3 = tilt / h
     c2 = (m - d[:-1]) / h - tilt
 
-    def piece(x):
-        k = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
-        return k, np.asarray(x, dtype=float) - a[k]
-
     def b(x):
-        k, s = piece(x)
+        k = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
+        s = np.asarray(x, dtype=float) - a[k]
         return ((c3[k] * s + c2[k]) * s + d[k]) * s + bv[k]
 
-    def b_prime(x):
-        k, s = piece(x)
-        return (3.0 * c3[k] * s + 2.0 * c2[k]) * s + d[k]
-
-    return Frontier(b, b_prime, label="table")
+    return b
 
 
 def weighted_bliss_utility(bliss: float = 2.0, slope: float = 0.5):
@@ -191,7 +143,7 @@ def golden_max(f, lo, hi, tol: float = 1e-10):
 class MultiIssueReduction:
     """Augmented single-issue economy produced from a two-issue utility."""
 
-    frontier: Frontier
+    frontier: Callable                # b = B(a), broadcasting over arrays of a
     a_grid: tuple[float, ...]
     t_grid: tuple[float, ...]
     uhat_table: np.ndarray            # shape (len(t_grid), len(a_grid))
@@ -206,7 +158,7 @@ class MultiIssueReduction:
         return UtilitySpec(family="table", table=table, **spec_kwargs)
 
 
-def multi_issue_reduce(u2, frontier: Frontier, a_grid=None, t_grid=None, lattice: int = 21,
+def multi_issue_reduce(u2, frontier: Callable, a_grid=None, t_grid=None, lattice: int = 21,
                        tangency_tol: float = 1e-10) -> MultiIssueReduction:
     """Collapse a two-issue utility onto the frontier.
 
@@ -248,8 +200,8 @@ def multi_issue_reduce(u2, frontier: Frontier, a_grid=None, t_grid=None, lattice
             f"slope at t={float(t_grid[k + 1])} does not exceed slope at t={float(t_grid[k])}"
         )
 
-    table = u2(a_grid[None, :], frontier.b(a_grid)[None, :], t_grid[:, None])
-    tangency = golden_max(lambda a: u2(a, frontier.b(a), t_grid),
+    table = u2(a_grid[None, :], frontier(a_grid)[None, :], t_grid[:, None])
+    tangency = golden_max(lambda a: u2(a, frontier(a), t_grid),
                           np.full(t_grid.shape, -1.0), 1.0, tangency_tol)
     diffs = np.diff(table, axis=1)
     failed = np.stack([

@@ -4,6 +4,7 @@ A technology gives candidate beta's signal pmf per policy; candidate alpha's
 is the mirror image by construction, so the symmetric-environment requirement
 holds identically.  Garbling post-composes a Markov kernel per candidate and
 preserves the representation, which makes Blackwell comparisons constructive.
+The noisy game's belief builder and attention-set scan sit in ``election``.
 """
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXACT, Scenario, UtilitySpec, ValidationError
-from .election import StrategyAssignment, frontier_scan, value_matrix
-from .solver import BeliefOverProfiles, attentive
+from .core import EXACT, UtilitySpec, ValidationError, value_matrix
+from .solver import BeliefOverProfiles
 
 
 @dataclass(frozen=True)
@@ -245,33 +245,8 @@ def signal_belief(
     return BeliefOverProfiles(support, marginal.ravel()[keep], nu.ravel()[keep])
 
 
-def attention_frontier_noisy(tech: NewsTechnology, spec: UtilitySpec, a1_grid, a2_grid,
-                             t: float, mu: float, level_probs=(0.5, 0.5)) -> np.ndarray:
-    """Noisy-news counterpart of ``attention_frontier``: each pair (a1, a2) is
-    judged under its signal belief.  A zero-probability news profile is masked
-    out (probability 0 and the pair's smallest kept value, so that it adds
-    nothing to the exponential moment); one warning counts them over the scan."""
-    dropped = 0
-
-    def attentive_pairs(a1, a2, p):
-        nonlocal dropped
-        levels = np.stack([a1, a2], axis=-1)
-        marginal, nu = posterior_value_matrix(tech, spec, levels, np.outer(p, p), t)
-        probs, values = marginal.reshape(len(a1), -1), nu.reshape(len(a1), -1)
-        keep = probs > 0
-        dropped += int(np.count_nonzero(~keep))
-        floor = np.min(values, axis=-1, where=keep, initial=np.inf, keepdims=True)
-        return attentive(np.where(keep, values, floor), np.where(keep, probs, 0.0), mu)
-
-    out = frontier_scan(a1_grid, a2_grid, mu, level_probs, attentive_pairs, 4 * tech.k ** 2)
-    if dropped:
-        warnings.warn(f"dropped {dropped} zero-probability news profiles from the attention "
-                      "supports of the scanned policy pairs", stacklevel=2)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# The noisy-news game's winner and beliefs
+# The noisy-news game's winner
 # ---------------------------------------------------------------------------
 
 def downsian_signal_matrix(k: int) -> np.ndarray:
@@ -288,12 +263,4 @@ def expected_winning_matrix(tech: NewsTechnology, a_values) -> np.ndarray:
     with the winner decided signal-wise by centrism."""
     rows = tech.pmf(a_values)
     return rows @ downsian_signal_matrix(tech.k) @ rows.T
-
-
-def news_belief(
-    scenario: Scenario, assignment: StrategyAssignment, t: float
-) -> BeliefOverProfiles:
-    """Belief builder of the noisy-news game: ``signal_belief`` of the
-    assignment's played levels under the scenario's technology."""
-    return signal_belief(scenario.news, scenario.utility, assignment.levels, assignment.sigma(), t)
 

@@ -13,6 +13,8 @@ import hashlib
 import json
 import sys
 
+import numpy as np
+
 from .core import (
     EXACT,
     CandidateSpec,
@@ -22,6 +24,12 @@ from .core import (
     TabulatedUtility,
     UtilitySpec,
     ValidationError,
+)
+from .extensions import (
+    multi_issue_reduce,
+    quarter_circle_frontier,
+    tabulated_frontier,
+    weighted_bliss_utility,
 )
 from .news import NewsTechnology, stochastic_problem
 
@@ -111,15 +119,6 @@ def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
     the scenario will actually look up; the candidates' stage parameters are
     carried over from the ``utility`` section.
     """
-    import numpy as np
-
-    from .extensions import (
-        multi_issue_reduce,
-        quarter_circle_frontier,
-        tabulated_frontier,
-        weighted_bliss_utility,
-    )
-
     front = data.get("frontier", "quarter_circle")
     try:
         if front == "quarter_circle":

@@ -651,7 +651,7 @@ def multi_issue_reduce(u2, frontier, a_grid=None, t_grid=None, lattice: int = 21
                     )
 
     def uhat(a: float, t: float) -> float:
-        return u2(a, frontier.b(a), t)
+        return u2(a, frontier(a), t)
 
     table = np.array([[uhat(a, t) for a in a_grid] for t in t_grid])
     tangency = tuple(golden_max(lambda a: uhat(a, t), -1.0, 1.0, tangency_tol) for t in t_grid)

@@ -16,13 +16,13 @@ from rivote.core import UtilitySpec
 from rivote.election import (
     ICKernel,
     attention_frontier,
+    commitment_belief,
     downsian_matrix,
     enumerate_equilibria,
     on_path_belief,
     profile_belief,
 )
 from rivote.extensions import (
-    commitment_belief,
     dissemination_filter,
     multi_issue_reduce,
     quarter_circle_frontier,

@@ -14,7 +14,13 @@ import pytest
 from rivote import cli
 from rivote.cli import main
 from rivote.core import ValidationError
-from rivote.election import assignment_for, check_ic, enumerate_equilibria, game_of
+from rivote.election import (
+    aggregate_and_rationalize,
+    assignment_for,
+    check_ic,
+    enumerate_equilibria,
+    game_of,
+)
 from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
 from rivote.scenario_io import load_scenario, scenario_from_dict, scenario_hash
 
@@ -62,6 +68,22 @@ class TestValidate:
         assert main(["enumerate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
         _, rows = read_rows(tmp_path / "o/equilibria.csv")
         assert [r[3] for r in rows] == ["0.01|0.2", "0.01|0.4"]
+
+    def test_each_audit_failure_reported_once(self, tmp_path, capsys):
+        # one broken cell, u(0.4, 0.001): the type grid holds 0.001 and -0.0
+        # twice over (a group type, and the negation of -0.001 and of 0.0)
+        doc = figure2_scenario()
+        a = sorted({x for v in (0.01, 0.2, 0.4) for x in (v, -v)})
+        t = sorted({x for v in (0.001, 0.0, 0.3, 0.8) for x in (v, -v)})
+        values = [[-abs(y - x) + (0.05 if (x, y) == (0.4, 0.001) else 0.0) for y in t]
+                  for x in a]
+        doc["utility"].update(family="table", table={"a": a, "t": t, "values": values})
+        path = tmp_path / "broken_cell.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()[:-1]  # the last line counts them
+        assert sum("u(0.4,0.001) != u(-0.4,-0.001)" in line for line in lines) == 1
+        assert len(lines) == len(set(lines))
 
     def test_schema_violations_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -249,6 +271,8 @@ def test_only_the_scenarios_own_pipeline_runs(path, tmp_path, capsys):
         check_ic(scenario, assignment, w_source="rationalized")
     with pytest.raises(ValidationError, match=refusal):
         enumerate_equilibria(scenario, verify_rationalizable=True)
+    with pytest.raises(ValidationError, match=refusal):
+        aggregate_and_rationalize(scenario, assignment)
     if game == "commitment":
         # attention-set would scan the baseline game's beliefs
         assert main(["attention-set", "--scenario", str(path), "--a1", "0.1:0.4:0.1",
@@ -369,8 +393,7 @@ class TestSolveAttention:
             np.testing.assert_array_equal([float(x) for x in row[5:]], sol.m)
 
     def test_commitment_scenario_uses_commitment_beliefs(self, tmp_path):
-        from rivote.election import assignment_for
-        from rivote.extensions import commitment_belief
+        from rivote.election import assignment_for, commitment_belief
         from rivote.solver import solve_attention
 
         path = tmp_path / "eta.json"

@@ -14,6 +14,7 @@ from rivote import election
 from rivote.core import ValidationError
 from rivote.election import (
     StrategyAssignment,
+    assignment_for,
     check_ic,
     downsian_winner,
     enumerate_equilibria,
@@ -21,6 +22,7 @@ from rivote.election import (
     perfect_observation_winner,
 )
 from rivote.news import expected_winning_matrix
+from rivote.presets import figure2_scenario, figure3_scenario
 from rivote.scenario_io import load_scenario, scenario_from_dict
 from tests.conftest import bench_workloads
 from tests.oracles import (
@@ -256,6 +258,27 @@ def test_off_grid_policy_is_a_validation_error(pipeline):
         scenario.beta_types.type_values, scenario.beta_types.type_probs, (0.1, 0.3))
     with pytest.raises(ValidationError, match="off candidate beta's grid"):
         check_ic(scenario, assignment)
+
+
+def test_check_ic_refuses_news_the_enumeration_refuses():
+    # a decreasing likelihood ratio fails audit_news on the grid
+    doc = figure3_scenario(0.75, n_policies=4)
+    doc["news"] = {"family": "table", "signals": [0.25, 0.75],
+                   "policies": doc["policies"]["beta"],
+                   "rows": [[0.2, 0.8], [0.4, 0.6], [0.6, 0.4], [0.8, 0.2]]}
+    scenario = scenario_from_dict(doc)
+    assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
+    with pytest.raises(ValidationError, match="^news technology rejected: ratio ordering"):
+        enumerate_equilibria(scenario)
+    with pytest.raises(ValidationError, match="^news technology rejected: ratio ordering"):
+        check_ic(scenario, assignment)
+
+
+def test_check_ic_refuses_other_types_than_the_scenarios():
+    scenario = scenario_from_dict(figure2_scenario())
+    for types, probs in (((0.1, 0.9), (0.5, 0.5)), ((0.3, 0.8), (0.4, 0.6))):
+        with pytest.raises(ValidationError, match="not the scenario's candidate types"):
+            check_ic(scenario, StrategyAssignment(types, probs, (0.01, 0.4)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import rivote.election
-import rivote.news
 from rivote.cli import main
 from rivote.core import UtilitySpec, ValidationError
 from rivote.election import (
     assignment_for,
+    attention_frontier_noisy,
     enumerate_equilibria,
     profile_belief,
     truncation_statistic,
@@ -20,7 +20,6 @@ from rivote.election import (
 from rivote.news import (
     MarkovKernel,
     NewsTechnology,
-    attention_frontier_noisy,
     audit_news,
     downsian_signal_matrix,
     expected_winning_matrix,
@@ -577,8 +576,8 @@ class TestNoisyFrontierAgainstOracle:
             batches.append(log_mean_exp(values, probs, mu_))
             return attentive(values, probs, mu_)
 
-        attentive = rivote.news.attentive
-        monkeypatch.setattr(rivote.news, "attentive", recording)
+        attentive = rivote.election.attentive
+        monkeypatch.setattr(rivote.election, "attentive", recording)
         tech = NewsTechnology.slant(xi)
         attention_frontier_noisy(tech, quad_spec, SCAN, SCAN, t, mu)
         got = np.concatenate(batches)

@@ -9,8 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rivote.election import downsian_matrix, enumerate_equilibria, profile_belief
-from rivote.extensions import commitment_belief
+from rivote.election import (
+    commitment_belief,
+    downsian_matrix,
+    enumerate_equilibria,
+    profile_belief,
+)
 from rivote.news import expected_winning_matrix, signal_belief
 from rivote.scenario_io import scenario_from_dict
 from rivote.solver import attention_membership, solve_attention
@@ -92,8 +96,8 @@ def test_attentive_flag_is_the_one_rule(n, family, pipeline, knob, log_mu):
 
 
 BUILDERS = {"baseline": ("rivote.election", "profile_belief"),
-            "noisy": ("rivote.news", "signal_belief"),
-            "commitment": ("rivote.extensions", "value_matrix")}
+            "noisy": ("rivote.election", "signal_belief"),
+            "commitment": ("rivote.election", "value_matrix")}
 
 
 @pytest.mark.parametrize("pipeline", GAMES)
