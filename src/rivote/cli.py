@@ -19,16 +19,7 @@ import numpy as np
 
 from . import __version__
 from .core import NumericError, Scenario, ValidationError, audit_scenario
-from .election import (
-    _game,
-    assignment_for,
-    attention_frontier,
-    attention_frontier_noisy,
-    enumerate_equilibria,
-    game_of,
-    on_path_belief,
-    truncation_statistic,
-)
+from .election import _admitted_game, assignment_for, enumerate_equilibria, truncation_statistic
 from .extensions import dissemination_filter
 from .news import MarkovKernel, NewsTechnology, audit_news
 from .presets import figure2_scenario, figure3_scenario, table1_scenario
@@ -89,19 +80,18 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve_attention(args) -> int:
     doc, scenario = _load(args)
+    belief = _admitted_game(scenario).belief
     policies = tuple(_floats(args.policies.split(","), "--policies"))
     if len(policies) != len(scenario.beta_types.types):
         raise ValidationError("--policies must assign one policy per beta type")
     assignment = assignment_for(scenario, policies)
-    *_, belief = _game(scenario)
-    beliefs = {t: belief(scenario, assignment, t) for t, _ in scenario.electorate.groups}
-    support = beliefs[scenario.electorate.groups[0][0]].support
+    beliefs = [(t, belief(scenario, assignment, t)) for t, _ in scenario.electorate.groups]
     header = ["t", "regime", "m_bar", "likelihood_ratio", "info"] + [
-        f"m({a},{b})" for a, b in support
+        f"m({a},{b})" for a, b in beliefs[0][1].support
     ]
     rows = []
-    for t, _ in scenario.electorate.groups:
-        sol = solve_attention(beliefs[t], scenario.mu)
+    for t, b in beliefs:
+        sol = solve_attention(b, scenario.mu)
         rows.append([t, sol.regime, sol.m_bar, sol.likelihood_ratio, sol.info, *sol.m])
     _write_csv(args, "solve_attention.csv", scenario_hash(doc), header, rows)
     return 0
@@ -135,27 +125,29 @@ def _floats(parts: list[str], flag: str) -> list[float]:
         raise ValidationError(f"{flag}: {exc}") from None
 
 
+# Most points a --a1/--a2 range may hold; a finer one is refused before it is allocated.
+MAX_RANGE_POINTS = 10 ** 6
+
+
 def _parse_range(spec: str, flag: str) -> np.ndarray:
     bounds = _floats(spec.split(":"), flag)
     if len(bounds) != 3 or not np.all(np.isfinite(bounds)) or bounds[2] <= 0:
         raise ValidationError(f"{flag} expects lo:hi:step with a positive step, got {spec!r}")
     lo, hi, step = bounds
+    if (hi - lo) / step + 1 > MAX_RANGE_POINTS:
+        raise ValidationError(f"{flag} {spec!r} holds more than {MAX_RANGE_POINTS} points")
     return np.arange(lo, hi + step / 2, step)
 
 
 def _cmd_attention_set(args) -> int:
     doc, scenario = _load(args)
-    if game_of(scenario) == "commitment":
+    if (scan := _admitted_game(scenario).scan) is None:
         raise ValidationError("attention-set scans the baseline and noisy games, "
                               "not the scenario's commitment game")
     t = args.t if args.t is not None else scenario.electorate.groups[0][0]
     a1 = _parse_range(args.a1, "--a1")
     a2 = _parse_range(args.a2, "--a2") if args.a2 else a1
-    if scenario.news is not None:
-        frontier = attention_frontier_noisy(scenario.news, scenario.utility, a1, a2, t,
-                                            scenario.mu)
-    else:
-        frontier = attention_frontier(scenario.utility, a1, a2, t, scenario.mu)
+    frontier = scan(scenario.utility, a1, a2, t, scenario.mu)
     _write_csv(args, "attention_set.csv", scenario_hash(doc), ["a1", "a2"], frontier.tolist())
     return 0
 
@@ -251,7 +243,7 @@ FIGURE3_XIS = (0.6, 0.75, 0.9)
 
 def _table_solution(scenario: Scenario, t: float):
     """Voter t's attention when the two candidate types play .01 and .4."""
-    belief = on_path_belief(scenario, assignment_for(scenario, (0.01, 0.4)), t)
+    belief = _admitted_game(scenario).belief(scenario, assignment_for(scenario, (0.01, 0.4)), t)
     return solve_attention(belief, scenario.mu)
 
 
@@ -302,7 +294,7 @@ def _cmd_reproduce(args) -> int:
         diamonds = {r.assignment.policies for r in records}
         if diamonds != FIGURE2_DIAMONDS:
             raise ReproductionMismatch(f"figure2 equilibria {diamonds} != {FIGURE2_DIAMONDS}")
-        frontier = attention_frontier(
+        frontier = _admitted_game(scenario).scan(
             scenario.utility, np.arange(0.005, 0.7 + 0.0025, 0.005),
             np.arange(0.005, 1.0 + 0.0025, 0.005), -0.001, 10.0,
         )
@@ -329,9 +321,8 @@ def _cmd_reproduce(args) -> int:
                 )
             last_dist = dist
             a_scan = np.arange(0.02, 1.0, 0.02)
-            frontier = attention_frontier_noisy(
-                scenario.news, scenario.utility, a_scan, a_scan, -0.001, scenario.mu
-            )
+            scan = _admitted_game(scenario).scan
+            frontier = scan(scenario.utility, a_scan, a_scan, -0.001, scenario.mu)
             if last_frontier is not None:
                 both = ~np.isnan(frontier[:, 1]) & ~np.isnan(last_frontier[:, 1])
                 if np.any(frontier[both, 1] < last_frontier[both, 1] - 1e-12):

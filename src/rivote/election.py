@@ -2,10 +2,10 @@
 
 One game table (``_game``) holds every part of the baseline, noisy-news and
 limited-commitment games: beta's winning matrix, commitment level, prefix
-rule and belief builder.  On it: vote aggregation, incentive checks, exact
-pruned enumeration of pure symmetric equilibria, the attention-set scans of
-both observation models and the truncation statistic behind the comparative
-statics in the attention cost.
+rule, belief builder and attention-set scan.  On it: vote aggregation,
+incentive checks, exact pruned enumeration of pure symmetric equilibria, the
+scans of both observation models and the truncation statistic behind the
+comparative statics in the attention cost.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -194,14 +194,15 @@ def downsian_matrix(spec: UtilitySpec, a_values) -> np.ndarray:
 def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarray:
     """Winner when every voter observes the profile and best-responds.
 
-    Off-path rule: each voter chooses beta iff their differential utility is
-    strictly positive; shares map to {0, 1/2, 1} with the usual tolerance.
-    Broadcasts over policy arrays.
+    Each group votes as ``downsian_winner`` has the median vote, so a group
+    indifferent within 1e-12 splits 1/2-1/2 (a model choice); shares map to
+    {0, 1/2, 1} with the usual tolerance.  Broadcasts over policy arrays.
     """
     spec = scenario.utility
     share = 0.0
     for t, weight in scenario.electorate.groups:  # a running sum in group order
-        share = share + weight * (utility(spec, a_beta, t) - utility(spec, a_alpha, t) > 0.0)
+        margin = utility(spec, a_beta, t) - utility(spec, a_alpha, t)
+        share = share + weight * _winning_prob(margin, EXACT)
     return _winning_prob(share - 0.5, TOL)
 
 
@@ -300,8 +301,8 @@ class ICKernel:
     game is the mirror image: its policies are indexed by their magnitude on
     beta's grid and its types are the negated beta types in reverse.  An
     assignment is the row of beta's grid indices per type.  Alpha's side is
-    checked too: where W + W^T != 1 (ties that go to alpha, as in the
-    rationalized check) its slack is not beta's mirrored.
+    checked too: where W + W^T != 1, as on the aggregated on-path cells of
+    the rationalized check, its slack is not beta's mirrored.
     """
 
     def __init__(self, grid, types, probs, w, spec: UtilitySpec, eta=None):
@@ -374,17 +375,24 @@ class ICKernel:
                 for r, s in zip(rows.tolist(), slack.tolist())]
 
 
-def _game(scenario: Scenario):
-    """The game table's row for ``game_of(scenario)``: (W builder, eta or
-    None, prefix rule, belief builder).
+class GameRow(NamedTuple):
+    """A row of the game table, ``_game``: the three games share one kernel
+    and differ only in beta's winning matrix on the grid (perfect observation,
+    or decided signal-wise under news), the commitment level blended into the
+    stage values, the rule ``follows(last, next)`` on consecutive types'
+    policy indices (None for every map, ``np.less`` for the increasing maps of
+    limited commitment), voter t's ``belief(scenario, assignment, t)`` and the
+    attention-set ``scan(spec, a1, a2, t, mu)`` (None under commitment)."""
 
-    The three games share one kernel and differ only here: beta's winning
-    matrix on the grid (perfect observation, or decided signal-wise under
-    news), the commitment level blended into the stage values, the rule
-    ``follows(last, next)`` on consecutive types' policy indices (None for
-    every map, ``np.less`` for the increasing maps of limited commitment)
-    and voter t's belief ``belief(scenario, assignment, t)``.
-    """
+    w_of: Callable[[Scenario], np.ndarray]
+    eta: float | None
+    follows: Callable | None
+    belief: Callable[[Scenario, StrategyAssignment, float], BeliefOverProfiles]
+    scan: Callable | None
+
+
+def _game(scenario: Scenario) -> GameRow:
+    """The unaudited row for ``game_of(scenario)``; callers read ``_admitted_game``."""
     def perfect(s):
         return downsian_matrix(s.utility, s.beta_axis.values)
 
@@ -392,15 +400,16 @@ def _game(scenario: Scenario):
         return expected_winning_matrix(s.news, s.beta_axis.values)
 
     return {
-        "baseline": (perfect, None, None, on_path_belief),
-        "noisy": (signal_wise, None, None, news_belief),
-        "commitment": (perfect, scenario.eta, np.less, commitment_belief),
+        "baseline": GameRow(perfect, None, None, on_path_belief, attention_frontier),
+        "noisy": GameRow(signal_wise, None, None, news_belief,
+                         partial(attention_frontier_noisy, scenario.news)),
+        "commitment": GameRow(perfect, scenario.eta, np.less, commitment_belief, None),
     }[game_of(scenario)]
 
 
-def _admitted_game(scenario: Scenario):
+def _admitted_game(scenario: Scenario) -> GameRow:
     """``_game(scenario)`` of a symmetric scenario whose news, if any, passes
-    ``audit_news`` on beta's grid; ``check_ic`` and the enumeration refuse the rest."""
+    ``audit_news`` on beta's grid; every command and check reads its game here."""
     require_symmetric(scenario)
     if scenario.news is not None and (
             problems := audit_news(scenario.news, scenario.beta_axis.values)):
@@ -421,7 +430,7 @@ def check_ic(
     assignment of other types than the scenario's, policies off beta's grid
     and maps the game's prefix rule excludes.
     """
-    w_of, eta, follows, _ = _admitted_game(scenario)
+    w_of, eta, follows, *_ = _admitted_game(scenario)
     types = scenario.beta_types
     if (assignment.types, assignment.type_probs) != (types.type_values, types.type_probs):
         raise ValidationError("the assignment's types are not the scenario's candidate types")
@@ -455,22 +464,17 @@ def check_ic(
 # Equilibrium enumeration
 # ---------------------------------------------------------------------------
 
-def equilibrium_records(
-    scenario: Scenario,
-    kernel: ICKernel,
-    scored,
-    belief: Callable[[Scenario, StrategyAssignment, float], BeliefOverProfiles],
-) -> list[EquilibriumRecord]:
+def equilibrium_records(scenario: Scenario, kernel: ICKernel, scored) -> list[EquilibriumRecord]:
     """One record per (grid indices, beta's (type, slack) pairs) of ``scored``.
 
-    ``belief(scenario, assignment, t)`` builds voter t's belief in the
-    scenario's game; each record carries it bound to its assignment and
-    cached per t, and attaches every group's attention solution under it at
-    the scenario's mu, and their weighted mutual information as
-    ``total_info``.  A group is attentive unless its solution is the
-    ``corner_zero`` regime (``solver.attentive``).
+    The game row's ``belief(scenario, assignment, t)`` builds voter t's
+    belief; each record carries it bound to its assignment and cached per t,
+    and attaches every group's attention solution under it at the scenario's
+    mu, and their weighted mutual information as ``total_info``.  A group is
+    attentive unless its solution is the ``corner_zero`` regime
+    (``solver.attentive``).
     """
-    groups = scenario.electorate.groups
+    groups, belief = scenario.electorate.groups, _game(scenario).belief
     records = []
     for row, beta_gaps in scored:
         assignment = assignment_for(scenario, tuple(kernel.grid[i] for i in row))
@@ -507,14 +511,13 @@ def enumerate_equilibria(
     (baseline game only) checks that aggregated attention strategies
     reproduce every record's winner.
     """
-    w_of, eta, follows, belief = _admitted_game(scenario)
+    w_of, eta, follows, *_ = _admitted_game(scenario)
     if verify_rationalizable:
         _require_baseline(scenario, "verify_rationalizable")
     types = scenario.beta_types
     kernel = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
                       w_of(scenario), scenario.utility, eta)
-    records = equilibrium_records(scenario, kernel, kernel.search(follows, max_assignments),
-                                  belief)
+    records = equilibrium_records(scenario, kernel, kernel.search(follows, max_assignments))
     if verify_rationalizable:
         for r in records:
             rationalized = aggregate_and_rationalize(scenario, r.assignment)

@@ -328,10 +328,9 @@ def exhaustive_rows(scenario: Scenario):
 
 def table_kernel(scenario: Scenario) -> election.ICKernel:
     """The IC kernel the game table builds for the scenario's game."""
-    w_of, eta, _, _ = election._game(scenario)
-    types = scenario.beta_types
+    game, types = election._game(scenario), scenario.beta_types
     return election.ICKernel(scenario.beta_axis.values, types.type_values,
-                             types.type_probs, w_of(scenario), scenario.utility, eta)
+                             types.type_probs, game.w_of(scenario), scenario.utility, game.eta)
 
 
 def passing(kernel: election.ICKernel, rows):
@@ -351,9 +350,9 @@ def passing(kernel: election.ICKernel, rows):
 def exhaustive_equilibria(scenario: Scenario):
     """Records of every incentive compatible row of ``exhaustive_rows``,
     scored by ``passing`` without pruning or a cap."""
-    kernel, belief = table_kernel(scenario), election._game(scenario)[3]
-    return election.equilibrium_records(
-        scenario, kernel, passing(kernel, exhaustive_rows(scenario)), belief)
+    kernel = table_kernel(scenario)
+    return election.equilibrium_records(scenario, kernel,
+                                        passing(kernel, exhaustive_rows(scenario)))
 
 
 # ---------------------------------------------------------------------------

@@ -238,8 +238,13 @@ def leaf_paths(node, path=()):
 @pytest.mark.parametrize("source", SHIPPED, ids=lambda p: p.stem)
 def test_fuzzed_scenario_exits_0_or_2(source, tmp_path, capsys):
     # leaf i takes bad values 3i, 3i + 1 and 3i + 2 (mod 11), so every value
-    # meets about a third of the leaves; a run passes or is refused, nothing else
+    # meets about a third of the leaves; a run passes or is refused, nothing else.
+    # Even leaves also run solve-attention, odd ones attention-set.
     doc = json.loads(source.read_text())
+    scenario = load_scenario(source)
+    first = scenario.beta_axis.values[:len(scenario.beta_types.types)]
+    sampled = (["solve-attention", "--policies", ",".join(map(repr, first))],
+               ["attention-set", "--a1", "0.1:0.4:0.1"])
     path = tmp_path / "fuzzed.json"
     for i, (*parents, last) in enumerate(leaf_paths(doc)):
         for m in range(3):
@@ -249,8 +254,8 @@ def test_fuzzed_scenario_exits_0_or_2(source, tmp_path, capsys):
                 node = node[key]
             node[last] = value = BAD_LEAVES[(3 * i + m) % len(BAD_LEAVES)]
             path.write_text(json.dumps(fuzzed))
-            for command in ("validate", "enumerate"):
-                code = main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+            for command in (["validate"], ["enumerate"], sampled[i % 2]):
+                code = main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")])
                 assert code in (0, 2), ((*parents, last), value, command, capsys.readouterr())
 
 
@@ -280,6 +285,38 @@ def test_only_the_scenarios_own_pipeline_runs(path, tmp_path, capsys):
         assert capsys.readouterr().err == (
             "validation error: attention-set scans the baseline and noisy games, "
             "not the scenario's commitment game\n")
+
+
+def _decreasing_ratio_news():
+    doc = figure3_scenario(0.75, n_policies=4)
+    doc["news"] = {"family": "table", "signals": [0.25, 0.75],
+                   "policies": doc["policies"]["beta"],
+                   "rows": [[0.2, 0.8], [0.4, 0.6], [0.6, 0.4], [0.8, 0.2]]}
+    return doc, "news technology rejected: ratio ordering fails"
+
+
+def _asymmetric_electorate():
+    doc = figure2_scenario()
+    doc["electorate"]["groups"] = [[-0.001, 0.5], [0.002, 0.5]]
+    return doc, "refused an asymmetric scenario: electorate is not symmetric"
+
+
+@pytest.mark.parametrize("make", [_decreasing_ratio_news, _asymmetric_electorate],
+                         ids=lambda f: f.__name__[1:])
+def test_every_command_refuses_what_enumerate_refuses(make, tmp_path, capsys):
+    # every command learns its game from one admission, so all refuse alike
+    doc, reason = make()
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    errors = set()
+    for command in (["enumerate"], ["solve-attention", "--policies", "0.2,0.4"],
+                    ["attention-set", "--a1", "0.1:0.4:0.1"],
+                    ["sweep", "--param", "mu", "--values", "1"]):
+        assert main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        errors.add(capsys.readouterr().err)
+    (err,) = errors
+    assert err.startswith("validation error: ") and reason in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_commitment_cap_counts_increasing_maps():
@@ -347,17 +384,19 @@ class TestOffTableLookups:
         assert main(["validate", "--scenario", off_table_path]) == 2
         assert "is not on the utility table grid" in capsys.readouterr().err
 
-    def test_solve_attention_exit_2(self, off_table_path, tmp_path, capsys):
-        assert main([
-            "solve-attention", "--scenario", off_table_path,
-            "--policies", "0.01,0.4", "--out", str(tmp_path / "o"),
-        ]) == 2
-        assert "policy=0.4 is not on the utility table grid" in capsys.readouterr().err
-
-    def test_untestable_symmetry_reported_once(self, off_table_path, tmp_path, capsys):
-        assert main(["enumerate", "--scenario", off_table_path,
+    @pytest.mark.parametrize("command", [
+        ["enumerate"],
+        ["solve-attention", "--policies", "0.01,0.4"],
+        ["attention-set", "--a1", "0.1:0.4:0.1"],
+    ], ids=lambda c: c[0])
+    def test_untestable_symmetry_reported_once(self, command, off_table_path, tmp_path,
+                                               capsys):
+        # the admission's symmetry audit refuses the scenario before any lookup
+        assert main([*command, "--scenario", off_table_path,
                      "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.count("mirror symmetry untestable") == 1
+        err = capsys.readouterr().err
+        assert err.count("mirror symmetry untestable") == 1
+        assert "policy=-0.4 is not on the utility table grid" in err
 
     def test_news_off_its_grid_exit_2(self, tmp_path, capsys):
         doc = figure2_scenario()
@@ -522,6 +561,7 @@ class TestSweep:
     ["attention-set", "--a1", "abc"],
     ["attention-set", "--a1", "0.1:0.5"],
     ["attention-set", "--a1", "0.1:0.5:0.1", "--a2", "0.1:inf:0.1"],
+    ["attention-set", "--a1", "0.1:0.5:1e-15"],
     ["solve-attention", "--policies", "x,y"],
     ["sweep", "--param", "mu", "--values", "a,b"],
     ["sweep", "--param", "mu", "--values", "1", "--threads", "0"],

@@ -1,12 +1,13 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rivote.election
-from rivote.core import SymmetryError, UtilitySpec, ValidationError
+from rivote.core import Electorate, SymmetryError, UtilitySpec, ValidationError
 from rivote.election import (
     aggregate_and_rationalize,
     assignment_for,
@@ -22,7 +23,7 @@ from rivote.election import (
     value_matrix,
 )
 from rivote.presets import figure2_scenario
-from rivote.scenario_io import scenario_from_dict
+from rivote.scenario_io import load_scenario, scenario_from_dict
 from rivote.solver import (
     attention_membership,
     attention_threshold_delta,
@@ -30,6 +31,8 @@ from rivote.solver import (
     solve_attention,
 )
 from tests.conftest import two_level_belief
+
+SHIPPED = sorted((Path(__file__).parents[1] / "demos" / "scenarios").glob("*.json"))
 
 
 class TestDownsianWinner:
@@ -114,9 +117,23 @@ class TestAggregation:
             aggregate_and_rationalize(lopsided, assignment_for(lopsided, (0.01, 0.4)))
 
     def test_off_path_rule(self, figure2):
-        # perfect observation: strict preference decides, zero value abstains to alpha
+        # perfect observation: strict preference decides
         assert perfect_observation_winner(figure2, -0.4, 0.01) == 1.0
         assert perfect_observation_winner(figure2, -0.01, 0.4) == 0.0
+
+    def test_median_group_alone_is_downsian(self, figure2):
+        # one tie rule: an indifferent group splits its vote as the median does
+        median = replace(figure2, electorate=Electorate(((0.0, 1.0),)))
+        g = np.array(figure2.beta_axis.values)
+        w = perfect_observation_winner(median, -g[:, None], g[None, :])
+        assert w.tobytes() == downsian_matrix(figure2.utility, g).tobytes()
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+    def test_complementary_on_shipped_grids(self, path):
+        scenario = load_scenario(path)
+        g = np.array(scenario.beta_axis.values)
+        w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
+        np.testing.assert_array_equal(w + w.T, 1.0)
 
 
 class TestIncentiveCompatibility:

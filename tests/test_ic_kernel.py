@@ -128,7 +128,7 @@ def test_kernel_gaps_bitwise_equal_scalar_oracle(label):
                          ["absolute_n12", "3types_n8", "noisy_xi.75", "commit_eta.8_3types"])
 def test_chunked_scan_keeps_order_and_gaps(label, monkeypatch):
     scenario = GRIDS[label][0]()
-    follows = election._game(scenario)[2]
+    follows = election._game(scenario).follows
     kernel = table_kernel(scenario)
     expected = list(passing(kernel, exhaustive_rows(scenario)))
     # chunks of one row, five rows and the default search and score alike,
@@ -193,13 +193,15 @@ def test_rationalized_check_equals_oracle(figure2):
 
 
 def test_alpha_side_is_not_redundant(figure2):
-    # perfect observation gives ties to alpha: beta wins no diagonal cell, so
+    # aggregated attention strategies are not complementary on path: at mu = .09
+    # beta wins a pooling map's one on-path cell with probability 0, so
     # W + W^T - 1 is -1 there and alpha's slack is not beta's read backwards
     scenario = replace(figure2, mu=0.09)
     grid, types = scenario.beta_axis.values, scenario.beta_types
-    g = np.array(grid)
-    w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
-    np.testing.assert_array_equal(np.diag(w + w.T - 1.0), -1.0)
+    for a in grid:
+        pooling = StrategyAssignment(types.type_values, types.type_probs, (a, a))
+        on_path = election.aggregate_and_rationalize(scenario, pooling)
+        np.testing.assert_array_equal(on_path + on_path.T - 1.0, -1.0)
     checks = {}
     for policies in itertools.product(grid, repeat=2):
         assignment = StrategyAssignment(types.type_values, types.type_probs, policies)
@@ -328,7 +330,7 @@ def test_bound_on_complete_rows_is_the_kernel_slack(label):
     n, k = len(kernel.grid), len(kernel.types)
     count = max(8, 1_200 // (n * k * k))  # the oracle walks grid x types^2 per row
     picked = {rows[i] for i in np.linspace(0, len(rows) - 1, count).astype(int)}
-    picked |= {row for row, _ in kernel.search(election._game(scenario)[2], 10 ** 6)}
+    picked |= {row for row, _ in kernel.search(election._game(scenario).follows, 10 ** 6)}
     rows = np.array(sorted(picked), dtype=np.intp)
     beta, alpha = kernel.bound(rows).min(axis=2), kernel.gaps(rows)[1]
     types = scenario.beta_types
