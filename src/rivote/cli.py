@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .core import NumericError, Scenario, ValidationError, audit_scenario
-from .election import _admitted_game, assignment_for, enumerate_equilibria, truncation_statistic
+from .election import (_admitted_game, assignment_for, electorate_attention,
+                       enumerate_equilibria, truncation_statistic)
 from .extensions import dissemination_filter
 from .news import MarkovKernel, NewsTechnology, audit_news
 from .presets import figure2_scenario, figure3_scenario, table1_scenario
@@ -80,19 +81,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve_attention(args) -> int:
     doc, scenario = _load(args)
-    belief = _admitted_game(scenario).belief
+    _admitted_game(scenario)  # refuses what enumerate refuses
     policies = tuple(_floats(args.policies.split(","), "--policies"))
     if len(policies) != len(scenario.beta_types.types):
         raise ValidationError("--policies must assign one policy per beta type")
-    assignment = assignment_for(scenario, policies)
-    beliefs = [(t, belief(scenario, assignment, t)) for t, _ in scenario.electorate.groups]
+    belief, attention = electorate_attention(scenario, assignment_for(scenario, policies))
     header = ["t", "regime", "m_bar", "likelihood_ratio", "info"] + [
-        f"m({a},{b})" for a, b in beliefs[0][1].support
+        f"m({a},{b})" for a, b in belief(attention[0][0]).support
     ]
-    rows = []
-    for t, b in beliefs:
-        sol = solve_attention(b, scenario.mu)
-        rows.append([t, sol.regime, sol.m_bar, sol.likelihood_ratio, sol.info, *sol.m])
+    rows = [[t, sol.regime, sol.m_bar, sol.likelihood_ratio, sol.info, *sol.m]
+            for t, sol in attention]
     _write_csv(args, "solve_attention.csv", scenario_hash(doc), header, rows)
     return 0
 
@@ -116,6 +114,14 @@ def _cmd_enumerate(args) -> int:
         ])
     _write_csv(args, "equilibria.csv", scenario_hash(doc), header, rows)
     return 0
+
+
+def _voter_type(args, scenario: Scenario) -> float:
+    """``--t``, by default the most pro-alpha group, in [-1, 1] as group types are."""
+    t = scenario.electorate.groups[0][0] if args.t is None else args.t
+    if not -1 <= t <= 1:
+        raise ValidationError(f"--t must lie in [-1, 1], got {t!r}")
+    return t
 
 
 def _floats(parts: list[str], flag: str) -> list[float]:
@@ -144,7 +150,7 @@ def _cmd_attention_set(args) -> int:
     if (scan := _admitted_game(scenario).scan) is None:
         raise ValidationError("attention-set scans the baseline and noisy games, "
                               "not the scenario's commitment game")
-    t = args.t if args.t is not None else scenario.electorate.groups[0][0]
+    t = _voter_type(args, scenario)
     a1 = _parse_range(args.a1, "--a1")
     a2 = _parse_range(args.a2, "--a2") if args.a2 else a1
     frontier = scan(scenario.utility, a1, a2, t, scenario.mu)
@@ -176,14 +182,13 @@ def _cmd_garble(args) -> int:
     return 0
 
 
-def _sweep_point(scenario: Scenario, param: str, value: float, t: float | None):
+def _sweep_point(scenario: Scenario, param: str, value: float, t: float):
     if param == "xi":
         scenario = replace(scenario, news=NewsTechnology.slant(value, scenario.news.signals))
     else:  # mu, eta or cost
         field = "dissemination_cost" if param == "cost" else param
         scenario = replace(scenario, **{field: value})
     records = dissemination_filter(enumerate_equilibria(scenario), scenario)
-    t = scenario.electorate.groups[0][0] if t is None else t
     members, spread = truncation_statistic(scenario, records, t)
     rows = [
         (param, value, "n_equilibria", "", float(len(records))),
@@ -207,8 +212,9 @@ def _cmd_sweep(args) -> int:
     values = _floats([v for v in args.values.split(",") if v.strip()], "--values")
     if not values:
         raise ValidationError("sweep needs at least one value")
+    t = _voter_type(args, scenario)
     with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        chunks = list(pool.map(lambda v: _sweep_point(scenario, args.param, v, args.t), values))
+        chunks = list(pool.map(lambda v: _sweep_point(scenario, args.param, v, t), values))
     rows = [row for chunk in chunks for row in chunk]  # input order, already sorted
     _write_csv(args, "sweep.csv", scenario_hash(doc),
                ["param", "value", "statistic", "key", "result"], rows)

@@ -77,22 +77,18 @@ class StrategyAssignment:
         if any(a <= 0 for a in policies):
             raise ValidationError("beta policies must be positive")
 
-    @property
+    @cached_property
     def levels(self) -> tuple[float, ...]:
         """Distinct policy values actually played, ascending."""
         return tuple(sorted(set(self.policies)))
 
-    @property
+    @cached_property
     def level_probs(self) -> tuple[float, ...]:
-        levels = self.levels
-        return tuple(
-            sum(p for a, p in zip(self.policies, self.type_probs) if a == lvl)
-            for lvl in levels
-        )
+        return tuple(sum(p for a, p in zip(self.policies, self.type_probs) if a == lvl)
+                     for lvl in self.levels)
 
     def sigma(self) -> np.ndarray:
-        p = np.array(self.level_probs)
-        return np.outer(p, p)
+        return np.outer(self.level_probs, self.level_probs)
 
 
 def assignment_for(scenario: Scenario, policies: tuple[float, ...]) -> StrategyAssignment:
@@ -195,34 +191,43 @@ def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarra
     """Winner when every voter observes the profile and best-responds.
 
     Each group votes as ``downsian_winner`` has the median vote, so a group
-    indifferent within 1e-12 splits 1/2-1/2 (a model choice); shares map to
-    {0, 1/2, 1} with the usual tolerance.  Broadcasts over policy arrays.
+    indifferent within 1e-12 splits 1/2-1/2 (a model choice); ``_majority``
+    counts the votes.  Broadcasts over policy arrays.
     """
     spec = scenario.utility
+    return _majority(scenario, (
+        _winning_prob(utility(spec, a_beta, t) - utility(spec, a_alpha, t), EXACT)
+        for t, _ in scenario.electorate.groups))
+
+
+def _majority(scenario: Scenario, votes) -> np.ndarray:
+    """Beta's winning probability: the groups' votes for beta, weighted and
+    summed in group order, mapped to {0, 1/2, 1} with the usual tolerance."""
     share = 0.0
-    for t, weight in scenario.electorate.groups:  # a running sum in group order
-        margin = utility(spec, a_beta, t) - utility(spec, a_alpha, t)
-        share = share + weight * _winning_prob(margin, EXACT)
+    for (_, weight), vote in zip(scenario.electorate.groups, votes):
+        share = share + weight * vote
     return _winning_prob(share - 0.5, TOL)
+
+
+def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
+    """``(belief, attention)`` under the assignment in the scenario's game, which
+    the caller admits: the game row's voter-t ``belief(t)``, cached per t, and
+    ``(t, solve_attention(belief(t), mu))`` per voter group in group order.
+    Records, vote aggregation and ``solve-attention`` all read it."""
+    belief = cache(partial(_game(scenario).belief, scenario, assignment))
+    return belief, tuple((t, solve_attention(belief(t), scenario.mu))
+                         for t, _ in scenario.electorate.groups)
 
 
 def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment) -> np.ndarray:
-    """Winning matrix implied by every group's optimal attention strategy.
-
-    Solves each voter group's attention problem on the on-path profiles at
-    the scenario's mu, forms the weighted vote share per profile and maps it
-    to {0, 1/2, 1}.  Only the baseline game aggregates this way.
-    """
+    """Winning matrix implied by every group's optimal attention strategy: the
+    ``_majority`` of the ``electorate_attention`` votes on the on-path profiles
+    at the scenario's mu.  Only the baseline game aggregates this way."""
     require_symmetric(scenario)
     _require_baseline(scenario, "aggregate_and_rationalize")
-    levels = assignment.levels
-    sigma = assignment.sigma()
-    n = len(levels)
-    share = np.zeros((n, n))
-    for t, weight in scenario.electorate.groups:
-        sol = solve_attention(profile_belief(scenario.utility, levels, sigma, t), scenario.mu)
-        share += weight * sol.m.reshape(n, n)
-    return _winning_prob(share - 0.5, TOL)
+    n = len(assignment.levels)
+    _, attention = electorate_attention(scenario, assignment)
+    return _majority(scenario, (sol.m for _, sol in attention)).reshape(n, n)
 
 
 def _require_baseline(scenario: Scenario, what: str) -> None:
@@ -427,16 +432,13 @@ def check_ic(
     ``w_source="rationalized"`` instead takes the on-path cells from
     aggregating optimal attention strategies.  Returns (ok, slack per
     (candidate, type)).  Refused: what ``enumerate_equilibria`` refuses, an
-    assignment of other types than the scenario's, policies off beta's grid
-    and maps the game's prefix rule excludes.
+    assignment but ``assignment_for``'s (off beta's grid, or of other types
+    than the scenario's) and maps the game's prefix rule excludes.
     """
     w_of, eta, follows, *_ = _admitted_game(scenario)
-    types = scenario.beta_types
-    if (assignment.types, assignment.type_probs) != (types.type_values, types.type_probs):
+    if assignment != assignment_for(scenario, assignment.policies):
         raise ValidationError("the assignment's types are not the scenario's candidate types")
     grid = scenario.beta_axis.values
-    if off := [a for a in assignment.policies if a not in grid]:
-        raise ValidationError(f"assigned policy {off[0]!r} is off candidate beta's grid")
     policies = np.array(assignment.policies)  # ordered as their grid indices
     if follows is not None and not follows(policies[:-1], policies[1:]).all():
         raise ValidationError("limited commitment requires strictly increasing policies")
@@ -444,16 +446,13 @@ def check_ic(
         w = w_of(scenario)
     elif w_source == "rationalized":
         _require_baseline(scenario, "w_source='rationalized'")
-        levels = assignment.levels
-        on_path = aggregate_and_rationalize(scenario, assignment)
         g = np.array(grid)
         w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
-        at = np.array([levels.index(a) if a in levels else -1 for a in grid])
-        on = at >= 0
-        w[np.ix_(on, on)] = on_path[np.ix_(at[on], at[on])]
+        on = np.isin(g, assignment.levels)  # the levels ascend, as the grid does
+        w[np.ix_(on, on)] = aggregate_and_rationalize(scenario, assignment)
     else:
         raise ValidationError(f"unknown w_source {w_source!r}")
-    kernel = ICKernel(grid, types.type_values, types.type_probs, w, scenario.utility, eta)
+    kernel = ICKernel(grid, assignment.types, assignment.type_probs, w, scenario.utility, eta)
     beta, alpha = kernel.gaps(np.array([[grid.index(a) for a in assignment.policies]]))
     gaps = dict(zip((("beta", t) for t in kernel.types), beta[0].tolist()))
     gaps.update(zip((("alpha", t) for t in kernel.alpha_types), alpha[0].tolist()))
@@ -467,19 +466,16 @@ def check_ic(
 def equilibrium_records(scenario: Scenario, kernel: ICKernel, scored) -> list[EquilibriumRecord]:
     """One record per (grid indices, beta's (type, slack) pairs) of ``scored``.
 
-    The game row's ``belief(scenario, assignment, t)`` builds voter t's
-    belief; each record carries it bound to its assignment and cached per t,
-    and attaches every group's attention solution under it at the scenario's
-    mu, and their weighted mutual information as ``total_info``.  A group is
-    attentive unless its solution is the ``corner_zero`` regime
-    (``solver.attentive``).
+    Each record carries its assignment's ``electorate_attention``: the bound,
+    cached belief and every group's attention solution, with their weighted
+    mutual information as ``total_info``.  A group is attentive unless its
+    solution is the ``corner_zero`` regime (``solver.attentive``).
     """
-    groups, belief = scenario.electorate.groups, _game(scenario).belief
+    groups = scenario.electorate.groups
     records = []
     for row, beta_gaps in scored:
         assignment = assignment_for(scenario, tuple(kernel.grid[i] for i in row))
-        bound = cache(partial(belief, scenario, assignment))
-        attention = tuple((t, solve_attention(bound(t), scenario.mu)) for t, _ in groups)
+        belief, attention = electorate_attention(scenario, assignment)
         idx = sorted(set(row))
         records.append(EquilibriumRecord(
             kind=game_of(scenario),
@@ -490,7 +486,7 @@ def equilibrium_records(scenario: Scenario, kernel: ICKernel, scored) -> list[Eq
             min_gap=min(g for _, g in beta_gaps),
             expected_w=kernel.w[np.ix_(idx, idx)],
             total_info=sum(w * sol.info for (_, w), (_, sol) in zip(groups, attention)),
-            belief=bound,
+            belief=belief,
         ))
     return records
 
@@ -508,8 +504,8 @@ def enumerate_equilibria(
     and judges complete rows by their exact slack under the game's winning
     matrix; each record carries the game's beliefs.  A news technology
     that fails ``audit_news`` on the grid is refused.  ``verify_rationalizable``
-    (baseline game only) checks that aggregated attention strategies
-    reproduce every record's winner.
+    (baseline game only) checks that every record's own attention strategies,
+    counted by ``_majority``, reproduce its winner.
     """
     w_of, eta, follows, *_ = _admitted_game(scenario)
     if verify_rationalizable:
@@ -520,8 +516,8 @@ def enumerate_equilibria(
     records = equilibrium_records(scenario, kernel, kernel.search(follows, max_assignments))
     if verify_rationalizable:
         for r in records:
-            rationalized = aggregate_and_rationalize(scenario, r.assignment)
-            if not np.array_equal(rationalized, r.expected_w):
+            rationalized = _majority(scenario, (sol.m for _, sol in r.attention))
+            if not np.array_equal(rationalized.reshape(r.expected_w.shape), r.expected_w):
                 raise NumericError(
                     "aggregated attention strategies do not rationalize the "
                     f"perfect-observation winner for policies {r.assignment.policies}"

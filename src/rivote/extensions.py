@@ -143,14 +143,12 @@ def golden_max(f, lo, hi, tol: float = 1e-10):
 class MultiIssueReduction:
     """Augmented single-issue economy produced from a two-issue utility."""
 
-    frontier: Callable                # b = B(a), broadcasting over arrays of a
     a_grid: tuple[float, ...]
     t_grid: tuple[float, ...]
     uhat_table: np.ndarray            # shape (len(t_grid), len(a_grid))
     tangency: tuple[float, ...]       # argmax of uhat(., t) per sampled type
     problems: tuple[str, ...]         # failed monotonicity/concavity checks
-    sid_checked: bool                 # sign conditions for increasing differences held
-    sid_ok: bool | None
+    sid_ok: bool | None               # None unless the sign conditions held
 
     def utility_spec(self, **spec_kwargs) -> UtilitySpec:
         """Tabulated voter utility for the augmented single-issue game."""
@@ -223,7 +221,6 @@ def multi_issue_reduce(u2, frontier: Callable, a_grid=None, t_grid=None, lattice
     sid_ok = bool(np.all(np.diff(diffs, axis=0) >= -EXACT)) if gate else None
 
     return MultiIssueReduction(
-        frontier=frontier, a_grid=tuple(map(float, a_grid)), t_grid=tuple(map(float, t_grid)),
-        uhat_table=table, tangency=tuple(map(float, tangency)), problems=tuple(problems),
-        sid_checked=gate, sid_ok=sid_ok,
+        a_grid=tuple(map(float, a_grid)), t_grid=tuple(map(float, t_grid)), uhat_table=table,
+        tangency=tuple(map(float, tangency)), problems=tuple(problems), sid_ok=sid_ok,
     )

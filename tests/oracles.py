@@ -686,12 +686,10 @@ def multi_issue_reduce(u2, frontier, a_grid=None, t_grid=None, lattice: int = 21
         sid_ok = bool(np.all(np.diff(inc, axis=0) >= -EXACT))
 
     return MultiIssueReduction(
-        frontier=frontier,
         a_grid=tuple(float(a) for a in a_grid),
         t_grid=tuple(float(t) for t in t_grid),
         uhat_table=table,
         tangency=tangency,
         problems=tuple(problems),
-        sid_checked=gate,
         sid_ok=sid_ok,
     )

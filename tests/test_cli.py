@@ -355,6 +355,13 @@ PINNED_CSVS = {
     "sweep_mu": (_on("three_levels", "sweep", "--param", "mu", "--values", "0.1,1,10,100",
                      "--t", "-0.001"),
                  "sweep.csv", "f1b37541eba1acdbe14dbff72d536e42fc187541bcc819d14b703b12fa0424b7"),
+    "solve_attention_slanted_news": (
+        _on("slanted_news", "solve-attention",
+            "--policies", "0.23529411764705882,0.7450980392156863"), "solve_attention.csv",
+        "169b8f9835aef445f2c6be55076c6c823fbeb13259a28e26cde377263fcae1c8"),
+    "solve_attention_partial_commitment": (
+        _on("partial_commitment", "solve-attention", "--policies", "0.01,0.4"),
+        "solve_attention.csv", "d14a294ad7e91fc0dd6433731f41087676734fcdc6151b0d0cdaf880a78eb918"),
 }
 
 
@@ -572,6 +579,9 @@ class TestSweep:
     ["sweep", "--param", "mu", "--values", "inf"],
     ["sweep", "--param", "cost", "--values", "nan"],
     ["garble", "--kernel", "nan_rows.json"],
+    ["attention-set", "--a1", "0.1:0.5:0.1", "--t", "nan"],
+    ["attention-set", "--a1", "0.1:0.5:0.1", "--t", "7"],
+    ["sweep", "--param", "mu", "--values", "1", "--t", "nan"],
 ], ids=lambda c: " ".join(c))
 def test_malformed_flags_and_files_exit_2(command, fig3_path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -581,6 +591,16 @@ def test_malformed_flags_and_files_exit_2(command, fig3_path, tmp_path, monkeypa
     scenario = [] if "--scenario" in command else ["--scenario", fig3_path]
     assert main(command + scenario + ["--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("validation error: ")
+
+
+def test_t_is_a_voter_type_in_the_group_range(fig3_path, tmp_path, capsys):
+    # --t is refused where the electorate refuses a group type, and names the flag
+    for command in (["attention-set", "--a1", "0.1:0.5:0.1"],
+                    ["sweep", "--param", "mu", "--values", "1"]):
+        for t, code in (("-1", 0), ("1", 0), ("1.5", 2), ("nan", 2)):
+            args = [*command, "--t", t, "--scenario", fig3_path, "--out", str(tmp_path / "o")]
+            assert main(args) == code
+            assert ("--t must lie in [-1, 1]" in capsys.readouterr().err) == (code == 2)
 
 
 @pytest.mark.parametrize("command", [

@@ -35,6 +35,16 @@ from tests.conftest import two_level_belief
 SHIPPED = sorted((Path(__file__).parents[1] / "demos" / "scenarios").glob("*.json"))
 
 
+def test_verify_rationalizable_counts_the_records_own_solutions(figure2, monkeypatch):
+    # each group of each record is solved once, while its record is built
+    solve, calls = rivote.election.solve_attention, []
+    monkeypatch.setattr(rivote.election, "solve_attention",
+                        lambda *a: calls.append(a) or solve(*a))
+    records = enumerate_equilibria(figure2, verify_rationalizable=True)
+    assert len(records) == 2 and len(figure2.electorate.groups) == 3
+    assert len(calls) == 6
+
+
 class TestDownsianWinner:
     def test_center_closer_beta_wins(self, abs_spec):
         assert downsian_winner(abs_spec, -0.4, 0.01) == 1.0

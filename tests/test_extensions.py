@@ -216,7 +216,7 @@ class TestMultiIssue:
         assert red.problems == ()
         assert np.all(np.diff(red.tangency) < 0)  # pro-b types trade a away
         assert np.all(np.isfinite(red.uhat_table))
-        assert not red.sid_checked  # sign conditions oppose the audited ordering
+        assert red.sid_ok is None  # sign conditions oppose the audited ordering
 
     def test_tangency_satisfies_first_order_condition(self):
         u2 = weighted_bliss_utility()
@@ -298,7 +298,7 @@ def _outcome(reduce, *args, **kwargs):
         red = reduce(*args, **kwargs)
     except ValidationError as exc:
         return "refused", re.sub(r"np\.float64\(([^)]*)\)", r"\1", str(exc))
-    return "reduced", red.uhat_table, red.tangency, red.problems, red.sid_checked, red.sid_ok
+    return "reduced", red.uhat_table, red.tangency, red.problems, red.sid_ok
 
 
 def assert_matches_oracle(u2, frontier, **kwargs):

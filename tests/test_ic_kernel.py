@@ -258,7 +258,7 @@ def test_off_grid_policy_is_a_validation_error(pipeline):
                     eta=0.8 if pipeline == "commitment" else None)
     assignment = StrategyAssignment(
         scenario.beta_types.type_values, scenario.beta_types.type_probs, (0.1, 0.3))
-    with pytest.raises(ValidationError, match="off candidate beta's grid"):
+    with pytest.raises(ValidationError, match="policy 0.1 is not on candidate beta's grid"):
         check_ic(scenario, assignment)
 
 

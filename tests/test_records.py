@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rivote.election import (
     commitment_belief,
     downsian_matrix,
+    electorate_attention,
     enumerate_equilibria,
     profile_belief,
 )
@@ -63,6 +64,22 @@ def test_record_belief_is_the_public_builder_bitwise(pipeline):
             assert carried.values.tobytes() == direct.values.tobytes()
             # the attached solution is the solution under that belief
             assert sol.m.tobytes() == solve_attention(direct, scenario.mu).m.tobytes()
+
+
+@pytest.mark.parametrize("pipeline", GAMES)
+def test_electorate_attention_is_a_per_group_solve_bitwise(pipeline):
+    scenario = game(8, **GAMES[pipeline])
+    records = enumerate_equilibria(scenario)
+    assert records
+    for r in records:
+        belief, attention = electorate_attention(scenario, r.assignment)
+        assert [t for t, _ in attention] == [t for t, _ in GROUPS]
+        for t, sol in attention:
+            direct = public_belief(pipeline, scenario, r, t)
+            assert belief(t).values.tobytes() == direct.values.tobytes()
+            want = solve_attention(direct, scenario.mu)
+            assert (sol.regime, sol.m.tobytes(), sol.m_bar, sol.info) == (
+                want.regime, want.m.tobytes(), want.m_bar, want.info)
 
 
 @pytest.mark.parametrize("pipeline", GAMES)
