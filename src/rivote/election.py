@@ -87,8 +87,12 @@ class StrategyAssignment:
         return tuple(sum(p for a, p in zip(self.policies, self.type_probs) if a == lvl)
                      for lvl in self.levels)
 
+    @cached_property
     def sigma(self) -> np.ndarray:
-        return np.outer(self.level_probs, self.level_probs)
+        """Joint probability of the two candidates' levels, read-only."""
+        sigma = np.outer(self.level_probs, self.level_probs)
+        sigma.setflags(write=False)
+        return sigma
 
 
 def assignment_for(scenario: Scenario, policies: tuple[float, ...]) -> StrategyAssignment:
@@ -143,7 +147,7 @@ def on_path_belief(
 ) -> BeliefOverProfiles:
     """Belief builder of the baseline game: ``profile_belief`` of the
     assignment's played levels."""
-    return profile_belief(scenario.utility, assignment.levels, assignment.sigma(), t)
+    return profile_belief(scenario.utility, assignment.levels, assignment.sigma, t)
 
 
 def news_belief(
@@ -151,7 +155,7 @@ def news_belief(
 ) -> BeliefOverProfiles:
     """Belief builder of the noisy-news game: ``signal_belief`` of the
     assignment's played levels under the scenario's technology."""
-    return signal_belief(scenario.news, scenario.utility, assignment.levels, assignment.sigma(), t)
+    return signal_belief(scenario.news, scenario.utility, assignment.levels, assignment.sigma, t)
 
 
 def commitment_belief(

@@ -36,7 +36,7 @@ def dissemination_filter(
     if cost is None:
         return tuple(records)
     if records:
-        h_max = max(entropy(r.assignment.sigma().ravel()) for r in records)
+        h_max = max(entropy(r.assignment.sigma.ravel()) for r in records)
         if not 0.0 < cost < h_max:
             warnings.warn(
                 f"dissemination cost {cost} outside (0, {h_max:.6g}); "

@@ -20,6 +20,9 @@ Regime = Literal["corner_zero", "corner_one", "interior"]
 
 _MBAR_FLOOR = 1e-12
 _MAX_BISECT = 200
+_MAX_NEWTON = 60
+_NEWTON_TOL = 1e-8   # log-odds step below which Newton stops
+_U = 2.0 ** -53       # unit roundoff
 
 
 def entropy(probs) -> float:
@@ -137,15 +140,113 @@ def attentive(values, probs, mu: float):
     return log_mean_exp(values, probs, mu) >= -EXACT
 
 
+def _radius(probs: np.ndarray, pos: np.ndarray, q: np.ndarray, den: np.ndarray) -> float:
+    """R(m) = 2 E(m): twice the rounding bound of ``solve_attention`` on
+    fl(foc(m)), from the terms q and denominators computed at m."""
+    rel = 2 * (len(probs) + 4) * _U + np.where(pos, 0.0, 5 * _U / den)
+    return 2.0 * float(np.dot(probs, np.abs(q) * rel)) + 1e-300  # + underflow in the dot
+
+
+def _window(foc, probs, pos, lo: float, hi: float) -> tuple[float, float]:
+    """Points a < b around the FOC's root that certify the sign of every
+    midpoint outside (a, b); a side that does not certify falls back to lo
+    or hi, where every midpoint is evaluated."""
+    y_lo, y_hi = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
+    y = 0.0
+    for _ in range(_MAX_NEWTON):  # safeguarded Newton in log-odds y = log(m / (1 - m))
+        m = 1.0 / (1.0 + math.exp(-y))
+        f, q, den = foc(m)
+        if f > 0.0:
+            y_lo = y
+        else:
+            y_hi = y
+        # -F'(m), since d den/dm = num; the 1e-300 keeps the step's division defined
+        slope = float(np.dot(probs, q * q)) + 1e-300
+        step = f / (slope * m * (1.0 - m))
+        y += step
+        if abs(step) < _NEWTON_TOL:
+            break
+        if not y_lo < y < y_hi:
+            y = 0.5 * (y_lo + y_hi)
+    root = 1.0 / (1.0 + math.exp(-y))
+    w = 2.0 * _radius(probs, pos, q, den) / slope
+    a, b = max(root - w, lo), min(root + w, hi)
+    if a > lo:
+        f, q, den = foc(a)
+        if not f > _radius(probs, pos, q, den):
+            a = lo
+    if b < hi:
+        f, q, den = foc(b)
+        if not -f > _radius(probs, pos, q, den):
+            b = hi
+    return a, b
+
+
+def _bisect(terms, probs: np.ndarray, pos: np.ndarray) -> float:
+    """Bisection of the FOC on [floor, 1 - floor] in plain float halvings.
+
+    ``terms(m)`` returns the FOC's terms q and their denominators at m; it is
+    called at the two floors, by ``_window`` and at the midpoints inside the
+    window only.
+    """
+    def foc(m: float):
+        q, den = terms(m)
+        return float(np.dot(probs, q)), q, den
+
+    lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
+    if foc(lo)[0] <= 0.0:
+        return lo
+    if foc(hi)[0] >= 0.0:
+        return hi
+    a, b = _window(foc, probs, pos, lo, hi)
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if mid <= a or (mid < b and foc(mid)[0] > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     """Optimal attention strategy under ``belief`` at marginal cost ``mu``.
 
     Corner regimes are detected from the exponential-moment inequalities; the
     interior average probability is found by bisection on the first-order
-    condition E[(e^x - 1) / (m_bar e^x + 1 - m_bar)] = 0, x = v / mu, which is
-    strictly decreasing in the average.  e = exp(-|x|) and the numerators are
-    computed once per belief; a step evaluates the denominators only, with
-    x >= 0 divided through by e^x so that nothing overflows.
+    condition F(m) = E[(e^x - 1) / (m e^x + 1 - m)] = 0, x = v / mu, which is
+    strictly decreasing in the average m.  e = exp(-|x|) and the numerators
+    num are computed once per belief; a step evaluates the denominators only,
+    den = m + (1 - m) e where x >= 0 (divided through by e^x so that nothing
+    overflows) and m e + 1 - m where x < 0, and foc(m) = fl(sum p q),
+    q = num / den.
+
+    The bisection's bits depend only on the sign of foc at its midpoints, and
+    foc is evaluated only where that sign is not certified.  In exact
+    arithmetic on the float inputs p, e and num, d den/dm has the sign of num,
+    so every q is nonincreasing in m: the positive part P(m) of F falls and
+    the negative part N(m) rises.  Rounding, with u = 2^-53 and n terms:
+
+    - x >= 0: den adds nonnegative terms, so q is off by at most about 4u,
+      relatively, at every m;
+    - x < 0: fl(fl(m e) + 1) - m is off by at most about 3u absolutely, so q
+      is off by at most 2u + 3u / den relatively, which is large for m near 1
+      and tiny e;
+    - the dot adds at most n u sum p |q|, in any summation order.
+
+    So |foc(m) - F(m)| <= E(m) = sum p |q| rho, rho = 2 (n + 4) u, plus 5 u / den
+    where x < 0; the constants leave room for the computed q and den standing
+    in for the exact ones, and ``_radius`` gives R = 2 E.  Left of a point a,
+    P is larger and each negative term and its bound are smaller, so F - E
+    there is at least F(a) - E(a) >= foc(a) - R(a): foc(a) > R(a) certifies
+    foc > 0 at every midpoint <= a.  Right of b, den > 1e-12 keeps a negative
+    term's lower bound |q| (1 - rho - 5 u / den) growing as den falls, while
+    P (1 + rho) falls: -foc(b) > R(b) certifies foc <= 0 at every midpoint
+    >= b.  A safeguarded Newton iteration in log-odds, with
+    F'(m) = -sum p q^2, puts a and b about 2 R / |F'| either side of the
+    root; a side that does not certify falls back to evaluating every
+    midpoint, which is the plain bisection.
     """
     probs = belief.probs
     n = len(belief.support)
@@ -164,24 +265,11 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     def denominators(m_bar: float) -> np.ndarray:
         return np.where(pos, m_bar + (1.0 - m_bar) * e, m_bar * e + 1.0 - m_bar)
 
-    def foc(m_bar: float) -> float:
-        return float(np.dot(probs, num / denominators(m_bar)))
+    def terms(m_bar: float) -> tuple[np.ndarray, np.ndarray]:
+        den = denominators(m_bar)
+        return num / den, den
 
-    lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
-    if foc(lo) <= 0.0:
-        m_bar = lo
-    elif foc(hi) >= 0.0:
-        m_bar = hi
-    else:
-        for _ in range(_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if foc(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        m_bar = 0.5 * (lo + hi)
+    m_bar = _bisect(terms, probs, pos)
 
     # shifted-logit rule m = m_bar e^x / (m_bar e^x + 1 - m_bar)
     m = np.where(pos, m_bar, m_bar * e) / denominators(m_bar)

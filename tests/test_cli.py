@@ -432,7 +432,7 @@ class TestSolveAttention:
         for row in rows:
             t = float(row[0])
             sol = solve_attention(
-                profile_belief(scenario.utility, a.levels, a.sigma(), t), scenario.mu
+                profile_belief(scenario.utility, a.levels, a.sigma, t), scenario.mu
             )
             assert row[1] == sol.regime
             assert float(row[2]) == sol.m_bar

@@ -95,7 +95,7 @@ class TestAggregation:
     def test_group_sum_identity(self, table1):
         # symmetric voters jointly favour the candidate closer to the center
         assignment = assignment_for(table1, (0.01, 0.4))
-        levels, sigma = assignment.levels, assignment.sigma()
+        levels, sigma = assignment.levels, assignment.sigma
         sols = {
             t: solve_attention(profile_belief(table1.utility, levels, sigma, t), table1.mu)
             for t, _ in table1.electorate.groups
@@ -110,7 +110,7 @@ class TestAggregation:
 
     def test_voter_symmetry_of_solutions(self, table1):
         assignment = assignment_for(table1, (0.01, 0.4))
-        levels, sigma = assignment.levels, assignment.sigma()
+        levels, sigma = assignment.levels, assignment.sigma
         for t in (0.05, 0.2):
             pos = solve_attention(profile_belief(table1.utility, levels, sigma, t), table1.mu)
             neg = solve_attention(profile_belief(table1.utility, levels, sigma, -t), table1.mu)

@@ -307,7 +307,7 @@ class TestNoisyAttention:
         scenario = figure3_factory(0.75)
         assignment = assignment_for(scenario, (0.23529411764705882, 0.7450980392156863))
         sol = solve_noisy(
-            scenario.news, scenario.utility, assignment.levels, assignment.sigma(),
+            scenario.news, scenario.utility, assignment.levels, assignment.sigma,
             -0.001, scenario.mu,
         )
         assert sol.regime == "interior"
@@ -332,7 +332,7 @@ class TestNoisyEquilibria:
         records = enumerate_equilibria(scenario)
         assert len(records) == 2
         for r in records:
-            levels, sigma = r.assignment.levels, r.assignment.sigma()
+            levels, sigma = r.assignment.levels, r.assignment.sigma
             belief = profile_belief(scenario.utility, levels, sigma, -0.001)
             assert attention_membership(belief, 1.0)
             assert not noisy_member(scenario.news, scenario.utility, levels, sigma, -0.001, 1.0)

@@ -41,11 +41,11 @@ def public_belief(pipeline, scenario, record, t):
     """Voter t's belief for ``record``, built by its game's public builder."""
     if pipeline == "noisy":
         return signal_belief(scenario.news, scenario.utility, record.assignment.levels,
-                             record.assignment.sigma(), t)
+                             record.assignment.sigma, t)
     if pipeline == "commitment":
         return commitment_belief(scenario, record.assignment, t)
     return profile_belief(scenario.utility, record.assignment.levels,
-                          record.assignment.sigma(), t)
+                          record.assignment.sigma, t)
 
 
 GAMES = {"baseline": {}, "noisy": {"xi": 0.75}, "commitment": {"eta": 0.5}}
@@ -80,6 +80,19 @@ def test_electorate_attention_is_a_per_group_solve_bitwise(pipeline):
             want = solve_attention(direct, scenario.mu)
             assert (sol.regime, sol.m.tobytes(), sol.m_bar, sol.info) == (
                 want.regime, want.m.tobytes(), want.m_bar, want.info)
+
+
+def test_sigma_is_built_once_read_only_and_bitwise():
+    scenario = game(8)
+    record = enumerate_equilibria(scenario)[0]
+    assignment = record.assignment
+    # every group's belief reads the one array
+    assert assignment.sigma is assignment.sigma
+    assert not assignment.sigma.flags.writeable
+    assert assignment.sigma.tobytes() == np.outer(assignment.level_probs,
+                                                  assignment.level_probs).tobytes()
+    with pytest.raises(ValueError):
+        assignment.sigma[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("pipeline", GAMES)

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from rivote import solver
 from rivote.core import EXACT, NumericError, ValidationError
 from rivote.solver import (
     BeliefOverProfiles,
@@ -352,6 +354,26 @@ def assert_same_solution(belief, mu):
 
 
 @st.composite
+def certificate_beliefs(draw):
+    """Beliefs at the certificate's weak spots: up to 64 points, |v| / mu up
+    to 700 (e near 1e-304), exact ties and zeros, and one point against all
+    the others, which puts the root at the 1e-12 or 1 - 1e-12 floor."""
+    n = draw(st.integers(1, 64))
+    top = draw(st.sampled_from([1.0, 30.0, 700.0]))
+    pool = draw(st.lists(st.floats(-top, top), min_size=1, max_size=4)) + [0.0]
+    value = st.one_of(st.sampled_from(pool), st.floats(-top, top))
+    values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    side = draw(st.sampled_from([0.0, 1.0, -1.0]))
+    if side and n > 1:
+        values = side * np.abs(values)
+        values[0] = -side * draw(st.floats(1.0, top))
+        weights[0] = weights[1:].sum() * 10.0 ** draw(st.floats(-14.0, -1.0))
+    mu = 10.0 ** draw(st.floats(-3.0, 0.0))
+    return BeliefOverProfiles(tuple(range(n)), weights / weights.sum(), values * mu), mu
+
+
+@st.composite
 def oracle_beliefs(draw):
     n = draw(st.integers(1, 8))
     pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)) + [0.0]
@@ -383,13 +405,20 @@ class TestAgainstOracle:
         belief = BeliefOverProfiles(tuple(range(len(values))), probs, values)
         assert assert_same_solution(belief, mu).regime == regime
 
-    def test_bitwise_on_benchmark_belief_stream(self):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_on_benchmark_belief_stream(self, seed):
         regimes = [assert_same_solution(belief, mu).regime
-                   for belief, mu in benchmark_belief_stream()]
+                   for belief, mu in benchmark_belief_stream(seed)]
         assert len(regimes) == 600
         assert {"corner_zero", "corner_one", "interior"} <= set(regimes)
 
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_beliefs())
+    def test_bitwise_where_certificates_are_weakest(self, case):
+        assert_same_solution(*case)
 
+
+@functools.cache
 def benchmark_belief_stream(seed: int = 0):
     """(belief, mu) of each item of the benchmark's seeded belief stream:
     supports of 4-64 profiles, news beliefs among them."""
@@ -409,6 +438,53 @@ def benchmark_belief_stream(seed: int = 0):
                       else signal_belief(techs[item["news"]], *args))
         stream.append((belief, item["mu"]))
     return stream
+
+
+def _counting_bisect(monkeypatch):
+    """Wrap the exact FOC handed to ``solver._bisect``; returns the list of
+    arguments of each interior solve's exact evaluations."""
+    calls, bisect = [], solver._bisect
+
+    def counting(terms, probs, pos):
+        args = []
+        calls.append(args)
+
+        def counted(m_bar):
+            args.append(m_bar)
+            return terms(m_bar)
+        return bisect(counted, probs, pos)
+
+    monkeypatch.setattr(solver, "_bisect", counting)
+    return calls
+
+
+def test_certified_bisection_evaluates_few_midpoints(monkeypatch):
+    # the plain bisection makes about 56 exact evaluations per interior solve
+    calls = _counting_bisect(monkeypatch)
+    regimes = [solve_attention(belief, mu).regime for belief, mu in benchmark_belief_stream(0)]
+    counts = [len(args) for args in calls]
+    assert len(counts) == regimes.count("interior") > 250
+    assert np.mean(counts) <= 25 and max(counts) <= 40
+
+
+def test_uncertified_window_is_the_plain_bisection(monkeypatch):
+    # a radius of +inf certifies nothing: every midpoint is evaluated, as in
+    # the oracle's loop, and the bits are the same
+    calls = _counting_bisect(monkeypatch)
+    monkeypatch.setattr(solver, "_radius", lambda *args: math.inf)
+    plain, foc = [], oracles._foc
+    monkeypatch.setattr(oracles, "_foc", lambda x, p, m_bar: plain.append(m_bar) or foc(x, p, m_bar))
+    interior = 0
+    for belief, mu in benchmark_belief_stream(0)[:120]:
+        del calls[:], plain[:]
+        if assert_same_solution(belief, mu).regime != "interior":
+            continue
+        interior += 1
+        (args,) = calls
+        loop = plain[2:]  # the midpoints, after the two floors
+        assert args[0] == plain[0] and args[len(args) - len(loop):] == loop
+        assert len(args) - len(plain) <= solver._MAX_NEWTON
+    assert interior > 40
 
 
 def test_solver_reaches_the_blahut_arimoto_optimum():
