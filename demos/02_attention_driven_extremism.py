@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from rivote import (
-    attention_frontier,
+    attention_set,
     enumerate_equilibria,
     scenario_from_dict,
     truncation_statistic,
@@ -42,9 +42,7 @@ for mu in (0.5, 5.0, 10.0, 40.0):
 print("\nClosed-form hurdle vs scanned frontier (tau=.001, mu=10)")
 delta = attention_threshold_delta(10.0, 0.001, 2.0, 0.5)
 print(f"  threshold spread u(a1,0)-u(a2,0) must reach {delta:.4f}")
-frontier = attention_frontier(
-    scenario.utility, np.arange(0.05, 0.65, 0.1), np.arange(0.005, 1.0, 0.005),
-    -0.001, 10.0,
-)
+frontier = attention_set(scenario, np.arange(0.05, 0.65, 0.1), np.arange(0.005, 1.0, 0.005),
+                         -0.001)
 for a1, a2 in frontier:
     print(f"  a1={a1:.2f}: attention starts at a2={a2:.3f} (gap {a2 - a1:.3f})")

@@ -30,6 +30,7 @@ from .election import (
     assignment_for,
     attention_frontier,
     attention_frontier_noisy,
+    attention_set,
     check_ic,
     commitment_belief,
     downsian_winner,

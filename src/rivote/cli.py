@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .core import NumericError, Scenario, ValidationError, audit_scenario
-from .election import (_admitted_game, assignment_for, electorate_attention,
+from .election import (_admitted_game, assignment_for, attention_set, electorate_attention,
                        enumerate_equilibria, truncation_statistic)
 from .extensions import dissemination_filter
 from .news import MarkovKernel, NewsTechnology, audit_news
@@ -147,13 +147,10 @@ def _parse_range(spec: str, flag: str) -> np.ndarray:
 
 def _cmd_attention_set(args) -> int:
     doc, scenario = _load(args)
-    if (scan := _admitted_game(scenario).scan) is None:
-        raise ValidationError("attention-set scans the baseline and noisy games, "
-                              "not the scenario's commitment game")
     t = _voter_type(args, scenario)
     a1 = _parse_range(args.a1, "--a1")
     a2 = _parse_range(args.a2, "--a2") if args.a2 else a1
-    frontier = scan(scenario.utility, a1, a2, t, scenario.mu)
+    frontier = attention_set(scenario, a1, a2, t)
     _write_csv(args, "attention_set.csv", scenario_hash(doc), ["a1", "a2"], frontier.tolist())
     return 0
 
@@ -300,10 +297,8 @@ def _cmd_reproduce(args) -> int:
         diamonds = {r.assignment.policies for r in records}
         if diamonds != FIGURE2_DIAMONDS:
             raise ReproductionMismatch(f"figure2 equilibria {diamonds} != {FIGURE2_DIAMONDS}")
-        frontier = _admitted_game(scenario).scan(
-            scenario.utility, np.arange(0.005, 0.7 + 0.0025, 0.005),
-            np.arange(0.005, 1.0 + 0.0025, 0.005), -0.001, 10.0,
-        )
+        frontier = attention_set(scenario, np.arange(0.005, 0.7 + 0.0025, 0.005),
+                                 np.arange(0.005, 1.0 + 0.0025, 0.005), -0.001)
         rows = [["equilibrium", a, b] for a, b in sorted(diamonds)]
         rows += [["frontier", a1, a2] for a1, a2 in frontier.tolist()]
         _write_csv(args, "figure2.csv", scenario_hash(doc), ["kind", "a1", "a2"], rows)
@@ -327,8 +322,7 @@ def _cmd_reproduce(args) -> int:
                 )
             last_dist = dist
             a_scan = np.arange(0.02, 1.0, 0.02)
-            scan = _admitted_game(scenario).scan
-            frontier = scan(scenario.utility, a_scan, a_scan, -0.001, scenario.mu)
+            frontier = attention_set(scenario, a_scan, a_scan, -0.001)
             if last_frontier is not None:
                 both = ~np.isnan(frontier[:, 1]) & ~np.isnan(last_frontier[:, 1])
                 if np.any(frontier[both, 1] < last_frontier[both, 1] - 1e-12):

@@ -157,6 +157,12 @@ def value_matrix(spec: UtilitySpec, a_values, t: float) -> np.ndarray:
     return utility(spec, a, t)[..., None, :] - utility(spec, -a, t)[..., :, None]
 
 
+def winning_prob(margin, tol: float) -> np.ndarray:
+    """The one tie rule: 1 for a positive margin, 0 for a negative one, 1/2
+    within ``tol`` of 0."""
+    return np.where(np.abs(margin) <= tol, 0.5, np.where(margin > 0, 1.0, 0.0))
+
+
 def derived_kappa(
     spec: UtilitySpec,
     alpha_values: tuple[float, ...],

@@ -4,7 +4,7 @@ One game table (``_game``) holds every part of the baseline, noisy-news and
 limited-commitment games: beta's winning matrix, commitment level, prefix
 rule, belief builder and attention-set scan.  On it: vote aggregation,
 incentive checks, exact pruned enumeration of pure symmetric equilibria, the
-scans of both observation models and the truncation statistic behind the
+one attention-set scan and the truncation statistic behind the
 comparative statics in the attention cost.
 """
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     require_symmetric,
     utility,
     value_matrix,
+    winning_prob,
 )
 from .news import (
     NewsTechnology,
@@ -172,18 +173,13 @@ def commitment_belief(
     return replace(on_path_belief(scenario, assignment, t), values=values.ravel())
 
 
-def _winning_prob(margin, tol: float) -> np.ndarray:
-    """1 for a positive margin, 0 for a negative one, 1/2 within ``tol`` of 0."""
-    return np.where(np.abs(margin) <= tol, 0.5, np.where(margin > 0, 1.0, 0.0))
-
-
 def downsian_winner(spec: UtilitySpec, a_alpha, a_beta) -> np.ndarray:
     """Perfect-observation winner: the policy the median voter prefers wins.
 
     Returns beta's winning probability, broadcasting over policy arrays; a
     median tie within 1e-12 splits.
     """
-    return _winning_prob(utility(spec, a_beta, 0.0) - utility(spec, a_alpha, 0.0), EXACT)
+    return winning_prob(utility(spec, a_beta, 0.0) - utility(spec, a_alpha, 0.0), EXACT)
 
 
 def downsian_matrix(spec: UtilitySpec, a_values) -> np.ndarray:
@@ -200,7 +196,7 @@ def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarra
     """
     spec = scenario.utility
     return _majority(scenario, (
-        _winning_prob(utility(spec, a_beta, t) - utility(spec, a_alpha, t), EXACT)
+        winning_prob(utility(spec, a_beta, t) - utility(spec, a_alpha, t), EXACT)
         for t, _ in scenario.electorate.groups))
 
 
@@ -210,7 +206,7 @@ def _majority(scenario: Scenario, votes) -> np.ndarray:
     share = 0.0
     for (_, weight), vote in zip(scenario.electorate.groups, votes):
         share = share + weight * vote
-    return _winning_prob(share - 0.5, TOL)
+    return winning_prob(share - 0.5, TOL)
 
 
 def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
@@ -391,7 +387,8 @@ class GameRow(NamedTuple):
     stage values, the rule ``follows(last, next)`` on consecutive types'
     policy indices (None for every map, ``np.less`` for the increasing maps of
     limited commitment), voter t's ``belief(scenario, assignment, t)`` and the
-    attention-set ``scan(spec, a1, a2, t, mu)`` (None under commitment)."""
+    attention-set ``scan(spec, a1, a2, t, mu, level_probs)`` that
+    ``attention_set`` runs (None under commitment)."""
 
     w_of: Callable[[Scenario], np.ndarray]
     eta: float | None
@@ -533,12 +530,16 @@ def enumerate_equilibria(
 # Attention sets
 # ---------------------------------------------------------------------------
 
-def frontier_scan(a1_grid, a2_grid, mu: float, level_probs, attentive_pairs,
+def frontier_scan(a1_grid, a2_grid, mu: float, level_probs, arrays,
                   floats_per_pair: int) -> np.ndarray:
-    """Rows (a1, first grid a2 > a1 + 1e-12 with ``attentive_pairs(a1, a2, p)``
-    true, or NaN), where the callback judges the pairs (a1[i], a2[i]) under
-    level probabilities p; a1 is scanned in row chunks that hold
-    ``floats_per_pair`` per pair within ``IC_CHUNK_FLOATS``."""
+    """Rows (a1, first grid a2 > a1 + 1e-12 at which the voter is ``attentive``,
+    or NaN): the one scan that judges pairs.  ``arrays(levels, sigma) ->
+    (probs, values)`` is the voter's belief over each pair's profiles, batched
+    over the pairs ``levels[p] = (a1, a2)``, with sigma the joint level
+    probabilities.  Zero-probability profiles are masked out (probability 0
+    and the pair's least kept value, adding nothing to the exponential
+    moment), and one warning to the frontier's caller counts them; a1 is
+    scanned in row chunks of ``floats_per_pair`` per pair within ``IC_CHUNK_FLOATS``."""
     if not mu > 0:
         raise ValidationError("mu must be positive")
     p = np.asarray(level_probs, dtype=float)
@@ -546,59 +547,62 @@ def frontier_scan(a1_grid, a2_grid, mu: float, level_probs, attentive_pairs,
         raise ValidationError("level probabilities must be two positive numbers summing to 1")
     a1 = np.asarray(a1_grid, dtype=float)
     a2 = np.asarray(a2_grid, dtype=float)
-    first = np.full(a1.shape, np.nan)
+    sigma, first, dropped = np.outer(p, p), np.full(a1.shape, np.nan), 0
     size = max(1, IC_CHUNK_FLOATS // max(1, a2.size * floats_per_pair))
     for lo in range(0, a1.size, size):
         rows = a1[lo:lo + size, None]
         pairs = a2 > rows + EXACT
         if not pairs.any():
             continue
+        levels = np.stack([np.broadcast_to(rows, pairs.shape)[pairs],
+                           np.broadcast_to(a2, pairs.shape)[pairs]], axis=-1)
+        probs, values = arrays(levels, sigma)
+        probs, values = probs.reshape(*probs.shape[:-2], -1), values.reshape(len(levels), -1)
+        if not (keep := probs > 0).all():
+            dropped += int(np.count_nonzero(~keep))
+            floor = np.min(values, axis=-1, where=keep, initial=np.inf, keepdims=True)
+            probs, values = np.where(keep, probs, 0.0), np.where(keep, values, floor)
         member = np.zeros(pairs.shape, dtype=bool)
-        member[pairs] = attentive_pairs(np.broadcast_to(rows, pairs.shape)[pairs],
-                                        np.broadcast_to(a2, pairs.shape)[pairs], p)
+        member[pairs] = attentive(values, probs, mu)
         hit = member.any(axis=1)
         first[lo:lo + size][hit] = a2[member.argmax(axis=1)[hit]]
+    if dropped:
+        warnings.warn(f"dropped {dropped} zero-probability news profiles from the attention "
+                      "supports of the scanned policy pairs", stacklevel=3)
     return np.column_stack([a1, first])
 
 
 def attention_frontier(spec: UtilitySpec, a1_grid, a2_grid, t: float, mu: float,
                        level_probs=(0.5, 0.5)) -> np.ndarray:
-    """Indifference frontier of a two-level attention set as a polyline.
-
-    For each a1, returns the smallest grid a2 > a1 at which voter t pays
-    attention (NaN when no grid point qualifies).  Rows are (a1, a2).
-    """
-    def attentive_pairs(a1, a2, p):
-        # per pair, the four profile values in profile_belief's order
-        values = value_matrix(spec, np.stack([a1, a2], -1), t).reshape(-1, 4)
-        return attentive(values, np.outer(p, p).ravel(), mu)
-
-    return frontier_scan(a1_grid, a2_grid, mu, level_probs, attentive_pairs, 4)
+    """Indifference frontier of a two-level attention set as a polyline: for
+    each a1, the smallest grid a2 > a1 at which voter t, judging each pair
+    under its profile belief, pays attention (NaN when none does)."""
+    return frontier_scan(a1_grid, a2_grid, mu, level_probs,
+                         lambda levels, sigma: (sigma, value_matrix(spec, levels, t)), 4)
 
 
 def attention_frontier_noisy(tech: NewsTechnology, spec: UtilitySpec, a1_grid, a2_grid,
                              t: float, mu: float, level_probs=(0.5, 0.5)) -> np.ndarray:
-    """Noisy-news counterpart of ``attention_frontier``: each pair (a1, a2) is
-    judged under its signal belief.  A zero-probability news profile is masked
-    out (probability 0 and the pair's smallest kept value, so that it adds
-    nothing to the exponential moment); one warning counts them over the scan."""
-    dropped = 0
+    """Noisy-news counterpart of ``attention_frontier``: each pair is judged
+    under its signal belief, without its zero-probability news profiles."""
+    return frontier_scan(a1_grid, a2_grid, mu, level_probs,
+                         partial(posterior_value_matrix, tech, spec, t=t), 4 * tech.k ** 2)
 
-    def attentive_pairs(a1, a2, p):
-        nonlocal dropped
-        levels = np.stack([a1, a2], axis=-1)
-        marginal, nu = posterior_value_matrix(tech, spec, levels, np.outer(p, p), t)
-        probs, values = marginal.reshape(len(a1), -1), nu.reshape(len(a1), -1)
-        keep = probs > 0
-        dropped += int(np.count_nonzero(~keep))
-        floor = np.min(values, axis=-1, where=keep, initial=np.inf, keepdims=True)
-        return attentive(np.where(keep, values, floor), np.where(keep, probs, 0.0), mu)
 
-    out = frontier_scan(a1_grid, a2_grid, mu, level_probs, attentive_pairs, 4 * tech.k ** 2)
-    if dropped:
-        warnings.warn(f"dropped {dropped} zero-probability news profiles from the attention "
-                      "supports of the scanned policy pairs", stacklevel=2)
-    return out
+def attention_set(scenario: Scenario, a1_grid, a2_grid, t: float) -> np.ndarray:
+    """Frontier of voter t's attention set in the scenario's game: the game
+    row's scan at the scenario's mu, with the two candidate types'
+    probabilities as the probabilities of the levels a1 < a2.  Refused: what
+    ``_admitted_game`` refuses, the commitment game, and a scenario without
+    exactly two candidate types."""
+    if (scan := _admitted_game(scenario).scan) is None:
+        raise ValidationError("attention-set scans the baseline and noisy games, "
+                              "not the scenario's commitment game")
+    if (n := len(scenario.beta_types.types)) != 2:
+        raise ValidationError("attention-set scans two policy levels, one per candidate "
+                              f"type, but the scenario has {n} candidate types")
+    return scan(scenario.utility, a1_grid, a2_grid, t, scenario.mu,
+                scenario.beta_types.type_probs)
 
 
 def median_differential(spec: UtilitySpec, a_values) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EXACT, UtilitySpec, ValidationError, value_matrix
+from .core import EXACT, UtilitySpec, ValidationError, value_matrix, winning_prob
 from .solver import BeliefOverProfiles
 
 
@@ -249,18 +249,9 @@ def signal_belief(
 # The noisy-news game's winner
 # ---------------------------------------------------------------------------
 
-def downsian_signal_matrix(k: int) -> np.ndarray:
-    """Winner as if news were fully revealing: the more centrist report wins,
-    equal reports split.  Entry (m, n) is beta's winning probability."""
-    w = np.zeros((k, k))
-    w[np.tril_indices(k, -1)] = 1.0
-    np.fill_diagonal(w, 0.5)
-    return w
-
-
 def expected_winning_matrix(tech: NewsTechnology, a_values) -> np.ndarray:
     """G[i, j]: beta's winning probability when alpha plays -a_i and beta a_j,
-    with the winner decided signal-wise by centrism."""
-    rows = tech.pmf(a_values)
-    return rows @ downsian_signal_matrix(tech.k) @ rows.T
-
+    with the winner decided signal-wise by centrism: the more centrist report
+    wins, and ``winning_prob`` splits equal reports."""
+    rows, w = tech.pmf(a_values), np.array(tech.signals)
+    return rows @ winning_prob(w[:, None] - w[None, :], EXACT) @ rows.T

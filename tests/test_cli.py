@@ -23,6 +23,8 @@ from rivote.election import (
 )
 from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
 from rivote.scenario_io import load_scenario, scenario_from_dict, scenario_hash
+from rivote.solver import attention_membership
+from tests.conftest import two_level_belief
 
 
 @pytest.fixture()
@@ -497,6 +499,55 @@ class TestAttentionSet:
         assert header == ["a1", "a2"]
         gaps = [float(a2) - float(a1) for a1, a2 in rows]
         assert all(g >= 0.28 for g in gaps)  # the mu=10 hurdle is ~.283
+
+    @pytest.fixture()
+    def uneven_path(self, tmp_path):
+        """The three-level scenario with candidate type probabilities (.1, .9)."""
+        doc = json.loads((SCENARIOS / "three_levels.json").read_text())
+        doc["candidates"]["beta"] = [[0.3, 0.1], [0.8, 0.9]]
+        path = tmp_path / "uneven.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_scans_at_the_scenarios_type_probabilities(self, uneven_path, tmp_path):
+        # the frontier is one belief per pair at the levels' probabilities (.1, .9)
+        scenario = load_scenario(uneven_path)
+        assert main(["attention-set", "--scenario", str(uneven_path), "--a1", "0.01:0.5:0.01",
+                     "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "attention_set.csv")
+        got = np.array(rows, dtype=float)
+        t, probs = scenario.electorate.groups[0][0], scenario.beta_types.type_probs
+        want = [[a1, next((a2 for a2 in got[:, 0] if a2 > a1 + 1e-12 and attention_membership(
+            two_level_belief(scenario.utility, a1, a2, t, probs), scenario.mu)), math.nan)]
+            for a1 in got[:, 0]]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got[0].tolist() == [0.01, 0.49]
+
+    def test_agrees_with_solve_attention(self, uneven_path, tmp_path):
+        # each group is attentive at (.01, .4) in both commands, or in neither
+        flags = ["--scenario", str(uneven_path), "--out", str(tmp_path)]
+        assert main(["solve-attention", "--policies", "0.01,0.4", *flags]) == 0
+        _, solved = read_rows(tmp_path / "solve_attention.csv")
+        verdicts = {}
+        for t, regime, *_ in solved:
+            assert main(["attention-set", "--t", t, "--a1", "0.01:0.01:1", "--a2", "0.4:0.4:1",
+                         *flags]) == 0
+            (row,) = read_rows(tmp_path / "attention_set.csv")[1]
+            verdicts[float(t)] = (row[1] == "0.4", regime != "corner_zero")
+        assert all(scan == solve for scan, solve in verdicts.values())
+        assert verdicts[-0.001] == (False, False)
+
+    def test_needs_exactly_two_candidate_types(self, tmp_path, capsys):
+        doc = json.loads((SCENARIOS / "three_levels.json").read_text())
+        doc["candidates"]["beta"] = [[0.3, 0.2], [0.5, 0.3], [0.8, 0.5]]
+        path = tmp_path / "three_types.json"
+        path.write_text(json.dumps(doc))
+        assert main(["attention-set", "--scenario", str(path), "--a1", "0.1:0.4:0.1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: attention-set scans two policy levels, one per candidate "
+            "type, but the scenario has 3 candidate types\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestGarble:

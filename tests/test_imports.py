@@ -1,7 +1,8 @@
 """The package's import graph: no import inside a function, and the
-module-level imports between ``rivote`` modules form a DAG.
+module-level imports between ``rivote`` modules form a DAG; and the CLI
+scans attention sets only through ``election.attention_set``.
 
-Both are read from the sources with ``ast``; imports under
+All three are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
 """
 import ast
@@ -54,3 +55,13 @@ def test_module_imports_form_a_dag():
     order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert set(order) == set(MODULES)
     assert "election" not in graph["news"]
+
+
+def test_cli_builds_no_attention_scan():
+    # no frontier name and no game row's scan: the scenario picks the scan
+    cli = list(ast.walk(MODULES["cli"]))
+    names = {n.id for n in cli if isinstance(n, ast.Name)}
+    names |= {n.name for n in cli if isinstance(n, ast.alias)}
+    attributes = {n.attr for n in cli if isinstance(n, ast.Attribute)}
+    assert not [x for x in names | attributes if x.startswith("attention_frontier")]
+    assert "scan" not in attributes

@@ -21,7 +21,6 @@ from rivote.news import (
     MarkovKernel,
     NewsTechnology,
     audit_news,
-    downsian_signal_matrix,
     expected_winning_matrix,
     posterior_value_matrix,
     signal_belief,
@@ -389,7 +388,8 @@ class TestNoisyEquilibria:
         assert np.allclose(np.diag(g), 0.5, atol=1e-12)
         assert np.all(np.diff(g, axis=1) < 0)
         assert np.all(np.diff(g, axis=0) > 0)
-        w = downsian_signal_matrix(3)
+        # revealing news is decided by the signal-wise rule itself
+        w = expected_winning_matrix(NewsTechnology.revealing(grid[:3]), grid[:3])
         np.testing.assert_array_equal(w, [[0.5, 0, 0], [1, 0.5, 0], [1, 1, 0.5]])
 
 
@@ -636,6 +636,7 @@ class TestNoisyFrontierInputs:
             warnings.simplefilter("always")
             attention_frontier_noisy(tech, abs_spec, grid, grid, -0.001, 1.0)
         assert [str(w.message).split()[:2] for w in caught] == [["dropped", str(expected)]]
+        assert caught[0].filename == __file__  # the line that called the frontier
 
     @pytest.mark.parametrize("level_probs", [(1.0, 0.0), (0.6, 0.6), (0.2, 0.3, 0.5)])
     def test_bad_level_probabilities_refused(self, abs_spec, level_probs):
