@@ -33,7 +33,6 @@ from .election import (
     attention_set,
     check_ic,
     commitment_belief,
-    downsian_winner,
     enumerate_equilibria,
     median_differential,
     news_belief,

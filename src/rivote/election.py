@@ -173,31 +173,20 @@ def commitment_belief(
     return replace(on_path_belief(scenario, assignment, t), values=values.ravel())
 
 
-def downsian_winner(spec: UtilitySpec, a_alpha, a_beta) -> np.ndarray:
-    """Perfect-observation winner: the policy the median voter prefers wins.
-
-    Returns beta's winning probability, broadcasting over policy arrays; a
-    median tie within 1e-12 splits.
-    """
-    return winning_prob(utility(spec, a_beta, 0.0) - utility(spec, a_alpha, 0.0), EXACT)
-
-
-def downsian_matrix(spec: UtilitySpec, a_values) -> np.ndarray:
-    a = np.asarray(a_values, dtype=float)
-    return downsian_winner(spec, -a[:, None], a[None, :])
-
-
 def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarray:
-    """Winner when every voter observes the profile and best-responds.
+    """Beta's winning probability when every voter group observes the profile
+    and best-responds, broadcasting over policy arrays: the one
+    perfect-observation rule, which prices the baseline and commitment games.
 
-    Each group votes as ``downsian_winner`` has the median vote, so a group
-    indifferent within 1e-12 splits 1/2-1/2 (a model choice); ``_majority``
-    counts the votes.  Broadcasts over policy arrays.
+    Every group's vote is evaluated at once over a leading group axis, and a
+    group indifferent within 1e-12 splits 1/2-1/2 (a model choice);
+    ``_majority`` counts the votes.
     """
     spec = scenario.utility
-    return _majority(scenario, (
-        winning_prob(utility(spec, a_beta, t) - utility(spec, a_alpha, t), EXACT)
-        for t, _ in scenario.electorate.groups))
+    shape = np.broadcast_shapes(np.shape(a_alpha), np.shape(a_beta))
+    t = np.reshape(scenario.electorate.group_types, (-1,) + (1,) * len(shape))
+    votes = winning_prob(utility(spec, a_beta, t) - utility(spec, a_alpha, t), EXACT)
+    return _majority(scenario, votes)
 
 
 def _majority(scenario: Scenario, votes) -> np.ndarray:
@@ -382,7 +371,7 @@ class ICKernel:
 
 class GameRow(NamedTuple):
     """A row of the game table, ``_game``: the three games share one kernel
-    and differ only in beta's winning matrix on the grid (perfect observation,
+    and differ only in beta's winning matrix on the grid (the groups' majority,
     or decided signal-wise under news), the commitment level blended into the
     stage values, the rule ``follows(last, next)`` on consecutive types'
     policy indices (None for every map, ``np.less`` for the increasing maps of
@@ -400,7 +389,8 @@ class GameRow(NamedTuple):
 def _game(scenario: Scenario) -> GameRow:
     """The unaudited row for ``game_of(scenario)``; callers read ``_admitted_game``."""
     def perfect(s):
-        return downsian_matrix(s.utility, s.beta_axis.values)
+        g = np.array(s.beta_axis.values)
+        return perfect_observation_winner(s, -g[:, None], g[None, :])
 
     def signal_wise(s):
         return expected_winning_matrix(s.news, s.beta_axis.values)
@@ -424,17 +414,17 @@ def _admitted_game(scenario: Scenario) -> GameRow:
 
 
 def check_ic(
-    scenario: Scenario, assignment: StrategyAssignment, w_source: str = "downsian"
+    scenario: Scenario, assignment: StrategyAssignment, rationalized: bool = False
 ) -> tuple[bool, dict]:
     """Incentive compatibility of a pure symmetric assignment in the
     scenario's game.
 
     Deviations are priced by the game's winning matrix.  In the baseline game
-    ``w_source="rationalized"`` instead takes the on-path cells from
-    aggregating optimal attention strategies.  Returns (ok, slack per
-    (candidate, type)).  Refused: what ``enumerate_equilibria`` refuses, an
-    assignment but ``assignment_for``'s (off beta's grid, or of other types
-    than the scenario's) and maps the game's prefix rule excludes.
+    ``rationalized=True`` instead takes the on-path cells from aggregating
+    optimal attention strategies.  Returns (ok, slack per (candidate, type)).
+    Refused: what ``enumerate_equilibria`` refuses, an assignment but
+    ``assignment_for``'s (off beta's grid, or of other types than the
+    scenario's) and maps the game's prefix rule excludes.
     """
     w_of, eta, follows, *_ = _admitted_game(scenario)
     if assignment != assignment_for(scenario, assignment.policies):
@@ -443,16 +433,11 @@ def check_ic(
     policies = np.array(assignment.policies)  # ordered as their grid indices
     if follows is not None and not follows(policies[:-1], policies[1:]).all():
         raise ValidationError("limited commitment requires strictly increasing policies")
-    if w_source == "downsian":
-        w = w_of(scenario)
-    elif w_source == "rationalized":
-        _require_baseline(scenario, "w_source='rationalized'")
-        g = np.array(grid)
-        w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
-        on = np.isin(g, assignment.levels)  # the levels ascend, as the grid does
+    w = w_of(scenario)
+    if rationalized:
+        _require_baseline(scenario, "rationalized=True")
+        on = np.isin(grid, assignment.levels)  # the levels ascend, as the grid does
         w[np.ix_(on, on)] = aggregate_and_rationalize(scenario, assignment)
-    else:
-        raise ValidationError(f"unknown w_source {w_source!r}")
     kernel = ICKernel(grid, assignment.types, assignment.type_probs, w, scenario.utility, eta)
     beta, alpha = kernel.gaps(np.array([[grid.index(a) for a in assignment.policies]]))
     gaps = dict(zip((("beta", t) for t in kernel.types), beta[0].tolist()))

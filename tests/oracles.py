@@ -3,15 +3,17 @@
 These deliberately avoid the library's solution formulas: the attention
 oracle maximises the net objective by exhaustive grid search, the Bayes
 oracle builds the full joint table, the utility oracle reads one point at a
-time, and the incentive oracle walks grid x opponent types one scalar payoff
-at a time.  The solver, news-audit, news-posterior and noisy-frontier
-oracles are the library's earlier loops: one first-order-condition
-evaluation per bisection step, one policy and one 2x2 log minor at a time,
-one news profile and one policy pair at a time.  The two-issue oracle
-calls ``u2`` and the frontier one scalar point at a time.  The
-equilibrium oracle is the library's earlier exhaustive search: every map of
-the game's strategy set scored by ``ICKernel.gaps`` in chunks (``passing``),
-with no pruning.
+time, the winner oracle counts one group's scalar vote at a time, and the
+incentive oracle walks grid x opponent types one scalar payoff at a time.
+The solver, news-audit, news-posterior and noisy-frontier oracles are the
+library's earlier loops: one first-order-condition evaluation per bisection
+step, one policy and one 2x2 log minor at a time, one news profile and one
+policy pair at a time.  The two-issue oracle calls ``u2`` and the frontier
+one scalar point at a time.  The equilibrium oracle is the library's earlier
+exhaustive search: every map of the game's strategy set scored by
+``ICKernel.gaps`` in chunks (``passing``), with no pruning.  The Downsian
+winner, a voter at t = 0, is the textbook rule that a symmetric electorate
+with a group at 0 reproduces.
 """
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ import numpy as np
 from scipy.special import xlogy
 
 from rivote import election
-from rivote.core import EXACT, Scenario, UtilitySpec, ValidationError
-from rivote.election import StrategyAssignment, downsian_winner, value_matrix
+from rivote.core import EXACT, TOL, Scenario, UtilitySpec, ValidationError, utility, winning_prob
+from rivote.election import StrategyAssignment, value_matrix
 from rivote.solver import (
     _MAX_BISECT,
     _MBAR_FLOOR,
@@ -228,6 +230,41 @@ def loser_value(spec: UtilitySpec, a_winner: float, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Perfect-observation winner oracles
+# ---------------------------------------------------------------------------
+
+def downsian_winner(spec: UtilitySpec, a_alpha, a_beta) -> np.ndarray:
+    """Downs's winner: the policy a voter at t = 0 prefers wins, a tie within
+    1e-12 splits.  Beta's winning probability, broadcasting over policy arrays."""
+    return winning_prob(utility(spec, a_beta, 0.0) - utility(spec, a_alpha, 0.0), EXACT)
+
+
+def downsian_matrix(spec: UtilitySpec, a_values) -> np.ndarray:
+    """``downsian_winner`` at every profile (-a_i, a_j) of the grid."""
+    a = np.asarray(a_values, dtype=float)
+    return downsian_winner(spec, -a[:, None], a[None, :])
+
+
+def majority_winner(scenario: Scenario, x: float, a: float) -> float:
+    """Beta's winning probability at the profile (x, a) when every group
+    observes it: weight x vote summed group by group with scalar utilities,
+    a group within 1e-12 of indifference and a share within 1e-9 of 1/2
+    splitting."""
+    spec, share = scenario.utility, 0.0
+    for t, weight in scenario.electorate.groups:
+        share += weight * float(winning_prob(voter_utility(spec, a, t)
+                                             - voter_utility(spec, x, t), EXACT))
+    return float(winning_prob(share - 0.5, TOL))
+
+
+def majority_matrix(scenario: Scenario) -> np.ndarray:
+    """``majority_winner`` at every profile (-a_i, a_j) of beta's grid, one
+    cell at a time."""
+    grid = scenario.beta_axis.values
+    return np.array([[majority_winner(scenario, -x, a) for a in grid] for x in grid])
+
+
+# ---------------------------------------------------------------------------
 # Scalar incentive-compatibility oracle
 # ---------------------------------------------------------------------------
 
@@ -296,7 +333,7 @@ def commitment_gaps(scenario: Scenario, assignment: StrategyAssignment, eta: flo
         return eta * loser_value(spec, x, t) + (1.0 - eta) * loser_value(spec, t_opp, t)
 
     def w_beta(x, a):
-        return downsian_winner(spec, x, a)
+        return majority_winner(scenario, x, a)
 
     b_types = assignment.types
     b_probs = assignment.type_probs
@@ -326,11 +363,13 @@ def exhaustive_rows(scenario: Scenario):
     return itertools.product(range(n), repeat=k)
 
 
-def table_kernel(scenario: Scenario) -> election.ICKernel:
-    """The IC kernel the game table builds for the scenario's game."""
+def table_kernel(scenario: Scenario, w=None) -> election.ICKernel:
+    """The IC kernel the game table builds for the scenario's game, on the
+    winning matrix ``w`` instead of the game's when one is given."""
     game, types = election._game(scenario), scenario.beta_types
+    w = game.w_of(scenario) if w is None else w
     return election.ICKernel(scenario.beta_axis.values, types.type_values,
-                             types.type_probs, game.w_of(scenario), scenario.utility, game.eta)
+                             types.type_probs, w, scenario.utility, game.eta)
 
 
 def passing(kernel: election.ICKernel, rows):
@@ -349,8 +388,10 @@ def passing(kernel: election.ICKernel, rows):
 
 def exhaustive_equilibria(scenario: Scenario):
     """Records of every incentive compatible row of ``exhaustive_rows``,
-    scored by ``passing`` without pruning or a cap."""
-    kernel = table_kernel(scenario)
+    scored by ``passing`` without pruning or a cap; perfect observation is
+    priced by ``majority_matrix``."""
+    noisy = election.game_of(scenario) == "noisy"
+    kernel = table_kernel(scenario, None if noisy else majority_matrix(scenario))
     return election.equilibrium_records(scenario, kernel,
                                         passing(kernel, exhaustive_rows(scenario)))
 

@@ -17,7 +17,6 @@ from rivote.election import (
     ICKernel,
     attention_frontier,
     commitment_belief,
-    downsian_matrix,
     enumerate_equilibria,
     on_path_belief,
     profile_belief,
@@ -44,6 +43,7 @@ from rivote.solver import (
 )
 from tests.oracles import (
     brute_force_objective_max,
+    downsian_matrix,
     random_kernel,
     random_symmetric_sigma,
     random_tp2_technology,

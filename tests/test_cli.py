@@ -275,7 +275,7 @@ def test_only_the_scenarios_own_pipeline_runs(path, tmp_path, capsys):
         return
     refusal = f"models the baseline game only, not the scenario's {game} game$"
     with pytest.raises(ValidationError, match=refusal):
-        check_ic(scenario, assignment, w_source="rationalized")
+        check_ic(scenario, assignment, rationalized=True)
     with pytest.raises(ValidationError, match=refusal):
         enumerate_equilibria(scenario, verify_rationalizable=True)
     with pytest.raises(ValidationError, match=refusal):
@@ -480,6 +480,16 @@ class TestEnumerate:
         _, rows = read_rows(out / "equilibria.csv")
         assert [r[3] for r in rows] == ["0.01|0.2", "0.01|0.4"]
         assert all(r[1] == "baseline" for r in rows)
+
+    def test_electorate_without_a_median_group(self, tmp_path):
+        # the scenario's groups at -0.1 and 0.1 decide the winner, not a voter at t = 0
+        doc = figure2_scenario()
+        doc["electorate"]["groups"] = [[-0.1, 0.5], [0.1, 0.5]]
+        path = tmp_path / "no_median.json"
+        path.write_text(json.dumps(doc))
+        assert main(["enumerate", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        _, rows = read_rows(tmp_path / "o" / "equilibria.csv")
+        assert [r[3] for r in rows] == ["0.2|0.2"]
 
     def test_noisy_pipeline_used_with_news(self, fig3_path, tmp_path):
         out = tmp_path / "o"

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rivote.election
 from rivote.core import Electorate, SymmetryError, UtilitySpec, ValidationError
@@ -13,8 +15,6 @@ from rivote.election import (
     assignment_for,
     attention_frontier,
     check_ic,
-    downsian_matrix,
-    downsian_winner,
     enumerate_equilibria,
     median_differential,
     perfect_observation_winner,
@@ -31,6 +31,7 @@ from rivote.solver import (
     solve_attention,
 )
 from tests.conftest import two_level_belief
+from tests.oracles import downsian_matrix
 
 SHIPPED = sorted((Path(__file__).parents[1] / "demos" / "scenarios").glob("*.json"))
 
@@ -46,14 +47,19 @@ def test_verify_rationalizable_counts_the_records_own_solutions(figure2, monkeyp
 
 
 class TestDownsianWinner:
-    def test_center_closer_beta_wins(self, abs_spec):
-        assert downsian_winner(abs_spec, -0.4, 0.01) == 1.0
+    # the scenario's groups vote; a lone group at t = 0 is Downs's median voter
+    @pytest.fixture()
+    def median(self, figure2):
+        return replace(figure2, electorate=Electorate(((0.0, 1.0),)))
 
-    def test_equidistant_split(self, abs_spec):
-        assert downsian_winner(abs_spec, -0.3, 0.3) == 0.5
+    def test_center_closer_beta_wins(self, median):
+        assert perfect_observation_winner(median, -0.4, 0.01) == 1.0
 
-    def test_center_closer_alpha_wins(self, abs_spec):
-        assert downsian_winner(abs_spec, -0.01, 0.4) == 0.0
+    def test_equidistant_split(self, median):
+        assert perfect_observation_winner(median, -0.3, 0.3) == 0.5
+
+    def test_center_closer_alpha_wins(self, median):
+        assert perfect_observation_winner(median, -0.01, 0.4) == 0.0
 
 
 class TestValueMatrix:
@@ -138,6 +144,30 @@ class TestAggregation:
         w = perfect_observation_winner(median, -g[:, None], g[None, :])
         assert w.tobytes() == downsian_matrix(figure2.utility, g).tobytes()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(["absolute", "quadratic"]),
+        grid=st.lists(st.integers(1, 100), min_size=1, max_size=6, unique=True),
+        pairs=st.lists(st.tuples(st.integers(1, 100), st.floats(0.05, 1.0)),
+                       max_size=4, unique_by=lambda p: p[0]),
+        median_weight=st.floats(0.05, 1.0),
+    )
+    def test_symmetric_electorate_with_a_median_group_is_downsian(
+            self, family, grid, pairs, median_weight):
+        # single crossing: the median group decides every strict preference,
+        # and the mirrored groups cancel on the diagonal
+        total = median_weight + 2 * sum(w for _, w in pairs)
+        groups = [(0.0, median_weight / total)]
+        groups += [(s * k / 100, w / total) for k, w in pairs for s in (-1, 1)]
+        doc = figure2_scenario()
+        doc["policies"]["beta"] = sorted(k / 100 for k in grid)
+        doc["utility"]["family"] = family
+        doc["electorate"]["groups"] = [list(g) for g in groups]
+        scenario = scenario_from_dict(doc)
+        g = np.array(scenario.beta_axis.values)
+        w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
+        assert w.tobytes() == downsian_matrix(scenario.utility, g).tobytes()
+
     @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
     def test_complementary_on_shipped_grids(self, path):
         scenario = load_scenario(path)
@@ -187,8 +217,8 @@ class TestIncentiveCompatibility:
     def test_rationalized_source_agrees_on_benchmark(self, figure2):
         for policies in ((0.01, 0.2), (0.01, 0.4)):
             a = assignment_for(figure2, policies)
-            ok_d, gaps_d = check_ic(figure2, a, w_source="downsian")
-            ok_r, gaps_r = check_ic(replace(figure2, mu=0.09), a, w_source="rationalized")
+            ok_d, gaps_d = check_ic(figure2, a)
+            ok_r, gaps_r = check_ic(replace(figure2, mu=0.09), a, rationalized=True)
             assert ok_d == ok_r
             for key in gaps_d:
                 assert gaps_d[key] == pytest.approx(gaps_r[key], abs=1e-9)
@@ -198,6 +228,15 @@ class TestEnumeration:
     def test_benchmark_set(self, figure2):
         records = enumerate_equilibria(figure2, verify_rationalizable=True)
         assert [r.assignment.policies for r in records] == [(0.01, 0.2), (0.01, 0.4)]
+
+    @pytest.mark.parametrize("mu", [10.0, 0.01, 0.001])
+    def test_electorate_without_a_median_group_is_rationalized(self, mu):
+        # no group sits at t = 0, so a median voter's W would differ from the
+        # groups' own in two cells and their attention could not rationalize it
+        doc = figure2_scenario(mu=mu)
+        doc["electorate"]["groups"] = [[-0.1, 0.5], [0.1, 0.5]]
+        records = enumerate_equilibria(scenario_from_dict(doc), verify_rationalizable=True)
+        assert [r.assignment.policies for r in records] == [(0.2, 0.2)]
 
     def test_invariant_to_attention_cost(self, figure2):
         baseline = {r.assignment.policies for r in enumerate_equilibria(figure2)}

@@ -14,7 +14,6 @@ from rivote.election import (
     ICKernel,
     assignment_for,
     commitment_belief,
-    downsian_matrix,
     enumerate_equilibria,
     on_path_belief,
     value_matrix,
@@ -151,7 +150,8 @@ class TestCommitment:
 
         grid, types = figure2.beta_axis.values, figure2.beta_types
         kernel = ICKernel(grid, types.type_values, types.type_probs,
-                          downsian_matrix(figure2.utility, grid), figure2.utility, eta=1.0)
+                          oracles.downsian_matrix(figure2.utility, grid), figure2.utility,
+                          eta=1.0)
         for pols in ((0.01, 0.2), (0.01, 0.4), (0.2, 0.4)):
             beta, alpha = kernel.gaps(np.array([[grid.index(a) for a in pols]]))
             ok, gaps = check_ic(figure2, assignment_for(figure2, pols))

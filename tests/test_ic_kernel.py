@@ -3,6 +3,7 @@ the pruned equilibrium search against the exhaustive one."""
 import itertools
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from rivote.election import (
     StrategyAssignment,
     assignment_for,
     check_ic,
-    downsian_winner,
     enumerate_equilibria,
     game_of,
     perfect_observation_winner,
@@ -30,6 +30,7 @@ from tests.oracles import (
     commitment_gaps,
     exhaustive_equilibria,
     exhaustive_rows,
+    majority_winner,
     passing,
     table_kernel,
 )
@@ -39,10 +40,11 @@ SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 TWO_TYPES = ((0.25, 0.5), (0.75, 0.5))
 THREE_TYPES = ((0.2, 1 / 3), (0.5, 1 / 3), (0.8, 1 / 3))
 THIRDS = [[-0.001, 1 / 3], [0.0, 1 / 3], [0.001, 1 / 3]]
+NO_MEDIAN = [[-0.1, 0.5], [0.1, 0.5]]  # a Downsian voter at t = 0 would misprice W
 
 
 def game(n, types=TWO_TYPES, family="absolute", xi=None, eta=None, rent=8.0,
-         win_weight=3.0, lose_weight=1.0, loser_sign=-1):
+         win_weight=3.0, lose_weight=1.0, loser_sign=-1, groups=THIRDS):
     """Scenario on the interior grid k/(n+1); ``table`` tabulates -(t-a)^2."""
     grid = [k / (n + 1) for k in range(1, n + 1)]
     utility = {"family": family, "office_rent": rent, "win_weight": win_weight,
@@ -50,12 +52,12 @@ def game(n, types=TWO_TYPES, family="absolute", xi=None, eta=None, rent=8.0,
     if family == "table":
         # reneging winners play their type, so types are policies too
         a_values = sorted({a for g in (*grid, *(t for t, _ in types)) for a in (g, -g)})
-        t_values = sorted({0.0, *(t for t, _ in THIRDS)} | {x for t, _ in types for x in (t, -t)})
+        t_values = sorted({0.0, *(t for t, _ in groups)} | {x for t, _ in types for x in (t, -t)})
         utility["table"] = {"a": a_values, "t": t_values,
                             "values": [[-(t - a) * (t - a) for t in t_values] for a in a_values]}
     doc = {"schema_version": 1, "policies": {"beta": grid}, "utility": utility,
            "candidates": {"beta": [list(t) for t in types]},
-           "electorate": {"groups": THIRDS}, "attention": {"mu": 1.0}}
+           "electorate": {"groups": groups}, "attention": {"mu": 1.0}}
     if xi is not None:
         doc["news"] = {"family": "slant", "xi": xi, "signals": [0.25, 0.75]}
     if eta is not None:
@@ -68,11 +70,9 @@ def kernel_and_oracle(scenario, pipeline):
     scalar oracle of (beta, alpha) gaps."""
     assert game_of(scenario) == pipeline
     grid = scenario.beta_axis.values
-    spec = scenario.utility
     kernel = table_kernel(scenario)
     if pipeline == "baseline":
-        return kernel, lambda a: _two_sided_gaps(
-            scenario, a, lambda x, y: downsian_winner(spec, x, y))
+        return kernel, lambda a: _two_sided_gaps(scenario, a, partial(majority_winner, scenario))
     if pipeline == "noisy":
         g = expected_winning_matrix(scenario.news, grid)
         return kernel, lambda a: _two_sided_gaps(
@@ -102,6 +102,8 @@ GRIDS = {
     "commit_eta0": (lambda: game(10, eta=0.0), "commitment"),
     "commit_eta.8_3types": (lambda: game(7, THREE_TYPES, eta=0.8), "commitment"),
     "commit_eta0_3types": (lambda: game(7, THREE_TYPES, eta=0.0), "commitment"),
+    "no_median_n12": (lambda: game(12, groups=NO_MEDIAN), "baseline"),
+    "no_median_commit_eta0": (lambda: game(10, eta=0.0, groups=NO_MEDIAN), "commitment"),
 }
 
 
@@ -188,7 +190,7 @@ def test_rationalized_check_equals_oracle(figure2):
         ob, oa = _two_sided_gaps(figure2, assignment, w_beta)
         expected = {("beta", t): g for t, g in ob}
         expected.update({("alpha", t): g for t, g in oa})
-        _, gaps = check_ic(replace(figure2, mu=0.09), assignment, w_source="rationalized")
+        _, gaps = check_ic(replace(figure2, mu=0.09), assignment, rationalized=True)
         assert gaps == expected
 
 
@@ -205,7 +207,7 @@ def test_alpha_side_is_not_redundant(figure2):
     checks = {}
     for policies in itertools.product(grid, repeat=2):
         assignment = StrategyAssignment(types.type_values, types.type_probs, policies)
-        checks[policies] = check_ic(scenario, assignment, w_source="rationalized")
+        checks[policies] = check_ic(scenario, assignment, rationalized=True)
     differ = [policies for policies, (_, gaps) in checks.items()
               if not np.allclose([gaps["beta", t] for t in types.type_values],
                                  [gaps["alpha", -t] for t in types.type_values],
@@ -290,18 +292,26 @@ def test_check_ic_refuses_other_types_than_the_scenarios():
 WORKLOADS = bench_workloads()
 FOUR_TYPES = tuple((t, 0.25) for t in (0.2, 0.4, 0.6, 0.8))
 SIX_TYPES = tuple((t, 1 / 6) for t in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9))
+
+
+def bench_game(**kwargs):
+    return scenario_from_dict(WORKLOADS.game_doc(**kwargs))
+
+
 SEARCHED = {
-    **{p.stem: p for p in sorted(SCENARIOS.glob("*.json"))},
-    **{label: kwargs for label, (_, _, kwargs) in WORKLOADS.IC_TASKS.items()},
-    "4types_n20": {"n": 20, "types": FOUR_TYPES},
+    **{p.stem: partial(load_scenario, p) for p in sorted(SCENARIOS.glob("*.json"))},
+    **{label: partial(bench_game, **kwargs)
+       for label, (_, _, kwargs) in WORKLOADS.IC_TASKS.items()},
+    "4types_n20": partial(bench_game, n=20, types=FOUR_TYPES),
+    "no_median_n12": GRIDS["no_median_n12"][0],
+    "no_median_commit_eta0": GRIDS["no_median_commit_eta0"][0],
 }
 
 
 def searched(label):
-    """A shipped scenario, an ``ic_grid`` game of the benchmark, or 4 x 20."""
-    source = SEARCHED[label]
-    return load_scenario(source) if isinstance(source, Path) else scenario_from_dict(
-        WORKLOADS.game_doc(**source))
+    """A shipped scenario, an ``ic_grid`` game of the benchmark, 4 x 20, or a
+    game of an electorate without a group at t = 0."""
+    return SEARCHED[label]()
 
 
 def fingerprint(records):

@@ -1,8 +1,9 @@
 """The package's import graph: no import inside a function, and the
-module-level imports between ``rivote`` modules form a DAG; and the CLI
-scans attention sets only through ``election.attention_set``.
+module-level imports between ``rivote`` modules form a DAG; the CLI scans
+attention sets only through ``election.attention_set``; and the package
+holds one perfect-observation winner rule, with no Downsian kernel.
 
-All three are read from the sources with ``ast``; imports under
+All four are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
 """
 import ast
@@ -65,3 +66,12 @@ def test_cli_builds_no_attention_scan():
     attributes = {n.attr for n in cli if isinstance(n, ast.Attribute)}
     assert not [x for x in names | attributes if x.startswith("attention_frontier")]
     assert "scan" not in attributes
+
+
+def test_no_downsian_kernel():
+    # the scenario's groups decide W; a voter at t = 0 lives only in the test oracles
+    found = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             for field in ("name", "id", "attr")  # defs and aliases, names, attributes
+             if str(getattr(node, field, "")).lower().startswith("downsian")]
+    assert found == []

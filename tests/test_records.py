@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from rivote.election import (
     commitment_belief,
-    downsian_matrix,
     electorate_attention,
     enumerate_equilibria,
+    perfect_observation_winner,
     profile_belief,
 )
 from rivote.news import expected_winning_matrix, signal_belief
@@ -102,9 +102,9 @@ def test_expected_w_is_the_kernel_winner_on_played_levels(pipeline):
     records = enumerate_equilibria(scenario)
     assert records
     for r in records:
-        levels = r.assignment.levels
+        levels = np.array(r.assignment.levels)
         expected = (expected_winning_matrix(scenario.news, levels) if pipeline == "noisy"
-                    else downsian_matrix(scenario.utility, levels))
+                    else perfect_observation_winner(scenario, -levels[:, None], levels[None, :]))
         np.testing.assert_array_equal(r.expected_w, expected)
 
 
