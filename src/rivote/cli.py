@@ -25,7 +25,6 @@ from .extensions import dissemination_filter
 from .news import MarkovKernel, NewsTechnology, audit_news
 from .presets import figure2_scenario, figure3_scenario, table1_scenario
 from .scenario_io import load_scenario_dict, scenario_from_dict, scenario_hash
-from .solver import solve_attention
 
 
 class ReproductionMismatch(RuntimeError):
@@ -244,28 +243,21 @@ FIGURE2_DIAMONDS = {(0.01, 0.2), (0.01, 0.4)}
 FIGURE3_XIS = (0.6, 0.75, 0.9)
 
 
-def _table_solution(scenario: Scenario, t: float):
-    """Voter t's attention when the two candidate types play .01 and .4."""
-    belief = _admitted_game(scenario).belief(scenario, assignment_for(scenario, (0.01, 0.4)), t)
-    return solve_attention(belief, scenario.mu)
+def _table_attention(scenario: Scenario) -> dict:
+    """Each voter group's attention when the two candidate types play .01 and .4."""
+    return dict(electorate_attention(scenario, assignment_for(scenario, (0.01, 0.4)))[1])
 
 
 def table1_rows():
-    scenario = scenario_from_dict(table1_scenario())
-    rows = []
-    for t in sorted(TABLE1_EXPECTED):
-        sol = _table_solution(scenario, t)
-        rows.append((t, sol.info, *sol.m))
-    return rows
+    attention = _table_attention(scenario_from_dict(table1_scenario()))
+    return [(t, attention[t].info, *attention[t].m) for t in sorted(TABLE1_EXPECTED)]
 
 
 def table2_rows():
     scenario = scenario_from_dict(table1_scenario())
-    rows = []
-    for mu in sorted(TABLE2_EXPECTED):
-        sol = _table_solution(replace(scenario, mu=mu), -0.05)  # table 2's voter group
-        rows.append((mu, sol.m_bar, *sol.m))
-    return rows
+    solutions = {mu: _table_attention(replace(scenario, mu=mu))[-0.05]  # table 2's voter group
+                 for mu in sorted(TABLE2_EXPECTED)}
+    return [(mu, sol.m_bar, *sol.m) for mu, sol in solutions.items()]
 
 
 def _check_close(actual, expected, what):

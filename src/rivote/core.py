@@ -132,7 +132,7 @@ def _grid_index(grid: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
     if not found.all():
         miss = float(np.extract(~found, x)[0])
         raise ValidationError(f"{what}={miss!r} is not on the utility table grid")
-    return np.take_along_axis(near, hit.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    return near[(*np.indices(x.shape, sparse=True), hit.argmax(axis=-1))]
 
 
 def utility(spec: UtilitySpec, a, t):

@@ -36,13 +36,14 @@ from .news import (
     expected_winning_matrix,
     posterior_value_matrix,
     signal_belief,
+    signal_beliefs,
 )
 from .solver import (
     AttentionSolution,
     BeliefOverProfiles,
     attention_membership,
     attentive,
-    solve_attention,
+    solve_groups,
 )
 
 
@@ -165,12 +166,23 @@ def commitment_belief(
     """Belief builder of the limited-commitment game: ``on_path_belief`` of the
     strictly increasing proposals, valued as the mix of the proposal, weight
     ``scenario.eta``, and the proposer's own type (played when the winner reneges)."""
-    if any(hi <= lo for lo, hi in zip(assignment.policies, assignment.policies[1:])):
+    support, probs, values = _on_path_beliefs(scenario, assignment, np.array([t]), True)
+    return BeliefOverProfiles(support, probs, values[0])
+
+
+def _on_path_beliefs(scenario: Scenario, assignment: StrategyAssignment, ts, committed=False):
+    """``on_path_belief``, or ``commitment_belief`` if ``committed``, batched
+    over the voter types ``ts``: (support, probs, values[len(ts), n])."""
+    a, spec, t, eta = assignment.levels, scenario.utility, ts[:, None], scenario.eta
+    if not committed:
+        values = value_matrix(spec, a, t)
+    elif any(hi <= lo for lo, hi in zip(assignment.policies, assignment.policies[1:])):
         raise ValidationError("limited commitment requires strictly increasing policies")
-    eta, spec = scenario.eta, scenario.utility
-    values = (eta * value_matrix(spec, assignment.policies, t)
-              + (1.0 - eta) * value_matrix(spec, assignment.types, t))
-    return replace(on_path_belief(scenario, assignment, t), values=values.ravel())
+    else:
+        values = (eta * value_matrix(spec, assignment.policies, t)
+                  + (1.0 - eta) * value_matrix(spec, assignment.types, t))
+    return (tuple((-ai, aj) for ai in a for aj in a), assignment.sigma.ravel(),
+            values.reshape(len(ts), -1))
 
 
 def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarray:
@@ -178,14 +190,17 @@ def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarra
     and best-responds, broadcasting over policy arrays: the one
     perfect-observation rule, which prices the baseline and commitment games.
 
-    Every group's vote is evaluated at once over a leading group axis, and a
-    group indifferent within 1e-12 splits 1/2-1/2 (a model choice);
-    ``_majority`` counts the votes.
+    The groups' votes are evaluated over a leading group axis, in chunks of
+    groups within ``IC_CHUNK_FLOATS``, and a group indifferent within 1e-12
+    splits 1/2-1/2 (a model choice); ``_majority`` counts the votes.
     """
     spec = scenario.utility
     shape = np.broadcast_shapes(np.shape(a_alpha), np.shape(a_beta))
     t = np.reshape(scenario.electorate.group_types, (-1,) + (1,) * len(shape))
-    votes = winning_prob(utility(spec, a_beta, t) - utility(spec, a_alpha, t), EXACT)
+    step = max(1, IC_CHUNK_FLOATS // math.prod(shape))
+    votes = itertools.chain.from_iterable(
+        winning_prob(utility(spec, a_beta, c) - utility(spec, a_alpha, c), EXACT)
+        for c in (t[lo:lo + step] for lo in range(0, len(t), step)))
     return _majority(scenario, votes)
 
 
@@ -200,12 +215,17 @@ def _majority(scenario: Scenario, votes) -> np.ndarray:
 
 def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
     """``(belief, attention)`` under the assignment in the scenario's game, which
-    the caller admits: the game row's voter-t ``belief(t)``, cached per t, and
-    ``(t, solve_attention(belief(t), mu))`` per voter group in group order.
-    Records, vote aggregation and ``solve-attention`` all read it."""
-    belief = cache(partial(_game(scenario).belief, scenario, assignment))
-    return belief, tuple((t, solve_attention(belief(t), scenario.mu))
-                         for t, _ in scenario.electorate.groups)
+    the caller admits: voter t's ``belief(t)``, cached per t, and
+    ``(t, solve_attention(belief(t), mu))`` per voter group in group order, by
+    ``solve_groups`` on the game row's ``beliefs`` of every group, validated
+    once.  ``belief(t)`` is a view of its group's row, else the row's per-t
+    ``belief``: records, aggregation and ``solve-attention`` build none twice."""
+    row, ts = _game(scenario), scenario.electorate.group_types
+    support, probs, values = row.beliefs(scenario, assignment, np.array(ts))
+    first, rows = BeliefOverProfiles(support, probs, values[0]), dict(zip(ts, values))
+    belief = cache(lambda t: replace(first, values=rows[t]) if t in rows
+                   else row.belief(scenario, assignment, t))
+    return belief, tuple(zip(ts, solve_groups(values, first.probs, scenario.mu)))
 
 
 def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment) -> np.ndarray:
@@ -275,11 +295,11 @@ def _margins(pay, own, opp, gain=None) -> np.ndarray:
     total = np.zeros((len(own), *pay.shape[2:]))
     for j in range(opp.shape[1]):
         total += pay[j, opp[:, j]]
-    at = own[:, :, None]
-    ub = np.take_along_axis(total, at, 2) - total
+    r, k = np.arange(len(own))[:, None], np.arange(own.shape[1])
+    ub = total[r, k, own][..., None] - total
     if gain is not None:
-        ub += gain[np.arange(own.shape[1]), own]
-    np.put_along_axis(ub, at, math.inf, 2)
+        ub += gain[k, own]
+    ub[r, k, own] = math.inf
     return ub
 
 
@@ -316,12 +336,13 @@ class ICKernel:
 
     @cached_property
     def _open_gains(self) -> np.ndarray:
-        """``gains[m, k, a, b]``: the most beta's opponents j < m can add to
-        type k's payoff at a over b, each maximised over its policy."""
+        """``gains[m, k, a, b]``: the most beta's opponents j < m can add to type
+        k's payoff at a over b, each maximised over its policy, for what ``bound``
+        reads only: m < n and k < n - 1, one of the four (j, k) slices with two types."""
         pay, (n, size) = self._beta, self._beta.shape[:2]
-        gain = np.zeros((n + 1, n, size, size))
+        gain = np.zeros((n, n - 1, size, size))
         step = max(1, IC_CHUNK_FLOATS // size ** 2)
-        for j, k, lo in itertools.product(range(n), range(n), range(0, size, step)):
+        for j, k, lo in itertools.product(range(n - 1), range(n - 1), range(0, size, step)):
             part = pay[j, :, k, lo:lo + step, None] - pay[j, :, k, None]
             gain[j + 1, k, lo:lo + step] = part.max(axis=0)
         return np.cumsum(gain, axis=0)
@@ -375,14 +396,17 @@ class GameRow(NamedTuple):
     or decided signal-wise under news), the commitment level blended into the
     stage values, the rule ``follows(last, next)`` on consecutive types'
     policy indices (None for every map, ``np.less`` for the increasing maps of
-    limited commitment), voter t's ``belief(scenario, assignment, t)`` and the
-    attention-set ``scan(spec, a1, a2, t, mu, level_probs)`` that
-    ``attention_set`` runs (None under commitment)."""
+    limited commitment), voter t's ``belief(scenario, assignment, t)``, its batch
+    ``beliefs(scenario, assignment, ts)`` of (support, probs, values[len(ts), n])
+    with bitwise ``belief`` rows, and the attention-set
+    ``scan(spec, a1, a2, t, mu, level_probs)`` that ``attention_set`` runs
+    (None under commitment)."""
 
     w_of: Callable[[Scenario], np.ndarray]
     eta: float | None
     follows: Callable | None
     belief: Callable[[Scenario, StrategyAssignment, float], BeliefOverProfiles]
+    beliefs: Callable[[Scenario, StrategyAssignment, np.ndarray], tuple]
     scan: Callable | None
 
 
@@ -395,11 +419,16 @@ def _game(scenario: Scenario) -> GameRow:
     def signal_wise(s):
         return expected_winning_matrix(s.news, s.beta_axis.values)
 
+    def news(s, a, ts):
+        return signal_beliefs(s.news, s.utility, a.levels, a.sigma, ts, IC_CHUNK_FLOATS)
+
     return {
-        "baseline": GameRow(perfect, None, None, on_path_belief, attention_frontier),
-        "noisy": GameRow(signal_wise, None, None, news_belief,
+        "baseline": GameRow(perfect, None, None, on_path_belief, _on_path_beliefs,
+                            attention_frontier),
+        "noisy": GameRow(signal_wise, None, None, news_belief, news,
                          partial(attention_frontier_noisy, scenario.news)),
-        "commitment": GameRow(perfect, scenario.eta, np.less, commitment_belief, None),
+        "commitment": GameRow(perfect, scenario.eta, np.less, commitment_belief,
+                              partial(_on_path_beliefs, committed=True), None),
     }[game_of(scenario)]
 
 

@@ -165,12 +165,10 @@ def audit_news(tech: NewsTechnology, grid) -> list[str]:
     also warns once, or failed 2x2 log minor over policy, then signal pairs."""
     a = [float(x) for x in grid]
     rows = tech.pmf(np.array(a))
-    problems = []
-    for ai, row in zip(a, rows):
-        if np.any(row < 0):
-            problems.append(f"negative signal probability at policy {ai}")
-        if not abs(row.sum() - 1.0) <= EXACT:
-            problems.append(f"signal probabilities at policy {ai} do not sum to 1")
+    negative, off = np.any(rows < 0, axis=-1), ~(np.abs(rows.sum(axis=-1) - 1.0) <= EXACT)
+    problems = [msg for i in np.flatnonzero(negative | off) for msg, bad in (
+        (f"negative signal probability at policy {a[i]}", negative[i]),
+        (f"signal probabilities at policy {a[i]} do not sum to 1", off[i])) if bad]
     if (np.all((rows == 0) | (rows == 1)) and np.all(rows.sum(axis=-1) == 1.0)
             and np.all(np.diff(np.argmax(rows, axis=-1)) > 0)):
         return problems
@@ -235,14 +233,24 @@ def signal_belief(
 
     Zero-probability profiles are dropped from the support with a warning.
     """
-    marginal, nu = posterior_value_matrix(tech, spec, levels, sigma, t)
-    keep = marginal.ravel() > 0
+    support, probs, values = signal_beliefs(tech, spec, levels, sigma, np.array([t]))
+    return BeliefOverProfiles(support, probs, values[0])
+
+
+def signal_beliefs(tech: NewsTechnology, spec: UtilitySpec, levels, sigma, ts, floats=0):
+    """``signal_belief`` of each voter type in ``ts``: (support, probs,
+    values[len(ts), n]) under one zero-probability mask and one warning, the
+    posterior terms, (k L)^2 floats per type, built within ``floats`` at a time."""
+    step = max(1, floats // (tech.k * len(levels)) ** 2)
+    parts = [posterior_value_matrix(tech, spec, levels, sigma, ts[lo:lo + step, None])
+             for lo in range(0, len(ts), step)]
+    keep = (marginal := parts[0][0].ravel()) > 0
     if dropped := int(np.count_nonzero(~keep)):
         warnings.warn(f"dropped {dropped} zero-probability news profiles from the "
-                      "attention support", stacklevel=2)
+                      "attention support", stacklevel=3)
     profiles = itertools.product((-w for w in tech.signals), tech.signals)
-    support = tuple(itertools.compress(profiles, keep))
-    return BeliefOverProfiles(support, marginal.ravel()[keep], nu.ravel()[keep])
+    return (tuple(itertools.compress(profiles, keep)), marginal[keep],
+            np.concatenate([nu.reshape(len(nu), -1)[:, keep] for _, nu in parts]))
 
 
 # ---------------------------------------------------------------------------

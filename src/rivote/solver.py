@@ -246,18 +246,29 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     >= b.  A safeguarded Newton iteration in log-odds, with
     F'(m) = -sum p q^2, puts a and b about 2 R / |F'| either side of the
     root; a side that does not certify falls back to evaluating every
-    midpoint, which is the plain bisection.
+    midpoint, which is the plain bisection.  This is ``solve_groups`` for
+    one group, bitwise, but it skips the second corner test at ``corner_zero``.
     """
-    probs = belief.probs
-    n = len(belief.support)
-
+    values, probs = belief.values, belief.probs
     # attentive() refuses a mu that is not positive and values/mu that are not finite
-    if not attentive(belief.values, probs, mu):  # log E[exp(v/mu)] < -1e-12: never beta
-        return AttentionSolution("corner_zero", 0.0, 0.0, np.zeros(n), 0.0, 0.0)
-    if log_mean_exp(-belief.values, probs, mu) < 0.0:  # E[exp(-v/mu)] < 1: always choose beta
-        return AttentionSolution("corner_one", 1.0, math.inf, np.ones(n), 0.0, 0.0)
+    zero = not attentive(values, probs, mu)  # log E[exp(v/mu)] < -1e-12: never beta
+    one = not zero and log_mean_exp(-values, probs, mu) < 0.0  # E[exp(-v/mu)] < 1: always beta
+    return _solution(values, probs, mu, zero, one)
 
-    x = belief.values / mu
+
+def solve_groups(values, probs, mu: float) -> list[AttentionSolution]:
+    """``solve_attention`` of each row of ``values[groups, n]`` under ``probs``,
+    bitwise: each corner test runs once on the array, the bisection per interior row."""
+    zero, one = ~attentive(values, probs, mu), log_mean_exp(-values, probs, mu) < 0.0
+    return [_solution(v, probs, mu, z, o) for v, z, o in zip(values, zero.tolist(), one.tolist())]
+
+
+def _solution(values, probs, mu: float, zero: bool, one: bool) -> AttentionSolution:
+    if zero:
+        return AttentionSolution("corner_zero", 0.0, 0.0, np.zeros(len(probs)), 0.0, 0.0)
+    if one:
+        return AttentionSolution("corner_one", 1.0, math.inf, np.ones(len(probs)), 0.0, 0.0)
+    x = values / mu
     pos = x >= 0
     e = np.exp(-np.abs(x))
     num = np.where(pos, 1.0 - e, e - 1.0)

@@ -502,6 +502,20 @@ def audit_rows(tech, a_values, warn_zero: bool = True) -> list[str]:
     return problems
 
 
+def news_row_problems(tech, a_values) -> list[str]:
+    """``audit_news``'s row checks as one loop over the grid's batched rows:
+    per policy, a negative entry, then a sum that is not within 1e-12 of 1
+    (NaN included)."""
+    a = [float(x) for x in a_values]
+    problems = []
+    for ai, row in zip(a, tech.pmf(np.array(a))):
+        if np.any(row < 0):
+            problems.append(f"negative signal probability at policy {ai}")
+        if not abs(row.sum() - 1.0) <= EXACT:
+            problems.append(f"signal probabilities at policy {ai} do not sum to 1")
+    return problems
+
+
 def is_monotone_revealing(tech, a_values) -> bool:
     """Whether every policy maps to exactly one signal, in increasing order."""
     rows = pmf_rows(tech, a_values)

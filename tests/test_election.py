@@ -37,13 +37,15 @@ SHIPPED = sorted((Path(__file__).parents[1] / "demos" / "scenarios").glob("*.jso
 
 
 def test_verify_rationalizable_counts_the_records_own_solutions(figure2, monkeypatch):
-    # each group of each record is solved once, while its record is built
-    solve, calls = rivote.election.solve_attention, []
-    monkeypatch.setattr(rivote.election, "solve_attention",
+    # every group of each record is solved in one batched call while its
+    # record is built, and verify_rationalizable adds none
+    solve, calls = rivote.election.solve_groups, []
+    monkeypatch.setattr(rivote.election, "solve_groups",
                         lambda *a: calls.append(a) or solve(*a))
     records = enumerate_equilibria(figure2, verify_rationalizable=True)
     assert len(records) == 2 and len(figure2.electorate.groups) == 3
-    assert len(calls) == 6
+    assert len(calls) == 2 and all(len(values) == 3 for values, *_ in calls)
+    assert len(enumerate_equilibria(figure2)) == 2 and len(calls) == 4
 
 
 class TestDownsianWinner:
@@ -174,6 +176,39 @@ class TestAggregation:
         g = np.array(scenario.beta_axis.values)
         w = perfect_observation_winner(scenario, -g[:, None], g[None, :])
         np.testing.assert_array_equal(w + w.T, 1.0)
+
+    @staticmethod
+    def many_groups(n_groups=301, n_policies=60):
+        doc = figure2_scenario()
+        doc["policies"]["beta"] = [k / (n_policies + 1) for k in range(1, n_policies + 1)]
+        half = n_groups // 2
+        doc["electorate"]["groups"] = [[0.3 * k / half, 1 / n_groups]
+                                       for k in range(-half, half + 1)]
+        scenario = scenario_from_dict(doc)
+        g = np.array(scenario.beta_axis.values)
+        return scenario, -g[:, None], g[None, :]
+
+    def test_many_groups_build_in_chunks(self):
+        # one chunk of groups' votes at a time, not groups x grid^2 floats
+        import tracemalloc
+
+        args = self.many_groups()
+        perfect_observation_winner(*args)
+        tracemalloc.start()
+        try:
+            perfect_observation_winner(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("chunk", [1, 3600, 3601, 7 * 3600])
+    def test_group_chunks_do_not_change_w(self, monkeypatch, chunk):
+        # the votes are summed in group order whatever the chunk
+        args = self.many_groups(31)
+        want = perfect_observation_winner(*args)
+        monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+        assert perfect_observation_winner(*args).tobytes() == want.tobytes()
 
 
 class TestIncentiveCompatibility:

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rivote.election
 from rivote.cli import main
@@ -193,6 +195,33 @@ class TestAuditAgainstOracle:
     def test_matches_oracle(self, name):
         tech, grid = AUDIT_CASES[name]
         assert _audited(audit_news, tech, grid) == _audited(oracles.audit_news, tech, grid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 30), k=st.integers(2, 8))
+    def test_row_checks_match_the_row_loop(self, data, n, k):
+        # distributions, then some rows broken by a NaN, a negative entry or
+        # a sum a few 1e-13 off 1, on either side of the 1e-12 tolerance
+        rows = np.array(data.draw(st.lists(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k),
+                                           min_size=n, max_size=n)))
+        rows /= rows.sum(axis=1, keepdims=True)
+        for i in range(n):
+            kind = data.draw(st.sampled_from(["ok", "nan", "negative", "off"]))
+            j = data.draw(st.integers(0, k - 1))
+            if kind == "nan":
+                rows[i, j] = math.nan
+            elif kind == "negative":
+                rows[i, j] = -data.draw(st.floats(1e-15, 0.5))
+            elif kind == "off":
+                rows[i, j] += data.draw(st.integers(-20, 20)) * 1e-13
+        grid = np.arange(1, n + 1) / (n + 1)
+        tech = NewsTechnology(np.arange(1, k + 1) / k,
+                              lambda a: rows[np.rint(a * (n + 1)).astype(int) - 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            problems = audit_news(tech, grid)
+        want = oracles.news_row_problems(tech, grid)
+        assert problems[:len(want)] == want
+        assert not any("signal probabilit" in p for p in problems[len(want):])
 
     def test_minors_at_the_threshold_match_oracle(self):
         # 2x2 tables [[p, 1-p], [q, 1-q]] whose log minor logit(p) - logit(q)

@@ -4,12 +4,18 @@
 and every attention statistic of a record (its attention solutions, its
 ``attentive`` flags, the truncation statistic) must be read from it.
 """
+import math
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rivote.election
 from rivote.election import (
+    StrategyAssignment,
     commitment_belief,
     electorate_attention,
     enumerate_equilibria,
@@ -150,3 +156,85 @@ def test_truncation_statistic_reuses_the_enumeration_beliefs(pipeline, monkeypat
     assert calls == []
     truncation_statistic(scenario, records, 0.5)
     assert calls
+
+
+def electorate_game(pipeline, family, group_types, mu, news="slant"):
+    """Eight-type game on the grid k/9 with equally weighted voter groups;
+    noisy games read slant news or news that reveals the policy."""
+    grid = [k / 9 for k in range(1, 9)]
+    doc = {"schema_version": 1, "policies": {"beta": grid},
+           "utility": {"family": family, "office_rent": 0.0, "win_weight": 12.0,
+                       "lose_weight": 1.0, "loser_sign": -1},
+           "candidates": {"beta": [[(k + 0.5) / 9, 1 / 8] for k in range(1, 9)]},
+           "electorate": {"groups": [[t, 1 / len(group_types)] for t in group_types]},
+           "attention": {"mu": mu}}
+    if pipeline == "noisy":
+        doc["news"] = ({"family": "slant", "xi": 0.75, "signals": [0.25, 0.75]} if news == "slant"
+                       else {"family": "revealing", "policies": grid})
+    if pipeline == "commitment":
+        doc["commitment"] = {"eta": 0.5}
+    return scenario_from_dict(doc)
+
+
+def assignment_of(scenario, policies):
+    """The scenario's eight candidate types playing ``policies`` of its grid."""
+    types = scenario.beta_types
+    return StrategyAssignment(types.type_values, types.type_probs, tuple(policies))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pipeline=st.sampled_from(list(GAMES)),
+    family=st.sampled_from(["absolute", "quadratic"]),
+    news=st.sampled_from(["slant", "revealing"]),
+    # multiples of 1/20 in [-1, 1]: groups at t = 0 and mirror pairs give all-zero and tied values
+    group_types=st.sets(st.integers(-20, 20), min_size=1, max_size=40),
+    levels=st.lists(st.integers(1, 8), min_size=8, max_size=8),
+    log_mu=st.floats(math.log(1e-3), math.log(3.0)),
+)
+def test_every_group_is_solve_attention_of_its_public_belief(pipeline, family, news,
+                                                              group_types, levels, log_mu):
+    # supports of 1 to 64 profiles: one to eight levels played, squared
+    mu = math.exp(log_mu)
+    scenario = electorate_game(pipeline, family, sorted(k / 20 for k in group_types), mu, news)
+    grid = scenario.beta_axis.values
+    policies = (grid[:8] if pipeline == "commitment"
+                else tuple(sorted(grid[i - 1] for i in levels)))
+    record = SimpleNamespace(assignment=assignment_of(scenario, policies))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # revealing news drops unplayed signals
+        belief, attention = electorate_attention(scenario, record.assignment)
+        direct = {t: public_belief(pipeline, scenario, record, t) for t, _ in attention}
+    assert [t for t, _ in attention] == list(scenario.electorate.group_types)
+    for t, sol in attention:
+        want = solve_attention(direct[t], mu)
+        assert belief(t).support == direct[t].support
+        assert belief(t).probs.tobytes() == direct[t].probs.tobytes()
+        assert belief(t).values.tobytes() == direct[t].values.tobytes()
+        assert (sol.regime, sol.m.tobytes(), sol.m_bar, sol.likelihood_ratio, sol.info,
+                sol.residual) == (want.regime, want.m.tobytes(), want.m_bar,
+                                  want.likelihood_ratio, want.info, want.residual)
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 2 ** 15])
+def test_noisy_electorate_warns_once_with_the_dropped_count(monkeypatch, chunk):
+    # revealing news on eight policies, two of them played: 64 - 4 profiles
+    # have no mass, for every one of the seven groups alike; posterior chunks
+    # of any size give the same beliefs
+    monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+    types = [-0.3, -0.1, -0.01, 0.0, 0.01, 0.1, 0.3]
+    scenario = electorate_game("noisy", "absolute", types, 0.05, news="revealing")
+    grid = scenario.beta_axis.values
+    record = SimpleNamespace(assignment=assignment_of(scenario, [grid[1]] * 4 + [grid[6]] * 4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        belief, attention = electorate_attention(scenario, record.assignment)
+        assert [belief(t).support for t in types]  # views build nothing and warn nothing
+    assert [str(w.message).split()[:2] for w in caught] == [["dropped", "60"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for t, sol in attention:
+            direct = public_belief("noisy", scenario, record, t)
+            assert belief(t).support == direct.support and len(direct.support) == 4
+            assert belief(t).values.tobytes() == direct.values.tobytes()
+            assert sol.m.tobytes() == solve_attention(direct, 0.05).m.tobytes()
