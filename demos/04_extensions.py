@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from rivote import dissemination_filter, enumerate_equilibria, scenario_from_dict
-from rivote.election import assignment_for, commitment_belief
+from rivote.election import assignment_for, game_belief
 from rivote.extensions import (
     multi_issue_reduce,
     quarter_circle_frontier,
@@ -39,7 +39,7 @@ for pols in ((0.01, 0.2), (0.01, 0.4)):
     flips = []
     for eta in np.linspace(0, 1, 11):
         s = scenario_from_dict(example3_scenario(float(eta)))
-        member = attention_membership(commitment_belief(s, assignment_for(s, pols), -tau), mu)
+        member = attention_membership(game_belief(s, assignment_for(s, pols), -tau), mu)
         flips.append("#" if member else ".")
     print(f"  proposals {pols} (spread {gap:.2f}): attention over eta 0..1  {''.join(flips)}")
 print("  narrow proposals lose the voter once promises start to bind;")

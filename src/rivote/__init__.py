@@ -32,11 +32,9 @@ from .election import (
     attention_frontier_noisy,
     attention_set,
     check_ic,
-    commitment_belief,
     enumerate_equilibria,
+    game_belief,
     median_differential,
-    news_belief,
-    on_path_belief,
     perfect_observation_winner,
     profile_belief,
     truncation_statistic,

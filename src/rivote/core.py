@@ -50,9 +50,9 @@ class PolicyAxis:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValidationError("policy axis is empty")
-        if any(hi <= lo for lo, hi in zip(vals, vals[1:])):
+        if any(not hi > lo for lo, hi in zip(vals, vals[1:])):
             raise ValidationError("policy values must be strictly increasing")
-        if vals[0] <= 0.0 or vals[-1] > 1.0:
+        if not (0.0 < vals[0] and vals[-1] <= 1.0):
             raise ValidationError("beta policies must lie in (0, 1]")
 
     @property
@@ -112,12 +112,13 @@ class UtilitySpec:
             raise ValidationError(f"unknown utility family {self.family!r}")
         if self.family == "table" and self.table is None:
             raise ValidationError("family 'table' requires a utility table")
-        if self.office_rent < 0 or self.win_weight < 0 or self.lose_weight < 0:
-            raise ValidationError("office rent and preference weights must be >= 0")
+        if not all(0 <= x < math.inf for x in (self.office_rent, self.win_weight,
+                                               self.lose_weight)):
+            raise ValidationError("office rent and preference weights must be finite and >= 0")
         if self.loser_sign not in (1, -1):
             raise ValidationError("loser_sign must be +1 or -1")
-        if self.kappa is not None and self.kappa <= 0:
-            raise ValidationError("kappa must be positive")
+        if self.kappa is not None and not 0 < self.kappa < math.inf:
+            raise ValidationError("kappa must be positive and finite")
 
 
 def _grid_index(grid: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
@@ -214,13 +215,13 @@ class CandidateSpec:
         object.__setattr__(self, "types", pairs)
         if not pairs:
             raise ValidationError("candidate has no types")
-        if any(p <= 0 for _, p in pairs):
+        if any(not p > 0 for _, p in pairs):
             raise ValidationError("type probabilities must be positive")
-        if abs(sum(p for _, p in pairs) - 1.0) > EXACT:
+        if not abs(sum(p for _, p in pairs) - 1.0) <= EXACT:
             raise ValidationError("type probabilities must sum to 1")
         if any(t2 == t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):
             raise ValidationError("duplicate candidate types")
-        if pairs[0][0] <= 0 or pairs[-1][0] > 1:
+        if any(not 0 < t <= 1 for t, _ in pairs):
             raise ValidationError("beta types must lie in (0, 1]")
 
     @property
@@ -243,13 +244,13 @@ class Electorate:
         object.__setattr__(self, "groups", pairs)
         if not pairs:
             raise ValidationError("electorate has no groups")
-        if any(w <= 0 for _, w in pairs):
+        if any(not w > 0 for _, w in pairs):
             raise ValidationError("group weights must be positive")
         if any(not -1 <= t <= 1 for t, _ in pairs):
             raise ValidationError("group types must lie in [-1, 1]")
         if any(t2 == t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):
             raise ValidationError("duplicate voter group types")
-        if abs(sum(w for _, w in pairs) - 1.0) > EXACT:
+        if not abs(sum(w for _, w in pairs) - 1.0) <= EXACT:
             raise ValidationError("group weights must sum to 1")
 
     @property

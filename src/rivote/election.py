@@ -2,7 +2,8 @@
 
 One game table (``_game``) holds every part of the baseline, noisy-news and
 limited-commitment games: beta's winning matrix, commitment level, prefix
-rule, belief builder and attention-set scan.  On it: vote aggregation,
+rule, belief builder (one per game, batched over voter types; ``game_belief``
+is its one-type case) and attention-set scan.  On it: vote aggregation,
 incentive checks, exact pruned enumeration of pure symmetric equilibria, the
 one attention-set scan and the truncation statistic behind the
 comparative statics in the attention cost.
@@ -35,7 +36,6 @@ from .news import (
     audit_news,
     expected_winning_matrix,
     posterior_value_matrix,
-    signal_belief,
     signal_beliefs,
 )
 from .solver import (
@@ -72,12 +72,12 @@ class StrategyAssignment:
         object.__setattr__(self, "policies", policies)
         if not (len(types) == len(probs) == len(policies)):
             raise ValidationError("types, probabilities and policies must align")
-        if any(hi <= lo for lo, hi in zip(types, types[1:])):
-            raise ValidationError("types must be strictly increasing")
-        if any(p <= 0 for p in probs) or abs(sum(probs) - 1.0) > EXACT:
+        if not all(map(math.isfinite, types)) or any(hi <= lo for lo, hi in zip(types, types[1:])):
+            raise ValidationError("types must be finite and strictly increasing")
+        if any(not p > 0 for p in probs) or not abs(sum(probs) - 1.0) <= EXACT:
             raise ValidationError("type probabilities must be positive and sum to 1")
-        if any(a <= 0 for a in policies):
-            raise ValidationError("beta policies must be positive")
+        if any(not 0 < a < math.inf for a in policies):
+            raise ValidationError("beta policies must be positive and finite")
 
     @cached_property
     def levels(self) -> tuple[float, ...]:
@@ -137,52 +137,39 @@ class EquilibriumRecord:
 # ---------------------------------------------------------------------------
 
 def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverProfiles:
-    """Belief over on-path policy profiles with voter t's differential values."""
-    a = tuple(float(x) for x in a_values)
-    sigma = np.asarray(sigma, dtype=float)
-    support = tuple((-ai, aj) for ai in a for aj in a)
-    return BeliefOverProfiles(support, sigma.ravel(), value_matrix(spec, a, t).ravel())
-
-
-def on_path_belief(
-    scenario: Scenario, assignment: StrategyAssignment, t: float
-) -> BeliefOverProfiles:
-    """Belief builder of the baseline game: ``profile_belief`` of the
-    assignment's played levels."""
-    return profile_belief(scenario.utility, assignment.levels, assignment.sigma, t)
-
-
-def news_belief(
-    scenario: Scenario, assignment: StrategyAssignment, t: float
-) -> BeliefOverProfiles:
-    """Belief builder of the noisy-news game: ``signal_belief`` of the
-    assignment's played levels under the scenario's technology."""
-    return signal_belief(scenario.news, scenario.utility, assignment.levels, assignment.sigma, t)
-
-
-def commitment_belief(
-    scenario: Scenario, assignment: StrategyAssignment, t: float
-) -> BeliefOverProfiles:
-    """Belief builder of the limited-commitment game: ``on_path_belief`` of the
-    strictly increasing proposals, valued as the mix of the proposal, weight
-    ``scenario.eta``, and the proposer's own type (played when the winner reneges)."""
-    support, probs, values = _on_path_beliefs(scenario, assignment, np.array([t]), True)
+    """Belief over on-path policy profiles with voter t's differential values:
+    the one-type case of ``profile_beliefs``."""
+    support, probs, values = profile_beliefs(spec, a_values, sigma, np.array([t]))
     return BeliefOverProfiles(support, probs, values[0])
 
 
-def _on_path_beliefs(scenario: Scenario, assignment: StrategyAssignment, ts, committed=False):
-    """``on_path_belief``, or ``commitment_belief`` if ``committed``, batched
-    over the voter types ``ts``: (support, probs, values[len(ts), n])."""
-    a, spec, t, eta = assignment.levels, scenario.utility, ts[:, None], scenario.eta
-    if not committed:
-        values = value_matrix(spec, a, t)
-    elif any(hi <= lo for lo, hi in zip(assignment.policies, assignment.policies[1:])):
-        raise ValidationError("limited commitment requires strictly increasing policies")
-    else:
-        values = (eta * value_matrix(spec, assignment.policies, t)
-                  + (1.0 - eta) * value_matrix(spec, assignment.types, t))
-    return (tuple((-ai, aj) for ai in a for aj in a), assignment.sigma.ravel(),
+def profile_beliefs(spec: UtilitySpec, a_values, sigma, ts):
+    """``profile_belief`` of each voter type in ``ts``: (support, probs,
+    values[len(ts), n]), the baseline game's builder on the played levels."""
+    a = tuple(float(x) for x in a_values)
+    values = value_matrix(spec, a, np.asarray(ts, dtype=float)[:, None])
+    return (tuple((-ai, aj) for ai in a for aj in a), np.asarray(sigma, dtype=float).ravel(),
             values.reshape(len(ts), -1))
+
+
+def _commitment_beliefs(scenario: Scenario, assignment: StrategyAssignment, ts):
+    """The limited-commitment game's builder: ``profile_beliefs`` of the strictly
+    increasing proposals, valued as the mix of the proposal, weight
+    ``scenario.eta``, and the proposer's own type (played when the winner reneges)."""
+    policies, eta = assignment.policies, scenario.eta
+    if any(hi <= lo for lo, hi in zip(policies, policies[1:])):
+        raise ValidationError("limited commitment requires strictly increasing policies")
+    support, probs, proposed = profile_beliefs(scenario.utility, policies, assignment.sigma, ts)
+    own = profile_beliefs(scenario.utility, assignment.types, assignment.sigma, ts)[2]
+    return support, probs, eta * proposed + (1.0 - eta) * own
+
+
+def game_belief(scenario: Scenario, assignment: StrategyAssignment,
+                t: float) -> BeliefOverProfiles:
+    """Voter t's belief under the assignment in the scenario's game: the
+    one-type case of its game row's ``beliefs``."""
+    support, probs, values = _game(scenario).beliefs(scenario, assignment, np.array([t]))
+    return BeliefOverProfiles(support, probs, values[0])
 
 
 def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarray:
@@ -217,14 +204,14 @@ def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
     """``(belief, attention)`` under the assignment in the scenario's game, which
     the caller admits: voter t's ``belief(t)``, cached per t, and
     ``(t, solve_attention(belief(t), mu))`` per voter group in group order, by
-    ``solve_groups`` on the game row's ``beliefs`` of every group, validated
-    once.  ``belief(t)`` is a view of its group's row, else the row's per-t
-    ``belief``: records, aggregation and ``solve-attention`` build none twice."""
-    row, ts = _game(scenario), scenario.electorate.group_types
-    support, probs, values = row.beliefs(scenario, assignment, np.array(ts))
+    ``solve_groups`` on the game row's ``beliefs`` of every group, built and
+    validated once.  ``belief(t)`` is a view of its group's row, else
+    ``game_belief``: records, aggregation and ``solve-attention`` build none twice."""
+    ts = scenario.electorate.group_types
+    support, probs, values = _game(scenario).beliefs(scenario, assignment, np.array(ts))
     first, rows = BeliefOverProfiles(support, probs, values[0]), dict(zip(ts, values))
     belief = cache(lambda t: replace(first, values=rows[t]) if t in rows
-                   else row.belief(scenario, assignment, t))
+                   else game_belief(scenario, assignment, t))
     return belief, tuple(zip(ts, solve_groups(values, first.probs, scenario.mu)))
 
 
@@ -396,16 +383,15 @@ class GameRow(NamedTuple):
     or decided signal-wise under news), the commitment level blended into the
     stage values, the rule ``follows(last, next)`` on consecutive types'
     policy indices (None for every map, ``np.less`` for the increasing maps of
-    limited commitment), voter t's ``belief(scenario, assignment, t)``, its batch
-    ``beliefs(scenario, assignment, ts)`` of (support, probs, values[len(ts), n])
-    with bitwise ``belief`` rows, and the attention-set
-    ``scan(spec, a1, a2, t, mu, level_probs)`` that ``attention_set`` runs
-    (None under commitment)."""
+    limited commitment), the game's one belief builder, batched over voter
+    types, ``beliefs(scenario, assignment, ts)`` -> (support, probs,
+    values[len(ts), n]), whose one-type case is ``game_belief``, and the
+    attention-set ``scan(spec, a1, a2, t, mu, level_probs)`` that
+    ``attention_set`` runs (None under commitment)."""
 
     w_of: Callable[[Scenario], np.ndarray]
     eta: float | None
     follows: Callable | None
-    belief: Callable[[Scenario, StrategyAssignment, float], BeliefOverProfiles]
     beliefs: Callable[[Scenario, StrategyAssignment, np.ndarray], tuple]
     scan: Callable | None
 
@@ -419,16 +405,17 @@ def _game(scenario: Scenario) -> GameRow:
     def signal_wise(s):
         return expected_winning_matrix(s.news, s.beta_axis.values)
 
+    def played(s, a, ts):
+        return profile_beliefs(s.utility, a.levels, a.sigma, ts)
+
     def news(s, a, ts):
         return signal_beliefs(s.news, s.utility, a.levels, a.sigma, ts, IC_CHUNK_FLOATS)
 
     return {
-        "baseline": GameRow(perfect, None, None, on_path_belief, _on_path_beliefs,
-                            attention_frontier),
-        "noisy": GameRow(signal_wise, None, None, news_belief, news,
+        "baseline": GameRow(perfect, None, None, played, attention_frontier),
+        "noisy": GameRow(signal_wise, None, None, news,
                          partial(attention_frontier_noisy, scenario.news)),
-        "commitment": GameRow(perfect, scenario.eta, np.less, commitment_belief,
-                              partial(_on_path_beliefs, committed=True), None),
+        "commitment": GameRow(perfect, scenario.eta, np.less, _commitment_beliefs, None),
     }[game_of(scenario)]
 
 
@@ -557,7 +544,7 @@ def frontier_scan(a1_grid, a2_grid, mu: float, level_probs, arrays,
     if not mu > 0:
         raise ValidationError("mu must be positive")
     p = np.asarray(level_probs, dtype=float)
-    if p.shape != (2,) or np.any(p <= 0) or abs(float(p.sum()) - 1.0) > EXACT:
+    if p.shape != (2,) or not np.all(p > 0) or not abs(float(p.sum()) - 1.0) <= EXACT:
         raise ValidationError("level probabilities must be two positive numbers summing to 1")
     a1 = np.asarray(a1_grid, dtype=float)
     a2 = np.asarray(a2_grid, dtype=float)

@@ -156,8 +156,8 @@ class MultiIssueReduction:
         return UtilitySpec(family="table", table=table, **spec_kwargs)
 
 
-def multi_issue_reduce(u2, frontier: Callable, a_grid=None, t_grid=None, lattice: int = 21,
-                       tangency_tol: float = 1e-10) -> MultiIssueReduction:
+def multi_issue_reduce(u2, frontier: Callable, a_grid=None, t_grid=None,
+                       lattice: int = 21) -> MultiIssueReduction:
     """Collapse a two-issue utility onto the frontier.
 
     Audits monotonicity of ``u2`` in both issues and the single-crossing
@@ -199,8 +199,7 @@ def multi_issue_reduce(u2, frontier: Callable, a_grid=None, t_grid=None, lattice
         )
 
     table = u2(a_grid[None, :], frontier(a_grid)[None, :], t_grid[:, None])
-    tangency = golden_max(lambda a: u2(a, frontier(a), t_grid),
-                          np.full(t_grid.shape, -1.0), 1.0, tangency_tol)
+    tangency = golden_max(lambda a: u2(a, frontier(a), t_grid), np.full(t_grid.shape, -1.0), 1.0)
     diffs = np.diff(table, axis=1)
     failed = np.stack([
         np.any((diffs <= -eps) & (a_grid[1:] <= tangency[:, None]), axis=1),

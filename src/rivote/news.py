@@ -4,7 +4,7 @@ A technology gives candidate beta's signal pmf per policy; candidate alpha's
 is the mirror image by construction, so the symmetric-environment requirement
 holds identically.  Garbling post-composes a Markov kernel per candidate and
 preserves the representation, which makes Blackwell comparisons constructive.
-The noisy game's belief builder and attention-set scan sit in ``election``.
+``signal_beliefs`` is the noisy game's belief builder, bound in ``election``.
 """
 from __future__ import annotations
 
@@ -85,7 +85,7 @@ class NewsTechnology:
         sig = tuple(float(w) for w in signals)
         if len(sig) < 2:
             raise ValidationError("a news technology needs at least two signals")
-        if sig[0] <= 0 or sig[-1] > 1 or any(b <= a for a, b in zip(sig, sig[1:])):
+        if not all(0 < w <= 1 for w in sig) or any(not b > a for a, b in zip(sig, sig[1:])):
             raise ValidationError("signals must be strictly increasing in (0, 1]")
         self.signals = sig
         self._row_fn = row_fn

@@ -83,9 +83,9 @@ class BeliefOverProfiles:
             raise ValidationError("support, probs and values must have equal length")
         if len(set(self.support)) != n:
             raise ValidationError("support points must be distinct")
-        if np.any(probs <= 0):
+        if not np.all(probs > 0):
             raise ValidationError("support probabilities must be positive")
-        if abs(float(probs.sum()) - 1.0) > EXACT:
+        if not abs(float(probs.sum()) - 1.0) <= EXACT:
             raise ValidationError("support probabilities must sum to 1")
 
 
@@ -307,7 +307,7 @@ def gamma(x: float) -> float:
 
 def gamma_inverse(y: float) -> float:
     """Unique nonnegative root of gamma(x) = y, i.e. log(y/2 + sqrt(y^2/4 - 1))."""
-    if y < 2.0 - EXACT:
+    if not y >= 2.0 - EXACT:
         raise ValidationError("gamma_inverse requires y >= 2")
     if y <= 2.0:
         return 0.0

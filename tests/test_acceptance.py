@@ -12,13 +12,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rivote import election
 from rivote.core import UtilitySpec
 from rivote.election import (
     ICKernel,
     attention_frontier,
-    commitment_belief,
     enumerate_equilibria,
-    on_path_belief,
+    game_belief,
     profile_belief,
 )
 from rivote.extensions import (
@@ -307,8 +307,11 @@ def test_criterion_09_reductions(figure2):
             policies = r.assignment.policies
             assert all(lo < hi for lo, hi in zip(policies, policies[1:]))
             for t, sol in r.attention:
-                b = on_path_belief(figure2, r.assignment, t)
-                c = commitment_belief(figure2, r.assignment, t)
+                # the commitment builder itself: the scenario's row is the baseline's
+                b = game_belief(figure2, r.assignment, t)
+                support, probs, values = election._commitment_beliefs(
+                    figure2, r.assignment, np.array([t]))
+                c = BeliefOverProfiles(support, probs, values[0])
                 assert b.support == c.support
                 assert b.probs.tobytes() == c.probs.tobytes()
                 assert b.values.tobytes() == c.values.tobytes()

@@ -441,7 +441,7 @@ class TestSolveAttention:
             np.testing.assert_array_equal([float(x) for x in row[5:]], sol.m)
 
     def test_commitment_scenario_uses_commitment_beliefs(self, tmp_path):
-        from rivote.election import assignment_for, commitment_belief
+        from rivote.election import assignment_for, game_belief
         from rivote.solver import solve_attention
 
         path = tmp_path / "eta.json"
@@ -453,7 +453,7 @@ class TestSolveAttention:
         scenario = load_scenario(path)
         a = assignment_for(scenario, (0.01, 0.4))
         for row in rows:
-            sol = solve_attention(commitment_belief(scenario, a, float(row[0])), scenario.mu)
+            sol = solve_attention(game_belief(scenario, a, float(row[0])), scenario.mu)
             assert row[1] == sol.regime
             assert float(row[2]) == sol.m_bar
             np.testing.assert_array_equal([float(x) for x in row[5:]], sol.m)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,13 @@ from rivote.core import (
     derived_kappa,
     utility,
 )
-from rivote.election import stage_tables
+from rivote.election import (
+    StrategyAssignment,
+    attention_frontier,
+    stage_tables,
+)
+from rivote.news import NewsTechnology
+from rivote.solver import BeliefOverProfiles, gamma_inverse
 from tests.oracles import loser_value, voter_utility, winner_value
 
 
@@ -278,6 +286,55 @@ class TestConstruction:
                 electorate=Electorate(((-0.1, 0.5), (0.1, 0.5))),
                 mu=0.0,
             )
+
+
+def _scenario(**fields):
+    return Scenario(**{"beta_axis": PolicyAxis((0.1, 0.4)), "utility": UtilitySpec(),
+                       "beta_types": CandidateSpec(((0.5, 1.0),)),
+                       "electorate": Electorate(((-0.1, 0.5), (0.1, 0.5))), "mu": 1.0,
+                       **fields})
+
+
+# one entry per (constructor or entry point, field): builds it with x in the field
+NON_FINITE = {
+    "PolicyAxis.values": lambda x: PolicyAxis((0.1, x)),
+    "PolicyAxis.values(one)": lambda x: PolicyAxis((x,)),
+    "UtilitySpec.office_rent": lambda x: UtilitySpec(office_rent=x),
+    "UtilitySpec.win_weight": lambda x: UtilitySpec(win_weight=x),
+    "UtilitySpec.lose_weight": lambda x: UtilitySpec(lose_weight=x),
+    "UtilitySpec.kappa": lambda x: UtilitySpec(kappa=x),
+    "CandidateSpec.type": lambda x: CandidateSpec(((0.3, 0.5), (x, 0.5))),
+    "CandidateSpec.probability": lambda x: CandidateSpec(((0.3, 0.5), (0.8, x))),
+    "Electorate.type": lambda x: Electorate(((-0.2, 0.5), (x, 0.5))),
+    "Electorate.weight": lambda x: Electorate(((-0.2, 0.5), (0.2, x))),
+    "Scenario.mu": lambda x: _scenario(mu=x),
+    "Scenario.eta": lambda x: _scenario(eta=x),
+    "Scenario.dissemination_cost": lambda x: _scenario(dissemination_cost=x),
+    "NewsTechnology.signals": lambda x: NewsTechnology((0.25, x), lambda a: a),
+    "BeliefOverProfiles.probs": lambda x: BeliefOverProfiles(((0, 1), (1, 0)), (0.5, x),
+                                                             (0.1, -0.1)),
+    "StrategyAssignment.types": lambda x: StrategyAssignment((0.3, x), (0.5, 0.5), (0.1, 0.2)),
+    "StrategyAssignment.types(one)": lambda x: StrategyAssignment((x,), (1.0,), (0.1,)),
+    "StrategyAssignment.type_probs": lambda x: StrategyAssignment((0.3, 0.8), (0.5, x),
+                                                                  (0.1, 0.2)),
+    "StrategyAssignment.policies": lambda x: StrategyAssignment((0.3, 0.8), (0.5, 0.5),
+                                                                (0.1, x)),
+    "attention_frontier.level_probs": lambda x: attention_frontier(
+        UtilitySpec(), [0.1], [0.2, 0.3], 0.0, 1.0, level_probs=(x, x)),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_fields_are_refused(case, x):
+    # each check is written so that NaN fails it: no silent NaN gets through
+    with pytest.raises(ValidationError):
+        NON_FINITE[case](x)
+
+
+def test_gamma_inverse_refuses_nan():
+    with pytest.raises(ValidationError, match="requires y >= 2"):
+        gamma_inverse(math.nan)
 
 
 def test_kappa_override_is_respected():

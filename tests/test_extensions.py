@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
+from rivote import election
 from rivote.core import TOL, ValidationError, utility
 from rivote.election import (
     ICKernel,
     assignment_for,
-    commitment_belief,
     enumerate_equilibria,
-    on_path_belief,
+    game_belief,
+    profile_belief,
     value_matrix,
 )
 from rivote.extensions import (
@@ -28,7 +29,7 @@ from rivote.extensions import (
 )
 from rivote.presets import figure2_scenario
 from rivote.scenario_io import scenario_from_dict
-from rivote.solver import attention_membership, gamma_inverse, solve_attention
+from rivote.solver import BeliefOverProfiles, attention_membership, gamma_inverse, solve_attention
 
 from tests import oracles
 
@@ -77,7 +78,7 @@ class TestCommitment:
     def test_blend(self, example3_factory):
         scenario = example3_factory(0.25)
         a = assignment_for(scenario, (0.01, 0.4))
-        belief = commitment_belief(scenario, a, -0.05)
+        belief = game_belief(scenario, a, -0.05)
         blend = (0.25 * value_matrix(scenario.utility, a.policies, -0.05)
                  + 0.75 * value_matrix(scenario.utility, a.types, -0.05))
         np.testing.assert_array_equal(belief.values, blend.ravel())
@@ -93,8 +94,12 @@ class TestCommitment:
         assert figure2.eta == 1.0
         for r in enumerate_equilibria(figure2):
             for t, sol in r.attention:
-                belief = commitment_belief(figure2, r.assignment, t)
-                base = on_path_belief(figure2, r.assignment, t)
+                a = r.assignment
+                base = profile_belief(figure2.utility, a.levels, a.sigma, t)
+                # the commitment builder itself: figure 2's own row is the baseline's
+                support, probs, values = election._commitment_beliefs(figure2, a, np.array([t]))
+                belief = BeliefOverProfiles(support, probs, values[0])
+                assert belief.support == base.support
                 assert belief.values.tobytes() == base.values.tobytes()
                 assert belief.probs.tobytes() == base.probs.tobytes()
                 np.testing.assert_array_equal(solve_attention(belief, figure2.mu).m, sol.m)
@@ -102,15 +107,16 @@ class TestCommitment:
     def test_no_commitment_ignores_proposals(self, example3_factory):
         scenario = example3_factory(0.0)
         beliefs = [
-            commitment_belief(scenario, assignment_for(scenario, pols), -0.001)
+            game_belief(scenario, assignment_for(scenario, pols), -0.001)
             for pols in ((0.01, 0.2), (0.01, 0.4), (0.2, 0.4))
         ]
         for other in beliefs[1:]:
             np.testing.assert_array_equal(beliefs[0].values, other.values)
 
-    def test_requires_strictly_increasing_policies(self, figure2):
-        with pytest.raises(ValidationError):
-            commitment_belief(figure2, assignment_for(figure2, (0.2, 0.01)), 0.0)
+    def test_requires_strictly_increasing_policies(self, example3_factory):
+        scenario = example3_factory(0.5)
+        with pytest.raises(ValidationError, match="strictly increasing policies"):
+            game_belief(scenario, assignment_for(scenario, (0.2, 0.01)), 0.0)
 
     def test_case1_boundary_crossing(self, example3_factory):
         # weak hurdle: more commitment power removes the narrow assignment
@@ -122,7 +128,7 @@ class TestCommitment:
             gap = pols[1] - pols[0]
             for eta in np.linspace(0.0, 1.0, 21):
                 scenario = example3_factory(float(eta))
-                belief = commitment_belief(scenario, assignment_for(scenario, pols), -tau)
+                belief = game_belief(scenario, assignment_for(scenario, pols), -tau)
                 member = attention_membership(belief, mu)
                 assert member == (eta * gap + (1 - eta) * 0.5 >= rhs)
 
@@ -139,7 +145,7 @@ class TestCommitment:
         scenario = scenario_from_dict(doc)
         a = assignment_for(scenario, (0.01, 0.6))  # gap .59 > inference effect .5
         members = [
-            attention_membership(commitment_belief(replace(scenario, eta=float(eta)), a, -tau), mu)
+            attention_membership(game_belief(replace(scenario, eta=float(eta)), a, -tau), mu)
             for eta in np.linspace(0.0, 1.0, 21)
         ]
         assert members == sorted(members)  # flips from out to in as eta rises

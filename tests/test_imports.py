@@ -1,14 +1,20 @@
 """The package's import graph: no import inside a function, and the
 module-level imports between ``rivote`` modules form a DAG; the CLI scans
-attention sets only through ``election.attention_set``; and the package
-holds one perfect-observation winner rule, with no Downsian kernel.
+attention sets only through ``election.attention_set``; the package holds
+one perfect-observation winner rule, with no Downsian kernel, and one belief
+builder per game; and every name README's code spans use is defined.
 
-All four are read from the sources with ``ast``; imports under
+All are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
 """
 import ast
+import builtins
 import graphlib
+import re
 from pathlib import Path
+
+import rivote
+from rivote import election
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rivote"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -75,3 +81,68 @@ def test_no_downsian_kernel():
              for field in ("name", "id", "attr")  # defs and aliases, names, attributes
              if str(getattr(node, field, "")).lower().startswith("downsian")]
     assert found == []
+
+
+ROOT = PACKAGE.parents[1]
+SOURCES = [ast.parse(path.read_text()) for path in
+           sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))]
+SNAKE = re.compile(r"_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+")
+
+
+def _definitions() -> tuple[set[str], set[str]]:
+    """(every name the package and the bench define, the names defined only as
+    properties): defs, classes, assignments, attributes, arguments, imports,
+    string constants that spell a dotted name, and Python's builtins."""
+    names, callables, properties = set(dir(builtins)), set(), set()
+    for node in (n for tree in SOURCES for n in ast.walk(tree)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            decorators = {ast.unparse(d).rsplit(".")[-1] for d in node.decorator_list}
+            wrapped = decorators & {"property", "cached_property"}
+            (properties if wrapped else callables).add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if re.fullmatch(r"[\w.]+", node.value):
+                names.update(node.value.split("."))
+    return names, properties - callables
+
+
+def _readme_spans() -> list[str]:
+    """README's inline code spans, outside the fenced blocks."""
+    text = re.sub(r"^```.*?^```", "", (ROOT / "README.md").read_text(), flags=re.M | re.S)
+    return re.findall(r"`([^`]+)`", text)
+
+
+def test_readme_names_are_defined():
+    # every name a span calls or names bare is in the package or the bench,
+    # and no span calls a property; B is the frontier curve b = B(a)
+    names, properties = _definitions()
+    names.add("B")
+    missing, called_properties = [], []
+    for span in _readme_spans():
+        called = re.findall(r"([A-Za-z_]\w*)\(", span)
+        bare = span.split(".") if re.fullmatch(r"[A-Za-z_][\w.]*", span) else []
+        used = called + [name for name in bare if SNAKE.fullmatch(name)]
+        missing += [f"`{span}`: {name}" for name in used if name not in names]
+        called_properties += [f"`{span}`: {name}()" for name in called if name in properties]
+    assert missing == []
+    assert called_properties == []
+
+
+def test_one_belief_builder_per_game():
+    # each game's batch over voter types is its builder; game_belief is its one-type case
+    assert "belief" not in election.GameRow._fields
+    removed = {"on_path_belief", "news_belief", "commitment_belief"}
+    defined = {getattr(node, "name", None) for tree in MODULES.values() for node in ast.walk(tree)}
+    defined |= {node.id for tree in MODULES.values() for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+    assert not removed & defined
+    assert not [name for name in removed if hasattr(rivote, name)]
+    assert rivote.game_belief is election.game_belief

@@ -6,6 +6,7 @@ and every attention statistic of a record (its attention solutions, its
 """
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 import rivote.election
 from rivote.election import (
     StrategyAssignment,
-    commitment_belief,
     electorate_attention,
     enumerate_equilibria,
+    game_belief,
     perfect_observation_winner,
     profile_belief,
 )
@@ -48,8 +49,11 @@ def public_belief(pipeline, scenario, record, t):
     if pipeline == "noisy":
         return signal_belief(scenario.news, scenario.utility, record.assignment.levels,
                              record.assignment.sigma, t)
-    if pipeline == "commitment":
-        return commitment_belief(scenario, record.assignment, t)
+    if pipeline == "commitment":  # the eta-blend of the proposals' and the own types' beliefs
+        a, eta = record.assignment, scenario.eta
+        proposed = profile_belief(scenario.utility, a.policies, a.sigma, t)
+        own = profile_belief(scenario.utility, a.types, a.sigma, t)
+        return replace(proposed, values=eta * proposed.values + (1.0 - eta) * own.values)
     return profile_belief(scenario.utility, record.assignment.levels,
                           record.assignment.sigma, t)
 
@@ -131,8 +135,8 @@ def test_attentive_flag_is_the_one_rule(n, family, pipeline, knob, log_mu):
             assert flag == attention_membership(r.belief(t), mu)
 
 
-BUILDERS = {"baseline": ("rivote.election", "profile_belief"),
-            "noisy": ("rivote.election", "signal_belief"),
+BUILDERS = {"baseline": ("rivote.election", "profile_beliefs"),
+            "noisy": ("rivote.election", "signal_beliefs"),
             "commitment": ("rivote.election", "value_matrix")}
 
 
@@ -238,3 +242,35 @@ def test_noisy_electorate_warns_once_with_the_dropped_count(monkeypatch, chunk):
             assert belief(t).support == direct.support and len(direct.support) == 4
             assert belief(t).values.tobytes() == direct.values.tobytes()
             assert sol.m.tobytes() == solve_attention(direct, 0.05).m.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pipeline=st.sampled_from(list(GAMES)),
+    family=st.sampled_from(["absolute", "quadratic"]),
+    news=st.sampled_from(["slant", "revealing"]),
+    group_types=st.sets(st.integers(-20, 20), min_size=1, max_size=12),
+    levels=st.lists(st.integers(1, 8), min_size=8, max_size=8),
+    off_group=st.integers(-20, 19),
+)
+def test_game_belief_is_the_one_row_case_of_its_game_batch(pipeline, family, news, group_types,
+                                                           levels, off_group):
+    # group types on multiples of 1/20 and one type between them; supports of 1 to 64 profiles
+    scenario = electorate_game(pipeline, family, sorted(k / 20 for k in group_types), 1.0, news)
+    grid = scenario.beta_axis.values
+    policies = (grid[:8] if pipeline == "commitment"
+                else tuple(sorted(grid[i - 1] for i in levels)))
+    record = SimpleNamespace(assignment=assignment_of(scenario, policies))
+    ts = scenario.electorate.group_types + ((off_group + 0.5) / 20,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # revealing news drops unplayed signals
+        batch = rivote.election._game(scenario).beliefs(scenario, record.assignment, np.array(ts))
+        belief, _ = electorate_attention(scenario, record.assignment)
+        rows = {t: (game_belief(scenario, record.assignment, t),
+                    public_belief(pipeline, scenario, record, t), belief(t)) for t in ts}
+    for values, t in zip(batch[2], ts):
+        one, public, carried = rows[t]
+        for b in (one, public, carried):
+            assert b.support == batch[0]
+            assert b.probs.tobytes() == batch[1].tobytes()
+            assert b.values.tobytes() == values.tobytes()
