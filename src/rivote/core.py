@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Iterator, Literal
 
 import numpy as np
 
@@ -18,6 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 TOL = 1e-9      # default tolerance for threshold comparisons
 EXACT = 1e-12   # tolerance for identities expected to hold to rounding error
+CHUNK_FLOATS = 2 ** 15  # most floats a temporary of a batched kernel holds
 
 VoterFamily = Literal["absolute", "quadratic", "table"]
 
@@ -32,6 +33,22 @@ class SymmetryError(ValidationError):
 
 class NumericError(ArithmeticError):
     """A numerical routine produced non-finite intermediates."""
+
+
+def chunks(n: int, floats_each: int) -> Iterator[slice]:
+    """Slices covering range(n) in order, each as many items of ``floats_each``
+    floats as fit in ``CHUNK_FLOATS`` (one at least): every batch's chunk rule."""
+    step = max(1, CHUNK_FLOATS // max(1, floats_each))
+    return map(slice, range(0, n, step), range(step, n + step, step))
+
+
+def grid_floats(values, what: str, increasing: bool = True) -> np.ndarray:
+    """``values`` as a new float array, refused (ValidationError) unless every
+    entry is finite and, with ``increasing``, exceeds the one before."""
+    x = np.array(values, dtype=float)
+    if not np.isfinite(x).all() or increasing and not (x[1:] > x[:-1]).all():
+        raise ValidationError(f"{what} must be finite" + " and strictly increasing" * increasing)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +67,7 @@ class PolicyAxis:
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValidationError("policy axis is empty")
-        if any(not hi > lo for lo, hi in zip(vals, vals[1:])):
-            raise ValidationError("policy values must be strictly increasing")
-        if not (0.0 < vals[0] and vals[-1] <= 1.0):
+        if not (0.0 < grid_floats(vals, "policy values")[0] and vals[-1] <= 1.0):
             raise ValidationError("beta policies must lie in (0, 1]")
 
     @property
@@ -74,20 +89,16 @@ class TabulatedUtility:
     u: tuple[tuple[float, ...], ...]  # u[i][j] at (a_values[i], t_values[j])
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_values", tuple(float(a) for a in self.a_values))
-        object.__setattr__(self, "t_values", tuple(float(t) for t in self.t_values))
+        a = grid_floats(self.a_values, "tabulated policy grid")
+        t = grid_floats(self.t_values, "tabulated type grid")
+        object.__setattr__(self, "a_values", tuple(a.tolist()))
+        object.__setattr__(self, "t_values", tuple(t.tolist()))
         object.__setattr__(self, "u", tuple(tuple(float(x) for x in row) for row in self.u))
-        if any(hi <= lo for lo, hi in zip(self.a_values, self.a_values[1:])):
-            raise ValidationError("tabulated policy grid must be strictly increasing")
-        if any(hi <= lo for lo, hi in zip(self.t_values, self.t_values[1:])):
-            raise ValidationError("tabulated type grid must be strictly increasing")
-        if len(self.u) != len(self.a_values) or any(
-            len(row) != len(self.t_values) for row in self.u
-        ):
+        if len(self.u) != len(a) or any(len(row) != len(t) for row in self.u):
             raise ValidationError("utility table shape does not match its grids")
+        u = grid_floats(self.u, "utility table values", increasing=False)
         # numpy copies for lookups; not fields, so equality and hashing ignore them
-        object.__setattr__(self, "_arrays", tuple(
-            np.array(x, dtype=float) for x in (self.a_values, self.t_values, self.u)))
+        object.__setattr__(self, "_arrays", (a, t, u))
 
 
 @dataclass(frozen=True)

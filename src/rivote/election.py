@@ -2,11 +2,10 @@
 
 One game table (``_game``) holds every part of the baseline, noisy-news and
 limited-commitment games: beta's winning matrix, commitment level, prefix
-rule, belief builder (one per game, batched over voter types; ``game_belief``
-is its one-type case) and attention-set scan.  On it: vote aggregation,
-incentive checks, exact pruned enumeration of pure symmetric equilibria, the
-one attention-set scan and the truncation statistic behind the
-comparative statics in the attention cost.
+rule and the voter's array rule, which both the electorate's belief batch
+and the attention-set scan read.  On it: vote aggregation, incentive checks,
+exact pruned enumeration of pure symmetric equilibria and the truncation
+statistic behind the comparative statics in the attention cost.
 """
 from __future__ import annotations
 
@@ -26,23 +25,20 @@ from .core import (
     Scenario,
     UtilitySpec,
     ValidationError,
+    chunks,
+    grid_floats,
     require_symmetric,
     utility,
     value_matrix,
     winning_prob,
 )
-from .news import (
-    NewsTechnology,
-    audit_news,
-    expected_winning_matrix,
-    posterior_value_matrix,
-    signal_beliefs,
-)
+from .news import NewsTechnology, audit_news, expected_winning_matrix, posterior_value_matrix
 from .solver import (
     AttentionSolution,
     BeliefOverProfiles,
     attention_membership,
     attentive,
+    belief_batch,
     solve_groups,
 )
 
@@ -72,8 +68,7 @@ class StrategyAssignment:
         object.__setattr__(self, "policies", policies)
         if not (len(types) == len(probs) == len(policies)):
             raise ValidationError("types, probabilities and policies must align")
-        if not all(map(math.isfinite, types)) or any(hi <= lo for lo, hi in zip(types, types[1:])):
-            raise ValidationError("types must be finite and strictly increasing")
+        grid_floats(types, "types")
         if any(not p > 0 for p in probs) or not abs(sum(probs) - 1.0) <= EXACT:
             raise ValidationError("type probabilities must be positive and sum to 1")
         if any(not 0 < a < math.inf for a in policies):
@@ -136,39 +131,36 @@ class EquilibriumRecord:
 # Values, beliefs, winners
 # ---------------------------------------------------------------------------
 
+def _profile_arrays(spec: UtilitySpec, levels, sigma, t):
+    """The baseline game's array rule: sigma and voter t's ``value_matrix``."""
+    return sigma, value_matrix(spec, levels, t)
+
+
+def _commitment_arrays(spec: UtilitySpec, eta: float, types, levels, sigma, t):
+    """The limited-commitment game's array rule: each proposal valued as the mix
+    of it, weight eta, and its proposer's own type (played when the winner reneges)."""
+    return sigma, eta * value_matrix(spec, levels, t) + (1.0 - eta) * value_matrix(spec, types, t)
+
+
 def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverProfiles:
     """Belief over on-path policy profiles with voter t's differential values:
-    the one-type case of ``profile_beliefs``."""
-    support, probs, values = profile_beliefs(spec, a_values, sigma, np.array([t]))
+    the one-type ``belief_batch`` of the baseline game's array rule."""
+    support, probs, values = belief_batch(partial(_profile_arrays, spec), a_values, sigma, [t])
     return BeliefOverProfiles(support, probs, values[0])
 
 
-def profile_beliefs(spec: UtilitySpec, a_values, sigma, ts):
-    """``profile_belief`` of each voter type in ``ts``: (support, probs,
-    values[len(ts), n]), the baseline game's builder on the played levels."""
-    a = tuple(float(x) for x in a_values)
-    values = value_matrix(spec, a, np.asarray(ts, dtype=float)[:, None])
-    return (tuple((-ai, aj) for ai in a for aj in a), np.asarray(sigma, dtype=float).ravel(),
-            values.reshape(len(ts), -1))
-
-
-def _commitment_beliefs(scenario: Scenario, assignment: StrategyAssignment, ts):
-    """The limited-commitment game's builder: ``profile_beliefs`` of the strictly
-    increasing proposals, valued as the mix of the proposal, weight
-    ``scenario.eta``, and the proposer's own type (played when the winner reneges)."""
-    policies, eta = assignment.policies, scenario.eta
-    if any(hi <= lo for lo, hi in zip(policies, policies[1:])):
-        raise ValidationError("limited commitment requires strictly increasing policies")
-    support, probs, proposed = profile_beliefs(scenario.utility, policies, assignment.sigma, ts)
-    own = profile_beliefs(scenario.utility, assignment.types, assignment.sigma, ts)[2]
-    return support, probs, eta * proposed + (1.0 - eta) * own
+def _game_beliefs(scenario: Scenario, assignment: StrategyAssignment, ts):
+    """``belief_batch`` of the game row's array rule: the beliefs of the types
+    ``ts`` under an assignment, refused where the row's prefix rule excludes it."""
+    row, news = _game(scenario, assignment.types), scenario.news
+    _require_follows(row.follows, np.array(assignment.policies))
+    return belief_batch(row.arrays, assignment.levels, assignment.sigma, ts, news and news.signals)
 
 
 def game_belief(scenario: Scenario, assignment: StrategyAssignment,
                 t: float) -> BeliefOverProfiles:
-    """Voter t's belief under the assignment in the scenario's game: the
-    one-type case of its game row's ``beliefs``."""
-    support, probs, values = _game(scenario).beliefs(scenario, assignment, np.array([t]))
+    """Voter t's belief under the assignment in the scenario's game: ``_game_beliefs`` at [t]."""
+    support, probs, values = _game_beliefs(scenario, assignment, [t])
     return BeliefOverProfiles(support, probs, values[0])
 
 
@@ -177,17 +169,16 @@ def perfect_observation_winner(scenario: Scenario, a_alpha, a_beta) -> np.ndarra
     and best-responds, broadcasting over policy arrays: the one
     perfect-observation rule, which prices the baseline and commitment games.
 
-    The groups' votes are evaluated over a leading group axis, in chunks of
-    groups within ``IC_CHUNK_FLOATS``, and a group indifferent within 1e-12
-    splits 1/2-1/2 (a model choice); ``_majority`` counts the votes.
+    The groups' votes are evaluated over a leading group axis, in ``chunks``
+    of groups, and a group indifferent within 1e-12 splits 1/2-1/2 (a model
+    choice); ``_majority`` counts the votes.
     """
     spec = scenario.utility
     shape = np.broadcast_shapes(np.shape(a_alpha), np.shape(a_beta))
     t = np.reshape(scenario.electorate.group_types, (-1,) + (1,) * len(shape))
-    step = max(1, IC_CHUNK_FLOATS // math.prod(shape))
     votes = itertools.chain.from_iterable(
         winning_prob(utility(spec, a_beta, c) - utility(spec, a_alpha, c), EXACT)
-        for c in (t[lo:lo + step] for lo in range(0, len(t), step)))
+        for c in (t[part] for part in chunks(len(t), math.prod(shape))))
     return _majority(scenario, votes)
 
 
@@ -204,11 +195,11 @@ def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
     """``(belief, attention)`` under the assignment in the scenario's game, which
     the caller admits: voter t's ``belief(t)``, cached per t, and
     ``(t, solve_attention(belief(t), mu))`` per voter group in group order, by
-    ``solve_groups`` on the game row's ``beliefs`` of every group, built and
+    ``solve_groups`` on the ``_game_beliefs`` of every group, built and
     validated once.  ``belief(t)`` is a view of its group's row, else
     ``game_belief``: records, aggregation and ``solve-attention`` build none twice."""
     ts = scenario.electorate.group_types
-    support, probs, values = _game(scenario).beliefs(scenario, assignment, np.array(ts))
+    support, probs, values = _game_beliefs(scenario, assignment, ts)
     first, rows = BeliefOverProfiles(support, probs, values[0]), dict(zip(ts, values))
     belief = cache(lambda t: replace(first, values=rows[t]) if t in rows
                    else game_belief(scenario, assignment, t))
@@ -235,11 +226,6 @@ def _require_baseline(scenario: Scenario, what: str) -> None:
 # ---------------------------------------------------------------------------
 # Candidate incentive compatibility
 # ---------------------------------------------------------------------------
-
-# Most floats any temporary of the IC kernel holds; the search scores its
-# rows in chunks that respect it.
-IC_CHUNK_FLOATS = 2 ** 15
-
 
 def stage_tables(spec: UtilitySpec, own_grid, opp_grid, own_types, opp_types, eta=None):
     """(win, lose) stage values of one candidate on the grid.
@@ -328,10 +314,8 @@ class ICKernel:
         reads only: m < n and k < n - 1, one of the four (j, k) slices with two types."""
         pay, (n, size) = self._beta, self._beta.shape[:2]
         gain = np.zeros((n, n - 1, size, size))
-        step = max(1, IC_CHUNK_FLOATS // size ** 2)
-        for j, k, lo in itertools.product(range(n - 1), range(n - 1), range(0, size, step)):
-            part = pay[j, :, k, lo:lo + step, None] - pay[j, :, k, None]
-            gain[j + 1, k, lo:lo + step] = part.max(axis=0)
+        for j, k, part in itertools.product(range(n - 1), range(n - 1), chunks(size, size ** 2)):
+            gain[j + 1, k, part] = (pay[j, :, k, part, None] - pay[j, :, k, None]).max(axis=0)
         return np.cumsum(gain, axis=0)
 
     def bound(self, prefixes: np.ndarray) -> np.ndarray:
@@ -353,7 +337,6 @@ class ICKernel:
         it can pass.  Complete rows are judged by their exact ``gaps``."""
         n, size = len(self.types), len(self.grid)
         margin = 1e-9 * max(1.0, np.abs(self._beta).max())
-        chunk = max(1, IC_CHUNK_FLOATS // (n * size))
         rows, visited = np.zeros((1, 0), dtype=np.intp), 0
         for level in range(1, n + 1):
             allowed = np.ones((len(rows), size), dtype=bool)
@@ -365,8 +348,7 @@ class ICKernel:
             parent, nxt = np.nonzero(allowed)
             rows = np.column_stack([rows[parent], nxt])
             keep, slack = np.ones(len(rows), dtype=bool), np.empty((len(rows), n))
-            for lo in range(0, len(rows), chunk):
-                part = slice(lo, lo + chunk)
+            for part in chunks(len(rows), n * size):
                 if level < n:
                     keep[part] = self.bound(rows[part]).min(axis=(1, 2)) >= -TOL - margin
                 else:
@@ -378,26 +360,23 @@ class ICKernel:
 
 
 class GameRow(NamedTuple):
-    """A row of the game table, ``_game``: the three games share one kernel
-    and differ only in beta's winning matrix on the grid (the groups' majority,
-    or decided signal-wise under news), the commitment level blended into the
-    stage values, the rule ``follows(last, next)`` on consecutive types'
-    policy indices (None for every map, ``np.less`` for the increasing maps of
-    limited commitment), the game's one belief builder, batched over voter
-    types, ``beliefs(scenario, assignment, ts)`` -> (support, probs,
-    values[len(ts), n]), whose one-type case is ``game_belief``, and the
-    attention-set ``scan(spec, a1, a2, t, mu, level_probs)`` that
-    ``attention_set`` runs (None under commitment)."""
+    """A row of the game table, ``_game``: the three games share one kernel and
+    differ only in beta's winning matrix on the grid (the groups' majority, or
+    signal-wise under news), the commitment level blended into the stage values,
+    the rule ``follows(last, next)`` on consecutive types' policy indices
+    (``np.less`` under limited commitment, else None) and the voter rule
+    ``arrays(levels, sigma, t) -> (probs, values)``, broadcasting over leading
+    axes of the levels and t, that ``_game_beliefs`` and ``attention_set`` read."""
 
     w_of: Callable[[Scenario], np.ndarray]
     eta: float | None
     follows: Callable | None
-    beliefs: Callable[[Scenario, StrategyAssignment, np.ndarray], tuple]
-    scan: Callable | None
+    arrays: Callable
 
 
-def _game(scenario: Scenario) -> GameRow:
-    """The unaudited row for ``game_of(scenario)``; callers read ``_admitted_game``."""
+def _game(scenario: Scenario, own_types=None) -> GameRow:
+    """The unaudited row for ``game_of(scenario)``, its commitment rule on
+    ``own_types`` (default: the candidate types); callers read ``_admitted_game``."""
     def perfect(s):
         g = np.array(s.beta_axis.values)
         return perfect_observation_winner(s, -g[:, None], g[None, :])
@@ -405,18 +384,19 @@ def _game(scenario: Scenario) -> GameRow:
     def signal_wise(s):
         return expected_winning_matrix(s.news, s.beta_axis.values)
 
-    def played(s, a, ts):
-        return profile_beliefs(s.utility, a.levels, a.sigma, ts)
-
-    def news(s, a, ts):
-        return signal_beliefs(s.news, s.utility, a.levels, a.sigma, ts, IC_CHUNK_FLOATS)
-
+    spec, eta, news = scenario.utility, scenario.eta, scenario.news
+    own = scenario.beta_types.type_values if own_types is None else own_types
     return {
-        "baseline": GameRow(perfect, None, None, played, attention_frontier),
-        "noisy": GameRow(signal_wise, None, None, news,
-                         partial(attention_frontier_noisy, scenario.news)),
-        "commitment": GameRow(perfect, scenario.eta, np.less, _commitment_beliefs, None),
+        "baseline": GameRow(perfect, None, None, partial(_profile_arrays, spec)),
+        "noisy": GameRow(signal_wise, None, None, partial(posterior_value_matrix, news, spec)),
+        "commitment": GameRow(perfect, eta, np.less, partial(_commitment_arrays, spec, eta, own)),
     }[game_of(scenario)]
+
+
+def _require_follows(follows, policies) -> None:
+    """Refuse policies, in type order, that the game's prefix rule excludes."""
+    if follows is not None and not follows(policies[:-1], policies[1:]).all():
+        raise ValidationError("limited commitment requires strictly increasing policies")
 
 
 def _admitted_game(scenario: Scenario) -> GameRow:
@@ -446,9 +426,7 @@ def check_ic(
     if assignment != assignment_for(scenario, assignment.policies):
         raise ValidationError("the assignment's types are not the scenario's candidate types")
     grid = scenario.beta_axis.values
-    policies = np.array(assignment.policies)  # ordered as their grid indices
-    if follows is not None and not follows(policies[:-1], policies[1:]).all():
-        raise ValidationError("limited commitment requires strictly increasing policies")
+    _require_follows(follows, np.array(assignment.policies))  # ordered as their grid indices
     w = w_of(scenario)
     if rationalized:
         _require_baseline(scenario, "rationalized=True")
@@ -534,24 +512,23 @@ def enumerate_equilibria(
 def frontier_scan(a1_grid, a2_grid, mu: float, level_probs, arrays,
                   floats_per_pair: int) -> np.ndarray:
     """Rows (a1, first grid a2 > a1 + 1e-12 at which the voter is ``attentive``,
-    or NaN): the one scan that judges pairs.  ``arrays(levels, sigma) ->
-    (probs, values)`` is the voter's belief over each pair's profiles, batched
-    over the pairs ``levels[p] = (a1, a2)``, with sigma the joint level
-    probabilities.  Zero-probability profiles are masked out (probability 0
-    and the pair's least kept value, adding nothing to the exponential
-    moment), and one warning to the frontier's caller counts them; a1 is
-    scanned in row chunks of ``floats_per_pair`` per pair within ``IC_CHUNK_FLOATS``."""
+    or NaN) of a finite a1 and a finite, strictly increasing a2: the one scan
+    that judges pairs.  ``arrays(levels, sigma) -> (probs, values)`` is the
+    voter's belief over the profiles of the pairs ``levels[p] = (a1, a2)``,
+    with sigma the joint level probabilities.  Zero-probability profiles are
+    masked out (probability 0 and the pair's least kept value add nothing to
+    the exponential moment) and counted in one warning to the frontier's
+    caller; a1 is scanned in row ``chunks`` of ``floats_per_pair`` per pair."""
     if not mu > 0:
         raise ValidationError("mu must be positive")
     p = np.asarray(level_probs, dtype=float)
     if p.shape != (2,) or not np.all(p > 0) or not abs(float(p.sum()) - 1.0) <= EXACT:
         raise ValidationError("level probabilities must be two positive numbers summing to 1")
-    a1 = np.asarray(a1_grid, dtype=float)
-    a2 = np.asarray(a2_grid, dtype=float)
+    a1 = grid_floats(a1_grid, "a1 grid", increasing=False)
+    a2 = grid_floats(a2_grid, "a2 grid")
     sigma, first, dropped = np.outer(p, p), np.full(a1.shape, np.nan), 0
-    size = max(1, IC_CHUNK_FLOATS // max(1, a2.size * floats_per_pair))
-    for lo in range(0, a1.size, size):
-        rows = a1[lo:lo + size, None]
+    for part in chunks(a1.size, a2.size * floats_per_pair):
+        rows = a1[part, None]
         pairs = a2 > rows + EXACT
         if not pairs.any():
             continue
@@ -566,7 +543,7 @@ def frontier_scan(a1_grid, a2_grid, mu: float, level_probs, arrays,
         member = np.zeros(pairs.shape, dtype=bool)
         member[pairs] = attentive(values, probs, mu)
         hit = member.any(axis=1)
-        first[lo:lo + size][hit] = a2[member.argmax(axis=1)[hit]]
+        first[part][hit] = a2[member.argmax(axis=1)[hit]]
     if dropped:
         warnings.warn(f"dropped {dropped} zero-probability news profiles from the attention "
                       "supports of the scanned policy pairs", stacklevel=3)
@@ -579,7 +556,7 @@ def attention_frontier(spec: UtilitySpec, a1_grid, a2_grid, t: float, mu: float,
     each a1, the smallest grid a2 > a1 at which voter t, judging each pair
     under its profile belief, pays attention (NaN when none does)."""
     return frontier_scan(a1_grid, a2_grid, mu, level_probs,
-                         lambda levels, sigma: (sigma, value_matrix(spec, levels, t)), 4)
+                         partial(_profile_arrays, spec, t=t), 4)
 
 
 def attention_frontier_noisy(tech: NewsTechnology, spec: UtilitySpec, a1_grid, a2_grid,
@@ -591,19 +568,21 @@ def attention_frontier_noisy(tech: NewsTechnology, spec: UtilitySpec, a1_grid, a
 
 
 def attention_set(scenario: Scenario, a1_grid, a2_grid, t: float) -> np.ndarray:
-    """Frontier of voter t's attention set in the scenario's game: the game
-    row's scan at the scenario's mu, with the two candidate types'
-    probabilities as the probabilities of the levels a1 < a2.  Refused: what
-    ``_admitted_game`` refuses, the commitment game, and a scenario without
-    exactly two candidate types."""
-    if (scan := _admitted_game(scenario).scan) is None:
+    """Frontier of voter t's attention set in the scenario's game:
+    ``frontier_scan`` of the game row's array rule at t and the scenario's
+    mu, with the two candidate types' probabilities as the probabilities of
+    the levels a1 < a2.  Refused: what ``_admitted_game`` refuses, the
+    commitment game, and a scenario without exactly two candidate types."""
+    row = _admitted_game(scenario)
+    if game_of(scenario) == "commitment":
         raise ValidationError("attention-set scans the baseline and noisy games, "
                               "not the scenario's commitment game")
     if (n := len(scenario.beta_types.types)) != 2:
         raise ValidationError("attention-set scans two policy levels, one per candidate "
                               f"type, but the scenario has {n} candidate types")
-    return scan(scenario.utility, a1_grid, a2_grid, t, scenario.mu,
-                scenario.beta_types.type_probs)
+    k = scenario.news.k if scenario.news else 1
+    return frontier_scan(a1_grid, a2_grid, scenario.mu, scenario.beta_types.type_probs,
+                         partial(row.arrays, t=t), 4 * k ** 2)
 
 
 def median_differential(spec: UtilitySpec, a_values) -> float:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EXACT, Scenario, TabulatedUtility, UtilitySpec, ValidationError
+from .core import EXACT, Scenario, TabulatedUtility, UtilitySpec, ValidationError, grid_floats
 from .election import EquilibriumRecord
 from .solver import entropy
 
@@ -70,11 +70,11 @@ def tabulated_frontier(a_points, b_points) -> Callable:
     end pieces extend.  The secants of decreasing samples are all negative,
     so the rule's sign-change cases never arise.
     """
-    a = np.asarray(a_points, dtype=float)
-    bv = np.asarray(b_points, dtype=float)
+    a = grid_floats(a_points, "frontier a samples")
+    bv = grid_floats(b_points, "frontier b samples", increasing=False)
     if a.ndim != 1 or a.shape != bv.shape or a.size < 3:
         raise ValidationError("frontier table needs matching 1-d samples (>= 3)")
-    if np.any(np.diff(a) <= 0) or np.any(np.diff(bv) >= 0):
+    if np.any(np.diff(bv) >= 0):
         raise ValidationError("frontier samples must be increasing in a, decreasing in b")
     h = np.diff(a)
     m = np.diff(bv) / h
@@ -166,11 +166,11 @@ def multi_issue_reduce(u2, frontier: Callable, a_grid=None, t_grid=None,
     augmented utility uhat(a, t) = u2(a, B(a), t) is tabulated on ``a_grid``,
     tangency points are located by golden-section search, and the shape
     properties expected of uhat are verified by finite differences.
-    ``u2(a, b, t)`` and the frontier must broadcast over numpy arrays, as
-    ``rivote.utility`` does: each audit is one call on a lattice mesh.
+    The grids must be finite and strictly increasing; ``u2(a, b, t)`` and the
+    frontier must broadcast as ``rivote.utility`` does: each audit is one call.
     """
-    a_grid = np.linspace(-1.0, 1.0, 200) if a_grid is None else np.asarray(a_grid, float)
-    t_grid = np.linspace(-1.0, 1.0, 21) if t_grid is None else np.asarray(t_grid, float)
+    a_grid = grid_floats(np.linspace(-1.0, 1.0, 200) if a_grid is None else a_grid, "a_grid")
+    t_grid = grid_floats(np.linspace(-1.0, 1.0, 21) if t_grid is None else t_grid, "t_grid")
     lat = np.linspace(-1.0, 1.0, lattice)
     interior = lat[1:-1]
     eps = 1e-9

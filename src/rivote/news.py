@@ -4,19 +4,19 @@ A technology gives candidate beta's signal pmf per policy; candidate alpha's
 is the mirror image by construction, so the symmetric-environment requirement
 holds identically.  Garbling post-composes a Markov kernel per candidate and
 preserves the representation, which makes Blackwell comparisons constructive.
-``signal_beliefs`` is the noisy game's belief builder, bound in ``election``.
+``posterior_value_matrix`` is the noisy game's voter rule in ``election``'s game table.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import EXACT, UtilitySpec, ValidationError, value_matrix, winning_prob
-from .solver import BeliefOverProfiles
+from .core import EXACT, UtilitySpec, ValidationError, grid_floats, value_matrix, winning_prob
+from .solver import BeliefOverProfiles, belief_batch
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ class NewsTechnology:
         sig = tuple(float(w) for w in signals)
         if len(sig) < 2:
             raise ValidationError("a news technology needs at least two signals")
-        if not all(0 < w <= 1 for w in sig) or any(not b > a for a, b in zip(sig, sig[1:])):
-            raise ValidationError("signals must be strictly increasing in (0, 1]")
+        if not (0 < grid_floats(sig, "signals")[0] and sig[-1] <= 1):
+            raise ValidationError("signals must lie in (0, 1]")
         self.signals = sig
         self._row_fn = row_fn
         self.label = label
@@ -229,28 +229,11 @@ def posterior_value_matrix(
 def signal_belief(
     tech: NewsTechnology, spec: UtilitySpec, levels, sigma, t: float
 ) -> BeliefOverProfiles:
-    """Belief over news profiles with posterior differential values.
-
-    Zero-probability profiles are dropped from the support with a warning.
-    """
-    support, probs, values = signal_beliefs(tech, spec, levels, sigma, np.array([t]))
+    """Belief over news profiles with posterior differential values: the one-type
+    ``belief_batch`` of ``posterior_value_matrix``, zero-probability profiles dropped."""
+    support, probs, values = belief_batch(partial(posterior_value_matrix, tech, spec),
+                                          levels, sigma, [t], tech.signals)
     return BeliefOverProfiles(support, probs, values[0])
-
-
-def signal_beliefs(tech: NewsTechnology, spec: UtilitySpec, levels, sigma, ts, floats=0):
-    """``signal_belief`` of each voter type in ``ts``: (support, probs,
-    values[len(ts), n]) under one zero-probability mask and one warning, the
-    posterior terms, (k L)^2 floats per type, built within ``floats`` at a time."""
-    step = max(1, floats // (tech.k * len(levels)) ** 2)
-    parts = [posterior_value_matrix(tech, spec, levels, sigma, ts[lo:lo + step, None])
-             for lo in range(0, len(ts), step)]
-    keep = (marginal := parts[0][0].ravel()) > 0
-    if dropped := int(np.count_nonzero(~keep)):
-        warnings.warn(f"dropped {dropped} zero-probability news profiles from the "
-                      "attention support", stacklevel=3)
-    profiles = itertools.product((-w for w in tech.signals), tech.signals)
-    return (tuple(itertools.compress(profiles, keep)), marginal[keep],
-            np.concatenate([nu.reshape(len(nu), -1)[:, keep] for _, nu in parts]))
 
 
 # ---------------------------------------------------------------------------

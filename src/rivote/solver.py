@@ -8,13 +8,15 @@ exponentials so small attention costs cannot overflow.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .core import EXACT, NumericError, ValidationError
+from .core import EXACT, NumericError, ValidationError, chunks
 
 Regime = Literal["corner_zero", "corner_one", "interior"]
 
@@ -26,17 +28,19 @@ _U = 2.0 ** -53       # unit roundoff
 
 
 def entropy(probs) -> float:
-    """Shannon entropy in nats, with 0*log(0) = 0."""
+    """Shannon entropy in nats, with 0*log(0) = 0; NaN and inf are refused."""
     p = np.asarray(probs, dtype=float)
-    if np.any(p < 0):
-        raise ValidationError("probabilities must be nonnegative")
+    if not np.all((p >= 0) & (p < math.inf)):
+        raise ValidationError("probabilities must be finite and nonnegative")
     nz = p[p > 0]
     return float(-np.dot(nz, np.log(nz)))
 
 
 def binary_entropy(m) -> np.ndarray | float:
-    """Entropy of a Bernoulli(m) decision, elementwise, in nats."""
+    """Entropy of a Bernoulli(m) decision, elementwise, in nats; refuses NaN, inf."""
     m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValidationError("decision probabilities must be finite")
     out = np.zeros_like(m)
     inner = (m > 0) & (m < 1)
     mi = m[inner]
@@ -87,6 +91,27 @@ class BeliefOverProfiles:
             raise ValidationError("support probabilities must be positive")
         if not abs(float(probs.sum()) - 1.0) <= EXACT:
             raise ValidationError("support probabilities must sum to 1")
+
+
+def belief_batch(arrays, levels, sigma, ts, signals=None) -> tuple:
+    """(support, probs, values[len(ts), n]) of the voter types ``ts`` under a game's
+    array rule ``arrays(levels, sigma, t) -> (probs, values)``, in ``chunks`` of L^2
+    floats per type, (k L)^2 under k news ``signals``: profiles (-a_i, a_j) of the
+    levels, or (-w_m, w_n) of the signals without the zero-probability ones (warned)."""
+    levels, ts = tuple(map(float, levels)), np.asarray(ts, dtype=float)
+    labels = levels if signals is None else signals
+    floats = (len(levels) * (len(labels) if signals else 1)) ** 2
+    parts = [arrays(levels, sigma, ts[part, None]) for part in chunks(len(ts), floats)]
+    support = tuple(itertools.product([-w for w in labels], labels))
+    probs = np.asarray(parts[0][0], dtype=float).ravel()
+    values = [v.reshape(len(v), -1) for _, v in parts]
+    values = values[0] if len(values) == 1 else np.concatenate(values)
+    if signals is not None and not (keep := probs > 0).all():
+        warnings.warn(f"dropped {np.count_nonzero(~keep)} zero-probability news profiles "
+                      "from the attention support", stacklevel=3)
+        support = tuple(itertools.compress(support, keep))
+        probs, values = probs[keep], values[:, keep]
+    return support, probs, values
 
 
 @dataclass(frozen=True)

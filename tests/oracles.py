@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from rivote import election
+from rivote import core, election
 from rivote.core import EXACT, TOL, Scenario, UtilitySpec, ValidationError, utility, winning_prob
 from rivote.election import StrategyAssignment, value_matrix
 from rivote.solver import (
@@ -376,8 +376,8 @@ def passing(kernel: election.ICKernel, rows):
     """The library's earlier unpruned scan: (grid indices, beta's (type,
     slack) pairs) of every incentive compatible row of the iterable ``rows``,
     in its order, scored by ``kernel.gaps`` in chunks of rows within
-    ``IC_CHUNK_FLOATS``."""
-    size = max(1, election.IC_CHUNK_FLOATS // (len(kernel.types) * len(kernel.grid)))
+    ``rivote.core.CHUNK_FLOATS``."""
+    size = max(1, core.CHUNK_FLOATS // (len(kernel.types) * len(kernel.grid)))
     rows = iter(rows)
     while chunk := list(itertools.islice(rows, size)):
         beta, alpha = kernel.gaps(np.array(chunk, dtype=np.intp))

@@ -307,12 +307,11 @@ def test_criterion_09_reductions(figure2):
             policies = r.assignment.policies
             assert all(lo < hi for lo, hi in zip(policies, policies[1:]))
             for t, sol in r.attention:
-                # the commitment builder itself: the scenario's row is the baseline's
-                b = game_belief(figure2, r.assignment, t)
-                support, probs, values = election._commitment_beliefs(
-                    figure2, r.assignment, np.array([t]))
-                c = BeliefOverProfiles(support, probs, values[0])
-                assert b.support == c.support
+                # the commitment rule itself: the scenario's row is the baseline's
+                b, a = game_belief(figure2, r.assignment, t), r.assignment
+                probs, values = election._commitment_arrays(figure2.utility, 1.0, a.types,
+                                                            a.levels, a.sigma, t)
+                c = BeliefOverProfiles(b.support, probs.ravel(), values.ravel())
                 assert b.probs.tobytes() == c.probs.tobytes()
                 assert b.values.tobytes() == c.values.tobytes()
                 sc = solve_attention(c, figure2.mu)

@@ -26,6 +26,8 @@ from rivote.election import (
     attention_frontier,
     stage_tables,
 )
+from rivote.extensions import multi_issue_reduce, quarter_circle_frontier, tabulated_frontier
+from rivote.extensions import weighted_bliss_utility
 from rivote.news import NewsTechnology
 from rivote.solver import BeliefOverProfiles, gamma_inverse
 from tests.oracles import loser_value, voter_utility, winner_value
@@ -330,6 +332,43 @@ def test_non_finite_fields_are_refused(case, x):
     # each check is written so that NaN fails it: no silent NaN gets through
     with pytest.raises(ValidationError):
         NON_FINITE[case](x)
+
+
+def _reduce(**grids):
+    return multi_issue_reduce(weighted_bliss_utility(), quarter_circle_frontier(), **grids)
+
+
+_TABLE = ((0.0, 0.0), (0.0, 0.0))
+# one entry per site that reads a grid: each built one that was not finite and
+# strictly increasing into a result, NaN or inf, or a misleading refusal
+BAD_GRIDS = {
+    "TabulatedUtility.a_values": lambda: TabulatedUtility((0.1, math.nan), (0.0, 0.5), _TABLE),
+    "TabulatedUtility.t_values": lambda: TabulatedUtility((0.1, 0.2), (0.0, math.inf), _TABLE),
+    "TabulatedUtility.u(nan)": lambda: TabulatedUtility((0.1, 0.2), (0.0, 0.5),
+                                                        ((0.0, math.nan), (0.0, 0.0))),
+    "TabulatedUtility.u(inf)": lambda: TabulatedUtility((0.1, 0.2), (0.0, 0.5),
+                                                        ((0.0, 0.0), (-math.inf, 0.0))),
+    "tabulated_frontier.a(nan)": lambda: tabulated_frontier([-1, math.nan, 1], [1, 0.5, -1]),
+    "tabulated_frontier.a(inf)": lambda: tabulated_frontier([-1, 0, math.inf], [1, 0.5, -1]),
+    "tabulated_frontier.b(nan)": lambda: tabulated_frontier([-1, 0, 1], [1, math.nan, -1]),
+    "multi_issue_reduce.a_grid(descending)": lambda: _reduce(a_grid=np.linspace(1, -1, 50)),
+    "multi_issue_reduce.a_grid(nan)": lambda: _reduce(a_grid=[-1.0, math.nan, 1.0]),
+    "multi_issue_reduce.t_grid(unsorted)": lambda: _reduce(t_grid=[0.5, -0.5, 0.0]),
+    "attention_frontier.a2(descending)": lambda: attention_frontier(
+        UtilitySpec(), [0.01, 0.1], np.arange(0.95, 0.0, -0.05), -0.001, 10.0),
+    "attention_frontier.a2(nan)": lambda: attention_frontier(
+        UtilitySpec(), [0.01, 0.1], [0.2, math.nan, 0.4], -0.001, 10.0),
+    "attention_frontier.a1(nan)": lambda: attention_frontier(
+        UtilitySpec(), [0.01, math.nan], [0.2, 0.4], -0.001, 10.0),
+    "attention_frontier.a1(-inf)": lambda: attention_frontier(
+        UtilitySpec(), [-math.inf], [0.2, 0.4], -0.001, 10.0),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GRIDS)
+def test_grids_must_be_finite_and_strictly_increasing(case):
+    with pytest.raises(ValidationError, match="must be finite"):
+        BAD_GRIDS[case]()
 
 
 def test_gamma_inverse_refuses_nan():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rivote.core
 import rivote.election
 from rivote.core import Electorate, SymmetryError, UtilitySpec, ValidationError
 from rivote.election import (
@@ -207,7 +208,7 @@ class TestAggregation:
         # the votes are summed in group order whatever the chunk
         args = self.many_groups(31)
         want = perfect_observation_winner(*args)
-        monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(rivote.core, "CHUNK_FLOATS", chunk)
         assert perfect_observation_winner(*args).tobytes() == want.tobytes()
 
 
@@ -420,7 +421,7 @@ class TestFrontierScan:
     def test_row_chunks_do_not_change_the_frontier(self, monkeypatch, abs_spec, chunk):
         a1, a2 = np.arange(0.005, 0.7 + 0.0025, 0.005), np.arange(0.005, 1.0 + 0.0025, 0.005)
         want = attention_frontier(abs_spec, a1, a2, -0.001, 10.0)
-        monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(rivote.core, "CHUNK_FLOATS", chunk)
         assert attention_frontier(abs_spec, a1, a2, -0.001, 10.0).tobytes() == want.tobytes()
 
     def test_empty_grids(self, abs_spec):

@@ -96,10 +96,10 @@ class TestCommitment:
             for t, sol in r.attention:
                 a = r.assignment
                 base = profile_belief(figure2.utility, a.levels, a.sigma, t)
-                # the commitment builder itself: figure 2's own row is the baseline's
-                support, probs, values = election._commitment_beliefs(figure2, a, np.array([t]))
-                belief = BeliefOverProfiles(support, probs, values[0])
-                assert belief.support == base.support
+                # the commitment rule itself: figure 2's own row is the baseline's
+                probs, values = election._commitment_arrays(figure2.utility, 1.0, a.types,
+                                                            a.levels, a.sigma, t)
+                belief = BeliefOverProfiles(base.support, probs.ravel(), values.ravel())
                 assert belief.values.tobytes() == base.values.tobytes()
                 assert belief.probs.tobytes() == base.probs.tobytes()
                 np.testing.assert_array_equal(solve_attention(belief, figure2.mu).m, sol.m)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rivote import election
+from rivote import core, election
 from rivote.core import ValidationError
 from rivote.election import (
     StrategyAssignment,
@@ -135,8 +135,8 @@ def test_chunked_scan_keeps_order_and_gaps(label, monkeypatch):
     expected = list(passing(kernel, exhaustive_rows(scenario)))
     # chunks of one row, five rows and the default search and score alike,
     # each with a fresh kernel, so its open gains are chunked the same way
-    for floats in (1, 5 * len(kernel.types) * len(kernel.grid), election.IC_CHUNK_FLOATS):
-        monkeypatch.setattr(election, "IC_CHUNK_FLOATS", floats)
+    for floats in (1, 5 * len(kernel.types) * len(kernel.grid), core.CHUNK_FLOATS):
+        monkeypatch.setattr(core, "CHUNK_FLOATS", floats)
         assert table_kernel(scenario).search(follows, 10 ** 6) == expected
 
 

@@ -1,8 +1,9 @@
 """The package's import graph: no import inside a function, and the
 module-level imports between ``rivote`` modules form a DAG; the CLI scans
 attention sets only through ``election.attention_set``; the package holds
-one perfect-observation winner rule, with no Downsian kernel, and one belief
-builder per game; and every name README's code spans use is defined.
+one perfect-observation winner rule, with no Downsian kernel, one belief
+builder per game and one voter rule per game row; and every name README's
+code spans use is defined.
 
 All are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
@@ -140,9 +141,23 @@ def test_one_belief_builder_per_game():
     # each game's batch over voter types is its builder; game_belief is its one-type case
     assert "belief" not in election.GameRow._fields
     removed = {"on_path_belief", "news_belief", "commitment_belief"}
-    defined = {getattr(node, "name", None) for tree in MODULES.values() for node in ast.walk(tree)}
-    defined |= {node.id for tree in MODULES.values() for node in ast.walk(tree)
-                if isinstance(node, ast.Name)}
-    assert not removed & defined
+    assert not removed & set().union(*_names().values())
     assert not [name for name in removed if hasattr(rivote, name)]
     assert rivote.game_belief is election.game_belief
+
+
+def _names() -> dict[str, set]:
+    """Every name each module defines, assigns, reads or imports."""
+    return {stem: {name for node in ast.walk(tree) for name in (
+        getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None))}
+        for stem, tree in MODULES.items()}
+
+
+def test_one_voter_rule_per_game():
+    # each game row holds one array rule, which the one batch over voter types
+    # and the attention-set scan both read; core holds the one chunk rule
+    assert election.GameRow._fields == ("w_of", "eta", "follows", "arrays")
+    names = _names()
+    removed = {"IC_CHUNK_FLOATS", "profile_beliefs", "signal_beliefs", "_commitment_beliefs"}
+    assert not removed & set().union(*names.values())
+    assert [stem for stem, found in names.items() if "CHUNK_FLOATS" in found] == ["core"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rivote.core
 import rivote.election
 from rivote.cli import main
 from rivote.core import UtilitySpec, ValidationError
@@ -621,7 +622,7 @@ class TestNoisyFrontierAgainstOracle:
     def test_row_chunks_do_not_change_the_frontier(self, monkeypatch, abs_spec, chunk):
         tech = NewsTechnology.slant(0.75)
         want = oracles.attention_frontier_noisy(tech, abs_spec, SCAN, SCAN, -0.001, 1.0)
-        monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(rivote.core, "CHUNK_FLOATS", chunk)
         assert _bits(attention_frontier_noisy(tech, abs_spec, SCAN, SCAN, -0.001, 1.0)) \
             == _bits(want)
 
@@ -655,7 +656,7 @@ class TestBatchedPosterior:
 class TestNoisyFrontierInputs:
     @pytest.mark.parametrize("chunk", [1, 2 ** 15])
     def test_one_warning_counts_every_dropped_profile(self, monkeypatch, abs_spec, chunk):
-        monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+        monkeypatch.setattr(rivote.core, "CHUNK_FLOATS", chunk)
         grid = (0.2, 0.4, 0.6)
         tech = NewsTechnology.revealing(grid)
         sigma = np.full((2, 2), 0.25)

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rivote.core
 import rivote.election
+from rivote.core import UtilitySpec, ValidationError
 from rivote.election import (
     StrategyAssignment,
     electorate_attention,
@@ -135,8 +137,10 @@ def test_attentive_flag_is_the_one_rule(n, family, pipeline, knob, log_mu):
             assert flag == attention_membership(r.belief(t), mu)
 
 
-BUILDERS = {"baseline": ("rivote.election", "profile_beliefs"),
-            "noisy": ("rivote.election", "signal_beliefs"),
+# what each game's array rule calls: value_matrix in the baseline and
+# commitment rules, the posterior in the noisy one
+BUILDERS = {"baseline": ("rivote.election", "value_matrix"),
+            "noisy": ("rivote.election", "posterior_value_matrix"),
             "commitment": ("rivote.election", "value_matrix")}
 
 
@@ -220,12 +224,35 @@ def test_every_group_is_solve_attention_of_its_public_belief(pipeline, family, n
                                   want.likelihood_ratio, want.info, want.residual)
 
 
+@pytest.mark.parametrize("pipeline", ["baseline", "commitment"])
+@pytest.mark.parametrize("chunk", [1, 2 ** 15])
+def test_electorate_batch_chunks_do_not_change_beliefs(monkeypatch, pipeline, chunk):
+    # 41 groups on 8 levels: one group per chunk, or all in one, give the same bits
+    scenario = electorate_game(pipeline, "quadratic", [k / 20 for k in range(-20, 21)], 0.05)
+    assignment = assignment_of(scenario, scenario.beta_axis.values[:8])
+    ts = scenario.electorate.group_types
+    want = rivote.election._game_beliefs(scenario, assignment, ts)
+    monkeypatch.setattr(rivote.core, "CHUNK_FLOATS", chunk)
+    support, probs, values = rivote.election._game_beliefs(scenario, assignment, ts)
+    assert support == want[0] and probs.tobytes() == want[1].tobytes()
+    assert values.tobytes() == want[2].tobytes()
+    for t, row in zip(ts, values):
+        direct = public_belief(pipeline, scenario, SimpleNamespace(assignment=assignment), t)
+        assert row.tobytes() == direct.values.tobytes()
+
+
+def test_profile_belief_refuses_a_zero_level_probability():
+    # only the news rule drops zero-probability profiles
+    with pytest.raises(ValidationError, match="support probabilities must be positive"):
+        profile_belief(UtilitySpec(), (0.1, 0.4), np.outer([1.0, 0.0], [1.0, 0.0]), 0.0)
+
+
 @pytest.mark.parametrize("chunk", [1, 40, 2 ** 15])
 def test_noisy_electorate_warns_once_with_the_dropped_count(monkeypatch, chunk):
     # revealing news on eight policies, two of them played: 64 - 4 profiles
     # have no mass, for every one of the seven groups alike; posterior chunks
     # of any size give the same beliefs
-    monkeypatch.setattr(rivote.election, "IC_CHUNK_FLOATS", chunk)
+    monkeypatch.setattr(rivote.core, "CHUNK_FLOATS", chunk)
     types = [-0.3, -0.1, -0.01, 0.0, 0.01, 0.1, 0.3]
     scenario = electorate_game("noisy", "absolute", types, 0.05, news="revealing")
     grid = scenario.beta_axis.values
@@ -264,7 +291,7 @@ def test_game_belief_is_the_one_row_case_of_its_game_batch(pipeline, family, new
     ts = scenario.electorate.group_types + ((off_group + 0.5) / 20,)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # revealing news drops unplayed signals
-        batch = rivote.election._game(scenario).beliefs(scenario, record.assignment, np.array(ts))
+        batch = rivote.election._game_beliefs(scenario, record.assignment, np.array(ts))
         belief, _ = electorate_attention(scenario, record.assignment)
         rows = {t: (game_belief(scenario, record.assignment, t),
                     public_belief(pipeline, scenario, record, t), belief(t)) for t in ts}

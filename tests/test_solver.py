@@ -42,6 +42,19 @@ class TestEntropy:
         with pytest.raises(ValidationError):
             entropy([1.1, -0.1])
 
+    @pytest.mark.parametrize("call", [
+        lambda: entropy([0.5, math.nan]),
+        lambda: entropy([0.5, math.inf]),
+        lambda: solver.binary_entropy(math.nan),
+        lambda: solver.binary_entropy([0.5, -math.inf]),
+        lambda: mutual_information([math.nan, 0.5], [0.5, 0.5]),
+        lambda: mutual_information([0.5, 0.5], [0.5, math.inf]),
+    ], ids=["entropy_nan", "entropy_inf", "binary_nan", "binary_inf", "mi_m_nan", "mi_probs_inf"])
+    def test_non_finite_refused(self, call):
+        # NaN used to drop out of every comparison and return a number
+        with pytest.raises(ValidationError, match="must be finite"):
+            call()
+
 
 class TestMutualInformation:
     def test_constant_decision_carries_nothing(self):
