@@ -149,10 +149,17 @@ def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverPr
     return BeliefOverProfiles(support, probs, values[0])
 
 
+def _require_own_types(scenario: Scenario, assignment: StrategyAssignment) -> None:
+    if tuple(zip(assignment.types, assignment.type_probs)) != scenario.beta_types.types:
+        raise ValidationError("the assignment's types are not the scenario's candidate types")
+
+
 def _game_beliefs(scenario: Scenario, assignment: StrategyAssignment, ts):
     """``belief_batch`` of the game row's array rule: the beliefs of the types
-    ``ts`` under an assignment, refused where the row's prefix rule excludes it."""
-    row, news = _game(scenario, assignment.types), scenario.news
+    ``ts`` under an assignment, refused where its types are not the scenario's
+    or the row's prefix rule excludes it."""
+    _require_own_types(scenario, assignment)
+    row, news = _game(scenario), scenario.news
     _require_follows(row.follows, np.array(assignment.policies))
     return belief_batch(row.arrays, assignment.levels, assignment.sigma, ts, news and news.signals)
 
@@ -193,9 +200,9 @@ def _majority(scenario: Scenario, votes) -> np.ndarray:
 
 def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
     """``(belief, attention)`` under the assignment in the scenario's game, which
-    the caller admits: voter t's ``belief(t)``, cached per t, and
-    ``(t, solve_attention(belief(t), mu))`` per voter group in group order, by
-    ``solve_groups`` on the ``_game_beliefs`` of every group, built and
+    the caller admits once (``_admitted_game``): voter t's ``belief(t)``, cached
+    per t, and ``(t, solve_attention(belief(t), mu))`` per voter group in group
+    order, by ``solve_groups`` on the ``_game_beliefs`` of every group, built and
     validated once.  ``belief(t)`` is a view of its group's row, else
     ``game_belief``: records, aggregation and ``solve-attention`` build none twice."""
     ts = scenario.electorate.group_types
@@ -210,7 +217,7 @@ def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment
     """Winning matrix implied by every group's optimal attention strategy: the
     ``_majority`` of the ``electorate_attention`` votes on the on-path profiles
     at the scenario's mu.  Only the baseline game aggregates this way."""
-    require_symmetric(scenario)
+    _admitted_game(scenario)
     _require_baseline(scenario, "aggregate_and_rationalize")
     n = len(assignment.levels)
     _, attention = electorate_attention(scenario, assignment)
@@ -280,16 +287,16 @@ class ICKernel:
     """Batched incentive check and pruned search of pure symmetric
     assignments on one grid.
 
-    Built once per game from beta's winning-probability matrix ``w`` on the
-    grid (``w[i, j]`` at the profile (-grid[i], grid[j])) and the
-    ``stage_tables`` of both candidates under ``spec`` (and ``eta`` under
-    limited commitment), as one ``_payoffs`` table per candidate that
-    ``gaps``, ``bound`` and ``search`` all read through ``_margins``.  Alpha's
-    game is the mirror image: its policies are indexed by their magnitude on
-    beta's grid and its types are the negated beta types in reverse.  An
-    assignment is the row of beta's grid indices per type.  Alpha's side is
-    checked too: where W + W^T != 1, as on the aggregated on-path cells of
-    the rationalized check, its slack is not beta's mirrored.
+    Built once per scenario (``_kernel``) from beta's winning-probability
+    matrix ``w`` on the grid (``w[i, j]`` at the profile (-grid[i], grid[j]))
+    and the ``stage_tables`` of both candidates under ``spec`` (and ``eta``
+    under limited commitment), as one read-only ``_payoffs`` table per
+    candidate that ``gaps``, ``bound`` and ``search`` read through
+    ``_margins``.  Alpha's game is the mirror image: its policies are indexed
+    by their magnitude on beta's grid and its types are the negated beta types
+    in reverse.  An assignment is the row of beta's grid indices per type.
+    Alpha's side is checked too: where W + W^T != 1, as on the aggregated
+    on-path cells of the rationalized check, its slack is not beta's mirrored.
     """
 
     def __init__(self, grid, types, probs, w, spec: UtilitySpec, eta=None):
@@ -302,6 +309,8 @@ class ICKernel:
         alpha = stage_tables(spec, -g, g, a_types, b_types, eta)
         self._beta = _payoffs(w, *beta, tuple(reversed(probs)))
         self._alpha = _payoffs((1.0 - w).T, *alpha, tuple(probs))
+        for table in (w, self._beta, self._alpha):
+            table.setflags(write=False)
 
     def gaps(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(beta, alpha) slack per assignment row and type, in type order."""
@@ -316,7 +325,8 @@ class ICKernel:
         gain = np.zeros((n, n - 1, size, size))
         for j, k, part in itertools.product(range(n - 1), range(n - 1), chunks(size, size ** 2)):
             gain[j + 1, k, part] = (pay[j, :, k, part, None] - pay[j, :, k, None]).max(axis=0)
-        return np.cumsum(gain, axis=0)
+        (gain := np.cumsum(gain, axis=0)).setflags(write=False)
+        return gain
 
     def bound(self, prefixes: np.ndarray) -> np.ndarray:
         """Upper bound on beta type k's payoff at its policy a_k less its payoff
@@ -374,9 +384,8 @@ class GameRow(NamedTuple):
     arrays: Callable
 
 
-def _game(scenario: Scenario, own_types=None) -> GameRow:
-    """The unaudited row for ``game_of(scenario)``, its commitment rule on
-    ``own_types`` (default: the candidate types); callers read ``_admitted_game``."""
+def _game(scenario: Scenario) -> GameRow:
+    """The unaudited row for ``game_of(scenario)``; callers read ``_admitted_game``."""
     def perfect(s):
         g = np.array(s.beta_axis.values)
         return perfect_observation_winner(s, -g[:, None], g[None, :])
@@ -385,7 +394,7 @@ def _game(scenario: Scenario, own_types=None) -> GameRow:
         return expected_winning_matrix(s.news, s.beta_axis.values)
 
     spec, eta, news = scenario.utility, scenario.eta, scenario.news
-    own = scenario.beta_types.type_values if own_types is None else own_types
+    own = scenario.beta_types.type_values
     return {
         "baseline": GameRow(perfect, None, None, partial(_profile_arrays, spec)),
         "noisy": GameRow(signal_wise, None, None, partial(posterior_value_matrix, news, spec)),
@@ -401,12 +410,26 @@ def _require_follows(follows, policies) -> None:
 
 def _admitted_game(scenario: Scenario) -> GameRow:
     """``_game(scenario)`` of a symmetric scenario whose news, if any, passes
-    ``audit_news`` on beta's grid; every command and check reads its game here."""
-    require_symmetric(scenario)
-    if scenario.news is not None and (
-            problems := audit_news(scenario.news, scenario.beta_axis.values)):
-        raise ValidationError("news technology rejected: " + "; ".join(problems))
-    return _game(scenario)
+    ``audit_news`` on beta's grid; every command and check reads its game here.
+    Admitted once: the row and its ``_kernel`` are cached in the frozen
+    scenario's ``__dict__``, as by ``cached_property``; a refusal is not."""
+    if (slot := vars(scenario).get("_admitted")) is None:
+        require_symmetric(scenario)
+        if scenario.news is not None and (
+                problems := audit_news(scenario.news, scenario.beta_axis.values)):
+            raise ValidationError("news technology rejected: " + "; ".join(problems))
+        slot = vars(scenario)["_admitted"] = [_game(scenario), None]
+    return slot[0]
+
+
+def _kernel(scenario: Scenario) -> ICKernel:
+    """The admitted game's ``ICKernel`` on the scenario's grid and types, built once."""
+    (w_of, eta, *_), slot = _admitted_game(scenario), vars(scenario)["_admitted"]
+    if slot[1] is None:
+        types = scenario.beta_types
+        slot[1] = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
+                           w_of(scenario), scenario.utility, eta)
+    return slot[1]
 
 
 def check_ic(
@@ -422,17 +445,16 @@ def check_ic(
     ``assignment_for``'s (off beta's grid, or of other types than the
     scenario's) and maps the game's prefix rule excludes.
     """
-    w_of, eta, follows, *_ = _admitted_game(scenario)
-    if assignment != assignment_for(scenario, assignment.policies):
-        raise ValidationError("the assignment's types are not the scenario's candidate types")
-    grid = scenario.beta_axis.values
+    follows, grid = _admitted_game(scenario).follows, scenario.beta_axis.values
+    assignment_for(scenario, assignment.policies)  # refuses policies off beta's grid
+    _require_own_types(scenario, assignment)
     _require_follows(follows, np.array(assignment.policies))  # ordered as their grid indices
-    w = w_of(scenario)
-    if rationalized:
+    kernel = _kernel(scenario)
+    if rationalized:  # on a copy of the cached W, in a kernel of its own
         _require_baseline(scenario, "rationalized=True")
-        on = np.isin(grid, assignment.levels)  # the levels ascend, as the grid does
+        on, w = np.isin(grid, assignment.levels), kernel.w.copy()  # the levels ascend
         w[np.ix_(on, on)] = aggregate_and_rationalize(scenario, assignment)
-    kernel = ICKernel(grid, assignment.types, assignment.type_probs, w, scenario.utility, eta)
+        kernel = ICKernel(grid, kernel.types, assignment.type_probs, w, scenario.utility)
     beta, alpha = kernel.gaps(np.array([[grid.index(a) for a in assignment.policies]]))
     gaps = dict(zip((("beta", t) for t in kernel.types), beta[0].tolist()))
     gaps.update(zip((("alpha", t) for t in kernel.alpha_types), alpha[0].tolist()))
@@ -487,12 +509,10 @@ def enumerate_equilibria(
     (baseline game only) checks that every record's own attention strategies,
     counted by ``_majority``, reproduce its winner.
     """
-    w_of, eta, follows, *_ = _admitted_game(scenario)
+    follows = _admitted_game(scenario).follows
     if verify_rationalizable:
         _require_baseline(scenario, "verify_rationalizable")
-    types = scenario.beta_types
-    kernel = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
-                      w_of(scenario), scenario.utility, eta)
+    kernel = _kernel(scenario)
     records = equilibrium_records(scenario, kernel, kernel.search(follows, max_assignments))
     if verify_rationalizable:
         for r in records:

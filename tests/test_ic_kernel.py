@@ -1,7 +1,9 @@
-"""The batched IC kernel against the scalar oracle, its mirror identity, and
-the pruned equilibrium search against the exhaustive one."""
+"""The batched IC kernel against the scalar oracle, its mirror identity, the
+pruned equilibrium search against the exhaustive one, and the one admission
+and kernel each scenario object caches."""
 import itertools
 import time
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -12,17 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rivote import core, election
-from rivote.core import ValidationError
+from rivote.core import Electorate, SymmetryError, ValidationError
 from rivote.election import (
     StrategyAssignment,
+    aggregate_and_rationalize,
     assignment_for,
+    attention_set,
     check_ic,
+    electorate_attention,
     enumerate_equilibria,
+    game_belief,
     game_of,
     perfect_observation_winner,
+    truncation_statistic,
 )
 from rivote.news import expected_winning_matrix
-from rivote.presets import figure2_scenario, figure3_scenario
+from rivote.presets import example3_scenario, figure2_scenario, figure3_scenario, table1_scenario
 from rivote.scenario_io import load_scenario, scenario_from_dict
 from tests.conftest import bench_workloads
 from tests.oracles import (
@@ -264,13 +271,17 @@ def test_off_grid_policy_is_a_validation_error(pipeline):
         check_ic(scenario, assignment)
 
 
-def test_check_ic_refuses_news_the_enumeration_refuses():
+def audit_failing_news():
     # a decreasing likelihood ratio fails audit_news on the grid
     doc = figure3_scenario(0.75, n_policies=4)
     doc["news"] = {"family": "table", "signals": [0.25, 0.75],
                    "policies": doc["policies"]["beta"],
                    "rows": [[0.2, 0.8], [0.4, 0.6], [0.6, 0.4], [0.8, 0.2]]}
-    scenario = scenario_from_dict(doc)
+    return scenario_from_dict(doc)
+
+
+def test_check_ic_refuses_news_the_enumeration_refuses():
+    scenario = audit_failing_news()
     assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
     with pytest.raises(ValidationError, match="^news technology rejected: ratio ordering"):
         enumerate_equilibria(scenario)
@@ -278,11 +289,28 @@ def test_check_ic_refuses_news_the_enumeration_refuses():
         check_ic(scenario, assignment)
 
 
-def test_check_ic_refuses_other_types_than_the_scenarios():
-    scenario = scenario_from_dict(figure2_scenario())
-    for types, probs in (((0.1, 0.9), (0.5, 0.5)), ((0.3, 0.8), (0.4, 0.6))):
-        with pytest.raises(ValidationError, match="not the scenario's candidate types"):
-            check_ic(scenario, StrategyAssignment(types, probs, (0.01, 0.4)))
+ENTRY_POINTS = {
+    "game_belief": lambda scenario, assignment: game_belief(scenario, assignment, -0.05),
+    "electorate_attention": electorate_attention,
+    "aggregate_and_rationalize": aggregate_and_rationalize,
+    "check_ic": check_ic,
+}
+FOREIGN = {"other_types": ((0.1, 0.9), (0.5, 0.5)), "other_probs": ((0.3, 0.8), (0.4, 0.6))}
+
+
+@pytest.mark.parametrize("foreign", FOREIGN)
+@pytest.mark.parametrize("doc, entry", [
+    *(("figure2", entry) for entry in ENTRY_POINTS),
+    *(("example3_eta.5", entry) for entry in ENTRY_POINTS if entry != "aggregate_and_rationalize"),
+])
+def test_every_entry_point_refuses_other_types_than_the_scenarios(doc, entry, foreign):
+    # one refusal for all, where the beliefs would value types the game lacks
+    doc = figure2_scenario() if doc == "figure2" else example3_scenario(0.5)
+    scenario = scenario_from_dict(doc)
+    assignment = StrategyAssignment(*FOREIGN[foreign], (0.01, 0.4))
+    with pytest.raises(ValidationError,
+                       match="^the assignment's types are not the scenario's candidate types$"):
+        ENTRY_POINTS[entry](scenario, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -388,3 +416,117 @@ def test_six_types_on_twenty_policies_under_the_default_cap():
     records = enumerate_equilibria(scenario)
     assert time.perf_counter() - start < 1.0
     assert records and all(r.min_gap >= -election.TOL for r in records)
+
+
+# ---------------------------------------------------------------------------
+# One admission and one kernel per scenario object
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Calls of admission's two audits, the IC kernel's build and the game
+    row's winning matrix, counted by name."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("require_symmetric", "audit_news"):
+        monkeypatch.setattr(election, name, counted(name, getattr(election, name)))
+    monkeypatch.setattr(election.ICKernel, "__init__",
+                        counted("ICKernel", election.ICKernel.__init__))
+    row_of = election._game
+    monkeypatch.setattr(election, "_game", lambda scenario: (
+        row := row_of(scenario))._replace(w_of=counted("w_of", row.w_of)))
+    return calls
+
+
+@pytest.mark.parametrize("pipeline", ["baseline", "noisy", "commitment"])
+def test_each_scenario_object_is_admitted_and_built_once(pipeline, builds):
+    scenario = game(6, xi=0.75 if pipeline == "noisy" else None,
+                    eta=0.8 if pipeline == "commitment" else None)
+    records = enumerate_equilibria(scenario)  # none in the commitment game
+    assert records == [] if pipeline == "commitment" else records
+    enumerate_equilibria(scenario)
+    assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
+    check_ic(scenario, assignment)
+    if pipeline != "commitment":
+        attention_set(scenario, [0.1, 0.3], [0.5, 0.7], -0.05)
+    if pipeline == "baseline":
+        aggregate_and_rationalize(scenario, assignment)
+    truncation_statistic(scenario, records, 0.5)
+    audited = int(pipeline == "noisy")
+    assert builds == Counter(require_symmetric=1, audit_news=audited, ICKernel=1, w_of=1)
+
+
+def test_a_replaced_scenario_is_admitted_and_built_afresh(builds):
+    scenario = game(6)
+    other = replace(scenario, mu=0.5)
+    assert fingerprint(enumerate_equilibria(other)) == fingerprint(enumerate_equilibria(other))
+    enumerate_equilibria(scenario)
+    assert builds == Counter(require_symmetric=2, ICKernel=2, w_of=2)
+    assert election._kernel(other) is not election._kernel(scenario)
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: replace(game(6), electorate=Electorate(((-0.2, 0.7), (0.2, 0.3)))),
+     SymmetryError, "^symmetric-equilibrium routine refused an asymmetric scenario"),
+    (audit_failing_news, ValidationError, "^news technology rejected: ratio ordering"),
+], ids=["asymmetric", "news_audit"])
+def test_a_refused_scenario_is_refused_on_every_call(refused, error, message, builds):
+    scenario = refused()
+    assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
+    calls = (enumerate_equilibria, enumerate_equilibria, partial(check_ic, assignment=assignment))
+    for call in calls:
+        with pytest.raises(error, match=message):
+            call(scenario)
+    assert builds["require_symmetric"] == 3 and builds["ICKernel"] == builds["w_of"] == 0
+
+
+WARM = {**SEARCHED, **{f"preset_{label}": partial(scenario_from_dict, doc) for label, doc in (
+    ("table1", table1_scenario()), ("figure2", figure2_scenario()),
+    ("example3_eta.5", example3_scenario(0.5)),
+    *((f"figure3_xi{xi}", figure3_scenario(xi)) for xi in (0.6, 0.75, 0.9)))}}
+
+
+def records_bits(records):
+    """``fingerprint`` and each record's ``total_info``, as an exact repr."""
+    return fingerprint(records), [repr(r.total_info) for r in records]
+
+
+@pytest.mark.parametrize("label", WARM)
+def test_a_warm_scenario_enumerates_bitwise_as_a_cold_one(label):
+    cold = records_bits(enumerate_equilibria(WARM[label]()))
+    warm = WARM[label]()
+    enumerate_equilibria(warm)
+    kernel = election._kernel(warm)
+    assert records_bits(enumerate_equilibria(warm)) == cold
+    assert election._kernel(warm) is kernel
+
+
+def test_the_rationalized_check_leaves_the_cached_kernel_alone():
+    # on the pooling map (0.2, 0.2) the groups' aggregate differs from the
+    # cached W's on-path cell, so the rationalized check prices its own copy
+    scenario = scenario_from_dict(figure2_scenario())
+    cold = records_bits(enumerate_equilibria(scenario_from_dict(figure2_scenario())))
+    kernel = election._kernel(scenario)
+    w = kernel.w.tobytes()
+    assignment = assignment_for(scenario, (0.2, 0.2))
+    on = np.isin(kernel.grid, assignment.levels)
+    assert not np.array_equal(aggregate_and_rationalize(scenario, assignment),
+                              kernel.w[np.ix_(on, on)])
+    assert check_ic(scenario, assignment, rationalized=True)[1] != check_ic(scenario, assignment)[1]
+    assert election._kernel(scenario) is kernel and kernel.w.tobytes() == w
+    assert records_bits(enumerate_equilibria(scenario)) == cold
+
+
+def test_the_cached_kernel_is_read_only():
+    scenario = game(6, THREE_TYPES)
+    enumerate_equilibria(scenario)
+    kernel = election._kernel(scenario)
+    for table in (kernel.w, kernel._beta, kernel._alpha, kernel._open_gains):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0.5

@@ -2,20 +2,25 @@
 module-level imports between ``rivote`` modules form a DAG; the CLI scans
 attention sets only through ``election.attention_set``; the package holds
 one perfect-observation winner rule, with no Downsian kernel, one belief
-builder per game and one voter rule per game row; and every name README's
-code spans use is defined.
+builder per game and one voter rule per game row; a scenario caches its
+game in one private slot that leaves its identity alone; and every name
+README's code spans use is defined.
 
-All are read from the sources with ``ast``; imports under
+All but the cache slot are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
 """
 import ast
 import builtins
+import dataclasses
 import graphlib
+import inspect
 import re
 from pathlib import Path
 
 import rivote
 from rivote import election
+from rivote.presets import figure2_scenario
+from rivote.scenario_io import scenario_from_dict
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rivote"
 MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -161,3 +166,21 @@ def test_one_voter_rule_per_game():
     removed = {"IC_CHUNK_FLOATS", "profile_beliefs", "signal_beliefs", "_commitment_beliefs"}
     assert not removed & set().union(*names.values())
     assert [stem for stem, found in names.items() if "CHUNK_FLOATS" in found] == ["core"]
+
+
+def test_one_cache_slot_per_scenario():
+    # admission and the IC kernel add one private key to the frozen scenario's
+    # __dict__, which its ==, hash and repr never read; the commitment rule
+    # reads the scenario's own types
+    scenario = scenario_from_dict(figure2_scenario())
+    fields = {f.name for f in dataclasses.fields(scenario)}
+    before = (repr(scenario), hash(scenario))
+    records = election.enumerate_equilibria(scenario)
+    election.check_ic(scenario, records[0].assignment)
+    election.attention_set(scenario, [0.01], [0.2, 0.4], 0.0)
+    extra = set(vars(scenario)) - fields
+    assert set(vars(scenario)) >= fields and len(extra) == 1 and extra.pop().startswith("_")
+    assert (repr(scenario), hash(scenario)) == before
+    copy = dataclasses.replace(scenario)
+    assert copy == scenario and hash(copy) == hash(scenario) and repr(copy) == repr(scenario)
+    assert list(inspect.signature(election._game).parameters) == ["scenario"]
