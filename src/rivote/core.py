@@ -8,7 +8,7 @@ the configured finite grids instead of being trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterator, Literal
 
 import numpy as np
@@ -303,6 +303,10 @@ class Scenario:
             raise ValidationError("news cannot be combined with limited commitment (eta < 1)")
         if self.dissemination_cost is not None and not 0 <= self.dissemination_cost < math.inf:
             raise ValidationError("dissemination cost must be finite and >= 0")
+
+    def __getstate__(self) -> dict:
+        """Pickles and copies carry the fields only, not what is cached on the object."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def kappa(self) -> float:
         positive = tuple(t for t in self.electorate.group_types if t > 0)

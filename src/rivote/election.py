@@ -217,8 +217,8 @@ def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment
     """Winning matrix implied by every group's optimal attention strategy: the
     ``_majority`` of the ``electorate_attention`` votes on the on-path profiles
     at the scenario's mu.  Only the baseline game aggregates this way."""
-    _admitted_game(scenario)
     _require_baseline(scenario, "aggregate_and_rationalize")
+    _admitted_game(scenario)
     n = len(assignment.levels)
     _, attention = electorate_attention(scenario, assignment)
     return _majority(scenario, (sol.m for _, sol in attention)).reshape(n, n)
@@ -287,16 +287,16 @@ class ICKernel:
     """Batched incentive check and pruned search of pure symmetric
     assignments on one grid.
 
-    Built once per scenario (``_kernel``) from beta's winning-probability
-    matrix ``w`` on the grid (``w[i, j]`` at the profile (-grid[i], grid[j]))
-    and the ``stage_tables`` of both candidates under ``spec`` (and ``eta``
-    under limited commitment), as one read-only ``_payoffs`` table per
-    candidate that ``gaps``, ``bound`` and ``search`` read through
-    ``_margins``.  Alpha's game is the mirror image: its policies are indexed
-    by their magnitude on beta's grid and its types are the negated beta types
-    in reverse.  An assignment is the row of beta's grid indices per type.
-    Alpha's side is checked too: where W + W^T != 1, as on the aggregated
-    on-path cells of the rationalized check, its slack is not beta's mirrored.
+    Built once per game from beta's winning-probability matrix ``w`` on the
+    grid (``w[i, j]`` at the profile (-grid[i], grid[j])) and the
+    ``stage_tables`` of both candidates under ``spec`` (and ``eta`` under
+    limited commitment), as one ``_payoffs`` table per candidate that
+    ``gaps``, ``bound`` and ``search`` all read through ``_margins``.  Alpha's
+    game is the mirror image: its policies are indexed by their magnitude on
+    beta's grid and its types are the negated beta types in reverse.  An
+    assignment is the row of beta's grid indices per type.  Alpha's side is
+    checked too: where W + W^T != 1, as on the aggregated on-path cells of
+    the rationalized check, its slack is not beta's mirrored.
     """
 
     def __init__(self, grid, types, probs, w, spec: UtilitySpec, eta=None):
@@ -309,8 +309,6 @@ class ICKernel:
         alpha = stage_tables(spec, -g, g, a_types, b_types, eta)
         self._beta = _payoffs(w, *beta, tuple(reversed(probs)))
         self._alpha = _payoffs((1.0 - w).T, *alpha, tuple(probs))
-        for table in (w, self._beta, self._alpha):
-            table.setflags(write=False)
 
     def gaps(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(beta, alpha) slack per assignment row and type, in type order."""
@@ -325,8 +323,7 @@ class ICKernel:
         gain = np.zeros((n, n - 1, size, size))
         for j, k, part in itertools.product(range(n - 1), range(n - 1), chunks(size, size ** 2)):
             gain[j + 1, k, part] = (pay[j, :, k, part, None] - pay[j, :, k, None]).max(axis=0)
-        (gain := np.cumsum(gain, axis=0)).setflags(write=False)
-        return gain
+        return np.cumsum(gain, axis=0)
 
     def bound(self, prefixes: np.ndarray) -> np.ndarray:
         """Upper bound on beta type k's payoff at its policy a_k less its payoff
@@ -411,25 +408,16 @@ def _require_follows(follows, policies) -> None:
 def _admitted_game(scenario: Scenario) -> GameRow:
     """``_game(scenario)`` of a symmetric scenario whose news, if any, passes
     ``audit_news`` on beta's grid; every command and check reads its game here.
-    Admitted once: the row and its ``_kernel`` are cached in the frozen
-    scenario's ``__dict__``, as by ``cached_property``; a refusal is not."""
-    if (slot := vars(scenario).get("_admitted")) is None:
+    Admitted once: the row is cached in the frozen scenario's ``__dict__``, as
+    by ``cached_property`` (pickles and copies carry the fields only); a
+    refusal is not."""
+    if (row := vars(scenario).get("_admitted")) is None:
         require_symmetric(scenario)
         if scenario.news is not None and (
                 problems := audit_news(scenario.news, scenario.beta_axis.values)):
             raise ValidationError("news technology rejected: " + "; ".join(problems))
-        slot = vars(scenario)["_admitted"] = [_game(scenario), None]
-    return slot[0]
-
-
-def _kernel(scenario: Scenario) -> ICKernel:
-    """The admitted game's ``ICKernel`` on the scenario's grid and types, built once."""
-    (w_of, eta, *_), slot = _admitted_game(scenario), vars(scenario)["_admitted"]
-    if slot[1] is None:
-        types = scenario.beta_types
-        slot[1] = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
-                           w_of(scenario), scenario.utility, eta)
-    return slot[1]
+        row = vars(scenario)["_admitted"] = _game(scenario)
+    return row
 
 
 def check_ic(
@@ -445,16 +433,17 @@ def check_ic(
     ``assignment_for``'s (off beta's grid, or of other types than the
     scenario's) and maps the game's prefix rule excludes.
     """
-    follows, grid = _admitted_game(scenario).follows, scenario.beta_axis.values
+    w_of, eta, follows, *_ = _admitted_game(scenario)
     assignment_for(scenario, assignment.policies)  # refuses policies off beta's grid
     _require_own_types(scenario, assignment)
+    grid = scenario.beta_axis.values
     _require_follows(follows, np.array(assignment.policies))  # ordered as their grid indices
-    kernel = _kernel(scenario)
-    if rationalized:  # on a copy of the cached W, in a kernel of its own
+    w = w_of(scenario)
+    if rationalized:
         _require_baseline(scenario, "rationalized=True")
-        on, w = np.isin(grid, assignment.levels), kernel.w.copy()  # the levels ascend
+        on = np.isin(grid, assignment.levels)  # the levels ascend, as the grid does
         w[np.ix_(on, on)] = aggregate_and_rationalize(scenario, assignment)
-        kernel = ICKernel(grid, kernel.types, assignment.type_probs, w, scenario.utility)
+    kernel = ICKernel(grid, assignment.types, assignment.type_probs, w, scenario.utility, eta)
     beta, alpha = kernel.gaps(np.array([[grid.index(a) for a in assignment.policies]]))
     gaps = dict(zip((("beta", t) for t in kernel.types), beta[0].tolist()))
     gaps.update(zip((("alpha", t) for t in kernel.alpha_types), alpha[0].tolist()))
@@ -509,10 +498,12 @@ def enumerate_equilibria(
     (baseline game only) checks that every record's own attention strategies,
     counted by ``_majority``, reproduce its winner.
     """
-    follows = _admitted_game(scenario).follows
+    w_of, eta, follows, *_ = _admitted_game(scenario)
     if verify_rationalizable:
         _require_baseline(scenario, "verify_rationalizable")
-    kernel = _kernel(scenario)
+    types = scenario.beta_types
+    kernel = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
+                      w_of(scenario), scenario.utility, eta)
     records = equilibrium_records(scenario, kernel, kernel.search(follows, max_assignments))
     if verify_rationalizable:
         for r in records:

@@ -1,10 +1,12 @@
 """The batched IC kernel against the scalar oracle, its mirror identity, the
 pruned equilibrium search against the exhaustive one, and the one admission
-and kernel each scenario object caches."""
+each scenario object caches."""
+import copy
 import itertools
+import pickle
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -419,13 +421,12 @@ def test_six_types_on_twenty_policies_under_the_default_cap():
 
 
 # ---------------------------------------------------------------------------
-# One admission and one kernel per scenario object
+# One admission per scenario object
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
-def builds(monkeypatch):
-    """Calls of admission's two audits, the IC kernel's build and the game
-    row's winning matrix, counted by name."""
+def audits(monkeypatch):
+    """Calls of admission's two audits, counted by name."""
     calls = Counter()
 
     def counted(name, fn):
@@ -436,16 +437,11 @@ def builds(monkeypatch):
 
     for name in ("require_symmetric", "audit_news"):
         monkeypatch.setattr(election, name, counted(name, getattr(election, name)))
-    monkeypatch.setattr(election.ICKernel, "__init__",
-                        counted("ICKernel", election.ICKernel.__init__))
-    row_of = election._game
-    monkeypatch.setattr(election, "_game", lambda scenario: (
-        row := row_of(scenario))._replace(w_of=counted("w_of", row.w_of)))
     return calls
 
 
 @pytest.mark.parametrize("pipeline", ["baseline", "noisy", "commitment"])
-def test_each_scenario_object_is_admitted_and_built_once(pipeline, builds):
+def test_each_scenario_object_is_admitted_once(pipeline, audits):
     scenario = game(6, xi=0.75 if pipeline == "noisy" else None,
                     eta=0.8 if pipeline == "commitment" else None)
     records = enumerate_equilibria(scenario)  # none in the commitment game
@@ -458,17 +454,15 @@ def test_each_scenario_object_is_admitted_and_built_once(pipeline, builds):
     if pipeline == "baseline":
         aggregate_and_rationalize(scenario, assignment)
     truncation_statistic(scenario, records, 0.5)
-    audited = int(pipeline == "noisy")
-    assert builds == Counter(require_symmetric=1, audit_news=audited, ICKernel=1, w_of=1)
+    assert audits == Counter(require_symmetric=1, audit_news=int(pipeline == "noisy"))
 
 
-def test_a_replaced_scenario_is_admitted_and_built_afresh(builds):
+def test_a_replaced_scenario_is_admitted_afresh(audits):
     scenario = game(6)
     other = replace(scenario, mu=0.5)
     assert fingerprint(enumerate_equilibria(other)) == fingerprint(enumerate_equilibria(other))
     enumerate_equilibria(scenario)
-    assert builds == Counter(require_symmetric=2, ICKernel=2, w_of=2)
-    assert election._kernel(other) is not election._kernel(scenario)
+    assert audits == Counter(require_symmetric=2)
 
 
 @pytest.mark.parametrize("refused, error, message", [
@@ -476,14 +470,14 @@ def test_a_replaced_scenario_is_admitted_and_built_afresh(builds):
      SymmetryError, "^symmetric-equilibrium routine refused an asymmetric scenario"),
     (audit_failing_news, ValidationError, "^news technology rejected: ratio ordering"),
 ], ids=["asymmetric", "news_audit"])
-def test_a_refused_scenario_is_refused_on_every_call(refused, error, message, builds):
+def test_a_refused_scenario_is_refused_on_every_call(refused, error, message, audits):
     scenario = refused()
     assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
     calls = (enumerate_equilibria, enumerate_equilibria, partial(check_ic, assignment=assignment))
     for call in calls:
         with pytest.raises(error, match=message):
             call(scenario)
-    assert builds["require_symmetric"] == 3 and builds["ICKernel"] == builds["w_of"] == 0
+    assert audits["require_symmetric"] == 3
 
 
 WARM = {**SEARCHED, **{f"preset_{label}": partial(scenario_from_dict, doc) for label, doc in (
@@ -498,35 +492,28 @@ def records_bits(records):
 
 
 @pytest.mark.parametrize("label", WARM)
-def test_a_warm_scenario_enumerates_bitwise_as_a_cold_one(label):
+def test_an_admitted_scenario_enumerates_bitwise_as_a_fresh_one(label):
     cold = records_bits(enumerate_equilibria(WARM[label]()))
     warm = WARM[label]()
     enumerate_equilibria(warm)
-    kernel = election._kernel(warm)
     assert records_bits(enumerate_equilibria(warm)) == cold
-    assert election._kernel(warm) is kernel
 
 
-def test_the_rationalized_check_leaves_the_cached_kernel_alone():
-    # on the pooling map (0.2, 0.2) the groups' aggregate differs from the
-    # cached W's on-path cell, so the rationalized check prices its own copy
+def test_the_rationalized_check_leaves_the_scenarios_game_alone():
+    # on the pooling map (0.2, 0.2) the groups' aggregate differs from W's
+    # on-path cell, so the rationalized check prices a W of its own
     scenario = scenario_from_dict(figure2_scenario())
     cold = records_bits(enumerate_equilibria(scenario_from_dict(figure2_scenario())))
-    kernel = election._kernel(scenario)
-    w = kernel.w.tobytes()
     assignment = assignment_for(scenario, (0.2, 0.2))
-    on = np.isin(kernel.grid, assignment.levels)
-    assert not np.array_equal(aggregate_and_rationalize(scenario, assignment),
-                              kernel.w[np.ix_(on, on)])
     assert check_ic(scenario, assignment, rationalized=True)[1] != check_ic(scenario, assignment)[1]
-    assert election._kernel(scenario) is kernel and kernel.w.tobytes() == w
     assert records_bits(enumerate_equilibria(scenario)) == cold
 
 
-def test_the_cached_kernel_is_read_only():
-    scenario = game(6, THREE_TYPES)
-    enumerate_equilibria(scenario)
-    kernel = election._kernel(scenario)
-    for table in (kernel.w, kernel._beta, kernel._alpha, kernel._open_gains):
-        with pytest.raises(ValueError, match="read-only"):
-            table[(0,) * table.ndim] = 0.5
+@pytest.mark.parametrize("doc", [table1_scenario(), figure2_scenario(), example3_scenario(0.5)],
+                         ids=["table1", "figure2", "example3_eta.5"])
+def test_an_admitted_scenario_pickles_and_copies_as_its_fields(doc):
+    scenario = scenario_from_dict(doc)
+    records = records_bits(enumerate_equilibria(scenario))
+    for twin in (pickle.loads(pickle.dumps(scenario)), copy.copy(scenario), copy.deepcopy(scenario)):
+        assert twin == scenario and set(vars(twin)) == {f.name for f in fields(scenario)}
+        assert records_bits(enumerate_equilibria(twin)) == records

@@ -169,9 +169,9 @@ def test_one_voter_rule_per_game():
 
 
 def test_one_cache_slot_per_scenario():
-    # admission and the IC kernel add one private key to the frozen scenario's
-    # __dict__, which its ==, hash and repr never read; the commitment rule
-    # reads the scenario's own types
+    # admission adds one private key to the frozen scenario's __dict__, which
+    # its ==, hash and repr never read; the commitment rule reads the
+    # scenario's own types
     scenario = scenario_from_dict(figure2_scenario())
     fields = {f.name for f in dataclasses.fields(scenario)}
     before = (repr(scenario), hash(scenario))
