@@ -1,9 +1,9 @@
 """Symmetric electoral competition over finite grids.
 
 One game table (``_game``) holds every part of the baseline, noisy-news and
-limited-commitment games: beta's winning matrix, commitment level, prefix
-rule and the voter's array rule, which both the electorate's belief batch
-and the attention-set scan read.  On it: vote aggregation, incentive checks,
+limited-commitment games: beta's winning matrix, commitment level and the
+voter's array rule, which both the electorate's belief batch and the
+attention-set scan read.  On it: vote aggregation, incentive checks,
 exact pruned enumeration of pure symmetric equilibria and the truncation
 statistic behind the comparative statics in the attention cost.
 """
@@ -157,10 +157,10 @@ def _require_own_types(scenario: Scenario, assignment: StrategyAssignment) -> No
 def _game_beliefs(scenario: Scenario, assignment: StrategyAssignment, ts):
     """``belief_batch`` of the game row's array rule: the beliefs of the types
     ``ts`` under an assignment, refused where its types are not the scenario's
-    or the row's prefix rule excludes it."""
+    or, under limited commitment, its policies do not strictly increase."""
     _require_own_types(scenario, assignment)
     row, news = _game(scenario), scenario.news
-    _require_follows(row.follows, np.array(assignment.policies))
+    _require_increasing(row.eta, np.array(assignment.policies))
     return belief_batch(row.arrays, assignment.levels, assignment.sigma, ts, news and news.signals)
 
 
@@ -300,7 +300,7 @@ class ICKernel:
     """
 
     def __init__(self, grid, types, probs, w, spec: UtilitySpec, eta=None):
-        self.grid = tuple(grid)
+        self.grid, self._increasing = tuple(grid), eta is not None
         self.types = tuple(types)
         self.alpha_types = tuple(-t for t in reversed(self.types))
         self.w = w = np.asarray(w, dtype=float)
@@ -335,20 +335,21 @@ class ICKernel:
         gain = self._open_gains[n_open, :level] if n_open else None
         return _margins(self._beta[n_open:, :, :level], prefixes, prefixes[:, ::-1], gain)
 
-    def search(self, follows, max_prefixes: int):
+    def search(self, max_prefixes: int):
         """(grid indices, beta's (type, slack) pairs) of every incentive
         compatible row, in lexicographic order.  Prefixes grow one type at a
-        time by the indices ``follows(last, next)`` allows (all when None),
-        over ``max_prefixes`` visited are refused, and a prefix whose ``bound``
-        is below -TOL by more than a rounding margin is cut: no completion of
-        it can pass.  Complete rows are judged by their exact ``gaps``."""
+        time, by an index above the last under limited commitment (any index
+        otherwise), over ``max_prefixes`` visited are refused, and a prefix
+        whose ``bound`` is below -TOL by more than a rounding margin is cut: no
+        completion of it can pass.  Complete rows are judged by their exact
+        ``gaps``."""
         n, size = len(self.types), len(self.grid)
         margin = 1e-9 * max(1.0, np.abs(self._beta).max())
         rows, visited = np.zeros((1, 0), dtype=np.intp), 0
         for level in range(1, n + 1):
             allowed = np.ones((len(rows), size), dtype=bool)
-            if follows is not None and level > 1:
-                allowed &= follows(rows[:, -1:], np.arange(size))
+            if self._increasing and level > 1:
+                allowed &= rows[:, -1:] < np.arange(size)
             if (visited := visited + int(allowed.sum())) > max_prefixes:
                 raise ValidationError(f"{visited} prefixes exceed the cap {max_prefixes}; "
                                       "raise max_assignments explicitly to search this grid")
@@ -369,15 +370,14 @@ class ICKernel:
 class GameRow(NamedTuple):
     """A row of the game table, ``_game``: the three games share one kernel and
     differ only in beta's winning matrix on the grid (the groups' majority, or
-    signal-wise under news), the commitment level blended into the stage values,
-    the rule ``follows(last, next)`` on consecutive types' policy indices
-    (``np.less`` under limited commitment, else None) and the voter rule
-    ``arrays(levels, sigma, t) -> (probs, values)``, broadcasting over leading
-    axes of the levels and t, that ``_game_beliefs`` and ``attention_set`` read."""
+    signal-wise under news), the commitment level blended into the stage values
+    (None but under limited commitment, which admits strictly increasing maps
+    only) and the voter rule ``arrays(levels, sigma, t) -> (probs, values)``,
+    broadcasting over leading axes of the levels and t, that ``_game_beliefs``
+    and ``attention_set`` read."""
 
     w_of: Callable[[Scenario], np.ndarray]
     eta: float | None
-    follows: Callable | None
     arrays: Callable
 
 
@@ -393,15 +393,15 @@ def _game(scenario: Scenario) -> GameRow:
     spec, eta, news = scenario.utility, scenario.eta, scenario.news
     own = scenario.beta_types.type_values
     return {
-        "baseline": GameRow(perfect, None, None, partial(_profile_arrays, spec)),
-        "noisy": GameRow(signal_wise, None, None, partial(posterior_value_matrix, news, spec)),
-        "commitment": GameRow(perfect, eta, np.less, partial(_commitment_arrays, spec, eta, own)),
+        "baseline": GameRow(perfect, None, partial(_profile_arrays, spec)),
+        "noisy": GameRow(signal_wise, None, partial(posterior_value_matrix, news, spec)),
+        "commitment": GameRow(perfect, eta, partial(_commitment_arrays, spec, eta, own)),
     }[game_of(scenario)]
 
 
-def _require_follows(follows, policies) -> None:
-    """Refuse policies, in type order, that the game's prefix rule excludes."""
-    if follows is not None and not follows(policies[:-1], policies[1:]).all():
+def _require_increasing(eta, policies) -> None:
+    """Refuse policies, in type order, that do not strictly increase where ``eta`` is given."""
+    if eta is not None and not (policies[:-1] < policies[1:]).all():
         raise ValidationError("limited commitment requires strictly increasing policies")
 
 
@@ -429,15 +429,15 @@ def check_ic(
     Deviations are priced by the game's winning matrix.  In the baseline game
     ``rationalized=True`` instead takes the on-path cells from aggregating
     optimal attention strategies.  Returns (ok, slack per (candidate, type)).
-    Refused: what ``enumerate_equilibria`` refuses, an assignment but
-    ``assignment_for``'s (off beta's grid, or of other types than the
-    scenario's) and maps the game's prefix rule excludes.
+    Refused: what ``enumerate_equilibria`` refuses, policies off beta's grid,
+    other types than the scenario's and, under limited commitment, policies
+    that do not strictly increase.
     """
-    w_of, eta, follows, *_ = _admitted_game(scenario)
+    w_of, eta, _ = _admitted_game(scenario)
     assignment_for(scenario, assignment.policies)  # refuses policies off beta's grid
     _require_own_types(scenario, assignment)
     grid = scenario.beta_axis.values
-    _require_follows(follows, np.array(assignment.policies))  # ordered as their grid indices
+    _require_increasing(eta, np.array(assignment.policies))  # ordered as their grid indices
     w = w_of(scenario)
     if rationalized:
         _require_baseline(scenario, "rationalized=True")
@@ -498,13 +498,13 @@ def enumerate_equilibria(
     (baseline game only) checks that every record's own attention strategies,
     counted by ``_majority``, reproduce its winner.
     """
-    w_of, eta, follows, *_ = _admitted_game(scenario)
+    w_of, eta, _ = _admitted_game(scenario)
     if verify_rationalizable:
         _require_baseline(scenario, "verify_rationalizable")
     types = scenario.beta_types
     kernel = ICKernel(scenario.beta_axis.values, types.type_values, types.type_probs,
                       w_of(scenario), scenario.utility, eta)
-    records = equilibrium_records(scenario, kernel, kernel.search(follows, max_assignments))
+    records = equilibrium_records(scenario, kernel, kernel.search(max_assignments))
     if verify_rationalizable:
         for r in records:
             rationalized = _majority(scenario, (sol.m for _, sol in r.attention))

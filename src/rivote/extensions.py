@@ -10,13 +10,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .core import EXACT, Scenario, TabulatedUtility, UtilitySpec, ValidationError, grid_floats
-from .election import EquilibriumRecord
 from .solver import entropy
+
+if TYPE_CHECKING:  # pragma: no cover - import only for annotations
+    from .election import EquilibriumRecord
 
 
 # ---------------------------------------------------------------------------

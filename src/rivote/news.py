@@ -109,13 +109,8 @@ class NewsTechnology:
         this technology by construction."""
         if kernel.order != self.k:
             raise ValidationError("kernel order does not match the signal grid")
-        # one 1 x k product per policy: a policy's row has the same bits
-        # alone as in a batch, which one (n, k) @ (k, k) product does not give
-        return NewsTechnology(
-            self.signals,
-            lambda a: (self.pmf(a)[..., None, :] @ kernel.matrix)[..., 0, :],
-            label=f"{self.label}+garbled",
-        )
+        return NewsTechnology(self.signals, partial(_garbled_rows, self, kernel.matrix),
+                              label=f"{self.label}+garbled")
 
     @staticmethod
     def slant(xi: float, signals=(0.25, 0.75)) -> NewsTechnology:
@@ -123,12 +118,7 @@ class NewsTechnology:
         probability a + xi*(1-a); larger xi means noisier, more slanted news."""
         if not 0.0 < xi < 1.0:
             raise ValidationError("slant parameter must lie in (0, 1)")
-
-        def row(a):
-            extreme = a + xi * (1.0 - a)
-            return np.stack([1.0 - extreme, extreme], axis=-1)
-
-        return NewsTechnology(signals, row, label=f"slant(xi={xi})")
+        return NewsTechnology(signals, partial(_slant_rows, xi), label=f"slant(xi={xi})")
 
     @staticmethod
     def from_table(signals, policies, rows) -> NewsTechnology:
@@ -140,22 +130,33 @@ class NewsTechnology:
             raise ValidationError("technology table shape does not match its grids")
         if problem := stochastic_problem(table):
             raise ValidationError(f"technology table {problem}")
-
-        def row(a):
-            near = np.abs(a[..., None] - pol) <= EXACT
-            on_grid = near.any(axis=-1)
-            if not np.all(on_grid):
-                off = float(a[~on_grid].flat[0])
-                raise ValidationError(f"policy {off!r} is not on the technology's grid")
-            return table[np.argmax(near, axis=-1)]
-
-        return NewsTechnology(signals, row, label="table")
+        return NewsTechnology(signals, partial(_table_rows, pol, table), label="table")
 
     @staticmethod
     def revealing(policies) -> NewsTechnology:
         """Fully revealing technology: the signal grid is the policy grid and
         each policy maps to its own signal with probability one."""
         return NewsTechnology.from_table(policies, policies, np.eye(len(policies)))
+
+
+def _slant_rows(xi: float, a):
+    extreme = a + xi * (1.0 - a)
+    return np.stack([1.0 - extreme, extreme], axis=-1)
+
+
+def _table_rows(pol, table, a):
+    near = np.abs(a[..., None] - pol) <= EXACT
+    on_grid = near.any(axis=-1)
+    if not np.all(on_grid):
+        off = float(a[~on_grid].flat[0])
+        raise ValidationError(f"policy {off!r} is not on the technology's grid")
+    return table[np.argmax(near, axis=-1)]
+
+
+def _garbled_rows(tech: NewsTechnology, matrix, a):
+    # one 1 x k product per policy: a policy's row has the same bits
+    # alone as in a batch, which one (n, k) @ (k, k) product does not give
+    return (tech.pmf(a)[..., None, :] @ matrix)[..., 0, :]
 
 
 def audit_news(tech: NewsTechnology, grid) -> list[str]:

@@ -172,7 +172,15 @@ def _radius(probs: np.ndarray, pos: np.ndarray, q: np.ndarray, den: np.ndarray) 
     return 2.0 * float(np.dot(probs, np.abs(q) * rel)) + 1e-300  # + underflow in the dot
 
 
-def _window(foc, probs, pos, lo: float, hi: float) -> tuple[float, float]:
+def _foc(probs, pos, e, num, m: float):
+    """(foc(m), q, den): the one evaluation of the FOC at the average m, with
+    its terms q = num / den and their denominators."""
+    den = np.where(pos, m + (1.0 - m) * e, m * e + 1.0 - m)
+    q = num / den
+    return float(np.dot(probs, q)), q, den
+
+
+def _window(probs, pos, e, num, lo: float, hi: float) -> tuple[float, float]:
     """Points a < b around the FOC's root that certify the sign of every
     midpoint outside (a, b); a side that does not certify falls back to lo
     or hi, where every midpoint is evaluated."""
@@ -180,7 +188,7 @@ def _window(foc, probs, pos, lo: float, hi: float) -> tuple[float, float]:
     y = 0.0
     for _ in range(_MAX_NEWTON):  # safeguarded Newton in log-odds y = log(m / (1 - m))
         m = 1.0 / (1.0 + math.exp(-y))
-        f, q, den = foc(m)
+        f, q, den = _foc(probs, pos, e, num, m)
         if f > 0.0:
             y_lo = y
         else:
@@ -197,38 +205,31 @@ def _window(foc, probs, pos, lo: float, hi: float) -> tuple[float, float]:
     w = 2.0 * _radius(probs, pos, q, den) / slope
     a, b = max(root - w, lo), min(root + w, hi)
     if a > lo:
-        f, q, den = foc(a)
+        f, q, den = _foc(probs, pos, e, num, a)
         if not f > _radius(probs, pos, q, den):
             a = lo
     if b < hi:
-        f, q, den = foc(b)
+        f, q, den = _foc(probs, pos, e, num, b)
         if not -f > _radius(probs, pos, q, den):
             b = hi
     return a, b
 
 
-def _bisect(terms, probs: np.ndarray, pos: np.ndarray) -> float:
-    """Bisection of the FOC on [floor, 1 - floor] in plain float halvings.
-
-    ``terms(m)`` returns the FOC's terms q and their denominators at m; it is
-    called at the two floors, by ``_window`` and at the midpoints inside the
-    window only.
-    """
-    def foc(m: float):
-        q, den = terms(m)
-        return float(np.dot(probs, q)), q, den
-
+def _bisect(probs, pos, e, num) -> float:
+    """Bisection of the FOC on [floor, 1 - floor] in plain float halvings;
+    ``_foc`` is evaluated at the two floors, by ``_window`` and at the
+    midpoints inside the window only."""
     lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
-    if foc(lo)[0] <= 0.0:
+    if _foc(probs, pos, e, num, lo)[0] <= 0.0:
         return lo
-    if foc(hi)[0] >= 0.0:
+    if _foc(probs, pos, e, num, hi)[0] >= 0.0:
         return hi
-    a, b = _window(foc, probs, pos, lo, hi)
+    a, b = _window(probs, pos, e, num, lo, hi)
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if mid <= a or (mid < b and foc(mid)[0] > 0.0):
+        if mid <= a or (mid < b and _foc(probs, pos, e, num, mid)[0] > 0.0):
             lo = mid
         else:
             hi = mid
@@ -297,18 +298,10 @@ def _solution(values, probs, mu: float, zero: bool, one: bool) -> AttentionSolut
     pos = x >= 0
     e = np.exp(-np.abs(x))
     num = np.where(pos, 1.0 - e, e - 1.0)
-
-    def denominators(m_bar: float) -> np.ndarray:
-        return np.where(pos, m_bar + (1.0 - m_bar) * e, m_bar * e + 1.0 - m_bar)
-
-    def terms(m_bar: float) -> tuple[np.ndarray, np.ndarray]:
-        den = denominators(m_bar)
-        return num / den, den
-
-    m_bar = _bisect(terms, probs, pos)
+    m_bar = _bisect(probs, pos, e, num)
 
     # shifted-logit rule m = m_bar e^x / (m_bar e^x + 1 - m_bar)
-    m = np.where(pos, m_bar, m_bar * e) / denominators(m_bar)
+    m = np.where(pos, m_bar, m_bar * e) / _foc(probs, pos, e, num, m_bar)[2]
     residual = abs(float(np.dot(probs, m)) / m_bar - 1.0)
     return AttentionSolution(
         "interior",

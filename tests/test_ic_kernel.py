@@ -139,14 +139,13 @@ def test_kernel_gaps_bitwise_equal_scalar_oracle(label):
                          ["absolute_n12", "3types_n8", "noisy_xi.75", "commit_eta.8_3types"])
 def test_chunked_scan_keeps_order_and_gaps(label, monkeypatch):
     scenario = GRIDS[label][0]()
-    follows = election._game(scenario).follows
     kernel = table_kernel(scenario)
     expected = list(passing(kernel, exhaustive_rows(scenario)))
     # chunks of one row, five rows and the default search and score alike,
     # each with a fresh kernel, so its open gains are chunked the same way
     for floats in (1, 5 * len(kernel.types) * len(kernel.grid), core.CHUNK_FLOATS):
         monkeypatch.setattr(core, "CHUNK_FLOATS", floats)
-        assert table_kernel(scenario).search(follows, 10 ** 6) == expected
+        assert table_kernel(scenario).search(10 ** 6) == expected
 
 
 ONE_ROW = {
@@ -370,7 +369,7 @@ def test_bound_on_complete_rows_is_the_kernel_slack(label):
     n, k = len(kernel.grid), len(kernel.types)
     count = max(8, 1_200 // (n * k * k))  # the oracle walks grid x types^2 per row
     picked = {rows[i] for i in np.linspace(0, len(rows) - 1, count).astype(int)}
-    picked |= {row for row, _ in kernel.search(election._game(scenario).follows, 10 ** 6)}
+    picked |= {row for row, _ in kernel.search(10 ** 6)}
     rows = np.array(sorted(picked), dtype=np.intp)
     beta, alpha = kernel.bound(rows).min(axis=2), kernel.gaps(rows)[1]
     types = scenario.beta_types
@@ -380,6 +379,36 @@ def test_bound_on_complete_rows_is_the_kernel_slack(label):
         ob, oa = oracle(assignment)
         np.testing.assert_array_equal(bits(b), bits([g for _, g in ob]))
         np.testing.assert_array_equal(bits(a), bits([g for _, g in oa]))
+
+
+def rentless_game_doc(**kwargs):
+    doc = WORKLOADS.game_doc(**kwargs)
+    doc["utility"]["office_rent"] = 0.0
+    return scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("make, counts", [
+    (lambda: scenario_from_dict(figure2_scenario()), (2, 2)),
+    (partial(rentless_game_doc, n=6, types=THREE_TYPES), (3, 2)),
+    (partial(bench_game, n=10, types=THREE_TYPES), (1, 0)),
+], ids=["figure2", "3types_n6_rentless", "3types_n10"])
+def test_a_kernel_with_eta_searches_the_strictly_increasing_rows(make, counts):
+    # at eta = 1 the stage values are the baseline ones, so the search given
+    # eta returns exactly the baseline search's strictly increasing rows
+    scenario = make()
+    baseline = table_kernel(scenario)
+    types = scenario.beta_types
+    increasing = election.ICKernel(scenario.beta_axis.values, types.type_values,
+                                   types.type_probs, baseline.w, scenario.utility, eta=1.0)
+    every = baseline.search(10 ** 6)
+    expected = [(row, gaps) for row, gaps in every
+                if all(a < b for a, b in itertools.pairwise(row))]
+    found = increasing.search(10 ** 6)
+    assert (len(every), len(expected)) == counts
+    assert [row for row, _ in found] == [row for row, _ in expected]
+    for (_, gaps), (_, want) in zip(found, expected):
+        np.testing.assert_array_equal(bits([g for _, g in gaps]), bits([g for _, g in want]))
+        assert [t for t, _ in gaps] == [t for t, _ in want]
 
 
 @settings(max_examples=60, deadline=None)

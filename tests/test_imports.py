@@ -2,9 +2,10 @@
 module-level imports between ``rivote`` modules form a DAG; the CLI scans
 attention sets only through ``election.attention_set``; the package holds
 one perfect-observation winner rule, with no Downsian kernel, one belief
-builder per game and one voter rule per game row; a scenario caches its
-game in one private slot that leaves its identity alone; and every name
-README's code spans use is defined.
+builder per game and one voter rule per game row; the solver and the news
+rules define no closures, and the IC kernel holds the increasing-map rule;
+a scenario caches its game in one private slot that leaves its identity
+alone; and every name README's code spans use is defined.
 
 All but the cache slot are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
@@ -68,6 +69,7 @@ def test_module_imports_form_a_dag():
     order = list(graphlib.TopologicalSorter(graph).static_order())  # CycleError on a cycle
     assert set(order) == set(MODULES)
     assert "election" not in graph["news"]
+    assert "election" not in graph["extensions"]
 
 
 def test_cli_builds_no_attention_scan():
@@ -161,11 +163,24 @@ def _names() -> dict[str, set]:
 def test_one_voter_rule_per_game():
     # each game row holds one array rule, which the one batch over voter types
     # and the attention-set scan both read; core holds the one chunk rule
-    assert election.GameRow._fields == ("w_of", "eta", "follows", "arrays")
+    assert election.GameRow._fields == ("w_of", "eta", "arrays")
     names = _names()
     removed = {"IC_CHUNK_FLOATS", "profile_beliefs", "signal_beliefs", "_commitment_beliefs"}
     assert not removed & set().union(*names.values())
     assert [stem for stem, found in names.items() if "CHUNK_FLOATS" in found] == ["core"]
+
+
+def test_one_implementation_called_directly():
+    # the solver's FOC and the news rules are module-level functions, not
+    # closures; limited commitment's increasing-map rule is the kernel's own
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    nested = [f"{stem}.py:{inner.lineno}" for stem in ("solver", "news")
+              for outer in ast.walk(MODULES[stem]) if isinstance(outer, functions)
+              for inner in ast.walk(outer) if inner is not outer and isinstance(inner, functions)]
+    assert nested == []
+    assert [stem for stem, found in _names().items() if "follows" in found] == []
+    assert list(inspect.signature(election.ICKernel.search).parameters) == [
+        "self", "max_prefixes"]
 
 
 def test_one_cache_slot_per_scenario():

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -87,6 +88,28 @@ class TestTechnology:
         with pytest.warns(UserWarning, match="lacks full support at 3 policies"):
             assert audit_news(NewsTechnology.revealing(grid), grid[::-1]) == [
                 "indeterminate: zero probability at policy 0.7, signal 0.1"]
+
+    @pytest.mark.parametrize("make, grid", [
+        (lambda: NewsTechnology.slant(0.75), np.linspace(0.02, 0.98, 13)),
+        (lambda: NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), [[0.6, 0.4], [0.4, 0.6]]),
+         np.array([[0.8], [0.2 + 1e-13]])),
+        (lambda: NewsTechnology.revealing((0.1, 0.4, 0.7)), np.array([0.7, 0.1, 0.4])),
+        (lambda: NewsTechnology.slant(0.3).garbled(MarkovKernel.slant_shift(0.4)),
+         np.linspace(0.05, 0.95, 19)),
+    ], ids=["slant", "table", "revealing", "garbled"])
+    def test_technology_pickles_with_its_rows(self, make, grid):
+        tech = make()
+        copy = pickle.loads(pickle.dumps(tech))
+        assert (copy.signals, copy.label) == (tech.signals, tech.label)
+        assert copy.pmf(grid).tobytes() == tech.pmf(grid).tobytes()
+
+    def test_figure3_scenario_pickles_and_enumerates_alike(self):
+        scenario = scenario_from_dict(figure3_scenario(0.75))
+        copy = pickle.loads(pickle.dumps(scenario))
+        records, again = enumerate_equilibria(scenario), enumerate_equilibria(copy)
+        assert [r.assignment.policies for r in again] == [r.assignment.policies for r in records]
+        assert [r.gaps for r in again] == [r.gaps for r in records]
+        assert len(records) > 0
 
 
 class TestGarble:

@@ -454,20 +454,27 @@ def benchmark_belief_stream(seed: int = 0):
 
 
 def _counting_bisect(monkeypatch):
-    """Wrap the exact FOC handed to ``solver._bisect``; returns the list of
-    arguments of each interior solve's exact evaluations."""
-    calls, bisect = [], solver._bisect
+    """Wrap ``solver._foc`` and ``solver._bisect``; returns the list of
+    arguments of each interior solve's exact evaluations made while
+    ``_bisect`` runs (not the solution's own one at m_bar)."""
+    calls, bisect, foc = [], solver._bisect, solver._foc
+    active = []
 
-    def counting(terms, probs, pos):
-        args = []
-        calls.append(args)
+    def counting(*arrays):
+        calls.append([])
+        active.append(True)
+        try:
+            return bisect(*arrays)
+        finally:
+            active.pop()
 
-        def counted(m_bar):
-            args.append(m_bar)
-            return terms(m_bar)
-        return bisect(counted, probs, pos)
+    def counted(probs, pos, e, num, m_bar):
+        if active:
+            calls[-1].append(m_bar)
+        return foc(probs, pos, e, num, m_bar)
 
     monkeypatch.setattr(solver, "_bisect", counting)
+    monkeypatch.setattr(solver, "_foc", counted)
     return calls
 
 
