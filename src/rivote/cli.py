@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .core import NumericError, Scenario, ValidationError, audit_scenario
-from .election import (_admitted_game, assignment_for, attention_set, electorate_attention,
-                       enumerate_equilibria, truncation_statistic)
+from .election import (assignment_for, attention_set, electorate_attention, enumerate_equilibria,
+                       truncation_statistic)
 from .extensions import dissemination_filter
 from .news import MarkovKernel, NewsTechnology, audit_news
 from .presets import figure2_scenario, figure3_scenario, table1_scenario
@@ -80,7 +80,6 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve_attention(args) -> int:
     doc, scenario = _load(args)
-    _admitted_game(scenario)  # refuses what enumerate refuses
     policies = tuple(_floats(args.policies.split(","), "--policies"))
     if len(policies) != len(scenario.beta_types.types):
         raise ValidationError("--policies must assign one policy per beta type")

@@ -1,9 +1,9 @@
 """Symmetric electoral competition over finite grids.
 
-One game table (``_game``) holds every part of the baseline, noisy-news and
-limited-commitment games: beta's winning matrix, commitment level and the
-voter's array rule, which both the electorate's belief batch and the
-attention-set scan read.  On it: vote aggregation, incentive checks,
+One game table (``_admitted_game``) holds every part of the baseline,
+noisy-news and limited-commitment games: beta's winning matrix, commitment
+level and the voter's array rule, which the electorate's belief batch and
+the attention-set scan read.  On it: vote aggregation, incentive checks,
 exact pruned enumeration of pure symmetric equilibria and the truncation
 statistic behind the comparative statics in the attention cost.
 """
@@ -149,23 +149,14 @@ def profile_belief(spec: UtilitySpec, a_values, sigma, t: float) -> BeliefOverPr
     return BeliefOverProfiles(support, probs, values[0])
 
 
-def _require_own_types(scenario: Scenario, assignment: StrategyAssignment) -> None:
-    if tuple(zip(assignment.types, assignment.type_probs)) != scenario.beta_types.types:
-        raise ValidationError("the assignment's types are not the scenario's candidate types")
-
-
 def _game_beliefs(scenario: Scenario, assignment: StrategyAssignment, ts):
-    """``belief_batch`` of the game row's array rule: the beliefs of the types
-    ``ts`` under an assignment, refused where its types are not the scenario's
-    or, under limited commitment, its policies do not strictly increase."""
-    _require_own_types(scenario, assignment)
-    row, news = _game(scenario), scenario.news
-    _require_increasing(row.eta, np.array(assignment.policies))
+    """``belief_batch`` of the admitted game row's array rule: the beliefs of
+    the types ``ts`` under an assignment that ``_admitted_game`` admits."""
+    row, news = _admitted_game(scenario, assignment), scenario.news
     return belief_batch(row.arrays, assignment.levels, assignment.sigma, ts, news and news.signals)
 
 
-def game_belief(scenario: Scenario, assignment: StrategyAssignment,
-                t: float) -> BeliefOverProfiles:
+def game_belief(scenario: Scenario, assignment: StrategyAssignment, t: float) -> BeliefOverProfiles:
     """Voter t's belief under the assignment in the scenario's game: ``_game_beliefs`` at [t]."""
     support, probs, values = _game_beliefs(scenario, assignment, [t])
     return BeliefOverProfiles(support, probs, values[0])
@@ -199,9 +190,9 @@ def _majority(scenario: Scenario, votes) -> np.ndarray:
 
 
 def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
-    """``(belief, attention)`` under the assignment in the scenario's game, which
-    the caller admits once (``_admitted_game``): voter t's ``belief(t)``, cached
-    per t, and ``(t, solve_attention(belief(t), mu))`` per voter group in group
+    """``(belief, attention)`` under the assignment in the scenario's game,
+    refused as ``_admitted_game`` refuses: voter t's ``belief(t)``, cached per
+    t, and ``(t, solve_attention(belief(t), mu))`` per voter group in group
     order, by ``solve_groups`` on the ``_game_beliefs`` of every group, built and
     validated once.  ``belief(t)`` is a view of its group's row, else
     ``game_belief``: records, aggregation and ``solve-attention`` build none twice."""
@@ -216,12 +207,10 @@ def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
 def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment) -> np.ndarray:
     """Winning matrix implied by every group's optimal attention strategy: the
     ``_majority`` of the ``electorate_attention`` votes on the on-path profiles
-    at the scenario's mu.  Only the baseline game aggregates this way."""
-    _require_baseline(scenario, "aggregate_and_rationalize")
-    _admitted_game(scenario)
-    n = len(assignment.levels)
+    at the scenario's mu, once admitted.  Only the baseline game aggregates this way."""
     _, attention = electorate_attention(scenario, assignment)
-    return _majority(scenario, (sol.m for _, sol in attention)).reshape(n, n)
+    _require_baseline(scenario, "aggregate_and_rationalize")
+    return _majority(scenario, (sol.m for _, sol in attention)).reshape(assignment.sigma.shape)
 
 
 def _require_baseline(scenario: Scenario, what: str) -> None:
@@ -368,11 +357,11 @@ class ICKernel:
 
 
 class GameRow(NamedTuple):
-    """A row of the game table, ``_game``: the three games share one kernel and
-    differ only in beta's winning matrix on the grid (the groups' majority, or
-    signal-wise under news), the commitment level blended into the stage values
-    (None but under limited commitment, which admits strictly increasing maps
-    only) and the voter rule ``arrays(levels, sigma, t) -> (probs, values)``,
+    """A row of the game table, ``_admitted_game``: the three games share one
+    kernel and differ only in beta's winning matrix on the grid (the groups'
+    majority, or signal-wise under news), the commitment level blended into
+    the stage values (None but under limited commitment, which admits strictly
+    increasing maps only) and the voter rule ``arrays(levels, sigma, t) -> (probs, values)``,
     broadcasting over leading axes of the levels and t, that ``_game_beliefs``
     and ``attention_set`` read."""
 
@@ -381,42 +370,41 @@ class GameRow(NamedTuple):
     arrays: Callable
 
 
-def _game(scenario: Scenario) -> GameRow:
-    """The unaudited row for ``game_of(scenario)``; callers read ``_admitted_game``."""
-    def perfect(s):
-        g = np.array(s.beta_axis.values)
-        return perfect_observation_winner(s, -g[:, None], g[None, :])
-
-    def signal_wise(s):
-        return expected_winning_matrix(s.news, s.beta_axis.values)
-
-    spec, eta, news = scenario.utility, scenario.eta, scenario.news
-    own = scenario.beta_types.type_values
-    return {
-        "baseline": GameRow(perfect, None, partial(_profile_arrays, spec)),
-        "noisy": GameRow(signal_wise, None, partial(posterior_value_matrix, news, spec)),
-        "commitment": GameRow(perfect, eta, partial(_commitment_arrays, spec, eta, own)),
-    }[game_of(scenario)]
+def _perfect_w(scenario: Scenario) -> np.ndarray:
+    """Beta's winning matrix on the grid under perfect observation: the groups' majority."""
+    g = np.array(scenario.beta_axis.values)
+    return perfect_observation_winner(scenario, -g[:, None], g[None, :])
 
 
-def _require_increasing(eta, policies) -> None:
-    """Refuse policies, in type order, that do not strictly increase where ``eta`` is given."""
-    if eta is not None and not (policies[:-1] < policies[1:]).all():
-        raise ValidationError("limited commitment requires strictly increasing policies")
+def _signal_wise_w(scenario: Scenario) -> np.ndarray:
+    """Beta's winning matrix on the grid under news: decided signal-wise."""
+    return expected_winning_matrix(scenario.news, scenario.beta_axis.values)
 
 
-def _admitted_game(scenario: Scenario) -> GameRow:
-    """``_game(scenario)`` of a symmetric scenario whose news, if any, passes
-    ``audit_news`` on beta's grid; every command and check reads its game here.
-    Admitted once: the row is cached in the frozen scenario's ``__dict__``, as
-    by ``cached_property`` (pickles and copies carry the fields only); a
-    refusal is not."""
+def _admitted_game(scenario: Scenario, assignment: StrategyAssignment | None = None) -> GameRow:
+    """The row for ``game_of(scenario)`` of a symmetric scenario whose news, if
+    any, passes ``audit_news`` on beta's grid: the one gate of every reader of
+    a scenario's game, cached in the frozen scenario's ``__dict__`` as by
+    ``cached_property`` (pickles and copies carry the fields only); a refusal
+    is not.  An ``assignment`` is refused where its types are not the
+    scenario's or, under limited commitment, its policies do not strictly
+    increase in type order."""
     if (row := vars(scenario).get("_admitted")) is None:
         require_symmetric(scenario)
-        if scenario.news is not None and (
-                problems := audit_news(scenario.news, scenario.beta_axis.values)):
+        spec, eta, news = scenario.utility, scenario.eta, scenario.news
+        if news is not None and (problems := audit_news(news, scenario.beta_axis.values)):
             raise ValidationError("news technology rejected: " + "; ".join(problems))
-        row = vars(scenario)["_admitted"] = _game(scenario)
+        own = scenario.beta_types.type_values
+        row = vars(scenario)["_admitted"] = {
+            "baseline": GameRow(_perfect_w, None, partial(_profile_arrays, spec)),
+            "noisy": GameRow(_signal_wise_w, None, partial(posterior_value_matrix, news, spec)),
+            "commitment": GameRow(_perfect_w, eta, partial(_commitment_arrays, spec, eta, own)),
+        }[game_of(scenario)]
+    if assignment is not None:
+        if tuple(zip(assignment.types, assignment.type_probs)) != scenario.beta_types.types:
+            raise ValidationError("the assignment's types are not the scenario's candidate types")
+        if row.eta is not None and assignment.policies != assignment.levels:
+            raise ValidationError("limited commitment requires strictly increasing policies")
     return row
 
 
@@ -429,15 +417,12 @@ def check_ic(
     Deviations are priced by the game's winning matrix.  In the baseline game
     ``rationalized=True`` instead takes the on-path cells from aggregating
     optimal attention strategies.  Returns (ok, slack per (candidate, type)).
-    Refused: what ``enumerate_equilibria`` refuses, policies off beta's grid,
-    other types than the scenario's and, under limited commitment, policies
-    that do not strictly increase.
+    Refused: what ``_admitted_game`` refuses of the scenario and the
+    assignment, then policies off beta's grid.
     """
-    w_of, eta, _ = _admitted_game(scenario)
+    w_of, eta, _ = _admitted_game(scenario, assignment)
     assignment_for(scenario, assignment.policies)  # refuses policies off beta's grid
-    _require_own_types(scenario, assignment)
     grid = scenario.beta_axis.values
-    _require_increasing(eta, np.array(assignment.policies))  # ordered as their grid indices
     w = w_of(scenario)
     if rationalized:
         _require_baseline(scenario, "rationalized=True")
@@ -582,8 +567,8 @@ def attention_set(scenario: Scenario, a1_grid, a2_grid, t: float) -> np.ndarray:
     """Frontier of voter t's attention set in the scenario's game:
     ``frontier_scan`` of the game row's array rule at t and the scenario's
     mu, with the two candidate types' probabilities as the probabilities of
-    the levels a1 < a2.  Refused: what ``_admitted_game`` refuses, the
-    commitment game, and a scenario without exactly two candidate types."""
+    the levels a1 < a2.  Refused: what ``_admitted_game`` refuses, then the
+    commitment game and a scenario without exactly two candidate types."""
     row = _admitted_game(scenario)
     if game_of(scenario) == "commitment":
         raise ValidationError("attention-set scans the baseline and noisy games, "

@@ -91,6 +91,21 @@ class NewsTechnology:
         self._row_fn = row_fn
         self.label = label
 
+    def _key(self) -> tuple:
+        """What ``==`` reads: the signals, the label and the rule, a ``partial``
+        by function and arguments (arrays by value), else itself."""
+        rule = self._row_fn
+        parts = ((rule.func, *rule.args, *rule.keywords, *rule.keywords.values())
+                 if isinstance(rule, partial) else (rule,))
+        return self.signals, self.label, *(
+            (p.shape, tuple(p.ravel().tolist())) if isinstance(p, np.ndarray) else p for p in parts)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, NewsTechnology) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((self.signals, self.label))  # what equal technologies share
+
     @property
     def k(self) -> int:
         return len(self.signals)

@@ -366,7 +366,7 @@ def exhaustive_rows(scenario: Scenario):
 def table_kernel(scenario: Scenario, w=None) -> election.ICKernel:
     """The IC kernel the game table builds for the scenario's game, on the
     winning matrix ``w`` instead of the game's when one is given."""
-    game, types = election._game(scenario), scenario.beta_types
+    game, types = election._admitted_game(scenario), scenario.beta_types
     w = game.w_of(scenario) if w is None else w
     return election.ICKernel(scenario.beta_axis.values, types.type_values,
                              types.type_probs, w, scenario.utility, game.eta)

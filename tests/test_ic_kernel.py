@@ -281,6 +281,18 @@ def audit_failing_news():
     return scenario_from_dict(doc)
 
 
+def flat_news():
+    # every policy sends each signal alike: no 2x2 log minor is positive
+    doc = figure3_scenario(0.75, n_policies=4)
+    doc["news"] = {"family": "table", "signals": [0.25, 0.75],
+                   "policies": doc["policies"]["beta"], "rows": [[0.5, 0.5]] * 4}
+    return scenario_from_dict(doc)
+
+
+def asymmetric_electorate():
+    return replace(game(6), electorate=Electorate(((-0.2, 0.7), (0.2, 0.3))))
+
+
 def test_check_ic_refuses_news_the_enumeration_refuses():
     scenario = audit_failing_news()
     assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
@@ -296,6 +308,34 @@ ENTRY_POINTS = {
     "aggregate_and_rationalize": aggregate_and_rationalize,
     "check_ic": check_ic,
 }
+# every call that reads a scenario's game, as a call on (scenario, assignment)
+READERS = {
+    **ENTRY_POINTS,
+    "check_ic_rationalized": partial(check_ic, rationalized=True),
+    "enumerate_equilibria": lambda scenario, _: enumerate_equilibria(scenario),
+    "attention_set": lambda scenario, _: attention_set(scenario, [0.1, 0.3], [0.5, 0.7], -0.05),
+}
+REFUSED = {
+    "asymmetric": (asymmetric_electorate, SymmetryError,
+                   "^symmetric-equilibrium routine refused an asymmetric scenario: "
+                   "electorate is not symmetric around the median$"),
+    "flat_news": (flat_news, ValidationError,
+                  r"^news technology rejected: ratio ordering fails for policies \(0.2, 0.4\) "
+                  r"and signals \(0.25, 0.75\)$"),
+}
+
+
+@pytest.mark.parametrize("entry", READERS)
+@pytest.mark.parametrize("refused", REFUSED)
+def test_every_reader_of_the_game_refuses_what_admission_refuses(refused, entry):
+    # one message per scenario, from beliefs, aggregation, checks, search and scans alike
+    make, error, message = REFUSED[refused]
+    scenario = make()
+    assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
+    with pytest.raises(error, match=message):
+        READERS[entry](scenario, assignment)
+
+
 FOREIGN = {"other_types": ((0.1, 0.9), (0.5, 0.5)), "other_probs": ((0.3, 0.8), (0.4, 0.6))}
 
 
@@ -480,10 +520,22 @@ def test_each_scenario_object_is_admitted_once(pipeline, audits):
     check_ic(scenario, assignment)
     if pipeline != "commitment":
         attention_set(scenario, [0.1, 0.3], [0.5, 0.7], -0.05)
+    game_belief(scenario, assignment, 0.5)
+    electorate_attention(scenario, assignment)
     if pipeline == "baseline":
         aggregate_and_rationalize(scenario, assignment)
+        check_ic(scenario, assignment, rationalized=True)
     truncation_statistic(scenario, records, 0.5)
     assert audits == Counter(require_symmetric=1, audit_news=int(pipeline == "noisy"))
+
+
+@pytest.mark.parametrize("entry", READERS)
+def test_every_reader_of_the_game_admits_a_fresh_scenario_once(entry, audits):
+    scenario = game(6)
+    assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
+    READERS[entry](scenario, assignment)
+    READERS[entry](scenario, assignment)
+    assert audits == Counter(require_symmetric=1)
 
 
 def test_a_replaced_scenario_is_admitted_afresh(audits):
@@ -495,7 +547,7 @@ def test_a_replaced_scenario_is_admitted_afresh(audits):
 
 
 @pytest.mark.parametrize("refused, error, message", [
-    (lambda: replace(game(6), electorate=Electorate(((-0.2, 0.7), (0.2, 0.3)))),
+    (asymmetric_electorate,
      SymmetryError, "^symmetric-equilibrium routine refused an asymmetric scenario"),
     (audit_failing_news, ValidationError, "^news technology rejected: ratio ordering"),
 ], ids=["asymmetric", "news_audit"])

@@ -4,7 +4,8 @@ attention sets only through ``election.attention_set``; the package holds
 one perfect-observation winner rule, with no Downsian kernel, one belief
 builder per game and one voter rule per game row; the solver and the news
 rules define no closures, and the IC kernel holds the increasing-map rule;
-a scenario caches its game in one private slot that leaves its identity
+one gate builds every game row and the CLI reads no private name; a
+scenario caches its game in one private slot that leaves its identity
 alone; and every name README's code spans use is defined.
 
 All but the cache slot are read from the sources with ``ast``; imports under
@@ -183,6 +184,24 @@ def test_one_implementation_called_directly():
         "self", "max_prefixes"]
 
 
+def test_one_gate_builds_every_game_row():
+    # _admitted_game alone builds a GameRow, for a scenario and an assignment
+    # alike; the CLI reaches the game through public calls only
+    def builds(tree) -> int:
+        return sum(isinstance(node, ast.Call) and ast.unparse(node.func).endswith("GameRow")
+                   for node in ast.walk(tree))
+
+    (gate,) = [fn for fn in ast.walk(MODULES["election"])
+               if isinstance(fn, ast.FunctionDef) and fn.name == "_admitted_game"]
+    assert builds(gate) and sum(map(builds, MODULES.values())) == builds(gate)
+    private = [f"{node.module}.{a.name}" for node in ast.walk(MODULES["cli"])
+               if isinstance(node, ast.ImportFrom) and _targets(node)
+               for a in node.names if a.name.startswith("_") and not a.name.endswith("__")]
+    assert private == []
+    removed = {"_game", "_require_own_types", "_require_increasing"}
+    assert not removed & set().union(*_names().values())
+
+
 def test_one_cache_slot_per_scenario():
     # admission adds one private key to the frozen scenario's __dict__, which
     # its ==, hash and repr never read; the commitment rule reads the
@@ -198,4 +217,3 @@ def test_one_cache_slot_per_scenario():
     assert (repr(scenario), hash(scenario)) == before
     copy = dataclasses.replace(scenario)
     assert copy == scenario and hash(copy) == hash(scenario) and repr(copy) == repr(scenario)
-    assert list(inspect.signature(election._game).parameters) == ["scenario"]

@@ -2,7 +2,9 @@ import json
 import math
 import pickle
 import warnings
+from copy import deepcopy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from rivote.news import (
     signal_belief,
 )
 from rivote.presets import figure2_scenario, figure3_scenario
-from rivote.scenario_io import scenario_from_dict
+from rivote.scenario_io import load_scenario, scenario_from_dict
 from rivote.solver import attention_membership, log_mean_exp, solve_attention
 from tests import oracles
 from tests.oracles import (
@@ -110,6 +112,37 @@ class TestTechnology:
         assert [r.assignment.policies for r in again] == [r.assignment.policies for r in records]
         assert [r.gaps for r in again] == [r.gaps for r in records]
         assert len(records) > 0
+
+    def test_equal_scenarios_with_news_compare_and_hash_equal(self):
+        # a copy of a scenario and two loads of one file are equal, as without news
+        scenario = scenario_from_dict(figure3_scenario(0.75))
+        path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "slanted_news.json"
+        for a, b in ((deepcopy(scenario), scenario), (load_scenario(path), load_scenario(path))):
+            assert a == b and hash(a) == hash(b)
+
+    def test_technologies_compare_by_signals_label_and_rule(self):
+        # a partial rule by its function and arguments (arrays by value), any other by itself
+        assert NewsTechnology.slant(0.75) != NewsTechnology.slant(0.6)
+        assert NewsTechnology.slant(0.75) != NewsTechnology.slant(0.75, signals=(0.2, 0.75))
+        shift = MarkovKernel.slant_shift(0.4)
+        garbled = NewsTechnology.slant(0.3).garbled(shift)
+        again = NewsTechnology.slant(0.3).garbled(MarkovKernel(shift.matrix.copy()))
+        assert garbled == again and hash(garbled) == hash(again)
+        assert garbled != NewsTechnology.slant(0.3).garbled(MarkovKernel.slant_shift(0.5))
+        assert garbled != NewsTechnology.slant(0.4).garbled(shift)
+        table = [[0.6, 0.4], [0.4, 0.6]]
+        tech = NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), table)
+        assert tech == NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), np.array(table))
+        assert tech != NewsTechnology.from_table((0.3, 0.7), (0.2, 0.8), table[::-1])
+        assert tech != NewsTechnology.from_table((0.3, 0.7), (0.2, 0.9), table)
+
+        def rule(a):
+            return NewsTechnology.slant(0.5).pmf(a)
+
+        custom = NewsTechnology((0.25, 0.75), rule)
+        assert custom == NewsTechnology((0.25, 0.75), rule)
+        assert custom != NewsTechnology((0.25, 0.75), lambda a: rule(a))
+        assert custom != NewsTechnology.slant(0.5) and custom != 0.5
 
 
 class TestGarble:

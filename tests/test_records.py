@@ -138,9 +138,10 @@ def test_attentive_flag_is_the_one_rule(n, family, pipeline, knob, log_mu):
 
 
 # what each game's array rule calls: value_matrix in the baseline and
-# commitment rules, the posterior in the noisy one
+# commitment rules, and in the noisy rule's posterior (the admitted row binds
+# the posterior itself once, so it is counted by what it calls)
 BUILDERS = {"baseline": ("rivote.election", "value_matrix"),
-            "noisy": ("rivote.election", "posterior_value_matrix"),
+            "noisy": ("rivote.news", "value_matrix"),
             "commitment": ("rivote.election", "value_matrix")}
 
 
@@ -167,9 +168,12 @@ def test_truncation_statistic_reuses_the_enumeration_beliefs(pipeline, monkeypat
 
 
 def electorate_game(pipeline, family, group_types, mu, news="slant"):
-    """Eight-type game on the grid k/9 with equally weighted voter groups;
-    noisy games read slant news or news that reveals the policy."""
+    """Eight-type game on the grid k/9 with equally weighted voter groups at
+    ``group_types`` and their mirror images, so that the game is admitted (a
+    voter's belief does not depend on the other groups); noisy games read
+    slant news or news that reveals the policy."""
     grid = [k / 9 for k in range(1, 9)]
+    group_types = sorted({*group_types, *(-t for t in group_types)})
     doc = {"schema_version": 1, "policies": {"beta": grid},
            "utility": {"family": family, "office_rent": 0.0, "win_weight": 12.0,
                        "lose_weight": 1.0, "loser_sign": -1},
