@@ -1,9 +1,10 @@
 """Primitives of the electoral game: policy grids, utility families, populations.
 
 Everything here is an immutable value object or a pure function, safe to share
-across threads.  Structural identities (mirror symmetry, increasing
-differences, concavity, the partisan-gap constant) are audited numerically on
-the configured finite grids instead of being trusted.
+across threads.  Two rules check every input: ``grid_floats`` its axes and
+``probability_floats`` its distributions.  Structural identities (mirror symmetry,
+increasing differences, concavity, the partisan-gap constant) are audited
+numerically on the configured finite grids instead of being trusted.
 """
 from __future__ import annotations
 
@@ -49,6 +50,17 @@ def grid_floats(values, what: str, increasing: bool = True) -> np.ndarray:
     if not np.isfinite(x).all() or increasing and not (x[1:] > x[:-1]).all():
         raise ValidationError(f"{what} must be finite" + " and strictly increasing" * increasing)
     return x
+
+
+def probability_floats(values, what: str) -> np.ndarray:
+    """``values`` as a new float array, refused (ValidationError) unless every
+    entry is positive and they sum to 1 within 1e-12 (so none is empty)."""
+    p = np.array(values, dtype=float)
+    if not np.all(p > 0):
+        raise ValidationError(f"{what} must be positive")
+    if not abs(float(p.sum()) - 1.0) <= EXACT:
+        raise ValidationError(f"{what} must sum to 1")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +236,9 @@ class CandidateSpec:
     def __post_init__(self) -> None:
         pairs = tuple(sorted((float(t), float(p)) for t, p in self.types))
         object.__setattr__(self, "types", pairs)
-        if not pairs:
-            raise ValidationError("candidate has no types")
-        if any(not p > 0 for _, p in pairs):
-            raise ValidationError("type probabilities must be positive")
-        if not abs(sum(p for _, p in pairs) - 1.0) <= EXACT:
-            raise ValidationError("type probabilities must sum to 1")
-        if any(t2 == t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):
-            raise ValidationError("duplicate candidate types")
-        if any(not 0 < t <= 1 for t, _ in pairs):
+        probability_floats([p for _, p in pairs], "type probabilities")
+        types = grid_floats([t for t, _ in pairs], "candidate types")
+        if not (0 < types[0] and types[-1] <= 1):
             raise ValidationError("beta types must lie in (0, 1]")
 
     @property
@@ -253,16 +259,10 @@ class Electorate:
     def __post_init__(self) -> None:
         pairs = tuple(sorted((float(t), float(w)) for t, w in self.groups))
         object.__setattr__(self, "groups", pairs)
-        if not pairs:
-            raise ValidationError("electorate has no groups")
-        if any(not w > 0 for _, w in pairs):
-            raise ValidationError("group weights must be positive")
-        if any(not -1 <= t <= 1 for t, _ in pairs):
+        probability_floats([w for _, w in pairs], "group weights")
+        types = grid_floats([t for t, _ in pairs], "voter group types")
+        if not (-1 <= types[0] and types[-1] <= 1):
             raise ValidationError("group types must lie in [-1, 1]")
-        if any(t2 == t1 for (t1, _), (t2, _) in zip(pairs, pairs[1:])):
-            raise ValidationError("duplicate voter group types")
-        if not abs(sum(w for _, w in pairs) - 1.0) <= EXACT:
-            raise ValidationError("group weights must sum to 1")
 
     @property
     def group_types(self) -> tuple[float, ...]:

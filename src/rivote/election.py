@@ -27,6 +27,7 @@ from .core import (
     ValidationError,
     chunks,
     grid_floats,
+    probability_floats,
     require_symmetric,
     utility,
     value_matrix,
@@ -69,8 +70,7 @@ class StrategyAssignment:
         if not (len(types) == len(probs) == len(policies)):
             raise ValidationError("types, probabilities and policies must align")
         grid_floats(types, "types")
-        if any(not p > 0 for p in probs) or not abs(sum(probs) - 1.0) <= EXACT:
-            raise ValidationError("type probabilities must be positive and sum to 1")
+        probability_floats(probs, "type probabilities")
         if any(not 0 < a < math.inf for a in policies):
             raise ValidationError("beta policies must be positive and finite")
 
@@ -92,12 +92,16 @@ class StrategyAssignment:
         return sigma
 
 
+def _require_on_grid(scenario: Scenario, policies) -> None:
+    """Refuses the first of ``policies`` off candidate beta's grid."""
+    for a in policies:
+        if a not in scenario.beta_axis.values:
+            raise ValidationError(f"policy {a!r} is not on candidate beta's grid")
+
+
 def assignment_for(scenario: Scenario, policies: tuple[float, ...]) -> StrategyAssignment:
     """Assignment of the scenario's beta types to the given grid policies."""
-    grid = scenario.beta_axis.values
-    for a in policies:
-        if a not in grid:
-            raise ValidationError(f"policy {a!r} is not on candidate beta's grid")
+    _require_on_grid(scenario, policies)
     return StrategyAssignment(
         scenario.beta_types.type_values, scenario.beta_types.type_probs, policies
     )
@@ -111,10 +115,11 @@ def game_of(scenario: Scenario) -> str:
     return "commitment" if scenario.eta < 1.0 else "baseline"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquilibriumRecord:
     """One symmetric equilibrium with its attention diagnostics; ``belief(t)``
-    is voter t's belief in the game that produced it, built once per t."""
+    is voter t's belief in the game that produced it, built once per t.
+    Compared by identity."""
 
     kind: str                      # game_of(scenario): "baseline" | "noisy" | "commitment"
     assignment: StrategyAssignment
@@ -124,7 +129,7 @@ class EquilibriumRecord:
     min_gap: float
     expected_w: np.ndarray         # beta's winning probability per on-path profile
     total_info: float              # group-weighted mutual information (nats)
-    belief: Callable[[float], BeliefOverProfiles] = field(repr=False, compare=False)
+    belief: Callable[[float], BeliefOverProfiles] = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +212,11 @@ def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
 def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment) -> np.ndarray:
     """Winning matrix implied by every group's optimal attention strategy: the
     ``_majority`` of the ``electorate_attention`` votes on the on-path profiles
-    at the scenario's mu, once admitted.  Only the baseline game aggregates this way."""
-    _, attention = electorate_attention(scenario, assignment)
+    at the scenario's mu.  Refused before any group is solved: what
+    ``_admitted_game`` refuses, then any game but the baseline."""
+    _admitted_game(scenario, assignment)
     _require_baseline(scenario, "aggregate_and_rationalize")
+    _, attention = electorate_attention(scenario, assignment)
     return _majority(scenario, (sol.m for _, sol in attention)).reshape(assignment.sigma.shape)
 
 
@@ -387,8 +394,8 @@ def _admitted_game(scenario: Scenario, assignment: StrategyAssignment | None = N
     a scenario's game, cached in the frozen scenario's ``__dict__`` as by
     ``cached_property`` (pickles and copies carry the fields only); a refusal
     is not.  An ``assignment`` is refused where its types are not the
-    scenario's or, under limited commitment, its policies do not strictly
-    increase in type order."""
+    scenario's, where under limited commitment its policies do not strictly
+    increase in type order, then at its first policy off beta's grid."""
     if (row := vars(scenario).get("_admitted")) is None:
         require_symmetric(scenario)
         spec, eta, news = scenario.utility, scenario.eta, scenario.news
@@ -405,6 +412,7 @@ def _admitted_game(scenario: Scenario, assignment: StrategyAssignment | None = N
             raise ValidationError("the assignment's types are not the scenario's candidate types")
         if row.eta is not None and assignment.policies != assignment.levels:
             raise ValidationError("limited commitment requires strictly increasing policies")
+        _require_on_grid(scenario, assignment.policies)
     return row
 
 
@@ -418,10 +426,9 @@ def check_ic(
     ``rationalized=True`` instead takes the on-path cells from aggregating
     optimal attention strategies.  Returns (ok, slack per (candidate, type)).
     Refused: what ``_admitted_game`` refuses of the scenario and the
-    assignment, then policies off beta's grid.
+    assignment, policies off beta's grid among them.
     """
     w_of, eta, _ = _admitted_game(scenario, assignment)
-    assignment_for(scenario, assignment.policies)  # refuses policies off beta's grid
     grid = scenario.beta_axis.values
     w = w_of(scenario)
     if rationalized:
@@ -517,8 +524,8 @@ def frontier_scan(a1_grid, a2_grid, mu: float, level_probs, arrays,
     caller; a1 is scanned in row ``chunks`` of ``floats_per_pair`` per pair."""
     if not mu > 0:
         raise ValidationError("mu must be positive")
-    p = np.asarray(level_probs, dtype=float)
-    if p.shape != (2,) or not np.all(p > 0) or not abs(float(p.sum()) - 1.0) <= EXACT:
+    p = probability_floats(level_probs, "level probabilities")
+    if p.shape != (2,):
         raise ValidationError("level probabilities must be two positive numbers summing to 1")
     a1 = grid_floats(a1_grid, "a1 grid", increasing=False)
     a2 = grid_floats(a2_grid, "a2 grid")

@@ -19,12 +19,12 @@ from .core import EXACT, UtilitySpec, ValidationError, grid_floats, value_matrix
 from .solver import BeliefOverProfiles, belief_batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovKernel:
     """Row-stochastic garbling kernel on one candidate's signal grid.
 
     The opposite candidate is garbled by the mirror kernel, so a single
-    matrix describes a symmetric garble of the whole technology.
+    matrix describes a symmetric garble of the whole technology.  Compared by identity.
     """
 
     matrix: np.ndarray

@@ -56,6 +56,15 @@ def _scalar(data: dict, key: str, path: str, default, problems: list[str], kind=
     return None
 
 
+def _made(problems: list[str], path: str, make, *args):
+    """``make(*args)``, or None after recording its ValidationError at ``path``."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        problems.append(f"{path}: {exc}")
+        return None
+
+
 def _pairs(raw, path: str, problems: list[str]) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, list) or not all(
         isinstance(p, list) and len(p) == 2 and all(_number(v) for v in p) for p in raw
@@ -100,15 +109,11 @@ def _news_from_dict(data: dict, problems: list[str]) -> NewsTechnology | None:
         policies = _numbers(data.get("policies"), "news.policies", problems)
     if len(problems) > found:
         return None
-    try:
-        if family == "slant":
-            return NewsTechnology.slant(float(data["xi"]), signals)
-        if family == "table":
-            return NewsTechnology.from_table(signals, policies, rows)
-        return NewsTechnology.revealing(policies)
-    except ValidationError as exc:
-        problems.append(f"news: {exc}")
-        return None
+    if family == "slant":
+        return _made(problems, "news", NewsTechnology.slant, float(data["xi"]), signals)
+    if family == "table":
+        return _made(problems, "news", NewsTechnology.from_table, signals, policies, rows)
+    return _made(problems, "news", NewsTechnology.revealing, policies)
 
 
 def _issues_utility(data: dict, base: UtilitySpec, lookup_a, lookup_t,
@@ -189,10 +194,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     if pol.get("beta") == []:
         problems.append("policies.beta: expected at least one policy")
     elif beta_vals:
-        try:
-            beta_axis = PolicyAxis(beta_vals)
-        except ValidationError as exc:
-            problems.append(f"policies: {exc}")
+        beta_axis = _made(problems, "policies", PolicyAxis, beta_vals)
     if beta_axis is not None and "alpha" in pol and pol["alpha"] != list(beta_axis.alpha_values):
         problems.append("policies.alpha: must be the mirror image of policies.beta")
 
@@ -213,18 +215,13 @@ def scenario_from_dict(data: dict) -> Scenario:
                                    ("lose_weight", 0.0), ("kappa", None))}
     stage["loser_sign"] = _scalar(util, "loser_sign", "utility.loser_sign", 1, problems, int)
     if len(problems) == found:
-        try:
-            utility = UtilitySpec(family=util.get("family", "absolute"),
-                                  table=table and TabulatedUtility(*table), **stage)
-        except ValidationError as exc:
-            problems.append(f"utility: {exc}")
+        utility = _made(problems, "utility", lambda: UtilitySpec(
+            family=util.get("family", "absolute"), table=table and TabulatedUtility(*table),
+            **stage))
 
     cand = data["candidates"]
-    beta_types = None
-    try:
-        beta_types = CandidateSpec(_pairs(cand.get("beta"), "candidates.beta", problems))
-    except ValidationError as exc:
-        problems.append(f"candidates: {exc}")
+    beta_types = _made(problems, "candidates", CandidateSpec,
+                       _pairs(cand.get("beta"), "candidates.beta", problems))
     if beta_types is not None and "alpha" in cand:
         alpha = sorted(_pairs(cand["alpha"], "candidates.alpha", malformed := []))
         mirror = sorted((-t, p) for t, p in beta_types.types)
@@ -233,13 +230,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         ):
             problems.append("candidates.alpha: must be the mirror image of candidates.beta")
 
-    electorate = None
-    try:
-        electorate = Electorate(
-            _pairs(data["electorate"].get("groups"), "electorate.groups", problems)
-        )
-    except ValidationError as exc:
-        problems.append(f"electorate: {exc}")
+    electorate = _made(problems, "electorate", Electorate,
+                       _pairs(data["electorate"].get("groups"), "electorate.groups", problems))
 
     att = data["attention"]
     mu = att.get("mu")

@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import EXACT, NumericError, ValidationError, chunks
+from .core import EXACT, NumericError, ValidationError, chunks, probability_floats
 
 Regime = Literal["corner_zero", "corner_one", "interior"]
 
@@ -63,12 +63,13 @@ def mutual_information(m, probs) -> float:
     return max(value, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BeliefOverProfiles:
     """A finite belief over profiles together with the voter's payoff gains.
 
     ``values[k]`` is the differential utility of choosing beta at support
     point ``support[k]``; ``probs`` must be strictly positive and sum to one.
+    Compared by identity.
     """
 
     support: tuple
@@ -76,7 +77,7 @@ class BeliefOverProfiles:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        probs = np.array(self.probs, dtype=float)
+        probs = probability_floats(self.probs, "support probabilities")
         values = np.array(self.values, dtype=float)
         probs.setflags(write=False)
         values.setflags(write=False)
@@ -87,10 +88,6 @@ class BeliefOverProfiles:
             raise ValidationError("support, probs and values must have equal length")
         if len(set(self.support)) != n:
             raise ValidationError("support points must be distinct")
-        if not np.all(probs > 0):
-            raise ValidationError("support probabilities must be positive")
-        if not abs(float(probs.sum()) - 1.0) <= EXACT:
-            raise ValidationError("support probabilities must sum to 1")
 
 
 def belief_batch(arrays, levels, sigma, ts, signals=None) -> tuple:
@@ -114,9 +111,9 @@ def belief_batch(arrays, levels, sigma, ts, signals=None) -> tuple:
     return support, probs, values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionSolution:
-    """Optimal attention strategy for one voter under one belief."""
+    """Optimal attention strategy for one voter under one belief, compared by identity."""
 
     regime: Regime
     m_bar: float                 # average probability of choosing beta

@@ -321,6 +321,14 @@ def test_every_command_refuses_what_enumerate_refuses(make, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_solve_attention_refuses_a_policy_off_the_grid(fig2_path, tmp_path, capsys):
+    assert main(["solve-attention", "--scenario", fig2_path, "--policies", "0.01,0.9",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: policy 0.9 is not on candidate beta's grid\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_commitment_cap_counts_increasing_maps():
     # 3 policies and 2 types: the cap counts visited prefixes, 3 of the first
     # type and the 3 increasing extensions (0, 1), (0, 2) and (1, 2); a

@@ -19,6 +19,7 @@ from rivote.core import (
     audit_partisan_gap,
     audit_scenario,
     derived_kappa,
+    probability_floats,
     utility,
 )
 from rivote.election import (
@@ -362,6 +363,11 @@ BAD_GRIDS = {
         UtilitySpec(), [0.01, math.nan], [0.2, 0.4], -0.001, 10.0),
     "attention_frontier.a1(-inf)": lambda: attention_frontier(
         UtilitySpec(), [-math.inf], [0.2, 0.4], -0.001, 10.0),
+    # type axes are sorted first, so only a duplicate or a non-finite type can fail
+    "CandidateSpec.types(duplicate)": lambda: CandidateSpec(((0.3, 0.5), (0.3, 0.5))),
+    "CandidateSpec.types(nan)": lambda: CandidateSpec(((0.3, 0.5), (math.nan, 0.5))),
+    "Electorate.types(duplicate)": lambda: Electorate(((0.2, 0.5), (0.2, 0.5))),
+    "Electorate.types(nan)": lambda: Electorate(((-0.2, 0.5), (math.nan, 0.5))),
 }
 
 
@@ -369,6 +375,54 @@ BAD_GRIDS = {
 def test_grids_must_be_finite_and_strictly_increasing(case):
     with pytest.raises(ValidationError, match="must be finite"):
         BAD_GRIDS[case]()
+
+
+# one entry per site of the probability rule: (what its message names, a build
+# with the two probabilities p)
+PROBABILITY_SITES = {
+    "CandidateSpec": ("type probabilities",
+                      lambda p: CandidateSpec(((0.3, p[0]), (0.8, p[1])))),
+    "Electorate": ("group weights", lambda p: Electorate(((-0.2, p[0]), (0.2, p[1])))),
+    "StrategyAssignment": ("type probabilities",
+                           lambda p: StrategyAssignment((0.3, 0.8), p, (0.1, 0.2))),
+    "BeliefOverProfiles": ("support probabilities",
+                           lambda p: BeliefOverProfiles(((0, 1), (1, 0)), p, (0.1, -0.1))),
+    "frontier_scan": ("level probabilities", lambda p: attention_frontier(
+        UtilitySpec(), [0.1], [0.2, 0.3], 0.0, 1.0, level_probs=p)),
+}
+BAD_PROBABILITIES = {
+    "nan": ((0.5, math.nan), "must be positive"),
+    "zero": ((1.0, 0.0), "must be positive"),
+    "negative": ((1.1, -0.1), "must be positive"),
+    "inf": ((0.5, math.inf), "must sum to 1"),
+    "sum_off_by_1e-9": ((0.5, 0.5 + 1e-9), "must sum to 1"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_PROBABILITIES)
+@pytest.mark.parametrize("site", PROBABILITY_SITES)
+def test_every_distribution_is_refused_by_the_one_probability_rule(site, bad):
+    what, build = PROBABILITY_SITES[site]
+    probs, reason = BAD_PROBABILITIES[bad]
+    with pytest.raises(ValidationError, match=f"^{what} {reason}$"):
+        build(probs)
+    build((0.5, 0.5 + 1e-13))  # within 1e-12 of 1
+
+
+def test_an_empty_distribution_does_not_sum_to_1():
+    with pytest.raises(ValidationError, match="^type probabilities must sum to 1$"):
+        CandidateSpec(())
+    with pytest.raises(ValidationError, match="^group weights must sum to 1$"):
+        Electorate(())
+
+
+def test_probability_floats_returns_a_new_array():
+    # a belief freezes the array it gets back, not the caller's
+    given = np.array([0.25, 0.75])
+    probs = probability_floats(given, "p")
+    assert probs is not given and probs.dtype == float and probs.tolist() == [0.25, 0.75]
+    BeliefOverProfiles(((0, 1), (1, 0)), given, (0.1, -0.1))
+    assert given.flags.writeable
 
 
 def test_gamma_inverse_refuses_nan():

@@ -354,6 +354,32 @@ def test_every_entry_point_refuses_other_types_than_the_scenarios(doc, entry, fo
         ENTRY_POINTS[entry](scenario, assignment)
 
 
+@pytest.mark.parametrize("pipeline", ["baseline", "noisy", "commitment"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refuses_a_policy_off_the_grid(entry, pipeline):
+    # the gate checks the grid, before aggregation refuses the other games by name
+    scenario = game(5, xi=0.75 if pipeline == "noisy" else None,
+                    eta=0.8 if pipeline == "commitment" else None)
+    grid = scenario.beta_axis.values
+    assignment = StrategyAssignment(
+        scenario.beta_types.type_values, scenario.beta_types.type_probs, (grid[0], 0.9))
+    with pytest.raises(ValidationError, match="^policy 0.9 is not on candidate beta's grid$"):
+        ENTRY_POINTS[entry](scenario, assignment)
+
+
+def test_aggregation_refuses_a_game_before_solving_a_group(monkeypatch):
+    calls, solve_groups = [], election.solve_groups
+    monkeypatch.setattr(election, "solve_groups",
+                        lambda *args: calls.append(args) or solve_groups(*args))
+    scenario = scenario_from_dict(figure3_scenario(0.75))
+    assignment = assignment_for(scenario, scenario.beta_axis.values[:2])
+    with pytest.raises(ValidationError, match="^aggregate_and_rationalize models the baseline"):
+        aggregate_and_rationalize(scenario, assignment)
+    assert calls == []
+    electorate_attention(scenario, assignment)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # The pruned search against the exhaustive oracle
 # ---------------------------------------------------------------------------

@@ -4,9 +4,11 @@ attention sets only through ``election.attention_set``; the package holds
 one perfect-observation winner rule, with no Downsian kernel, one belief
 builder per game and one voter rule per game row; the solver and the news
 rules define no closures, and the IC kernel holds the increasing-map rule;
-one gate builds every game row and the CLI reads no private name; a
-scenario caches its game in one private slot that leaves its identity
-alone; and every name README's code spans use is defined.
+one gate builds every game row and refuses policies off beta's grid, and
+the CLI reads no private name; a scenario caches its game in one private
+slot that leaves its identity alone; one rule checks that probabilities
+sum to 1 and one helper records a loader section's refusal; and every name
+README's code spans use is defined.
 
 All but the cache slot are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
@@ -161,6 +163,14 @@ def _names() -> dict[str, set]:
         for stem, tree in MODULES.items()}
 
 
+def _by_function(node, name=None):
+    """(innermost enclosing function's name, node) for every node under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name
+        yield inner, child
+        yield from _by_function(child, inner)
+
+
 def test_one_voter_rule_per_game():
     # each game row holds one array rule, which the one batch over voter types
     # and the attention-set scan both read; core holds the one chunk rule
@@ -200,6 +210,12 @@ def test_one_gate_builds_every_game_row():
     assert private == []
     removed = {"_game", "_require_own_types", "_require_increasing"}
     assert not removed & set().union(*_names().values())
+    # the gate refuses a policy off beta's grid for every reader; check_ic has no check of its own
+    grid_checks = {fn for fn, node in _by_function(MODULES["election"])
+                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "_require_on_grid"}
+    assert grid_checks == {"assignment_for", "_admitted_game"}
+    assert not [node for fn, node in _by_function(MODULES["election"]) if fn == "check_ic"
+                and isinstance(node, ast.Call) and ast.unparse(node.func) == "assignment_for"]
 
 
 def test_one_cache_slot_per_scenario():
@@ -217,3 +233,24 @@ def test_one_cache_slot_per_scenario():
     assert (repr(scenario), hash(scenario)) == before
     copy = dataclasses.replace(scenario)
     assert copy == scenario and hash(copy) == hash(scenario) and repr(copy) == repr(scenario)
+
+
+def test_one_probability_rule():
+    # a sum compared with 1 within EXACT: core's rule for every distribution,
+    # and news' zero-accepting checks of signal rows, which report row by row
+    sites = {f"{stem}.{fn}" for stem, tree in MODULES.items() for fn, node in _by_function(tree)
+             if isinstance(node, ast.Compare) and "EXACT" in (text := ast.unparse(node))
+             and re.search(r"\bsum\(", text)}
+    assert sites == {"core.probability_floats", "news.stochastic_problem", "news.audit_news"}
+
+
+def test_loader_records_refusals_through_one_helper():
+    # each section's constructor goes through _made; the final Scenario build
+    # and the issues section's wider handler are the others
+    tries = [(fn, node) for fn, node in _by_function(MODULES["scenario_io"])
+             if isinstance(node, ast.Try) and any(
+                 h.type is not None and ast.unparse(h.type) == "ValidationError"
+                 for h in node.handlers)]
+    assert [fn for fn, _ in tries] == ["_made", "scenario_from_dict"]
+    (final,) = [node for fn, node in tries if fn == "scenario_from_dict"]
+    assert ast.unparse(final.body[0].value.func) == "Scenario"

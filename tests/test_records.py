@@ -4,6 +4,7 @@
 and every attention statistic of a record (its attention solutions, its
 ``attentive`` flags, the truncation statistic) must be read from it.
 """
+import copy
 import math
 import warnings
 from dataclasses import replace
@@ -25,9 +26,10 @@ from rivote.election import (
     perfect_observation_winner,
     profile_belief,
 )
-from rivote.news import expected_winning_matrix, signal_belief
+from rivote.news import MarkovKernel, expected_winning_matrix, signal_belief
+from rivote.presets import figure2_scenario
 from rivote.scenario_io import scenario_from_dict
-from rivote.solver import attention_membership, solve_attention
+from rivote.solver import BeliefOverProfiles, attention_membership, solve_attention
 
 GROUPS = [[-0.02, 0.25], [-0.001, 0.25], [0.001, 0.25], [0.02, 0.25]]
 
@@ -305,3 +307,16 @@ def test_game_belief_is_the_one_row_case_of_its_game_batch(pipeline, family, new
             assert b.support == batch[0]
             assert b.probs.tobytes() == batch[1].tobytes()
             assert b.values.tobytes() == values.tobytes()
+
+
+def test_objects_holding_arrays_compare_by_identity():
+    # ==, hash and `in` read no array, so a deep copy is another object, not an error
+    scenario = scenario_from_dict(figure2_scenario())
+    record = enumerate_equilibria(scenario)[0]
+    objects = (MarkovKernel(np.eye(2)), BeliefOverProfiles(("a", "b"), [0.5, 0.5], [1.0, 2.0]),
+               record.attention[0][1], record)
+    for obj in objects:
+        twin = copy.deepcopy(obj)
+        assert obj == obj and obj != twin and hash(obj) == hash(obj)
+        assert obj in [twin, obj] and obj not in [twin]
+    assert enumerate_equilibria(scenario)[0] != record
