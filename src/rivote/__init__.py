@@ -19,7 +19,6 @@ from .core import (
     UtilitySpec,
     ValidationError,
     audit_scenario,
-    derived_kappa,
     utility,
     value_matrix,
 )
@@ -34,7 +33,6 @@ from .election import (
     check_ic,
     enumerate_equilibria,
     game_belief,
-    median_differential,
     perfect_observation_winner,
     profile_belief,
     truncation_statistic,
@@ -60,7 +58,6 @@ from .solver import (
     attentive,
     attention_threshold_delta,
     entropy,
-    gamma,
     gamma_inverse,
     mutual_information,
     solve_attention,

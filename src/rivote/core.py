@@ -187,7 +187,7 @@ def winning_prob(margin, tol: float) -> np.ndarray:
     return np.where(np.abs(margin) <= tol, 0.5, np.where(margin > 0, 1.0, 0.0))
 
 
-def derived_kappa(
+def _derived_kappa(
     spec: UtilitySpec,
     alpha_values: tuple[float, ...],
     beta_values: tuple[float, ...],
@@ -310,7 +310,7 @@ class Scenario:
 
     def kappa(self) -> float:
         positive = tuple(t for t in self.electorate.group_types if t > 0)
-        return derived_kappa(
+        return _derived_kappa(
             self.utility, self.beta_axis.alpha_values, self.beta_axis.values, positive)
 
 

@@ -588,7 +588,7 @@ def attention_set(scenario: Scenario, a1_grid, a2_grid, t: float) -> np.ndarray:
                          partial(row.arrays, t=t), 4 * k ** 2)
 
 
-def median_differential(spec: UtilitySpec, a_values) -> float:
+def _median_differential(spec: UtilitySpec, a_values) -> float:
     """Median-voter utility spread u(a_1, 0) - u(a_N, 0) of a policy matrix."""
     a = tuple(a_values)
     return float(utility(spec, a[0], 0.0) - utility(spec, a[-1], 0.0))
@@ -603,4 +603,4 @@ def truncation_statistic(
     kept = tuple(r for r in records if attention_membership(r.belief(t), scenario.mu))
     if not kept:
         return kept, None
-    return kept, min(median_differential(scenario.utility, r.assignment.levels) for r in kept)
+    return kept, min(_median_differential(scenario.utility, r.assignment.levels) for r in kept)

@@ -64,17 +64,22 @@ class MarkovKernel:
         return MarkovKernel(np.array([[1.0 - lam, lam], [0.0, 1.0]]))
 
 
+def _row_faults(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The one signal-row rule, row by row: (has a negative entry, does not
+    sum to 1 within 1e-12); a NaN or infinite entry puts its row's sum off."""
+    return np.any(rows < 0, axis=-1), ~(np.abs(rows.sum(axis=-1) - 1.0) <= EXACT)
+
+
 def stochastic_problem(rows) -> str | None:
     """Why ``rows`` is not a table of probability distributions (finite,
     nonnegative entries, each row summing to 1 within 1e-12), or None."""
     m = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         return "entries must be finite"
-    if np.any(m < 0):
+    negative, off = _row_faults(m)
+    if negative.any():
         return "entries must be nonnegative"
-    if np.any(np.abs(m.sum(axis=-1) - 1.0) > EXACT):
-        return "rows must sum to 1"
-    return None
+    return "rows must sum to 1" if off.any() else None
 
 
 class NewsTechnology:
@@ -181,7 +186,7 @@ def audit_news(tech: NewsTechnology, grid) -> list[str]:
     also warns once, or failed 2x2 log minor over policy, then signal pairs."""
     a = [float(x) for x in grid]
     rows = tech.pmf(np.array(a))
-    negative, off = np.any(rows < 0, axis=-1), ~(np.abs(rows.sum(axis=-1) - 1.0) <= EXACT)
+    negative, off = _row_faults(rows)
     problems = [msg for i in np.flatnonzero(negative | off) for msg, bad in (
         (f"negative signal probability at policy {a[i]}", negative[i]),
         (f"signal probabilities at policy {a[i]} do not sum to 1", off[i])) if bad]

@@ -4,7 +4,8 @@ The voter chooses, state by state, the probability of picking candidate beta.
 The optimum is either a corner (ignore politics, vote deterministically) or an
 interior shifted-logit rule whose average probability solves a one-dimensional
 monotone fixed point.  All exponential moments are evaluated with max-shifted
-exponentials so small attention costs cannot overflow.
+exponentials so small attention costs cannot overflow.  Every solve goes
+through ``solve_groups``; one belief is its one-row case.
 """
 from __future__ import annotations
 
@@ -143,13 +144,16 @@ def log_mean_exp(values, probs, mu: float):
     if not mu > 0:
         raise ValidationError("mu must be positive")
     x = np.asarray(values, dtype=float) / mu
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("non-finite scaled payoffs in exponential moment")
-    p = np.broadcast_to(np.asarray(probs, dtype=float), x.shape)
-    top = np.max(x, axis=-1, keepdims=True)
+    p = np.asarray(probs, dtype=float)
+    if p.shape != x.shape:
+        p = np.broadcast_to(p, x.shape)
+    # ufunc reductions, not np.max and np.sum, whose dispatch dominates a short row
+    top = np.maximum.reduce(x, axis=-1, keepdims=True)
     at_top = x == top
-    m = np.sum(np.where(at_top, p, 0.0), axis=-1, keepdims=True)
-    s = np.sum(np.where(at_top, 0.0, p * np.exp(x - top)), axis=-1, keepdims=True) / m
+    m = np.add.reduce(np.where(at_top, p, 0.0), axis=-1, keepdims=True)
+    s = np.add.reduce(np.where(at_top, 0.0, p * np.exp(x - top)), axis=-1, keepdims=True) / m
     return (np.log1p(s) + np.log(m) + top)[..., 0][()]
 
 
@@ -163,7 +167,7 @@ def attentive(values, probs, mu: float):
 
 
 def _radius(probs: np.ndarray, pos: np.ndarray, q: np.ndarray, den: np.ndarray) -> float:
-    """R(m) = 2 E(m): twice the rounding bound of ``solve_attention`` on
+    """R(m) = 2 E(m): twice the rounding bound of ``_bisect`` on
     fl(foc(m)), from the terms q and denominators computed at m."""
     rel = 2 * (len(probs) + 4) * _U + np.where(pos, 0.0, 5 * _U / den)
     return 2.0 * float(np.dot(probs, np.abs(q) * rel)) + 1e-300  # + underflow in the dot
@@ -215,35 +219,13 @@ def _window(probs, pos, e, num, lo: float, hi: float) -> tuple[float, float]:
 def _bisect(probs, pos, e, num) -> float:
     """Bisection of the FOC on [floor, 1 - floor] in plain float halvings;
     ``_foc`` is evaluated at the two floors, by ``_window`` and at the
-    midpoints inside the window only."""
-    lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
-    if _foc(probs, pos, e, num, lo)[0] <= 0.0:
-        return lo
-    if _foc(probs, pos, e, num, hi)[0] >= 0.0:
-        return hi
-    a, b = _window(probs, pos, e, num, lo, hi)
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mid <= a or (mid < b and _foc(probs, pos, e, num, mid)[0] > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    midpoints inside the window only.
 
-
-def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
-    """Optimal attention strategy under ``belief`` at marginal cost ``mu``.
-
-    Corner regimes are detected from the exponential-moment inequalities; the
-    interior average probability is found by bisection on the first-order
-    condition F(m) = E[(e^x - 1) / (m e^x + 1 - m)] = 0, x = v / mu, which is
-    strictly decreasing in the average m.  e = exp(-|x|) and the numerators
-    num are computed once per belief; a step evaluates the denominators only,
-    den = m + (1 - m) e where x >= 0 (divided through by e^x so that nothing
-    overflows) and m e + 1 - m where x < 0, and foc(m) = fl(sum p q),
-    q = num / den.
+    F(m) = E[(e^x - 1) / (m e^x + 1 - m)], x = v / mu, is strictly decreasing
+    in the average m.  e = exp(-|x|) and the numerators num are computed once
+    per row; a step evaluates the denominators only, den = m + (1 - m) e
+    where x >= 0 (divided through by e^x so that nothing overflows) and
+    m e + 1 - m where x < 0, and foc(m) = fl(sum p q), q = num / den.
 
     The bisection's bits depend only on the sign of foc at its midpoints, and
     foc is evaluated only where that sign is not certified.  In exact
@@ -268,20 +250,37 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     P (1 + rho) falls: -foc(b) > R(b) certifies foc <= 0 at every midpoint
     >= b.  A safeguarded Newton iteration in log-odds, with
     F'(m) = -sum p q^2, puts a and b about 2 R / |F'| either side of the
-    root; a side that does not certify falls back to evaluating every
-    midpoint, which is the plain bisection.  This is ``solve_groups`` for
-    one group, bitwise, but it skips the second corner test at ``corner_zero``.
+    root (``_window``); a side that does not certify falls back to evaluating
+    every midpoint, which is the plain bisection.
     """
-    values, probs = belief.values, belief.probs
-    # attentive() refuses a mu that is not positive and values/mu that are not finite
-    zero = not attentive(values, probs, mu)  # log E[exp(v/mu)] < -1e-12: never beta
-    one = not zero and log_mean_exp(-values, probs, mu) < 0.0  # E[exp(-v/mu)] < 1: always beta
-    return _solution(values, probs, mu, zero, one)
+    lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
+    if _foc(probs, pos, e, num, lo)[0] <= 0.0:
+        return lo
+    if _foc(probs, pos, e, num, hi)[0] >= 0.0:
+        return hi
+    a, b = _window(probs, pos, e, num, lo, hi)
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if mid <= a or (mid < b and _foc(probs, pos, e, num, mid)[0] > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
+    """Optimal attention under ``belief`` at cost ``mu``: one row of ``solve_groups``."""
+    return solve_groups(belief.values[None], belief.probs, mu)[0]
 
 
 def solve_groups(values, probs, mu: float) -> list[AttentionSolution]:
-    """``solve_attention`` of each row of ``values[groups, n]`` under ``probs``,
-    bitwise: each corner test runs once on the array, the bisection per interior row."""
+    """Optimal attention of each row of ``values[groups, n]`` under ``probs`` at
+    cost ``mu``, the one solve path: each corner test runs once on the array
+    (``attentive`` fails: never beta; E[exp(-v/mu)] < 1: always beta) and
+    ``_bisect`` solves each interior row; ``log_mean_exp`` refuses mu <= 0
+    and non-finite values / mu."""
     zero, one = ~attentive(values, probs, mu), log_mean_exp(-values, probs, mu) < 0.0
     return [_solution(v, probs, mu, z, o) for v, z, o in zip(values, zero.tolist(), one.tolist())]
 
@@ -315,13 +314,8 @@ def attention_membership(belief: BeliefOverProfiles, mu: float) -> bool:
     return bool(attentive(belief.values, belief.probs, mu))
 
 
-def gamma(x: float) -> float:
-    """Two-sided exponential exp(x) + exp(-x); >= 2 with equality at 0."""
-    return math.exp(x) + math.exp(-x)
-
-
 def gamma_inverse(y: float) -> float:
-    """Unique nonnegative root of gamma(x) = y, i.e. log(y/2 + sqrt(y^2/4 - 1))."""
+    """Unique nonnegative root of exp(x) + exp(-x) = y, i.e. log(y/2 + sqrt(y^2/4 - 1))."""
     if not y >= 2.0 - EXACT:
         raise ValidationError("gamma_inverse requires y >= 2")
     if y <= 2.0:

@@ -8,12 +8,13 @@ incentive oracle walks grid x opponent types one scalar payoff at a time.
 The solver, news-audit, news-posterior and noisy-frontier oracles are the
 library's earlier loops: one first-order-condition evaluation per bisection
 step, one policy and one 2x2 log minor at a time, one news profile and one
-policy pair at a time.  The two-issue oracle calls ``u2`` and the frontier
-one scalar point at a time.  The equilibrium oracle is the library's earlier
-exhaustive search: every map of the game's strategy set scored by
-``ICKernel.gaps`` in chunks (``passing``), with no pruning.  The Downsian
-winner, a voter at t = 0, is the textbook rule that a symmetric electorate
-with a group at 0 reproduces.
+policy pair at a time; the exponential-moment oracle is the library's
+earlier ``log_mean_exp``, on numpy's ``max`` and ``sum``.  The two-issue
+oracle calls ``u2`` and the frontier one scalar point at a time.  The
+equilibrium oracle is the library's earlier exhaustive search: every map of
+the game's strategy set scored by ``ICKernel.gaps`` in chunks
+(``passing``), with no pruning.  The Downsian winner, a voter at t = 0, is
+the textbook rule that a symmetric electorate with a group at 0 reproduces.
 """
 from __future__ import annotations
 
@@ -26,7 +27,16 @@ import numpy as np
 from scipy.special import xlogy
 
 from rivote import core, election
-from rivote.core import EXACT, TOL, Scenario, UtilitySpec, ValidationError, utility, winning_prob
+from rivote.core import (
+    EXACT,
+    TOL,
+    NumericError,
+    Scenario,
+    UtilitySpec,
+    ValidationError,
+    utility,
+    winning_prob,
+)
 from rivote.election import StrategyAssignment, value_matrix
 from rivote.solver import (
     _MAX_BISECT,
@@ -34,8 +44,6 @@ from rivote.solver import (
     AttentionSolution,
     BeliefOverProfiles,
     attention_membership,
-    attentive,
-    log_mean_exp,
     mutual_information,
 )
 
@@ -422,6 +430,22 @@ def _foc(x: np.ndarray, probs: np.ndarray, m_bar: float) -> float:
     return float(np.dot(probs, terms))
 
 
+def log_mean_exp(values, probs, mu: float):
+    """log E[exp(values / mu)] over the last axis, the library's earlier body:
+    numpy's ``max`` and ``sum`` wrappers and an unconditional broadcast."""
+    if not mu > 0:
+        raise ValidationError("mu must be positive")
+    x = np.asarray(values, dtype=float) / mu
+    if not np.all(np.isfinite(x)):
+        raise NumericError("non-finite scaled payoffs in exponential moment")
+    p = np.broadcast_to(np.asarray(probs, dtype=float), x.shape)
+    top = np.max(x, axis=-1, keepdims=True)
+    at_top = x == top
+    m = np.sum(np.where(at_top, p, 0.0), axis=-1, keepdims=True)
+    s = np.sum(np.where(at_top, 0.0, p * np.exp(x - top)), axis=-1, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + top)[..., 0][()]
+
+
 def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     """Optimal attention strategy under ``belief`` at marginal cost ``mu``.
 
@@ -434,8 +458,8 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
     probs = belief.probs
     n = len(belief.support)
 
-    # attentive() refuses values/mu that are not finite
-    if not attentive(belief.values, probs, mu):  # log E[exp(v/mu)] < -1e-12: never beta
+    # log_mean_exp refuses values/mu that are not finite
+    if not log_mean_exp(belief.values, probs, mu) >= -EXACT:  # log E[exp(v/mu)] < -1e-12
         return AttentionSolution("corner_zero", 0.0, 0.0, np.zeros(n), 0.0, 0.0)
     if log_mean_exp(-belief.values, probs, mu) < 0.0:  # E[exp(-v/mu)] < 1: always choose beta
         return AttentionSolution("corner_one", 1.0, math.inf, np.ones(n), 0.0, 0.0)

@@ -18,7 +18,7 @@ from rivote.core import (
     audit_mirror_symmetry,
     audit_partisan_gap,
     audit_scenario,
-    derived_kappa,
+    _derived_kappa,
     probability_floats,
     utility,
 )
@@ -219,14 +219,14 @@ class TestInvariantAudits:
         assert audit_concavity(spec, self.A_GRID, self.T_GRID) == []
 
     def test_partisan_gap_absolute(self, abs_spec):
-        kappa = derived_kappa(abs_spec, (-0.4, -0.01), (0.01, 0.4))
+        kappa = _derived_kappa(abs_spec, (-0.4, -0.01), (0.01, 0.4))
         assert kappa == pytest.approx(0.02)
         assert audit_partisan_gap(
             abs_spec, (-0.4, -0.01), (0.01, 0.4), (0.05, 0.2, 0.8), kappa
         ) == []
 
     def test_partisan_gap_quadratic(self, quad_spec):
-        kappa = derived_kappa(quad_spec, (-0.4, -0.01), (0.01, 0.4))
+        kappa = _derived_kappa(quad_spec, (-0.4, -0.01), (0.01, 0.4))
         assert kappa == pytest.approx(0.04)
         assert audit_partisan_gap(
             quad_spec, (-0.4, -0.01), (0.01, 0.4), (0.05, 0.2, 0.8), kappa
@@ -240,7 +240,7 @@ class TestInvariantAudits:
             a_grid, t_grid, tuple(tuple(-abs(t - a) for t in t_grid) for a in a_grid)
         )
         spec = UtilitySpec(family="table", table=table)
-        kappa = derived_kappa(spec, (-0.4, -0.01), (0.01, 0.4), (0.2, 0.8))
+        kappa = _derived_kappa(spec, (-0.4, -0.01), (0.01, 0.4), (0.2, 0.8))
         # worst profile keeps a gap of 2*a1 = .02, minimised over t at t = .8
         assert kappa == pytest.approx(0.02 / 0.8, abs=1e-12)
 
@@ -432,7 +432,7 @@ def test_gamma_inverse_refuses_nan():
 
 def test_kappa_override_is_respected():
     spec = UtilitySpec(family="absolute", kappa=0.015)
-    assert derived_kappa(spec, (-0.4,), (0.01, 0.4)) == 0.015
+    assert _derived_kappa(spec, (-0.4,), (0.01, 0.4)) == 0.015
 
 
 def test_mirror_symmetry_of_stage_payoffs(abs_spec):

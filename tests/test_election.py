@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 import rivote.core
 import rivote.election
-from rivote.core import Electorate, SymmetryError, UtilitySpec, ValidationError
+from rivote.core import Electorate, SymmetryError, UtilitySpec, ValidationError, utility
 from rivote.election import (
     aggregate_and_rationalize,
     assignment_for,
     attention_frontier,
     check_ic,
     enumerate_equilibria,
-    median_differential,
     perfect_observation_winner,
     profile_belief,
     truncation_statistic,
@@ -350,7 +349,8 @@ class TestTruncation:
         records = enumerate_equilibria(figure2)
         kept, diff = truncation_statistic(replace(figure2, mu=0.1), records, -0.001)
         assert len(kept) == 2
-        assert diff == pytest.approx(median_differential(figure2.utility, (0.01, 0.2)))
+        spread = utility(figure2.utility, 0.01, 0.0) - utility(figure2.utility, 0.2, 0.0)
+        assert diff == pytest.approx(spread)
 
     def test_intermediate_cost_truncates(self, figure2):
         records = enumerate_equilibria(figure2)

@@ -2,13 +2,13 @@
 module-level imports between ``rivote`` modules form a DAG; the CLI scans
 attention sets only through ``election.attention_set``; the package holds
 one perfect-observation winner rule, with no Downsian kernel, one belief
-builder per game and one voter rule per game row; the solver and the news
-rules define no closures, and the IC kernel holds the increasing-map rule;
-one gate builds every game row and refuses policies off beta's grid, and
-the CLI reads no private name; a scenario caches its game in one private
-slot that leaves its identity alone; one rule checks that probabilities
-sum to 1 and one helper records a loader section's refusal; and every name
-README's code spans use is defined.
+builder per game and one voter rule per game row; the solver has one solve
+path, the solver and the news rules define no closures, and the IC kernel
+holds the increasing-map rule; one gate builds every game row and refuses
+policies off beta's grid, and the CLI reads no private name; a scenario
+caches its game in one private slot that leaves its identity alone; one
+rule checks that probabilities sum to 1 and one helper records a loader
+section's refusal; and every name README's code spans use is defined.
 
 All but the cache slot are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
@@ -194,6 +194,21 @@ def test_one_implementation_called_directly():
         "self", "max_prefixes"]
 
 
+def test_one_solve_path():
+    # solve_attention is the one-row case of solve_groups, which alone builds
+    # solutions: every solve takes the same corner tests and bisection
+    callers = {f"{stem}.{fn}" for stem, tree in MODULES.items() for fn, node in _by_function(tree)
+               if isinstance(node, ast.Call) and ast.unparse(node.func) == "_solution"}
+    assert callers == {"solver.solve_groups"}
+    (solve,) = [fn for fn in MODULES["solver"].body
+                if isinstance(fn, ast.FunctionDef) and fn.name == "solve_attention"]
+    body = [node for node in solve.body if not (isinstance(node, ast.Expr)
+                                                 and isinstance(node.value, ast.Constant))]
+    assert len(body) == 1 and isinstance(body[0], ast.Return)
+    calls = [ast.unparse(node.func) for node in ast.walk(body[0]) if isinstance(node, ast.Call)]
+    assert calls == ["solve_groups"]
+
+
 def test_one_gate_builds_every_game_row():
     # _admitted_game alone builds a GameRow, for a scenario and an assignment
     # alike; the CLI reaches the game through public calls only
@@ -237,11 +252,11 @@ def test_one_cache_slot_per_scenario():
 
 def test_one_probability_rule():
     # a sum compared with 1 within EXACT: core's rule for every distribution,
-    # and news' zero-accepting checks of signal rows, which report row by row
+    # and news' zero-accepting rule for signal rows, which reports row by row
     sites = {f"{stem}.{fn}" for stem, tree in MODULES.items() for fn, node in _by_function(tree)
              if isinstance(node, ast.Compare) and "EXACT" in (text := ast.unparse(node))
              and re.search(r"\bsum\(", text)}
-    assert sites == {"core.probability_floats", "news.stochastic_problem", "news.audit_news"}
+    assert sites == {"core.probability_floats", "news._row_faults"}
 
 
 def test_loader_records_refusals_through_one_helper():

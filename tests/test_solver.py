@@ -16,7 +16,6 @@ from rivote.solver import (
     attention_threshold_delta,
     attentive,
     entropy,
-    gamma,
     gamma_inverse,
     log_mean_exp,
     mutual_information,
@@ -255,6 +254,30 @@ class TestLogMeanExp:
         assert np.shape(got) == np.shape(want)
         np.testing.assert_array_equal(_bits(got), _bits(want))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        n=st.integers(1, 64),
+        scale=st.sampled_from([1e-3, 1.0, 40.0]),
+        ties=st.integers(0, 3),
+        zeros=st.integers(0, 8),
+        seed=st.integers(0, 2**32 - 1),
+        log_mu=st.floats(math.log(1e-3), math.log(3.0)),
+    )
+    def test_bitwise_equal_to_the_reference(self, batch, n, scale, ties, zeros, seed, log_mu):
+        # the reference is the earlier body on numpy's max and sum wrappers
+        rng = np.random.default_rng(seed)
+        values = rng.normal(0.0, scale, (*batch, n))
+        for idx in np.ndindex(*batch):  # tied maxima, then exact zeros
+            values[idx][rng.integers(0, n, ties)] = values[idx].max()
+            values[idx][rng.integers(0, n, zeros)] = 0.0
+        probs = rng.dirichlet(np.ones(n))
+        probs = np.maximum(probs, 1e-300)
+        mu = math.exp(log_mu)
+        got, want = log_mean_exp(values, probs, mu), oracles.log_mean_exp(values, probs, mu)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
     def test_rows_are_independent_of_the_batch(self):
         rng = np.random.default_rng(5)
         values = rng.normal(0.0, 2.0, (3, 5, 4))
@@ -270,14 +293,14 @@ class TestLogMeanExp:
 
 class TestGamma:
     def test_gamma_at_one(self):
-        assert gamma(1.0) == pytest.approx(math.e + 1 / math.e, abs=1e-12)
+        assert 2 * math.cosh(1.0) == pytest.approx(math.e + 1 / math.e, abs=1e-12)
 
     def test_inverse_at_two(self):
         assert gamma_inverse(2.0) == 0.0
 
     def test_inverse_closed_form(self):
         assert gamma_inverse(4.0) == pytest.approx(math.log(2 + math.sqrt(3)), abs=1e-12)
-        assert gamma(gamma_inverse(4.0)) == pytest.approx(4.0, abs=1e-12)
+        assert 2 * math.cosh(gamma_inverse(4.0)) == pytest.approx(4.0, abs=1e-12)
 
     def test_below_domain(self):
         with pytest.raises(ValidationError):
@@ -286,9 +309,9 @@ class TestGamma:
     @given(st.floats(0.0, 50.0))
     @settings(max_examples=200, deadline=None)
     def test_roundtrip(self, x):
-        # gamma(x) = 2 + x^2 + O(x^4): doubles cannot carry x below sqrt(eps),
+        # 2 cosh(x) = 2 + x^2 + O(x^4): doubles cannot carry x below sqrt(eps),
         # so the achievable roundtrip accuracy degrades to ~1.5e-8 near zero
-        assert gamma_inverse(gamma(x)) == pytest.approx(x, rel=1e-10, abs=3e-8)
+        assert gamma_inverse(2 * math.cosh(x)) == pytest.approx(x, rel=1e-10, abs=3e-8)
 
 
 class TestThresholdDelta:
