@@ -61,6 +61,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _m_columns(support) -> list[str]:
+    """The one column rule for attention strategies: ``m(a,b)`` per support profile."""
+    return [f"m({a},{b})" for a, b in support]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -83,10 +88,8 @@ def _cmd_solve_attention(args) -> int:
     policies = tuple(_floats(args.policies.split(","), "--policies"))
     if len(policies) != len(scenario.beta_types.types):
         raise ValidationError("--policies must assign one policy per beta type")
-    belief, attention = electorate_attention(scenario, assignment_for(scenario, policies))
-    header = ["t", "regime", "m_bar", "likelihood_ratio", "info"] + [
-        f"m({a},{b})" for a, b in belief(attention[0][0]).support
-    ]
+    support, attention = electorate_attention(scenario, assignment_for(scenario, policies))
+    header = ["t", "regime", "m_bar", "likelihood_ratio", "info", *_m_columns(support)]
     rows = [[t, sol.regime, sol.m_bar, sol.likelihood_ratio, sol.info, *sol.m]
             for t, sol in attention]
     _write_csv(args, "solve_attention.csv", scenario_hash(doc), header, rows)
@@ -242,21 +245,24 @@ FIGURE2_DIAMONDS = {(0.01, 0.2), (0.01, 0.4)}
 FIGURE3_XIS = (0.6, 0.75, 0.9)
 
 
-def _table_attention(scenario: Scenario) -> dict:
-    """Each voter group's attention when the two candidate types play .01 and .4."""
-    return dict(electorate_attention(scenario, assignment_for(scenario, (0.01, 0.4)))[1])
+def _table_attention(scenario: Scenario) -> tuple[list[str], dict]:
+    """(``m`` columns, each group's attention) when the two candidate types play .01 and .4."""
+    support, attention = electorate_attention(scenario, assignment_for(scenario, (0.01, 0.4)))
+    return _m_columns(support), dict(attention)
 
 
 def table1_rows():
-    attention = _table_attention(scenario_from_dict(table1_scenario()))
-    return [(t, attention[t].info, *attention[t].m) for t in sorted(TABLE1_EXPECTED)]
+    columns, attention = _table_attention(scenario_from_dict(table1_scenario()))
+    return columns, [(t, attention[t].info, *attention[t].m) for t in sorted(TABLE1_EXPECTED)]
 
 
 def table2_rows():
-    scenario = scenario_from_dict(table1_scenario())
-    solutions = {mu: _table_attention(replace(scenario, mu=mu))[-0.05]  # table 2's voter group
-                 for mu in sorted(TABLE2_EXPECTED)}
-    return [(mu, sol.m_bar, *sol.m) for mu, sol in solutions.items()]
+    scenario, rows = scenario_from_dict(table1_scenario()), []
+    for mu in sorted(TABLE2_EXPECTED):
+        columns, attention = _table_attention(replace(scenario, mu=mu))
+        sol = attention[-0.05]  # table 2's voter group
+        rows.append((mu, sol.m_bar, *sol.m))
+    return columns, rows
 
 
 def _check_close(actual, expected, what):
@@ -268,19 +274,17 @@ def _check_close(actual, expected, what):
 def _cmd_reproduce(args) -> int:
     target = args.target
     if target == "table1":
-        rows = table1_rows()
+        columns, rows = table1_rows()
         for row in rows:
             _check_close(row[1:], TABLE1_EXPECTED[row[0]], f"table1 t={row[0]}")
         _write_csv(args, "table1.csv", scenario_hash(table1_scenario()),
-                   ["t", "info", "m(-0.01,0.01)", "m(-0.01,0.4)",
-                    "m(-0.4,0.01)", "m(-0.4,0.4)"], rows)
+                   ["t", "info", *columns], rows)
     elif target == "table2":
-        rows = table2_rows()
+        columns, rows = table2_rows()
         for row in rows:
             _check_close(row[1:], TABLE2_EXPECTED[row[0]], f"table2 mu={row[0]}")
         _write_csv(args, "table2.csv", scenario_hash(table1_scenario()),
-                   ["mu", "m_bar", "m(-0.01,0.01)", "m(-0.01,0.4)",
-                    "m(-0.4,0.01)", "m(-0.4,0.4)"], rows)
+                   ["mu", "m_bar", *columns], rows)
     elif target == "figure2":
         doc = figure2_scenario()
         scenario = scenario_from_dict(doc)

@@ -144,8 +144,9 @@ class UtilitySpec:
             raise ValidationError("kappa must be positive and finite")
 
 
-def _grid_index(grid: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
-    """Index of the first grid point within 1e-12 of each x.
+def _grid_index(grid: np.ndarray, x: np.ndarray, refusal: str) -> np.ndarray:
+    """Index of the first grid point within 1e-12 of each x; the first x off
+    the grid is refused with ``refusal.format(x)``.
 
     The match lies next to where ``x - 1e-12`` sorts into the grid, so only
     that point and its two neighbours are compared."""
@@ -155,7 +156,7 @@ def _grid_index(grid: np.ndarray, x: np.ndarray, what: str) -> np.ndarray:
     found = hit.any(axis=-1)
     if not found.all():
         miss = float(np.extract(~found, x)[0])
-        raise ValidationError(f"{what}={miss!r} is not on the utility table grid")
+        raise ValidationError(refusal.format(miss))
     return near[(*np.indices(x.shape, sparse=True), hit.argmax(axis=-1))]
 
 
@@ -172,7 +173,8 @@ def utility(spec: UtilitySpec, a, t):
     if spec.family == "quadratic":
         return -np.square(t - a)
     a_grid, t_grid, u = spec.table._arrays
-    return u[_grid_index(a_grid, a, "policy"), _grid_index(t_grid, t, "type")]
+    return u[_grid_index(a_grid, a, "policy={!r} is not on the utility table grid"),
+             _grid_index(t_grid, t, "type={!r} is not on the utility table grid")]
 
 
 def value_matrix(spec: UtilitySpec, a_values, t: float) -> np.ndarray:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,7 +37,6 @@ from .news import NewsTechnology, audit_news, expected_winning_matrix, posterior
 from .solver import (
     AttentionSolution,
     BeliefOverProfiles,
-    attention_membership,
     attentive,
     belief_batch,
     solve_groups,
@@ -117,9 +116,9 @@ def game_of(scenario: Scenario) -> str:
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumRecord:
-    """One symmetric equilibrium with its attention diagnostics; ``belief(t)``
-    is voter t's belief in the game that produced it, built once per t.
-    Compared by identity."""
+    """One symmetric equilibrium with its attention diagnostics, plain data
+    that pickles; voter t's belief under it is ``game_belief(scenario,
+    r.assignment, t)``.  Compared by identity."""
 
     kind: str                      # game_of(scenario): "baseline" | "noisy" | "commitment"
     assignment: StrategyAssignment
@@ -129,7 +128,6 @@ class EquilibriumRecord:
     min_gap: float
     expected_w: np.ndarray         # beta's winning probability per on-path profile
     total_info: float              # group-weighted mutual information (nats)
-    belief: Callable[[float], BeliefOverProfiles] = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +193,15 @@ def _majority(scenario: Scenario, votes) -> np.ndarray:
 
 
 def electorate_attention(scenario: Scenario, assignment: StrategyAssignment):
-    """``(belief, attention)`` under the assignment in the scenario's game,
-    refused as ``_admitted_game`` refuses: voter t's ``belief(t)``, cached per
-    t, and ``(t, solve_attention(belief(t), mu))`` per voter group in group
-    order, by ``solve_groups`` on the ``_game_beliefs`` of every group, built and
-    validated once.  ``belief(t)`` is a view of its group's row, else
-    ``game_belief``: records, aggregation and ``solve-attention`` build none twice."""
+    """``(support, attention)`` under the assignment in the scenario's game,
+    refused as ``_admitted_game`` refuses: the support of the ``_game_beliefs``
+    of every voter group, built and validated once, and ``(t,
+    solve_attention(game_belief(scenario, assignment, t), mu))`` per group in
+    group order, by one ``solve_groups`` call on that batch."""
     ts = scenario.electorate.group_types
     support, probs, values = _game_beliefs(scenario, assignment, ts)
-    first, rows = BeliefOverProfiles(support, probs, values[0]), dict(zip(ts, values))
-    belief = cache(lambda t: replace(first, values=rows[t]) if t in rows
-                   else game_belief(scenario, assignment, t))
-    return belief, tuple(zip(ts, solve_groups(values, first.probs, scenario.mu)))
+    probs = BeliefOverProfiles(support, probs, values[0]).probs
+    return support, tuple(zip(ts, solve_groups(values, probs, scenario.mu)))
 
 
 def aggregate_and_rationalize(scenario: Scenario, assignment: StrategyAssignment) -> np.ndarray:
@@ -449,8 +444,8 @@ def check_ic(
 def equilibrium_records(scenario: Scenario, kernel: ICKernel, scored) -> list[EquilibriumRecord]:
     """One record per (grid indices, beta's (type, slack) pairs) of ``scored``.
 
-    Each record carries its assignment's ``electorate_attention``: the bound,
-    cached belief and every group's attention solution, with their weighted
+    Each record is plain data: every group's ``electorate_attention``
+    solution (a row of one ``_game_beliefs`` batch) and their weighted
     mutual information as ``total_info``.  A group is attentive unless its
     solution is the ``corner_zero`` regime (``solver.attentive``).
     """
@@ -458,7 +453,7 @@ def equilibrium_records(scenario: Scenario, kernel: ICKernel, scored) -> list[Eq
     records = []
     for row, beta_gaps in scored:
         assignment = assignment_for(scenario, tuple(kernel.grid[i] for i in row))
-        belief, attention = electorate_attention(scenario, assignment)
+        _, attention = electorate_attention(scenario, assignment)
         idx = sorted(set(row))
         records.append(EquilibriumRecord(
             kind=game_of(scenario),
@@ -469,7 +464,6 @@ def equilibrium_records(scenario: Scenario, kernel: ICKernel, scored) -> list[Eq
             min_gap=min(g for _, g in beta_gaps),
             expected_w=kernel.w[np.ix_(idx, idx)],
             total_info=sum(w * sol.info for (_, w), (_, sol) in zip(groups, attention)),
-            belief=belief,
         ))
     return records
 
@@ -485,7 +479,7 @@ def enumerate_equilibria(
     ``ICKernel.search`` cuts the prefixes whose payoff bound rules out
     incentive compatibility (so ``max_assignments`` caps visited prefixes)
     and judges complete rows by their exact slack under the game's winning
-    matrix; each record carries the game's beliefs.  A news technology
+    matrix; each record carries its groups' attention.  A news technology
     that fails ``audit_news`` on the grid is refused.  ``verify_rationalizable``
     (baseline game only) checks that every record's own attention strategies,
     counted by ``_majority``, reproduce its winner.
@@ -599,8 +593,10 @@ def truncation_statistic(
 ) -> tuple[tuple[EquilibriumRecord, ...], float | None]:
     """Equilibria that retain voter t's attention at the scenario's mu, and
     the smallest median-utility spread among them (None when the set is
-    empty); each record is judged under its own belief, ``r.belief(t)``."""
-    kept = tuple(r for r in records if attention_membership(r.belief(t), scenario.mu))
+    empty): ``attentive`` on voter t's ``game_belief`` per record, so refused
+    where the scenario's game does not admit the records' assignments."""
+    beliefs = (game_belief(scenario, r.assignment, t) for r in records)
+    kept = tuple(r for r, b in zip(records, beliefs) if attentive(b.values, b.probs, scenario.mu))
     if not kept:
         return kept, None
     return kept, min(_median_differential(scenario.utility, r.assignment.levels) for r in kept)

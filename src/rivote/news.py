@@ -15,7 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import EXACT, UtilitySpec, ValidationError, grid_floats, value_matrix, winning_prob
+from .core import (EXACT, UtilitySpec, ValidationError, _grid_index, grid_floats, value_matrix,
+                   winning_prob)
 from .solver import BeliefOverProfiles, belief_batch
 
 
@@ -142,9 +143,9 @@ class NewsTechnology:
 
     @staticmethod
     def from_table(signals, policies, rows) -> NewsTechnology:
-        """Tabulated technology: a policy reads the row of the first table
-        policy within 1e-12; a policy off the table is a ValidationError."""
-        pol = np.array(policies, dtype=float)
+        """Tabulated technology on a strictly increasing policy grid: a policy
+        reads the row of the grid point within 1e-12, else is refused."""
+        pol = grid_floats(policies, "technology policy grid")
         table = np.array(rows, dtype=float)
         if table.shape != (len(pol), len(signals)):
             raise ValidationError("technology table shape does not match its grids")
@@ -165,12 +166,7 @@ def _slant_rows(xi: float, a):
 
 
 def _table_rows(pol, table, a):
-    near = np.abs(a[..., None] - pol) <= EXACT
-    on_grid = near.any(axis=-1)
-    if not np.all(on_grid):
-        off = float(a[~on_grid].flat[0])
-        raise ValidationError(f"policy {off!r} is not on the technology's grid")
-    return table[np.argmax(near, axis=-1)]
+    return table[_grid_index(pol, a, "policy {!r} is not on the technology's grid")]
 
 
 def _garbled_rows(tech: NewsTechnology, matrix, a):

@@ -356,6 +356,10 @@ PINNED_CSVS = {
                      "e47c4645088d1776030bd1003458c2ab30c089c1b3df00eb818166fced8e1941"),
     "three_levels": (_on("three_levels", "enumerate"), "equilibria.csv",
                      "3c644cf41cc79a260f76920a25cd76e05f8dd36a12e019f267db2b899668c5cd"),
+    "table1": (["reproduce", "table1"], "table1.csv",
+               "ef23b3364379b0042ffd9baa10fe5150f1c7a9484ef02de4913c73f7e057f120"),
+    "table2": (["reproduce", "table2"], "table2.csv",
+               "ec318c07ce19eab8d9b6aec94bbcd72a202af8c91a14e8a38d9f0ee4d3b82604"),
     "figure2": (["reproduce", "figure2"], "figure2.csv",
                 "79c0998238eb3152b60e55c0f5c7178112d6a4b522df91e391c88d9035ee11d1"),
     "figure3": (["reproduce", "figure3"], "figure3.csv",

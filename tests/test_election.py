@@ -17,6 +17,7 @@ from rivote.election import (
     attention_frontier,
     check_ic,
     enumerate_equilibria,
+    game_belief,
     perfect_observation_winner,
     profile_belief,
     truncation_statistic,
@@ -303,7 +304,7 @@ class TestEnumeration:
                      if r.assignment.policies == (0.01, 0.2)]
         assert dict(record.attention)[0.001].regime == "corner_one"
         assert dict(record.attentive)[0.001]
-        assert attention_membership(record.belief(0.001), 10.0)
+        assert attention_membership(game_belief(scenario, record.assignment, 0.001), 10.0)
         assert not dict(record.attentive)[-0.001]  # corner_zero
 
 

@@ -5,7 +5,8 @@ one perfect-observation winner rule, with no Downsian kernel, one belief
 builder per game and one voter rule per game row; the solver has one solve
 path, the solver and the news rules define no closures, and the IC kernel
 holds the increasing-map rule; one gate builds every game row and refuses
-policies off beta's grid, and the CLI reads no private name; a scenario
+policies off beta's grid, and the CLI reads no private name; the library
+calls no second attentiveness name and records hold no callable; a scenario
 caches its game in one private slot that leaves its identity alone; one
 rule checks that probabilities sum to 1 and one helper records a loader
 section's refusal; and every name README's code spans use is defined.
@@ -15,10 +16,12 @@ All but the cache slot are read from the sources with ``ast``; imports under
 """
 import ast
 import builtins
+import collections.abc
 import dataclasses
 import graphlib
 import inspect
 import re
+import typing
 from pathlib import Path
 
 import rivote
@@ -207,6 +210,22 @@ def test_one_solve_path():
     assert len(body) == 1 and isinstance(body[0], ast.Return)
     calls = [ast.unparse(node.func) for node in ast.walk(body[0]) if isinstance(node, ast.Call)]
     assert calls == ["solve_groups"]
+
+
+def test_one_attentiveness_rule_and_records_are_plain_data():
+    # the library judges attention by solver.attentive alone: its second name,
+    # attention_membership, is only defined and exported; a record holds data,
+    # not a belief builder
+    holders = {stem: sum(name == "attention_membership" for node in ast.walk(tree)
+                         for name in (getattr(node, "name", None), getattr(node, "id", None),
+                                      getattr(node, "attr", None)))
+               for stem, tree in MODULES.items()}
+    assert {stem: n for stem, n in holders.items() if n} == {"solver": 1, "__init__": 1}
+    hints = typing.get_type_hints(election.EquilibriumRecord)
+    assert not [name for name, hint in hints.items()
+                if typing.get_origin(hint) is collections.abc.Callable]
+    record = election.enumerate_equilibria(scenario_from_dict(figure2_scenario()))[0]
+    assert not [f.name for f in dataclasses.fields(record) if callable(getattr(record, f.name))]
 
 
 def test_one_gate_builds_every_game_row():

@@ -80,6 +80,14 @@ class TestTechnology:
         with pytest.raises(ValidationError, match="policy 0.5 is not on"):
             tech.pmf([0.2, 0.5, 0.6])
 
+    @pytest.mark.parametrize("policies", [(0.8, 0.2), (0.2, np.nan), (0.2, 0.2)],
+                             ids=["decreasing", "nan", "duplicate"])
+    def test_table_policy_axis_is_a_grid(self, policies):
+        # a duplicate policy with conflicting rows would read the first row alone
+        with pytest.raises(ValidationError, match="^technology policy grid must be finite "
+                                                  "and strictly increasing$"):
+            NewsTechnology.from_table((0.3, 0.7), policies, [[0.6, 0.4], [0.4, 0.6]])
+
     def test_revealing_detection(self):
         # a monotone revealing technology is admissible, and its zero cells do
         # not warn; out of order, the same rows are audited as any others

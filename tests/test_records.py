@@ -1,11 +1,15 @@
-"""Every equilibrium record carries its game's belief builder.
+"""Equilibrium records are plain data read through the game's one gate.
 
-``r.belief(t)`` must be the belief the game's public builder returns,
-and every attention statistic of a record (its attention solutions, its
-``attentive`` flags, the truncation statistic) must be read from it.
+A record carries no belief: voter t's belief under it is
+``game_belief(scenario, r.assignment, t)``, bitwise the belief the game's
+public builder returns, and every attention statistic of a record (its
+attention solutions, its ``attentive`` flags, the truncation statistic)
+must agree with it.  Records pickle and round-trip.
 """
 import copy
+import itertools
 import math
+import pickle
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -25,11 +29,12 @@ from rivote.election import (
     game_belief,
     perfect_observation_winner,
     profile_belief,
+    truncation_statistic,
 )
 from rivote.news import MarkovKernel, expected_winning_matrix, signal_belief
 from rivote.presets import figure2_scenario
 from rivote.scenario_io import scenario_from_dict
-from rivote.solver import BeliefOverProfiles, attention_membership, solve_attention
+from rivote.solver import BeliefOverProfiles, attentive, solve_attention
 
 GROUPS = [[-0.02, 0.25], [-0.001, 0.25], [0.001, 0.25], [0.02, 0.25]]
 
@@ -72,10 +77,11 @@ def test_record_belief_is_the_public_builder_bitwise(pipeline):
     assert records and all(r.kind == pipeline for r in records)
     for r in records:
         for t, sol in r.attention:
-            carried, direct = r.belief(t), public_belief(pipeline, scenario, r, t)
-            assert carried.support == direct.support
-            assert carried.probs.tobytes() == direct.probs.tobytes()
-            assert carried.values.tobytes() == direct.values.tobytes()
+            gated = game_belief(scenario, r.assignment, t)
+            direct = public_belief(pipeline, scenario, r, t)
+            assert gated.support == direct.support
+            assert gated.probs.tobytes() == direct.probs.tobytes()
+            assert gated.values.tobytes() == direct.values.tobytes()
             # the attached solution is the solution under that belief
             assert sol.m.tobytes() == solve_attention(direct, scenario.mu).m.tobytes()
 
@@ -86,11 +92,11 @@ def test_electorate_attention_is_a_per_group_solve_bitwise(pipeline):
     records = enumerate_equilibria(scenario)
     assert records
     for r in records:
-        belief, attention = electorate_attention(scenario, r.assignment)
+        support, attention = electorate_attention(scenario, r.assignment)
         assert [t for t, _ in attention] == [t for t, _ in GROUPS]
         for t, sol in attention:
             direct = public_belief(pipeline, scenario, r, t)
-            assert belief(t).values.tobytes() == direct.values.tobytes()
+            assert support == direct.support
             want = solve_attention(direct, scenario.mu)
             assert (sol.regime, sol.m.tobytes(), sol.m_bar, sol.info) == (
                 want.regime, want.m.tobytes(), want.m_bar, want.info)
@@ -136,37 +142,53 @@ def test_attentive_flag_is_the_one_rule(n, family, pipeline, knob, log_mu):
     scenario = game(n, family=family, mu=mu, **knobs)
     for r in enumerate_equilibria(scenario):
         for t, flag in r.attentive:
-            assert flag == attention_membership(r.belief(t), mu)
-
-
-# what each game's array rule calls: value_matrix in the baseline and
-# commitment rules, and in the noisy rule's posterior (the admitted row binds
-# the posterior itself once, so it is counted by what it calls)
-BUILDERS = {"baseline": ("rivote.election", "value_matrix"),
-            "noisy": ("rivote.news", "value_matrix"),
-            "commitment": ("rivote.election", "value_matrix")}
+            belief = game_belief(scenario, r.assignment, t)
+            assert flag == attentive(belief.values, belief.probs, mu)
 
 
 @pytest.mark.parametrize("pipeline", GAMES)
 def test_truncation_statistic_reuses_the_enumeration_beliefs(pipeline, monkeypatch):
-    # every group's belief was built while enumerating; judging a group again
-    # builds none, while a new voter type builds one per record
-    import importlib
-
-    from rivote.election import truncation_statistic
-
+    # each call admits every record's assignment once, building its one
+    # belief through the gate, and keeps exactly the records on which voter
+    # t's game_belief is attentive, at any mu and for group and other types
     scenario = game(8, **GAMES[pipeline])
     records = enumerate_equilibria(scenario)
     assert records
-    module, name = BUILDERS[pipeline]
-    module = importlib.import_module(module)
-    builder, calls = getattr(module, name), []
-    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or builder(*a, **k))
-    for t, _ in GROUPS:
-        truncation_statistic(scenario, records, t)
-    assert calls == []
-    truncation_statistic(scenario, records, 0.5)
-    assert calls
+    gate, admitted = rivote.election._admitted_game, []
+    monkeypatch.setattr(rivote.election, "_admitted_game",
+                        lambda s, a=None: admitted.append((s, a)) or gate(s, a))
+    for t, mu in itertools.product([t for t, _ in GROUPS] + [0.5], [0.01, 1.0, 100.0]):
+        at_mu = replace(scenario, mu=mu)
+        admitted.clear()
+        kept, spread = truncation_statistic(at_mu, records, t)
+        assert admitted == [(at_mu, r.assignment) for r in records]
+        beliefs = [game_belief(at_mu, r.assignment, t) for r in records]
+        assert kept == tuple(r for r, b in zip(records, beliefs)
+                             if attentive(b.values, b.probs, mu))
+        assert (spread is None) == (kept == ())
+
+
+def test_truncation_statistic_refuses_a_scenario_that_does_not_admit_the_records():
+    # figure 2's records judged in a figure-2 game whose candidate types are .25/.75
+    figure2 = figure2_scenario()
+    records = enumerate_equilibria(scenario_from_dict(figure2))
+    figure2["candidates"]["beta"] = [[0.25, 0.5], [0.75, 0.5]]
+    foreign = scenario_from_dict(figure2)
+    with pytest.raises(ValidationError, match="^the assignment's types are not the "
+                                              "scenario's candidate types$"):
+        truncation_statistic(foreign, records, -0.001)
+
+
+@pytest.mark.parametrize("pipeline", GAMES)
+def test_records_are_plain_data_that_pickle(pipeline):
+    records = enumerate_equilibria(game(8, **GAMES[pipeline]))
+    assert records
+    for r, twin in zip(records, pickle.loads(pickle.dumps(records))):
+        assert twin.assignment == r.assignment
+        assert (twin.gaps, twin.min_gap, twin.total_info) == (r.gaps, r.min_gap, r.total_info)
+        assert twin.expected_w.tobytes() == r.expected_w.tobytes()
+        assert [(t, s.m.tobytes()) for t, s in twin.attention] == [
+            (t, s.m.tobytes()) for t, s in r.attention]
 
 
 def electorate_game(pipeline, family, group_types, mu, news="slant"):
@@ -217,14 +239,15 @@ def test_every_group_is_solve_attention_of_its_public_belief(pipeline, family, n
     record = SimpleNamespace(assignment=assignment_of(scenario, policies))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # revealing news drops unplayed signals
-        belief, attention = electorate_attention(scenario, record.assignment)
+        support, attention = electorate_attention(scenario, record.assignment)
         direct = {t: public_belief(pipeline, scenario, record, t) for t, _ in attention}
+        gated = {t: game_belief(scenario, record.assignment, t) for t, _ in attention}
     assert [t for t, _ in attention] == list(scenario.electorate.group_types)
     for t, sol in attention:
         want = solve_attention(direct[t], mu)
-        assert belief(t).support == direct[t].support
-        assert belief(t).probs.tobytes() == direct[t].probs.tobytes()
-        assert belief(t).values.tobytes() == direct[t].values.tobytes()
+        assert support == gated[t].support == direct[t].support
+        assert gated[t].probs.tobytes() == direct[t].probs.tobytes()
+        assert gated[t].values.tobytes() == direct[t].values.tobytes()
         assert (sol.regime, sol.m.tobytes(), sol.m_bar, sol.likelihood_ratio, sol.info,
                 sol.residual) == (want.regime, want.m.tobytes(), want.m_bar,
                                   want.likelihood_ratio, want.info, want.residual)
@@ -265,15 +288,15 @@ def test_noisy_electorate_warns_once_with_the_dropped_count(monkeypatch, chunk):
     record = SimpleNamespace(assignment=assignment_of(scenario, [grid[1]] * 4 + [grid[6]] * 4))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        belief, attention = electorate_attention(scenario, record.assignment)
-        assert [belief(t).support for t in types]  # views build nothing and warn nothing
+        support, attention = electorate_attention(scenario, record.assignment)
     assert [str(w.message).split()[:2] for w in caught] == [["dropped", "60"]]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for t, sol in attention:
             direct = public_belief("noisy", scenario, record, t)
-            assert belief(t).support == direct.support and len(direct.support) == 4
-            assert belief(t).values.tobytes() == direct.values.tobytes()
+            gated = game_belief(scenario, record.assignment, t)
+            assert support == gated.support == direct.support and len(direct.support) == 4
+            assert gated.values.tobytes() == direct.values.tobytes()
             assert sol.m.tobytes() == solve_attention(direct, 0.05).m.tobytes()
 
 
@@ -298,12 +321,12 @@ def test_game_belief_is_the_one_row_case_of_its_game_batch(pipeline, family, new
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # revealing news drops unplayed signals
         batch = rivote.election._game_beliefs(scenario, record.assignment, np.array(ts))
-        belief, _ = electorate_attention(scenario, record.assignment)
+        support, _ = electorate_attention(scenario, record.assignment)
         rows = {t: (game_belief(scenario, record.assignment, t),
-                    public_belief(pipeline, scenario, record, t), belief(t)) for t in ts}
+                    public_belief(pipeline, scenario, record, t)) for t in ts}
+    assert support == batch[0]
     for values, t in zip(batch[2], ts):
-        one, public, carried = rows[t]
-        for b in (one, public, carried):
+        for b in rows[t]:
             assert b.support == batch[0]
             assert b.probs.tobytes() == batch[1].tobytes()
             assert b.values.tobytes() == values.tobytes()
