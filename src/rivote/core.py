@@ -56,7 +56,7 @@ def probability_floats(values, what: str) -> np.ndarray:
     """``values`` as a new float array, refused (ValidationError) unless every
     entry is positive and they sum to 1 within 1e-12 (so none is empty)."""
     p = np.array(values, dtype=float)
-    if not np.all(p > 0):
+    if not (p > 0).all():
         raise ValidationError(f"{what} must be positive")
     if not abs(float(p.sum()) - 1.0) <= EXACT:
         raise ValidationError(f"{what} must sum to 1")

@@ -52,14 +52,15 @@ def binary_entropy(m) -> np.ndarray | float:
 def mutual_information(m, probs) -> float:
     """Mutual information (nats) between the state and a binary decision.
 
-    ``m`` gives the per-state probability of the beta decision, ``probs`` the
-    state distribution; equals H(state) minus the mean posterior entropy, but
-    is computed on the decision side: H(mean m) - E[H(m)].
+    ``m``, one 1-D row, gives the per-state probability of the beta decision,
+    ``probs`` the state distribution; H(state) minus the mean posterior entropy,
+    computed on the decision side by one ``binary_entropy`` call: H(p.m) - E[H(m)].
     """
     m = np.asarray(m, dtype=float)
     p = np.asarray(probs, dtype=float)
-    m_bar = float(np.dot(p, m))
-    value = binary_entropy(m_bar) - float(np.dot(p, binary_entropy(m)))
+    # E[m] = p . m, not the bisection's m_bar, which differs from it in the last bits
+    h = binary_entropy(np.concatenate((m, [np.dot(p, m)])))
+    value = float(h[-1]) - float(np.dot(p, h[:-1]))
     # exact arithmetic gives value >= 0; rounding can dip a few ulp below
     return max(value, 0.0)
 
@@ -134,12 +135,12 @@ class AttentionSolution:
 
 
 def log_mean_exp(values, probs, mu: float):
-    """log E[exp(values / mu)] over the last axis; broadcasts over leading axes.
-
-    The mass m at the maximum is split out of the max-shifted sum s of the
-    other points, log1p(s / m) + log(m) + max, which keeps full precision
-    when one point dominates.  ``probs`` must be positive; a ``mu`` that is
-    not positive is a ValidationError.
+    """log E[exp(values / mu)] over the last axis; ``probs`` broadcasts against
+    ``values`` by numpy's rules, with the same shape or a trailing one ((n,) for
+    (g, n) values).  The mass m at the maximum is split out of the max-shifted
+    sum s of the other points, log1p(s / m) + log(m) + max, which keeps full
+    precision when one point dominates.  ``probs`` must be positive; a ``mu``
+    that is not positive is a ValidationError.
     """
     if not mu > 0:
         raise ValidationError("mu must be positive")
@@ -147,8 +148,6 @@ def log_mean_exp(values, probs, mu: float):
     if not np.isfinite(x).all():
         raise NumericError("non-finite scaled payoffs in exponential moment")
     p = np.asarray(probs, dtype=float)
-    if p.shape != x.shape:
-        p = np.broadcast_to(p, x.shape)
     # ufunc reductions, not np.max and np.sum, whose dispatch dominates a short row
     top = np.maximum.reduce(x, axis=-1, keepdims=True)
     at_top = x == top
@@ -158,12 +157,13 @@ def log_mean_exp(values, probs, mu: float):
 
 
 def attentive(values, probs, mu: float):
-    """The one attentiveness rule: E[exp(values / mu)] >= 1, up to 1e-12.
+    """The one attentiveness rule: E[exp(values / mu)] >= 1, up to 1e-12; a voter who
+    fails it ignores politics (``corner_zero``).  Broadcasts like ``log_mean_exp``."""
+    return _attends(log_mean_exp(values, probs, mu))
 
-    A voter who fails it ignores politics (the ``corner_zero`` regime);
-    broadcasts over leading axes like ``log_mean_exp``.
-    """
-    return log_mean_exp(values, probs, mu) >= -EXACT
+
+def _attends(log_moment):  # the one threshold on log E[exp(v / mu)]
+    return log_moment >= -EXACT
 
 
 def _radius(probs: np.ndarray, pos: np.ndarray, q: np.ndarray, den: np.ndarray) -> float:
@@ -276,12 +276,12 @@ def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:
 
 
 def solve_groups(values, probs, mu: float) -> list[AttentionSolution]:
-    """Optimal attention of each row of ``values[groups, n]`` under ``probs`` at
-    cost ``mu``, the one solve path: each corner test runs once on the array
-    (``attentive`` fails: never beta; E[exp(-v/mu)] < 1: always beta) and
-    ``_bisect`` solves each interior row; ``log_mean_exp`` refuses mu <= 0
-    and non-finite values / mu."""
-    zero, one = ~attentive(values, probs, mu), log_mean_exp(-values, probs, mu) < 0.0
+    """Optimal attention of each row of ``values[groups, n]`` under ``probs`` at cost ``mu``,
+    the one solve path: one ``log_mean_exp`` call over the values and their negation decides
+    both corners (not attentive: never beta; E[exp(-v/mu)] < 1: always beta) and refuses
+    mu <= 0 and non-finite values / mu; ``_bisect`` solves each interior row."""
+    moments = log_mean_exp(np.concatenate((values, -values)), probs, mu)
+    zero, one = ~_attends(moments[:len(values)]), moments[len(values):] < 0.0
     return [_solution(v, probs, mu, z, o) for v, z, o in zip(values, zero.tolist(), one.tolist())]
 
 

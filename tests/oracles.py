@@ -9,12 +9,14 @@ The solver, news-audit, news-posterior and noisy-frontier oracles are the
 library's earlier loops: one first-order-condition evaluation per bisection
 step, one policy and one 2x2 log minor at a time, one news profile and one
 policy pair at a time; the exponential-moment oracle is the library's
-earlier ``log_mean_exp``, on numpy's ``max`` and ``sum``.  The two-issue
-oracle calls ``u2`` and the frontier one scalar point at a time.  The
-equilibrium oracle is the library's earlier exhaustive search: every map of
-the game's strategy set scored by ``ICKernel.gaps`` in chunks
-(``passing``), with no pruning.  The Downsian winner, a voter at t = 0, is
-the textbook rule that a symmetric electorate with a group at 0 reproduces.
+earlier ``log_mean_exp``, on numpy's ``max`` and ``sum``, and the
+mutual-information oracle its earlier body, one ``binary_entropy`` call for
+E[m] and one for m.  The two-issue oracle calls ``u2`` and the frontier one
+scalar point at a time.  The equilibrium oracle is the library's earlier
+exhaustive search: every map of the game's strategy set scored by
+``ICKernel.gaps`` in chunks (``passing``), with no pruning.  The Downsian
+winner, a voter at t = 0, is the textbook rule that a symmetric electorate
+with a group at 0 reproduces.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from rivote.solver import (
     AttentionSolution,
     BeliefOverProfiles,
     attention_membership,
-    mutual_information,
+    binary_entropy,
 )
 
 
@@ -444,6 +446,17 @@ def log_mean_exp(values, probs, mu: float):
     m = np.sum(np.where(at_top, p, 0.0), axis=-1, keepdims=True)
     s = np.sum(np.where(at_top, 0.0, p * np.exp(x - top)), axis=-1, keepdims=True) / m
     return (np.log1p(s) + np.log(m) + top)[..., 0][()]
+
+
+def mutual_information(m, probs) -> float:
+    """H(E[m]) - E[H(m)] in nats, the library's earlier body: E[m] as a float,
+    then one ``binary_entropy`` call for it and one for m."""
+    m = np.asarray(m, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    m_bar = float(np.dot(p, m))
+    value = binary_entropy(m_bar) - float(np.dot(p, binary_entropy(m)))
+    # exact arithmetic gives value >= 0; rounding can dip a few ulp below
+    return max(value, 0.0)
 
 
 def solve_attention(belief: BeliefOverProfiles, mu: float) -> AttentionSolution:

@@ -3,13 +3,14 @@ module-level imports between ``rivote`` modules form a DAG; the CLI scans
 attention sets only through ``election.attention_set``; the package holds
 one perfect-observation winner rule, with no Downsian kernel, one belief
 builder per game and one voter rule per game row; the solver has one solve
-path, the solver and the news rules define no closures, and the IC kernel
-holds the increasing-map rule; one gate builds every game row and refuses
-policies off beta's grid, and the CLI reads no private name; the library
-calls no second attentiveness name and records hold no callable; a scenario
-caches its game in one private slot that leaves its identity alone; one
-rule checks that probabilities sum to 1 and one helper records a loader
-section's refusal; and every name README's code spans use is defined.
+path, one corner call and one attentiveness threshold, the solver and the
+news rules define no closures, and the IC kernel holds the increasing-map
+rule; one gate builds every game row and refuses policies off beta's grid,
+and the CLI reads no private name; the library calls no second
+attentiveness name and records hold no callable; a scenario caches its game
+in one private slot that leaves its identity alone; one rule checks that
+probabilities sum to 1 and one helper records a loader section's refusal;
+and every name README's code spans use is defined.
 
 All but the cache slot are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
@@ -210,6 +211,21 @@ def test_one_solve_path():
     assert len(body) == 1 and isinstance(body[0], ast.Return)
     calls = [ast.unparse(node.func) for node in ast.walk(body[0]) if isinstance(node, ast.Call)]
     assert calls == ["solve_groups"]
+
+
+def test_one_corner_call_and_one_attentiveness_threshold():
+    # solve_groups decides both corners in one log_mean_exp call, not through
+    # attentive; the threshold on a log moment, -EXACT, is written once, in
+    # the predicate that attentive and solve_groups share
+    calls = collections.defaultdict(list)
+    for fn, node in _by_function(MODULES["solver"]):
+        if isinstance(node, ast.Call):
+            calls[fn].append(ast.unparse(node.func))
+    assert calls["solve_groups"].count("log_mean_exp") == 1
+    assert "attentive" not in calls["solve_groups"]
+    assert [fn for fn, node in _by_function(MODULES["solver"])
+            if ast.unparse(node) == "-EXACT"] == ["_attends"]
+    assert "_attends" in calls["attentive"] and "_attends" in calls["solve_groups"]
 
 
 def test_one_attentiveness_rule_and_records_are_plain_data():

@@ -20,6 +20,7 @@ from rivote.solver import (
     log_mean_exp,
     mutual_information,
     solve_attention,
+    solve_groups,
 )
 from tests import oracles
 from tests.conftest import bench_workloads, two_level_belief
@@ -90,6 +91,29 @@ class TestMutualInformation:
             cond += mass * entropy(post)
         assert lhs == pytest.approx(h_state - cond, abs=1e-9)
         assert 0.0 <= lhs <= min(h_state, math.log(2)) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        ends=st.integers(0, 8),
+        solved=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        log_mu=st.floats(math.log(1e-3), math.log(3.0)),
+    )
+    def test_bitwise_equal_to_the_reference(self, n, ends, solved, seed, log_mu):
+        # the reference is the earlier body: one binary_entropy call for E[m]
+        # as a float and one for m; m has exact 0s and 1s, or is a solve's
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(n))
+        m = rng.random(n)
+        m[rng.integers(0, n, ends)] = rng.integers(0, 2, ends)
+        if solved:
+            values = rng.normal(0.0, 1.0, n)
+            values[rng.integers(0, n, ends)] = 0.0
+            m = solve_groups(values[None], probs, math.exp(log_mu))[0].m
+        got, want = mutual_information(m, probs), oracles.mutual_information(m, probs)
+        assert type(got) is type(want) is float
+        assert _bits(got) == _bits(want)
 
 
 class TestBeliefValidation:
@@ -210,6 +234,35 @@ class TestMembership:
         assert sol.regime == "interior"
         assert sol.m_bar == pytest.approx(0.0, abs=1e-11)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        groups=st.integers(1, 301),
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        log_mu=st.floats(math.log(1e-3), math.log(3.0)),
+    )
+    def test_batched_corners_are_the_row_by_row_tests(self, groups, n, seed, log_mu):
+        # one log_mean_exp call over a batch's values and their negation
+        # decides each row as the one-row tests do, also for rows shifted so
+        # that log E[exp(v/mu)] lies within 1e-13 of -1e-12, or
+        # log E[exp(-v/mu)] within 1e-13 of 0
+        rng, mu = np.random.default_rng(seed), math.exp(log_mu)
+        probs = rng.dirichlet(np.ones(n))
+        loc, scale = rng.uniform(-2.0, 2.0, (groups, 1)), rng.uniform(0.1, 3.0, (groups, 1))
+        values = mu * rng.normal(loc, scale, (groups, n))
+        kind, offset = rng.integers(0, 3, groups), rng.uniform(-0.9e-13, 0.9e-13, groups)
+        lower, upper = log_mean_exp(values, probs, mu), log_mean_exp(-values, probs, mu)
+        shift = np.select([kind == 1, kind == 2],
+                          [mu * (offset - EXACT - lower), mu * (upper - offset)])
+        values = values + shift[:, None]
+        lower, upper = log_mean_exp(values, probs, mu), log_mean_exp(-values, probs, mu)
+        assert np.all(np.abs(lower + EXACT)[kind == 1] <= 1e-13)
+        assert np.all(np.abs(upper)[kind == 2] <= 1e-13)
+        for v, sol in zip(values, solve_groups(values, probs, mu)):
+            regime = ("corner_zero" if not attentive(v, probs, mu) else
+                      "corner_one" if log_mean_exp(-v, probs, mu) < 0.0 else "interior")
+            assert sol.regime == regime
+
     @pytest.mark.parametrize("mu", [0.0, -0.09, math.nan])
     @pytest.mark.parametrize("rule", [
         lambda belief, mu: attentive(belief.values, belief.probs, mu),
@@ -285,6 +338,21 @@ class TestLogMeanExp:
         batch = log_mean_exp(values, probs, 0.7)
         for idx in np.ndindex(3, 5):
             assert _bits(batch[idx]) == _bits(log_mean_exp(values[idx], probs, 0.7))
+
+    def test_per_row_probs_as_the_frontier_scan_masks_them(self):
+        # probs of the values' own shape, one row each: zero where the
+        # profile has probability 0, which frontier_scan leaves in and gives
+        # the row's least kept value
+        rng = np.random.default_rng(6)
+        values = rng.normal(0.0, 2.0, (3, 5, 4))
+        keep = rng.random((3, 5, 4)) < 0.7
+        keep[..., 0] = True
+        floor = np.min(values, axis=-1, where=keep, initial=np.inf, keepdims=True)
+        probs = np.where(keep, rng.dirichlet(np.ones(4), (3, 5)), 0.0)
+        probs, values = probs / probs.sum(axis=-1, keepdims=True), np.where(keep, values, floor)
+        batch = log_mean_exp(values, probs, 0.7)
+        for idx in np.ndindex(3, 5):
+            assert _bits(batch[idx]) == _bits(log_mean_exp(values[idx], probs[idx], 0.7))
 
     def test_non_finite_payoffs_refused(self):
         with pytest.raises(NumericError):
