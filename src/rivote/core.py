@@ -150,14 +150,12 @@ def _grid_index(grid: np.ndarray, x: np.ndarray, refusal: str) -> np.ndarray:
 
     The match lies next to where ``x - 1e-12`` sorts into the grid, so only
     that point and its two neighbours are compared."""
-    near = np.searchsorted(grid, x - EXACT)[..., None] + np.arange(-1, 2)
-    near = np.clip(near, 0, len(grid) - 1)
+    at = np.searchsorted(grid, x - EXACT) - 1  # the left neighbour, then 0 and +1
+    near = np.minimum(np.maximum(at[..., None] + np.arange(3), 0), len(grid) - 1)
     hit = np.abs(grid[near] - x[..., None]) <= EXACT
-    found = hit.any(axis=-1)
-    if not found.all():
-        miss = float(np.extract(~found, x)[0])
-        raise ValidationError(refusal.format(miss))
-    return near[(*np.indices(x.shape, sparse=True), hit.argmax(axis=-1))]
+    if not (found := hit.any(axis=-1)).all():
+        raise ValidationError(refusal.format(float(x[~found][0])))
+    return np.maximum(at + hit.argmax(axis=-1), 0)  # the first hit is never past the end
 
 
 def utility(spec: UtilitySpec, a, t):

@@ -94,7 +94,7 @@ def tabulated_frontier(a_points, b_points) -> Callable:
     c2 = (m - d[:-1]) / h - tilt
 
     def b(x):
-        k = np.clip(np.searchsorted(a, x, side="right") - 1, 0, a.size - 2)
+        k = np.minimum(np.maximum(np.searchsorted(a, x, side="right") - 1, 0), a.size - 2)
         s = np.asarray(x, dtype=float) - a[k]
         return ((c3[k] * s + c2[k]) * s + d[k]) * s + bv[k]
 
@@ -129,15 +129,16 @@ def golden_max(f, lo, hi, tol: float = 1e-10):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while np.any(live := b - a > tol):
-        # a live bracket whose peak lies left of d keeps [a, d] and probes a new
-        # c; the others keep [c, b] and probe a new d
-        steps = [live & (fc >= fd), live & ~(fc >= fd)]
-        a, b = np.where(steps[1], c, a), np.where(steps[0], d, b)
-        x = np.where(steps[0], b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+    while (live := b - a > tol).any():
+        # a live bracket whose peak lies left of d keeps [a, d] and probes a new c,
+        # the others keep [c, b] and probe a new d; a finished one's probes go unread
+        up = fc >= fd
+        left, right = live & up, live & ~up
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
         fx = f(x)
-        c, fc, d, fd = (np.select(steps, [x, d], c), np.select(steps, [fx, fd], fc),
-                        np.select(steps, [c, x], d), np.select(steps, [fc, fx], fd))
+        c, fc, d, fd = (np.where(up, x, d), np.where(up, fx, fd),
+                        np.where(up, c, x), np.where(up, fc, fx))
     return (0.5 * (a + b))[()]
 
 

@@ -11,8 +11,9 @@ step, one policy and one 2x2 log minor at a time, one news profile and one
 policy pair at a time; the exponential-moment oracle is the library's
 earlier ``log_mean_exp``, on numpy's ``max`` and ``sum``, and the
 mutual-information oracle its earlier body, one ``binary_entropy`` call for
-E[m] and one for m.  The two-issue oracle calls ``u2`` and the frontier one
-scalar point at a time.  The equilibrium oracle is the library's earlier
+E[m] and one for m; the grid-lookup oracle is ``core._grid_index``'s earlier
+body, on ``np.clip`` and ``np.indices``.  The two-issue oracle calls ``u2``
+and the frontier one scalar point at a time.  The equilibrium oracle is the library's earlier
 exhaustive search: every map of the game's strategy set scored by
 ``ICKernel.gaps`` in chunks (``passing``), with no pruning.  The Downsian
 winner, a voter at t = 0, is the textbook rule that a symmetric electorate
@@ -206,6 +207,19 @@ def bayes_posterior_differential(levels, level_probs, rows, u_fn, m, n, t):
 # ---------------------------------------------------------------------------
 # Scalar utility oracle
 # ---------------------------------------------------------------------------
+
+def grid_index(grid: np.ndarray, x: np.ndarray, refusal: str) -> np.ndarray:
+    """``core._grid_index``'s earlier body: ``np.clip`` on the three
+    neighbours and a gather through ``np.indices``."""
+    near = np.searchsorted(grid, x - EXACT)[..., None] + np.arange(-1, 2)
+    near = np.clip(near, 0, len(grid) - 1)
+    hit = np.abs(grid[near] - x[..., None]) <= EXACT
+    found = hit.any(axis=-1)
+    if not found.all():
+        miss = float(np.extract(~found, x)[0])
+        raise ValidationError(refusal.format(miss))
+    return near[(*np.indices(x.shape, sparse=True), hit.argmax(axis=-1))]
+
 
 def _table_lookup(table, a: float, t: float) -> float:
     """One table entry by linear search: the first grid point within 1e-12."""

@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rivote.core import (
@@ -13,6 +14,7 @@ from rivote.core import (
     TabulatedUtility,
     UtilitySpec,
     ValidationError,
+    _grid_index,
     audit_concavity,
     audit_increasing_differences,
     audit_mirror_symmetry,
@@ -31,6 +33,7 @@ from rivote.extensions import multi_issue_reduce, quarter_circle_frontier, tabul
 from rivote.extensions import weighted_bliss_utility
 from rivote.news import NewsTechnology
 from rivote.solver import BeliefOverProfiles, gamma_inverse
+from tests import oracles
 from tests.oracles import loser_value, voter_utility, winner_value
 
 
@@ -161,6 +164,39 @@ class TestUtilityAgainstScalarOracle:
                            for t in types] for x in -grid] for t2 in opp_types]
         np.testing.assert_array_equal(bits(win), bits(want_win))
         np.testing.assert_array_equal(bits(lose), bits(want_lose))
+
+
+class TestGridIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        gaps=st.lists(st.sampled_from([1.5e-12, 2e-12, 1e-6, 0.1, 0.7]), min_size=12,
+                      max_size=12),
+        start=st.floats(-1.0, 1.0),
+        offsets=st.lists(st.sampled_from([0.0, 1e-12, -1e-12, 1.0000001e-12, -1.0000001e-12,
+                                          5e-13, -5e-13, 2e-12, -2e-12, 1e-13]),
+                         min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 11), min_size=6, max_size=6),
+        shape=st.sampled_from([(), (6,), (2, 3), (3, 1, 2)]),
+    )
+    def test_indices_and_refusal_equal_the_reference(self, n, gaps, start, offsets, picks,
+                                                     shape):
+        # strictly increasing grids, some of them crowded within 1e-12, queried
+        # at, just inside and just beyond 1e-12 of their points
+        grid = start + np.concatenate(([0.0], np.cumsum(gaps[:n - 1])))
+        assume(np.all(np.diff(grid) > 0))
+        x = np.array([grid[k % n] + offsets[i % len(offsets)]
+                      for i, k in enumerate(picks)])[:math.prod(shape)].reshape(shape)
+        refusal = "point {!r} is off the grid"
+        try:
+            want = oracles.grid_index(grid, x, refusal)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(exc))}$"):
+                _grid_index(grid, x, refusal)
+            return
+        got = _grid_index(grid, x, refusal)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDifferentialUtility:

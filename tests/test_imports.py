@@ -10,7 +10,8 @@ and the CLI reads no private name; the library calls no second
 attentiveness name and records hold no callable; a scenario caches its game
 in one private slot that leaves its identity alone; one rule checks that
 probabilities sum to 1 and one helper records a loader section's refusal;
-and every name README's code spans use is defined.
+the library calls none of numpy's Python-level array wrappers; and every
+name README's code spans use is defined.
 
 All but the cache slot are read from the sources with ``ast``; imports under
 ``if TYPE_CHECKING:`` only annotate and are exempt.
@@ -292,6 +293,17 @@ def test_one_probability_rule():
              if isinstance(node, ast.Compare) and "EXACT" in (text := ast.unparse(node))
              and re.search(r"\bsum\(", text)}
     assert sites == {"core.probability_floats", "news._row_faults"}
+
+
+def test_no_python_level_array_wrappers():
+    # np.select, np.clip, np.vectorize, np.apply_along_axis and np.piecewise
+    # run microseconds of Python around the ufuncs they wrap, which dominate a
+    # call on a short row; the library calls np.where, np.minimum and np.maximum
+    wrappers = {"select", "clip", "vectorize", "apply_along_axis", "piecewise"}
+    calls = [f"{stem}.py:{node.lineno}" for stem, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr in wrappers and ast.unparse(node.value) in ("np", "numpy")]
+    assert calls == []
 
 
 def test_loader_records_refusals_through_one_helper():

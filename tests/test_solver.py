@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from rivote import solver
 from rivote.core import EXACT, NumericError, ValidationError
+from rivote.election import enumerate_equilibria
+from rivote.scenario_io import scenario_from_dict
 from rivote.solver import (
     BeliefOverProfiles,
     attention_membership,
@@ -113,7 +115,7 @@ class TestMutualInformation:
             m = solve_groups(values[None], probs, math.exp(log_mu))[0].m
         got, want = mutual_information(m, probs), oracles.mutual_information(m, probs)
         assert type(got) is type(want) is float
-        assert _bits(got) == _bits(want)
+        assert _bytes(got) == _bytes(want)
 
 
 class TestBeliefValidation:
@@ -278,6 +280,7 @@ class TestMembership:
 
 
 def _bits(x):
+    """The bit patterns of ``x``, elementwise and with its shape."""
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
@@ -444,7 +447,8 @@ class TestOracleEquivalence:
             assert abs(sol.objective(belief, mu) - brute) <= 1e-4
 
 
-def _bits(x) -> bytes:
+def _bytes(x) -> bytes:
+    """The float bytes of ``x``, for bitwise comparison of whole solution fields."""
     return np.asarray(x, dtype=float).tobytes()
 
 
@@ -453,22 +457,23 @@ def assert_same_solution(belief, mu):
     got, want = solve_attention(belief, mu), oracles.solve_attention(belief, mu)
     assert got.regime == want.regime
     for field in ("m_bar", "likelihood_ratio", "m", "info", "residual"):
-        assert _bits(getattr(got, field)) == _bits(getattr(want, field)), field
+        assert _bytes(getattr(got, field)) == _bytes(getattr(want, field)), field
     return got
 
 
 @st.composite
-def certificate_beliefs(draw):
+def certificate_beliefs(draw, sides=(0.0, 1.0, -1.0)):
     """Beliefs at the certificate's weak spots: up to 64 points, |v| / mu up
-    to 700 (e near 1e-304), exact ties and zeros, and one point against all
-    the others, which puts the root at the 1e-12 or 1 - 1e-12 floor."""
+    to 700 (e near 1e-304), exact ties and zeros, and, on a nonzero side, one
+    point against all the others, which puts the root at the 1e-12 or
+    1 - 1e-12 floor."""
     n = draw(st.integers(1, 64))
     top = draw(st.sampled_from([1.0, 30.0, 700.0]))
     pool = draw(st.lists(st.floats(-top, top), min_size=1, max_size=4)) + [0.0]
     value = st.one_of(st.sampled_from(pool), st.floats(-top, top))
     values = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    side = draw(st.sampled_from([0.0, 1.0, -1.0]))
+    side = draw(st.sampled_from(sides))
     if side and n > 1:
         values = side * np.abs(values)
         values[0] = -side * draw(st.floats(1.0, top))
@@ -570,17 +575,21 @@ def _counting_bisect(monkeypatch):
 
 
 def test_certified_bisection_evaluates_few_midpoints(monkeypatch):
-    # the plain bisection makes about 56 exact evaluations per interior solve
+    # the plain bisection makes about 56 exact evaluations per interior solve;
+    # the window's certificates cover both floors, so no floor is evaluated
     calls = _counting_bisect(monkeypatch)
     regimes = [solve_attention(belief, mu).regime for belief, mu in benchmark_belief_stream(0)]
     counts = [len(args) for args in calls]
     assert len(counts) == regimes.count("interior") > 250
-    assert np.mean(counts) <= 25 and max(counts) <= 40
+    assert np.mean(counts) <= 17 and max(counts) <= 25
+    floors = {solver._MBAR_FLOOR, 1.0 - solver._MBAR_FLOOR}
+    assert not [args for args in calls if floors & set(args)]
 
 
 def test_uncertified_window_is_the_plain_bisection(monkeypatch):
-    # a radius of +inf certifies nothing: every midpoint is evaluated, as in
-    # the oracle's loop, and the bits are the same
+    # a radius of +inf certifies nothing: after the window both floors are
+    # evaluated, the lower first, then every midpoint, as in the oracle's
+    # loop, and the bits are the same
     calls = _counting_bisect(monkeypatch)
     monkeypatch.setattr(solver, "_radius", lambda *args: math.inf)
     plain, foc = [], oracles._foc
@@ -592,10 +601,43 @@ def test_uncertified_window_is_the_plain_bisection(monkeypatch):
             continue
         interior += 1
         (args,) = calls
-        loop = plain[2:]  # the midpoints, after the two floors
-        assert args[0] == plain[0] and args[len(args) - len(loop):] == loop
-        assert len(args) - len(plain) <= solver._MAX_NEWTON
+        newton = len(args) - len(plain)  # the oracle's floors, then its midpoints
+        assert plain[:2] == [solver._MBAR_FLOOR, 1.0 - solver._MBAR_FLOOR]
+        assert args[newton:] == plain and 0 < newton <= solver._MAX_NEWTON
     assert interior > 40
+
+
+@settings(max_examples=300, deadline=None)
+@given(certificate_beliefs(sides=(1.0, -1.0)))
+def test_a_row_rooted_at_a_floor_stops_there(case):
+    # the Newton step that leaves the bracket through a floor evaluates the
+    # floors at once, lower first: a row rooted at 1e-12 ends on it, one
+    # rooted at 1 - 1e-12 on both
+    assume(len(case[0].support) > 1)  # one point has no side
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _counting_bisect(patch)
+        m_bar = solve_attention(*case).m_bar
+    floors = [solver._MBAR_FLOOR, 1.0 - solver._MBAR_FLOOR]
+    if m_bar in floors:
+        (args,) = calls
+        tail = floors[:floors.index(m_bar) + 1]
+        assert args[-len(tail):] == tail and len(args) - len(tail) <= 3
+        assert not set(floors) & set(args[:-len(tail)])
+
+
+def test_ic_grid_rows_rooted_at_the_lower_floor_evaluate_nothing(monkeypatch):
+    # their values are all 0, so F = 0: foc(1e-12) = 0 makes 1e-12 the root
+    # without an evaluation
+    workloads = bench_workloads()
+    roots = []
+    bisect = solver._bisect
+    monkeypatch.setattr(solver, "_bisect", lambda *row: roots.append(bisect(*row)) or roots[-1])
+    calls = _counting_bisect(monkeypatch)
+    for _group, _pipeline, kwargs in workloads.IC_TASKS.values():
+        enumerate_equilibria(scenario_from_dict(workloads.game_doc(**kwargs)))
+    counts = [len(args) for args, root in zip(calls, roots, strict=True)
+              if root == solver._MBAR_FLOOR]
+    assert 0 < len(counts) < len(roots) and counts == [0] * len(counts)
 
 
 def test_solver_reaches_the_blahut_arimoto_optimum():
