@@ -153,7 +153,8 @@ def _grid_index(grid: np.ndarray, x: np.ndarray, refusal: str) -> np.ndarray:
     at = np.searchsorted(grid, x - EXACT) - 1  # the left neighbour, then 0 and +1
     near = np.minimum(np.maximum(at[..., None] + np.arange(3), 0), len(grid) - 1)
     hit = np.abs(grid[near] - x[..., None]) <= EXACT
-    if not (found := hit.any(axis=-1)).all():
+    found = hit.any(axis=-1)
+    if not found.all():
         raise ValidationError(refusal.format(float(x[~found][0])))
     return np.maximum(at + hit.argmax(axis=-1), 0)  # the first hit is never past the end
 

@@ -183,15 +183,17 @@ def _foc(probs, pos, e, num, m: float):
 
 def _window(probs, pos, e, num, lo: float, hi: float) -> tuple[float, float]:
     """Points a < b around the FOC's root that certify the sign of every m
-    outside (a, b), floors included, or (r, r) where a floor r is the root:
-    only the floor of a side that does not certify is tested, or both when a
-    Newton step leaves the bracket through one, so a row rooted there stops."""
-    y_lo, y_hi = floors = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
-    y, tested = 0.0, False
+    outside (a, b), the floor lo or hi included; a side that does not certify
+    falls back to lo or hi, where the floor and every midpoint are evaluated."""
+    y_lo, y_hi = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
+    y = 0.0
     for _ in range(_MAX_NEWTON):  # safeguarded Newton in log-odds y = log(m / (1 - m))
         m = 1.0 / (1.0 + math.exp(-y))
         f, q, den = _foc(probs, pos, e, num, m)
-        y_lo, y_hi = (y, y_hi) if f > 0.0 else (y_lo, y)
+        if f > 0.0:
+            y_lo = y
+        else:
+            y_hi = y
         # -F'(m), since d den/dm = num; the 1e-300 keeps the step's division defined
         slope = float(np.dot(probs, q * q)) + 1e-300
         step = f / (slope * m * (1.0 - m))
@@ -199,10 +201,6 @@ def _window(probs, pos, e, num, lo: float, hi: float) -> tuple[float, float]:
         if abs(step) < _NEWTON_TOL:
             break
         if not y_lo < y < y_hi:
-            if not (tested or floors[0] < y < floors[1]):
-                tested, r = True, _floor(probs, pos, e, num, lo, hi, True, True)
-                if r:
-                    return r, r
             y = 0.5 * (y_lo + y_hi)
     root = 1.0 / (1.0 + math.exp(-y))
     w = 2.0 * _radius(probs, pos, q, den) / slope
@@ -215,21 +213,13 @@ def _window(probs, pos, e, num, lo: float, hi: float) -> tuple[float, float]:
         f, q, den = _foc(probs, pos, e, num, b)
         if not -f > _radius(probs, pos, q, den):
             b = hi
-    r = None if tested else _floor(probs, pos, e, num, lo, hi, a == lo, b == hi)
-    return (r, r) if r else (a, b)
-
-
-def _floor(probs, pos, e, num, lo: float, hi: float, lower: bool, upper: bool):
-    """lo if foc(lo) <= 0, else hi if foc(hi) >= 0, each tested if asked for, else None."""
-    if lower and _foc(probs, pos, e, num, lo)[0] <= 0.0:
-        return lo
-    return hi if upper and _foc(probs, pos, e, num, hi)[0] >= 0.0 else None
+    return a, b
 
 
 def _bisect(probs, pos, e, num) -> float:
     """Bisection of the FOC on [floor, 1 - floor] in plain float halvings;
-    ``_foc`` is evaluated by ``_window``, at the floors it does not certify
-    and at the midpoints inside the window only.
+    ``_foc`` is evaluated by ``_window``, at a floor its window does not
+    certify and at the midpoints inside the window only.
 
     F(m) = E[(e^x - 1) / (m e^x + 1 - m)], x = v / mu, is strictly decreasing
     in the average m.  e = exp(-|x|) and the numerators num are computed once
@@ -238,15 +228,20 @@ def _bisect(probs, pos, e, num) -> float:
     m e + 1 - m where x < 0, and foc(m) = fl(sum p q), q = num / den; with
     every num 0, foc is 0 and the lower floor is the root.
 
-    The bits depend only on the sign of foc at the floors and the midpoints,
-    which is evaluated only where it is not certified.  In exact arithmetic
-    on the float inputs p, e and num, d den/dm has the sign of num, so every
-    q is nonincreasing in m: the positive part P(m) of F falls and the
-    negative part N(m) rises.  Rounding, with u = 2^-53 and n terms: where
-    x >= 0, den adds nonnegative terms, so q is off by at most about 4u,
-    relatively; where x < 0, fl(fl(m e) + 1) - m is off by at most about 3u
-    absolutely, so q is off by at most 2u + 3u / den relatively (large for m
-    near 1 and tiny e); the dot adds at most n u sum p |q|, in any order.
+    The bisection's bits depend only on the sign of foc at the floors and at
+    its midpoints, and foc is evaluated only where that sign is not
+    certified.  In exact arithmetic on the float inputs p, e and num, d den/dm
+    has the sign of num, so every q is nonincreasing in m: the positive part
+    P(m) of F falls and the negative part N(m) rises.  Rounding, with
+    u = 2^-53 and n terms:
+
+    - x >= 0: den adds nonnegative terms, so q is off by at most about 4u,
+      relatively, at every m;
+    - x < 0: fl(fl(m e) + 1) - m is off by at most about 3u absolutely, so q
+      is off by at most 2u + 3u / den relatively, which is large for m near 1
+      and tiny e;
+    - the dot adds at most n u sum p |q|, in any summation order.
+
     So |foc(m) - F(m)| <= E(m) = sum p |q| rho, rho = 2 (n + 4) u, plus 5 u / den
     where x < 0; the constants leave room for the computed q and den standing
     in for the exact ones, and ``_radius`` gives R = 2 E.  Left of a point a,
@@ -258,14 +253,17 @@ def _bisect(probs, pos, e, num) -> float:
     foc < 0 at every m >= b, the floor 1 - 1e-12 included.  A safeguarded
     Newton iteration in log-odds, with F'(m) = -sum p q^2, puts a and b about
     2 R / |F'| either side of the root (``_window``); a side that does not
-    certify falls back to its floor and every midpoint: the plain bisection.
+    certify falls back to evaluating its floor and every midpoint, which is
+    the plain bisection.
     """
     lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
     if not num.any():
         return lo
     a, b = _window(probs, pos, e, num, lo, hi)
-    if a == b:  # a floor is the root
-        return a
+    if a == lo and _foc(probs, pos, e, num, lo)[0] <= 0.0:
+        return lo
+    if b == hi and _foc(probs, pos, e, num, hi)[0] >= 0.0:
+        return hi
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -306,8 +304,14 @@ def _solution(values, probs, mu: float, zero: bool, one: bool) -> AttentionSolut
     # shifted-logit rule m = m_bar e^x / (m_bar e^x + 1 - m_bar)
     m = np.where(pos, m_bar, m_bar * e) / _foc(probs, pos, e, num, m_bar)[2]
     residual = abs(float(np.dot(probs, m)) / m_bar - 1.0)
-    return AttentionSolution("interior", m_bar, m_bar / (1.0 - m_bar), m,
-                             mutual_information(m, probs), residual)
+    return AttentionSolution(
+        "interior",
+        m_bar,
+        m_bar / (1.0 - m_bar),
+        m,
+        mutual_information(m, probs),
+        residual,
+    )
 
 
 def attention_membership(belief: BeliefOverProfiles, mu: float) -> bool:
