@@ -228,12 +228,11 @@ def _bisect(probs, pos, e, num) -> float:
     m e + 1 - m where x < 0, and foc(m) = fl(sum p q), q = num / den; with
     every num 0, foc is 0 and the lower floor is the root.
 
-    The bisection's bits depend only on the sign of foc at the floors and at
-    its midpoints, and foc is evaluated only where that sign is not
-    certified.  In exact arithmetic on the float inputs p, e and num, d den/dm
-    has the sign of num, so every q is nonincreasing in m: the positive part
-    P(m) of F falls and the negative part N(m) rises.  Rounding, with
-    u = 2^-53 and n terms:
+    The bits depend only on the sign of foc at the floors and midpoints, and
+    foc is evaluated only where that sign is not certified.  In exact
+    arithmetic on the float inputs p, e and num, d den/dm has the sign of num,
+    so every q is nonincreasing in m: the positive part P(m) of F falls and
+    the negative part N(m) rises.  Rounding, with u = 2^-53 and n terms:
 
     - x >= 0: den adds nonnegative terms, so q is off by at most about 4u,
       relatively, at every m;
@@ -247,14 +246,13 @@ def _bisect(probs, pos, e, num) -> float:
     in for the exact ones, and ``_radius`` gives R = 2 E.  Left of a point a,
     P is larger and each negative term and its bound are smaller, so F - E
     there is at least F(a) - E(a) >= foc(a) - R(a): foc(a) > R(a) certifies
-    foc > 0 at every m <= a, the floor 1e-12 included.  Right of b,
-    den > 1e-12 keeps a negative term's lower bound |q| (1 - rho - 5 u / den)
-    growing as den falls, while P (1 + rho) falls: -foc(b) > R(b) certifies
-    foc < 0 at every m >= b, the floor 1 - 1e-12 included.  A safeguarded
-    Newton iteration in log-odds, with F'(m) = -sum p q^2, puts a and b about
-    2 R / |F'| either side of the root (``_window``); a side that does not
-    certify falls back to evaluating its floor and every midpoint, which is
-    the plain bisection.
+    foc > 0 at every m <= a, floor included.  Right of b, den > 1e-12 keeps a
+    negative term's lower bound |q| (1 - rho - 5 u / den) growing as den
+    falls, while P (1 + rho) falls: -foc(b) > R(b) certifies foc < 0 at every
+    m >= b, floor included.  A safeguarded Newton iteration in log-odds, with
+    F'(m) = -sum p q^2, puts a and b about 2 R / |F'| either side of the
+    root (``_window``); a side that does not certify falls back to evaluating
+    its floor and every midpoint, which is the plain bisection.
     """
     lo, hi = _MBAR_FLOOR, 1.0 - _MBAR_FLOOR
     if not num.any():

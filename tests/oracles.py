@@ -13,9 +13,9 @@ earlier ``log_mean_exp``, on numpy's ``max`` and ``sum``, and the
 mutual-information oracle its earlier body, one ``binary_entropy`` call for
 E[m] and one for m; the grid-lookup oracle is ``core._grid_index``'s earlier
 body, on ``np.clip`` and ``np.indices``.  The two-issue oracle calls ``u2``
-and the frontier one scalar point at a time.  The equilibrium oracle is the library's earlier
-exhaustive search: every map of the game's strategy set scored by
-``ICKernel.gaps`` in chunks (``passing``), with no pruning.  The Downsian
+and the frontier one scalar point at a time.  The equilibrium oracle is the
+library's earlier exhaustive search: every map of the game's strategy set
+scored by ``ICKernel.gaps`` in chunks (``passing``), with no pruning.  The Downsian
 winner, a voter at t = 0, is the textbook rule that a symmetric electorate
 with a group at 0 reproduces.
 """
